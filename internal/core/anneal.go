@@ -44,19 +44,16 @@ func Anneal(stats []*feature.Stats, opts AnnealOptions) []*DFS {
 	cool := math.Pow(0.01/temp, 1/float64(steps)) // reach 0.01 at the end
 	rng := rand.New(rand.NewSource(opts.Seed))
 
-	dfss := newDFSs(stats)
-	for _, d := range dfss {
-		pad(d, o.SizeBound)
-	}
-	cur := TotalDoD(dfss, o.Threshold)
+	kn := newKernel(stats, o)
+	kn.padAll(1)
+	cur := kn.totalDoD()
 	best := cur
-	bestSel := snapshot(dfss)
+	bestSel := append([]uint8(nil), kn.sel...)
 
 	for step := 0; step < steps; step++ {
-		i := rng.Intn(len(dfss))
-		d := dfss[i]
-		undo, delta := proposeMove(dfss, i, d, o, rng)
-		if undo == nil {
+		i := rng.Intn(kn.k)
+		m, prev, delta, ok := kn.proposeMove(i, rng)
+		if !ok {
 			continue
 		}
 		accept := delta >= 0
@@ -64,51 +61,41 @@ func Anneal(stats []*feature.Stats, opts AnnealOptions) []*DFS {
 			accept = rng.Float64() < math.Exp(float64(delta)/temp)
 		}
 		if !accept {
-			undo()
+			kn.apply(i, denseMove{t: m.t, depth: prev})
 		} else {
 			cur += delta
 			if cur > best {
 				best = cur
-				bestSel = snapshot(dfss)
+				copy(bestSel, kn.sel)
 			}
 		}
 		temp *= cool
 	}
-	for i := range dfss {
-		dfss[i].Sel = bestSel[i]
-	}
-	return dfss
+	kn.sel = bestSel
+	return kn.dfss()
 }
 
-// proposeMove mutates result i with a random valid move and returns an
-// undo closure plus the DoD delta, or (nil, 0) when no move applies.
-func proposeMove(dfss []*DFS, i int, d *DFS, o Options, rng *rand.Rand) (func(), int) {
-	grows := growMoves(d)
-	if d.Sel.Size() >= o.SizeBound {
-		grows = nil
+// proposeMove applies a random valid grow or shrink move to result i
+// and returns it with the depth it replaced and its DoD delta; ok is
+// false when no move applies.
+func (kn *kernel) proposeMove(i int, rng *rand.Rand) (m denseMove, prev uint8, delta int, ok bool) {
+	kn.moves = kn.moves[:0]
+	if kn.size[i] < kn.opts.SizeBound {
+		kn.moves = kn.growMoves(i, kn.row(i), kn.moves)
 	}
-	shrinks := shrinkMoves(d)
-	total := len(grows) + len(shrinks)
+	grows := len(kn.moves)
+	kn.moves2 = kn.shrinkMoves(i, kn.moves2)
+	total := grows + len(kn.moves2)
 	if total == 0 {
-		return nil, 0
+		return m, 0, 0, false
 	}
-	pick := rng.Intn(total)
-	var m move
-	if pick < len(grows) {
-		m = grows[pick]
+	if pick := rng.Intn(total); pick < grows {
+		m = kn.moves[pick]
 	} else {
-		m = shrinks[pick-len(grows)]
+		m = kn.moves2[pick-grows]
 	}
-	prev, had := d.Sel[m.t]
-	delta := typeDelta(dfss, i, m.t, prev, m.depth, o.Threshold)
-	applyMove(d.Sel, m)
-	return func() { restore(d.Sel, m.t, prev, had) }, delta
-}
-
-func snapshot(dfss []*DFS) []Selection {
-	out := make([]Selection, len(dfss))
-	for i, d := range dfss {
-		out[i] = d.Sel.Clone()
-	}
-	return out
+	prev = kn.sel[i*kn.nt+int(m.t)]
+	delta = kn.typeDelta(i, int(m.t), prev, m.depth)
+	kn.apply(i, m)
+	return m, prev, delta, true
 }

@@ -13,30 +13,31 @@ import (
 // result, and is the comparison point for the Figure 1 → Figure 2
 // quality gap.
 func TopK(stats []*feature.Stats, opts Options) []*DFS {
-	opts = opts.normalized()
-	dfss := newDFSs(stats)
-	for _, d := range dfss {
-		pad(d, opts.SizeBound)
-	}
-	return dfss
+	return topK(stats, opts, 1)
+}
+
+// topK is TopK with the per-result fills spread over workers.
+func topK(stats []*feature.Stats, opts Options, workers int) []*DFS {
+	kn := newKernel(stats, opts.normalized())
+	kn.padAll(workers)
+	return kn.dfss()
 }
 
 // Random generates valid DFSs by repeatedly applying a uniformly
 // random grow move until the budget is exhausted. It is the weakest
 // baseline and a fuzzing aid: any valid selection is reachable.
 func Random(stats []*feature.Stats, opts Options, rng *rand.Rand) []*DFS {
-	opts = opts.normalized()
-	dfss := newDFSs(stats)
-	for _, d := range dfss {
-		for d.Sel.Size() < opts.SizeBound {
-			moves := growMoves(d)
-			if len(moves) == 0 {
+	kn := newKernel(stats, opts.normalized())
+	for i := 0; i < kn.k; i++ {
+		for kn.size[i] < kn.opts.SizeBound {
+			kn.moves = kn.growMoves(i, kn.row(i), kn.moves)
+			if len(kn.moves) == 0 {
 				break
 			}
-			applyMove(d.Sel, moves[rng.Intn(len(moves))])
+			kn.apply(i, kn.moves[rng.Intn(len(kn.moves))])
 		}
 	}
-	return dfss
+	return kn.dfss()
 }
 
 // Algorithm names a DFS-generation method for harnesses and CLIs.

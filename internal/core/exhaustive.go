@@ -17,7 +17,10 @@ func Exhaustive(stats []*feature.Stats, opts Options) []*DFS {
 			return nil
 		}
 	}
-	dfss := newDFSs(stats)
+	dfss := make([]*DFS, len(stats))
+	for i, s := range stats {
+		dfss[i] = &DFS{Stats: s}
+	}
 	best := make([]Selection, len(stats))
 	bestDoD := -1
 

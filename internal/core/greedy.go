@@ -18,33 +18,5 @@ import "repro/internal/feature"
 // between TopK and SingleSwap. It runs in O(L·n · moves·n) time with
 // no swap phase, making it the cheapest coordinated method.
 func GreedyGlobal(stats []*feature.Stats, opts Options) []*DFS {
-	opts = opts.normalized()
-	dfss := newDFSs(stats)
-	for {
-		type candidate struct {
-			i     int
-			m     move
-			gain  int
-			score padScore
-		}
-		best := candidate{i: -1}
-		for i, d := range dfss {
-			if d.Sel.Size() >= opts.SizeBound {
-				continue
-			}
-			for _, m := range growMoves(d) {
-				g := typeDelta(dfss, i, m.t, d.Sel[m.t], m.depth, opts.Threshold)
-				sc := scoreMove(d.Stats, m)
-				if best.i == -1 || g > best.gain ||
-					(g == best.gain && sc.better(best.score)) {
-					best = candidate{i: i, m: m, gain: g, score: sc}
-				}
-			}
-		}
-		if best.i == -1 {
-			break // every DFS is full (or has nothing left to add)
-		}
-		applyMove(dfss[best.i].Sel, best.m)
-	}
-	return dfss
+	return WeightedGreedy(stats, opts, UniformInterest)
 }

@@ -16,10 +16,15 @@ const DefaultThreshold = 0.10
 // limit L when the user does not specify one.
 const DefaultSizeBound = 10
 
+// MaxSizeBound caps L: the generators keep value depths in bytes, and
+// a table of more than 255 features per result summarizes nothing.
+const MaxSizeBound = 255
+
 // Options configures DFS generation.
 type Options struct {
 	// SizeBound is L, the maximum number of features per DFS.
-	// Zero selects DefaultSizeBound.
+	// Zero selects DefaultSizeBound; values above MaxSizeBound are
+	// capped.
 	SizeBound int
 	// Threshold is x: the relative-difference fraction above which two
 	// frequencies of the same feature differentiate two results.
@@ -40,12 +45,16 @@ func (o Options) normalized() Options { return o.Normalized() }
 
 // Normalized resolves defaulted fields to their canonical values:
 // non-positive SizeBound and Threshold become DefaultSizeBound and
-// DefaultThreshold, and a negative MaxRounds becomes 0 (unbounded).
+// DefaultThreshold, SizeBound is capped at MaxSizeBound, and a
+// negative MaxRounds becomes 0 (unbounded).
 // Every generator applies it internally; caching layers use it so
 // option sets that select the same behaviour share one cache key.
 func (o Options) Normalized() Options {
 	if o.SizeBound <= 0 {
 		o.SizeBound = DefaultSizeBound
+	}
+	if o.SizeBound > MaxSizeBound {
+		o.SizeBound = MaxSizeBound
 	}
 	if o.Threshold <= 0 {
 		o.Threshold = DefaultThreshold
@@ -162,37 +171,16 @@ func relDiffer(a, b, x float64) bool {
 	return (hi-lo)/lo > x
 }
 
-// typeDiffers reports whether results a and b, with value depths da
-// and db for shared type t, are differentiable in t: some value shown
-// by either side has relative frequencies differing by more than x.
-// The hot path of every algorithm; depths are small, so the b-side
-// dedup is a linear scan over a's shown prefix rather than a map.
-func typeDiffers(a, b *feature.Stats, t feature.Type, da, db int, x float64) bool {
-	avals := a.ValuesOf(t)
-	if da > len(avals) {
-		da = len(avals)
-	}
-	for _, vc := range avals[:da] {
-		if relDiffer(a.Rel(t, vc.Value), b.Rel(t, vc.Value), x) {
-			return true
-		}
-	}
-	bvals := b.ValuesOf(t)
-	if db > len(bvals) {
-		db = len(bvals)
-	}
-outer:
-	for _, vc := range bvals[:db] {
-		for _, avc := range avals[:da] {
-			if avc.Value == vc.Value {
-				continue outer
-			}
-		}
-		if relDiffer(a.Rel(t, vc.Value), b.Rel(t, vc.Value), x) {
-			return true
-		}
-	}
-	return false
+// differOn reports whether results a and b, showing depths da and db
+// of shared type t, are differentiable in t: some value shown by
+// either side has relative frequencies differing by more than x. That
+// holds exactly when either side's first differing value lies within
+// its shown depth (see kernel).
+func differOn(a, b *feature.Stats, t feature.Type, da, db int, x float64) bool {
+	ga, gb := float64(a.GroupCount(t.Entity)), float64(b.GroupCount(t.Entity))
+	av, bv := a.ValuesOf(t), b.ValuesOf(t)
+	return firstDiffer(av[:min(da, len(av))], ga, b.Counts(t), gb, x) > 0 ||
+		firstDiffer(bv[:min(db, len(bv))], gb, a.Counts(t), ga, x) > 0
 }
 
 // PairDoD returns the degree of differentiation of two DFSs: the
@@ -205,7 +193,7 @@ func PairDoD(a, b *DFS, x float64) int {
 		if !ok {
 			continue
 		}
-		if typeDiffers(a.Stats, b.Stats, t, da, db, x) {
+		if differOn(a.Stats, b.Stats, t, da, db, x) {
 			dod++
 		}
 	}
@@ -224,132 +212,6 @@ func TotalDoD(dfss []*DFS, x float64) int {
 	return total
 }
 
-// resultDoD returns Σ_j PairDoD(dfss[i], dfss[j]) for j ≠ i — the part
-// of the objective affected by changing result i's selection.
-func resultDoD(dfss []*DFS, i int, x float64) int {
-	sum := 0
-	for j := range dfss {
-		if j != i {
-			sum += PairDoD(dfss[i], dfss[j], x)
-		}
-	}
-	return sum
-}
-
-// newDFSs wraps stats into DFS shells with empty selections.
-func newDFSs(stats []*feature.Stats) []*DFS {
-	out := make([]*DFS, len(stats))
-	for i, s := range stats {
-		out[i] = &DFS{Stats: s, Sel: make(Selection)}
-	}
-	return out
-}
-
-// candidateGrow enumerates the grow moves available to d: deepening a
-// selected type by one value or opening the next type of an entity at
-// depth 1. Returned as (type, newDepth) pairs in deterministic order.
-type move struct {
-	t     feature.Type
-	depth int // new depth after the move (0 = remove entirely)
-}
-
-func growMoves(d *DFS) []move {
-	var out []move
-	for _, e := range d.Stats.Entities() {
-		order := d.Stats.TypesOf(e)
-		k := 0
-		for _, t := range order {
-			if _, ok := d.Sel[t]; ok {
-				k++
-			} else {
-				break
-			}
-		}
-		for _, t := range order[:k] {
-			if depth := d.Sel[t]; depth < len(d.Stats.ValuesOf(t)) {
-				out = append(out, move{t: t, depth: depth + 1})
-			}
-		}
-		if k < len(order) {
-			out = append(out, move{t: order[k], depth: 1})
-		}
-	}
-	return out
-}
-
-func shrinkMoves(d *DFS) []move {
-	var out []move
-	for _, e := range d.Stats.Entities() {
-		order := d.Stats.TypesOf(e)
-		k := 0
-		for _, t := range order {
-			if _, ok := d.Sel[t]; ok {
-				k++
-			} else {
-				break
-			}
-		}
-		for i, t := range order[:k] {
-			depth := d.Sel[t]
-			if depth >= 2 {
-				out = append(out, move{t: t, depth: depth - 1})
-			} else if i == k-1 {
-				// Only the last type of the prefix may be dropped.
-				out = append(out, move{t: t, depth: 0})
-			}
-		}
-	}
-	return out
-}
-
-func applyMove(sel Selection, m move) {
-	if m.depth == 0 {
-		delete(sel, m.t)
-	} else {
-		sel[m.t] = m.depth
-	}
-}
-
-// prefixLen returns how many types of entity e are selected in sel
-// (they always form a prefix for valid selections).
-func prefixLen(stats *feature.Stats, sel Selection, e string) int {
-	k := 0
-	for _, t := range stats.TypesOf(e) {
-		if _, ok := sel[t]; ok {
-			k++
-		} else {
-			break
-		}
-	}
-	return k
-}
-
-// pad fills leftover budget with the most *frequent* unselected
-// features (valid growth only), mirroring how a summary spends space:
-// each candidate grow move is scored by the relative frequency of the
-// value it would reveal, so a product's singleton attributes (name,
-// rating — frequency 1.0 within their entity) surface before a rare
-// fourth-ranked pro. This is also the "valid top-fill" starting point
-// of both local-search algorithms; scoring by value frequency rather
-// than raw type totals keeps the initial summaries diverse across
-// entities, which matters because a type can only ever differentiate
-// once both sides select it.
-func pad(d *DFS, bound int) {
-	for d.Sel.Size() < bound {
-		moves := growMoves(d)
-		if len(moves) == 0 {
-			return
-		}
-		best := -1
-		for i := range moves {
-			if best == -1 || betterPadMove(d.Stats, moves[i], moves[best]) {
-				best = i
-			}
-		}
-		applyMove(d.Sel, moves[best])
-	}
-}
-
 // padScore ranks a grow move for padding purposes: the relative
 // frequency of the value it reveals, then raw count, then type
 // significance. Scores are comparable across results, which
@@ -360,15 +222,6 @@ type padScore struct {
 	total int
 }
 
-func scoreMove(s *feature.Stats, m move) padScore {
-	vc := s.ValuesOf(m.t)[m.depth-1]
-	return padScore{
-		rel:   float64(vc.Count) / float64(s.GroupCount(m.t.Entity)),
-		count: vc.Count,
-		total: s.TypeTotal(m.t),
-	}
-}
-
 func (p padScore) better(q padScore) bool {
 	if p.rel != q.rel {
 		return p.rel > q.rel
@@ -377,22 +230,6 @@ func (p padScore) better(q padScore) bool {
 		return p.count > q.count
 	}
 	return p.total > q.total
-}
-
-// betterPadMove orders grow moves within one result by padScore, with
-// deterministic type/depth tie-breaks.
-func betterPadMove(s *feature.Stats, a, b move) bool {
-	pa, pb := scoreMove(s, a), scoreMove(s, b)
-	if pa.better(pb) {
-		return true
-	}
-	if pb.better(pa) {
-		return false
-	}
-	if a.t != b.t {
-		return a.t.Less(b.t)
-	}
-	return a.depth < b.depth
 }
 
 // SortFeatures orders features deterministically for display.

@@ -53,30 +53,14 @@ func ForEachParallel(n, workers int, fn func(int)) {
 func GenerateParallel(alg Algorithm, stats []*feature.Stats, opts Options) []*DFS {
 	switch alg {
 	case AlgSingleSwap:
-		return swapParallel(stats, opts, singleSwapAscend)
+		return swapGenerate(stats, opts, (*kernel).singleSwapAscend, 0)
 	case AlgMultiSwap:
-		return swapParallel(stats, opts, multiSwapAscend)
+		return swapGenerate(stats, opts, (*kernel).multiSwapAscend, 0)
 	case AlgTopK:
-		opts = opts.normalized()
-		dfss := newDFSs(stats)
-		ForEachParallel(len(dfss), 0, func(i int) { pad(dfss[i], opts.SizeBound) })
-		return dfss
+		return topK(stats, opts, 0)
 	default:
 		// Greedy and exhaustive interleave results at every step; run
 		// them serially.
 		return Generate(alg, stats, opts)
 	}
-}
-
-// swapParallel shares the parallel top-fill / ascend / re-pad shape of
-// the two local-search algorithms.
-func swapParallel(stats []*feature.Stats, opts Options, ascend func([]*DFS, Options)) []*DFS {
-	opts = opts.normalized()
-	dfss := newDFSs(stats)
-	ForEachParallel(len(dfss), 0, func(i int) { pad(dfss[i], opts.SizeBound) })
-	ascend(dfss, opts)
-	if opts.Pad {
-		ForEachParallel(len(dfss), 0, func(i int) { pad(dfss[i], opts.SizeBound) })
-	}
-	return dfss
 }

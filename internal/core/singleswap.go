@@ -14,75 +14,55 @@ import "repro/internal/feature"
 // re-evaluating the whole objective — this is what keeps single-swap
 // cheap per step (Figure 4(b)).
 func SingleSwap(stats []*feature.Stats, opts Options) []*DFS {
-	opts = opts.normalized()
-	dfss := newDFSs(stats)
-	for _, d := range dfss {
-		pad(d, opts.SizeBound) // top-fill start: the valid significance summary
+	return swapGenerate(stats, opts, (*kernel).singleSwapAscend, 1)
+}
+
+// swapGenerate is the one entry of both local searches: the valid
+// top-fill, the ascent, and (with opts.Pad) the final re-pad. The
+// per-result fills spread over workers (ForEachParallel's convention);
+// the ascent is sequential, so the output does not depend on workers.
+func swapGenerate(stats []*feature.Stats, opts Options, ascend func(*kernel), workers int) []*DFS {
+	kn := newKernel(stats, opts.normalized())
+	kn.padAll(workers)
+	ascend(kn)
+	if kn.opts.Pad {
+		kn.padAll(workers)
 	}
-	singleSwapAscend(dfss, opts)
-	if opts.Pad {
-		for _, d := range dfss {
-			pad(d, opts.SizeBound)
-		}
-	}
-	return dfss
+	return kn.dfss()
 }
 
 // singleSwapAscend cycles first-improving moves over the results until
 // none helps. Sequential across results, like multiSwapAscend.
-func singleSwapAscend(dfss []*DFS, opts Options) {
+func (kn *kernel) singleSwapAscend() {
 	rounds := 0
 	for {
 		improved := false
-		for i := range dfss {
-			if improveOnce(dfss, i, opts) {
+		for i := 0; i < kn.k; i++ {
+			if kn.improveOnce(i) {
 				improved = true
 			}
 		}
 		rounds++
-		if !improved || (opts.MaxRounds > 0 && rounds >= opts.MaxRounds) {
+		if !improved || (kn.opts.MaxRounds > 0 && rounds >= kn.opts.MaxRounds) {
 			break
 		}
 	}
 }
 
-// typeDelta returns the change in Σ_j DoD(D_i, D_j) caused by moving
-// type t of result i from depth dOld to dNew (depth 0 = unselected).
-func typeDelta(dfss []*DFS, i int, t feature.Type, dOld, dNew int, x float64) int {
-	d := dfss[i]
-	delta := 0
-	for j, other := range dfss {
-		if j == i {
-			continue
-		}
-		dj, ok := other.Sel[t]
-		if !ok {
-			continue
-		}
-		before := dOld > 0 && typeDiffers(d.Stats, other.Stats, t, dOld, dj, x)
-		after := dNew > 0 && typeDiffers(d.Stats, other.Stats, t, dNew, dj, x)
-		if after && !before {
-			delta++
-		} else if before && !after {
-			delta--
-		}
-	}
-	return delta
-}
-
 // improveOnce applies first-improving single-swap moves to result i
 // until none exists. Returns whether anything changed.
-func improveOnce(dfss []*DFS, i int, opts Options) bool {
-	d := dfss[i]
+func (kn *kernel) improveOnce(i int) bool {
+	row := kn.row(i)
 	changed := false
 	for {
 		applied := false
 
 		// Pure grows (when under budget): adding a feature.
-		if d.Sel.Size() < opts.SizeBound {
-			for _, g := range growMoves(d) {
-				if typeDelta(dfss, i, g.t, d.Sel[g.t], g.depth, opts.Threshold) > 0 {
-					applyMove(d.Sel, g)
+		if kn.size[i] < kn.opts.SizeBound {
+			kn.moves = kn.growMoves(i, row, kn.moves)
+			for _, g := range kn.moves {
+				if kn.typeDelta(i, int(g.t), row[g.t], g.depth) > 0 {
+					kn.apply(i, g)
 					applied = true
 					break
 				}
@@ -92,22 +72,24 @@ func improveOnce(dfss []*DFS, i int, opts Options) bool {
 		// Swaps (changing a feature): a shrink paired with a grow.
 		// Deltas add because the two moves touch distinct types.
 		if !applied {
+			kn.moves2 = kn.shrinkMoves(i, kn.moves2)
 		swaps:
-			for _, s := range shrinkMoves(d) {
-				sDelta := typeDelta(dfss, i, s.t, d.Sel[s.t], s.depth, opts.Threshold)
-				sPrev, sHad := d.Sel[s.t]
-				applyMove(d.Sel, s) // grow moves are relative to the shrunk state
-				for _, g := range growMoves(d) {
+			for _, s := range kn.moves2 {
+				sDelta := kn.typeDelta(i, int(s.t), row[s.t], s.depth)
+				sPrev := row[s.t]
+				kn.apply(i, s) // grow moves are relative to the shrunk state
+				kn.moves = kn.growMoves(i, row, kn.moves)
+				for _, g := range kn.moves {
 					if g.t == s.t {
 						continue // same-type grow is just the inverse
 					}
-					if sDelta+typeDelta(dfss, i, g.t, d.Sel[g.t], g.depth, opts.Threshold) > 0 {
-						applyMove(d.Sel, g)
+					if sDelta+kn.typeDelta(i, int(g.t), row[g.t], g.depth) > 0 {
+						kn.apply(i, g)
 						applied = true
 						break swaps
 					}
 				}
-				restore(d.Sel, s.t, sPrev, sHad)
+				kn.apply(i, denseMove{t: s.t, depth: sPrev})
 			}
 		}
 
@@ -115,13 +97,5 @@ func improveOnce(dfss []*DFS, i int, opts Options) bool {
 			return changed
 		}
 		changed = true
-	}
-}
-
-func restore(sel Selection, t feature.Type, prev int, had bool) {
-	if had {
-		sel[t] = prev
-	} else {
-		delete(sel, t)
 	}
 }

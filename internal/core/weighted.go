@@ -69,7 +69,7 @@ func WeightedDoD(dfss []*DFS, x float64, interest Interestingness) float64 {
 				if !ok {
 					continue
 				}
-				if typeDiffers(a.Stats, b.Stats, t, da, db, x) {
+				if differOn(a.Stats, b.Stats, t, da, db, x) {
 					total += interest(t)
 				}
 			}
@@ -82,29 +82,35 @@ func WeightedDoD(dfss []*DFS, x float64, interest Interestingness) float64 {
 // moves by weighted marginal gain, and weights the frequency tie-break
 // too — so interesting types win both when gains compete and during
 // the zero-gain bootstrap picks that seed coordination. With
-// UniformInterest it reduces to GreedyGlobal.
+// UniformInterest it reduces to GreedyGlobal. interest is evaluated
+// once per feature type.
 func WeightedGreedy(stats []*feature.Stats, opts Options, interest Interestingness) []*DFS {
-	opts = opts.normalized()
 	if interest == nil {
 		interest = UniformInterest
 	}
-	dfss := newDFSs(stats)
+	kn := newKernel(stats, opts.normalized())
+	weight := make([]float64, kn.nt)
+	for t, typ := range kn.types {
+		weight[t] = interest(typ)
+	}
 	for {
 		type candidate struct {
 			i     int
-			m     move
+			m     denseMove
 			gain  float64
 			score padScore
 		}
 		best := candidate{i: -1}
-		for i, d := range dfss {
-			if d.Sel.Size() >= opts.SizeBound {
+		for i := 0; i < kn.k; i++ {
+			if kn.size[i] >= kn.opts.SizeBound {
 				continue
 			}
-			for _, m := range growMoves(d) {
-				w := interest(m.t)
-				g := float64(typeDelta(dfss, i, m.t, d.Sel[m.t], m.depth, opts.Threshold)) * w
-				sc := scoreMove(d.Stats, m)
+			row := kn.row(i)
+			kn.moves = kn.growMoves(i, row, kn.moves)
+			for _, m := range kn.moves {
+				w := weight[m.t]
+				g := float64(kn.typeDelta(i, int(m.t), row[m.t], m.depth)) * w
+				sc := kn.scoreMove(i, m)
 				sc.rel *= w
 				if best.i == -1 || g > best.gain ||
 					(g == best.gain && sc.better(best.score)) {
@@ -113,9 +119,9 @@ func WeightedGreedy(stats []*feature.Stats, opts Options, interest Interestingne
 			}
 		}
 		if best.i == -1 {
-			break
+			break // every DFS is full (or has nothing left to add)
 		}
-		applyMove(dfss[best.i].Sel, best.m)
+		kn.apply(best.i, best.m)
 	}
-	return dfss
+	return kn.dfss()
 }

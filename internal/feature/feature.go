@@ -266,6 +266,11 @@ func (s *Stats) ValuesOf(t Type) []ValueCount { return s.values[t] }
 // Occ returns the occurrence count of feature (t, v).
 func (s *Stats) Occ(t Type, v string) int { return s.occ[t][v] }
 
+// Counts returns type t's value -> occurrence map (nil when the result
+// lacks t), for callers that look up many values of one type. The map
+// must not be modified.
+func (s *Stats) Counts(t Type) map[string]int { return s.occ[t] }
+
 // TypeTotal returns the total occurrences of type t (its significance).
 func (s *Stats) TypeTotal(t Type) int { return s.typeTotals[t] }
 
