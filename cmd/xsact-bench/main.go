@@ -1,26 +1,15 @@
 // Command xsact-bench regenerates the paper's evaluation: Figure 4(a)
 // (DoD quality per query) and Figure 4(b) (processing time per query)
-// over the IMDB-style movie corpus, plus the ablation sweeps described
-// in DESIGN.md.
+// over the IMDB-style movie corpus, plus the ablation sweeps (size
+// bound L, threshold x) and the extension experiments: every generator
+// head to head (algs), brand-focus recovery (focus), DoD and time
+// against result richness (richness) and against the number of
+// compared results (scale). Serving performance is measured by the
+// separate benchmark in bench/.
 //
 // Usage:
 //
-// The latency mode (-fig latency) times the serving engine itself —
-// doc-order pages, exact ranked pages, and approximate (score-bounded
-// early-stop) ranked pages — and emits per-query p50/p95/p99 request
-// latencies as JSON.
-//
-// Usage:
-//
-// The dist mode (-fig dist) measures the cost of distribution: each
-// workload query runs through the in-process sharded engine and
-// through an HTTP coordinator over K ∈ {1, 2, 4} loopback shard
-// servers (bit-identity checked first), and the report pairs the two
-// latency histograms.
-//
-// Usage:
-//
-//	xsact-bench [-fig 4a|4b|sweeps|latency|dist|all] [-movies N] [-seed S] [-L bound] [-x threshold] [-iters N]
+//	xsact-bench [-fig 4a|4b|sweeps|algs|focus|richness|scale|all] [-movies N] [-seed S] [-L bound] [-x threshold]
 package main
 
 import (
@@ -36,22 +25,24 @@ import (
 
 func main() {
 	var (
-		fig    = flag.String("fig", "all", "which output to produce: 4a, 4b, sweeps, or all")
+		fig    = flag.String("fig", "all", "which output to produce: "+figures)
 		movies = flag.Int("movies", 300, "movie corpus size")
 		seed   = flag.Int64("seed", 1, "corpus seed")
 		bound  = flag.Int("L", 10, "DFS size bound L")
 		thresh = flag.Float64("x", 0.10, "differentiation threshold x")
-		iters  = flag.Int("iters", 50, "samples per (query, mode) cell for -fig latency")
 	)
 	flag.Parse()
 
-	if err := run(*fig, *movies, *seed, *bound, *thresh, *iters); err != nil {
+	if err := run(*fig, *movies, *seed, *bound, *thresh); err != nil {
 		fmt.Fprintln(os.Stderr, "xsact-bench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(fig string, movies int, seed int64, bound int, thresh float64, iters int) error {
+// figures lists every -fig value run accepts.
+const figures = "4a, 4b, sweeps, algs, focus, richness, scale, or all"
+
+func run(fig string, movies int, seed int64, bound int, thresh float64) error {
 	root := dataset.Movies(dataset.MoviesConfig{Seed: seed, Movies: movies})
 	opts := core.Options{SizeBound: bound, Threshold: thresh}
 	algs := []core.Algorithm{core.AlgSingleSwap, core.AlgMultiSwap}
@@ -103,14 +94,6 @@ func run(fig string, movies int, seed int64, bound int, thresh float64, iters in
 			"Scale — DoD and time vs number of compared results (query 'action revenge')",
 			experiment.ScaleSweep(stats, algs, opts, []int{5, 10, 20, 40, 60, 80}))
 		return nil
-	case "latency":
-		// Serving-engine request latencies (p50/p95/p99 per query and
-		// execution mode) as JSON — see latency.go.
-		return runLatency(root, movies, seed, iters, os.Stdout)
-	case "dist":
-		// Distribution cost: paired in-process vs HTTP-coordinator
-		// latencies at K ∈ {1, 2, 4} loopback shard legs — see dist.go.
-		return runDist(root, movies, seed, iters, os.Stdout)
 	case "4a", "4b", "all":
 		rep, err := experiment.Run(root, dataset.MovieQueries(), algs, opts)
 		if err != nil {
@@ -129,7 +112,7 @@ func run(fig string, movies int, seed int64, bound int, thresh float64, iters in
 		}
 	case "sweeps":
 	default:
-		return fmt.Errorf("unknown -fig %q (want 4a, 4b, sweeps, latency, or all)", fig)
+		return fmt.Errorf("unknown -fig %q (want %s)", fig, figures)
 	}
 
 	// Ablation sweeps. The size-bound sweep runs on the movie

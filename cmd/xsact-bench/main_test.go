@@ -1,85 +1,24 @@
 package main
 
-import (
-	"bytes"
-	"encoding/json"
-	"testing"
-
-	"repro/internal/dataset"
-)
+import "testing"
 
 func TestRunFigures(t *testing.T) {
 	// Small corpus keeps the test fast; all output modes must succeed.
 	for _, fig := range []string{"4a", "4b", "sweeps", "scale", "algs", "richness", "focus"} {
-		if err := run(fig, 120, 1, 6, 0.1, 2); err != nil {
+		if err := run(fig, 120, 1, 6, 0.1); err != nil {
 			t.Fatalf("-fig %s: %v", fig, err)
 		}
 	}
 }
 
 func TestRunAll(t *testing.T) {
-	if err := run("all", 120, 1, 6, 0.1, 2); err != nil {
+	if err := run("all", 120, 1, 6, 0.1); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunUnknownFigure(t *testing.T) {
-	if err := run("nope", 50, 1, 6, 0.1, 2); err == nil {
+	if err := run("nope", 50, 1, 6, 0.1); err == nil {
 		t.Fatal("unknown figure should error")
-	}
-}
-
-// TestRunDist validates the -fig dist JSON shape: one paired cell per
-// (K, query, mode), both sides sampled.
-func TestRunDist(t *testing.T) {
-	root := dataset.Movies(dataset.MoviesConfig{Seed: 1, Movies: 60})
-	var buf bytes.Buffer
-	if err := runDist(root, 60, 1, 2, &buf); err != nil {
-		t.Fatal(err)
-	}
-	var rep distReport
-	if err := json.Unmarshal(buf.Bytes(), &rep); err != nil {
-		t.Fatalf("dist output is not JSON: %v", err)
-	}
-	wantCells := len(rep.Legs) * len(dataset.MovieQueries()) * 2
-	if len(rep.Cells) != wantCells {
-		t.Fatalf("cells = %d, want %d", len(rep.Cells), wantCells)
-	}
-	for _, c := range rep.Cells {
-		if c.Local.Iters != 2 || c.Dist.Iters != 2 {
-			t.Fatalf("K=%d %s/%s: iters %d/%d, want 2", c.K, c.Local.Query, c.Local.Mode, c.Local.Iters, c.Dist.Iters)
-		}
-		if c.Local.Query != c.Dist.Query || c.Local.Mode != c.Dist.Mode {
-			t.Fatalf("K=%d: mismatched pair %s/%s vs %s/%s", c.K, c.Local.Query, c.Local.Mode, c.Dist.Query, c.Dist.Mode)
-		}
-	}
-}
-
-// TestRunLatency validates the -fig latency JSON shape: one cell per
-// (query, mode) with ordered percentiles.
-func TestRunLatency(t *testing.T) {
-	root := dataset.Movies(dataset.MoviesConfig{Seed: 1, Movies: 80})
-	var buf bytes.Buffer
-	if err := runLatency(root, 80, 1, 3, &buf); err != nil {
-		t.Fatal(err)
-	}
-	var rep latencyReport
-	if err := json.Unmarshal(buf.Bytes(), &rep); err != nil {
-		t.Fatalf("latency output is not JSON: %v", err)
-	}
-	wantCells := len(dataset.MovieQueries()) * 3
-	if len(rep.Cells) != wantCells {
-		t.Fatalf("cells = %d, want %d", len(rep.Cells), wantCells)
-	}
-	for _, c := range rep.Cells {
-		if c.Iters != 3 {
-			t.Fatalf("%s/%s: iters = %d, want 3", c.Query, c.Mode, c.Iters)
-		}
-		if c.MinUS <= 0 || c.P50US < c.MinUS || c.P95US < c.P50US || c.P99US < c.P95US || c.MaxUS < c.P99US {
-			t.Fatalf("%s/%s: percentiles out of order: %+v", c.Query, c.Mode, c)
-		}
-		if c.Mode != "ranked_approx" && c.Total < 0 {
-			t.Fatalf("%s/%s: exact mode reported unknown total", c.Query, c.Mode)
-		}
 	}
 }

@@ -197,10 +197,10 @@ func TestShardServerProcesses(t *testing.T) {
 			return
 		}
 		for _, opts := range []xseek.SearchOptions{{Limit: 1}, {Limit: 5}, {Limit: 3, Offset: 2}} {
-			wantP, wantT, werr := ref.SearchRankedPageStream(query, opts)
-			gotP, gotT, gerr := co.SearchRankedPageStream(query, opts)
-			if (werr == nil) != (gerr == nil) {
-				t.Fatalf("%s query %q page %+v: err %v vs %v", ctx, query, opts, gerr, werr)
+			wantP, wantT := ref.RankPage(want, query, opts), len(want)
+			gotP, gotT, _, err := co.SearchRankedPageWAND(query, opts)
+			if err != nil {
+				t.Fatalf("%s query %q page %+v: %v", ctx, query, opts, err)
 			}
 			if gotT != wantT || procRankedKey(gotP) != procRankedKey(wantP) {
 				t.Fatalf("%s query %q page %+v:\n got  total=%d %s\n want total=%d %s",
@@ -302,10 +302,10 @@ func TestShardServerReplicaFailoverProcesses(t *testing.T) {
 			return
 		}
 		opts := xseek.SearchOptions{Limit: 5}
-		wantP, wantT, werr := ref.SearchRankedPageStream(query, opts)
-		gotP, gotT, gerr := co.SearchRankedPageStream(query, opts)
-		if (werr == nil) != (gerr == nil) {
-			t.Fatalf("%s query %q ranked: err %v vs %v", ctx, query, gerr, werr)
+		wantP, wantT := ref.RankPage(want, query, opts), len(want)
+		gotP, gotT, _, err := co.SearchRankedPageWAND(query, opts)
+		if err != nil {
+			t.Fatalf("%s query %q ranked: %v", ctx, query, err)
 		}
 		if gotT != wantT || procRankedKey(gotP) != procRankedKey(wantP) {
 			t.Fatalf("%s query %q ranked:\n got  total=%d %s\n want total=%d %s",

@@ -209,8 +209,14 @@ func TestChaos(t *testing.T) {
 			var rs []*xseek.Result
 			rs, err = cl.co.Search(query)
 			key = resultKey(rs)
-		case 1:
-			ranked, total, err = cl.co.SearchRankedPageStream(query, opts)
+		case 1: // eager ranked page: doc-order fan-out, then ranking fan-out
+			var rs []*xseek.Result
+			if rs, err = cl.co.Search(query); err == nil {
+				ranked, total = cl.co.RankPage(rs, query, opts), len(rs)
+				if lo, _ := opts.Window(len(rs)); ranked == nil && lo < len(rs) {
+					err = errors.New("ranking fan-out unavailable")
+				}
+			}
 			key = rankedKey(ranked)
 		case 2:
 			wopts := opts
@@ -274,20 +280,12 @@ func TestChaos(t *testing.T) {
 				return // e.g. NoMatch raced with a term's last occurrence
 			}
 			wantKey = resultKey(rs)
-		case 1:
-			rs, tot, rerr := refEng.SearchRankedPageStream(query, opts)
+		case 1, 2:
+			rs, rerr := refEng.Search(query)
 			if rerr != nil {
 				return
 			}
-			wantKey, wantTotal = rankedKey(rs), tot
-		case 2:
-			wopts := opts
-			wopts.Accuracy = xseek.AccuracyExact
-			rs, tot, _, rerr := refEng.SearchRankedPageWAND(query, wopts)
-			if rerr != nil {
-				return
-			}
-			wantKey, wantTotal = rankedKey(rs), tot
+			wantKey, wantTotal = rankedKey(refEng.RankPage(rs, query, opts)), len(rs)
 		}
 		if key != wantKey {
 			t.Errorf("epoch %d query %q path %d opts %+v:\n got  %s\n want %s", e0, query, path, opts, key, wantKey)

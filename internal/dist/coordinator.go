@@ -334,22 +334,6 @@ func (co *Coordinator) admit() error {
 	return nil
 }
 
-func (co *Coordinator) SearchRankedPageStream(query string, opts xseek.SearchOptions) ([]*xseek.RankedResult, int, error) {
-	if err := co.admit(); err != nil {
-		return nil, 0, err
-	}
-	defer co.adm.release()
-	type page struct {
-		rs    []*xseek.RankedResult
-		total int
-	}
-	p, err := retryQuery(co, func(s *coordState) (page, error) {
-		rs, total, err := s.fan.SearchRankedPageStream(query, opts)
-		return page{rs, total}, err
-	})
-	return p.rs, p.total, err
-}
-
 func (co *Coordinator) SearchRankedPageWAND(query string, opts xseek.SearchOptions) ([]*xseek.RankedResult, int, xseek.WANDStats, error) {
 	if err := co.admit(); err != nil {
 		return nil, 0, xseek.WANDStats{}, err

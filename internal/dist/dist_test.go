@@ -7,13 +7,17 @@ package dist_test
 // true multi-process run lives in cmd/xsactd's TestShardServerProcesses.
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/dewey"
@@ -168,8 +172,9 @@ var pageOptions = []xseek.SearchOptions{
 
 // checkEquivalence runs one query through both sides and asserts
 // bit-identity across every read path: doc-order search, full
-// ranking, eager ranked pages, streamed ranked pages, and exact +
-// approximate WAND pages.
+// ranking, eager ranked pages, and exact + approximate score-bounded
+// pages. The reference's eager Search + RankPage is the oracle for
+// every ranked page.
 func checkEquivalence(t *testing.T, ref refEngine, co *dist.Coordinator, query, ctx string) {
 	t.Helper()
 	want, wantErr := ref.Search(query)
@@ -196,39 +201,21 @@ func checkEquivalence(t *testing.T, ref refEngine, co *dist.Coordinator, query, 
 				ctx, query, opts, rankedKey(gotPage), rankedKey(wantPage))
 		}
 
-		wantS, wantTotal, wsErr := ref.SearchRankedPageStream(query, opts)
-		gotS, gotTotal, gsErr := co.SearchRankedPageStream(query, opts)
-		if !sameError(wsErr, gsErr) {
-			t.Fatalf("%s query %q stream %+v: err %v vs %v", ctx, query, opts, gsErr, wsErr)
-		}
-		if gotTotal != wantTotal || rankedKey(gotS) != rankedKey(wantS) {
-			t.Fatalf("%s query %q stream %+v:\n got  total=%d %s\n want total=%d %s",
-				ctx, query, opts, gotTotal, rankedKey(gotS), wantTotal, rankedKey(wantS))
-		}
-
 		for _, acc := range []xseek.Accuracy{xseek.AccuracyExact, xseek.AccuracyApprox} {
 			wopts := opts
 			wopts.Accuracy = acc
-			wantW, wantWT, _, wwErr := ref.SearchRankedPageWAND(query, wopts)
-			gotW, gotWT, _, gwErr := co.SearchRankedPageWAND(query, wopts)
-			if !sameError(wwErr, gwErr) {
-				t.Fatalf("%s query %q wand %+v acc=%d: err %v vs %v", ctx, query, opts, acc, gwErr, wwErr)
+			gotW, gotWT, _, err := co.SearchRankedPageWAND(query, wopts)
+			if err != nil {
+				t.Fatalf("%s query %q wand %+v acc=%d: %v", ctx, query, opts, acc, err)
 			}
-			if rankedKey(gotW) != rankedKey(wantW) {
+			if rankedKey(gotW) != rankedKey(wantPage) {
 				t.Fatalf("%s query %q wand %+v acc=%d:\n got  %s\n want %s",
-					ctx, query, opts, acc, rankedKey(gotW), rankedKey(wantW))
+					ctx, query, opts, acc, rankedKey(gotW), rankedKey(wantPage))
 			}
-			// Exact mode pins the total too. Approximate mode's total is
-			// contractually "exact or StreamTotalUnknown": whether a side
-			// stops draining depends on its index's block layout, which
-			// legitimately differs between a tombstone-masked live index
-			// and a rebuilt one — so totals must agree only when both
-			// sides report a known one.
-			if acc == xseek.AccuracyExact && gotWT != wantWT {
-				t.Fatalf("%s query %q wand %+v: total %d vs %d", ctx, query, opts, gotWT, wantWT)
-			}
-			if acc == xseek.AccuracyApprox && gotWT >= 0 && wantWT >= 0 && gotWT != wantWT {
-				t.Fatalf("%s query %q wand approx %+v: total %d vs %d", ctx, query, opts, gotWT, wantWT)
+			// Exact mode pins the total too; approximate mode's total is
+			// contractually "exact or StreamTotalUnknown".
+			if gotWT != len(want) && (acc == xseek.AccuracyExact || gotWT != xseek.StreamTotalUnknown) {
+				t.Fatalf("%s query %q wand %+v acc=%d: total %d, want %d", ctx, query, opts, acc, gotWT, len(want))
 			}
 		}
 	}
@@ -242,8 +229,6 @@ type refEngine interface {
 	Search(query string) ([]*xseek.Result, error)
 	RankResults(results []*xseek.Result, query string) []*xseek.RankedResult
 	RankPage(results []*xseek.Result, query string, opts xseek.SearchOptions) []*xseek.RankedResult
-	SearchRankedPageStream(query string, opts xseek.SearchOptions) ([]*xseek.RankedResult, int, error)
-	SearchRankedPageWAND(query string, opts xseek.SearchOptions) ([]*xseek.RankedResult, int, xseek.WANDStats, error)
 }
 
 // TestCoordinatorEquivalence is the tentpole property test: on random
@@ -432,5 +417,85 @@ func TestCoordinatorBoundaryEntity(t *testing.T) {
 		for _, q := range queries {
 			checkEquivalence(t, ref, cl.co, q, ctx("after remove"))
 		}
+	}
+}
+
+// TestMixedVersionWandField: coordinators that predate the single
+// ranked consumer send KindRanked requests carrying a "wand" flag. Leg
+// request decoding is lenient, so a leg must answer either value with
+// exactly what it answers without the field — the coordinator's page
+// stays bit-identical to the in-process fan-out — and this
+// coordinator's own requests must not carry the field at all.
+func TestMixedVersionWandField(t *testing.T) {
+	r := rand.New(rand.NewSource(29))
+	vocab := []string{"alpha", "beta", "gamma", "delta"}
+	doc := randomDoc(r, vocab)
+	const k = 2
+	var (
+		inject   atomic.Value // json.RawMessage: the "wand" value spliced into ranked requests
+		ranked   atomic.Int64 // ranked leg requests seen
+		sentWand atomic.Int64 // coordinator requests that carried "wand" themselves
+	)
+	cl := startClusterWrapped(t, k, doc, dist.Config{}, func(g int, h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+			if req.URL.Path == "/shard/v1/query" {
+				body, err := io.ReadAll(req.Body)
+				if err != nil {
+					http.Error(w, err.Error(), http.StatusBadRequest)
+					return
+				}
+				var m map[string]json.RawMessage
+				if err := json.Unmarshal(body, &m); err != nil {
+					http.Error(w, err.Error(), http.StatusBadRequest)
+					return
+				}
+				if _, ok := m["wand"]; ok {
+					sentWand.Add(1)
+				}
+				if string(m["kind"]) == `"`+dist.KindRanked+`"` {
+					ranked.Add(1)
+					m["wand"] = inject.Load().(json.RawMessage)
+					if body, err = json.Marshal(m); err != nil {
+						http.Error(w, err.Error(), http.StatusInternalServerError)
+						return
+					}
+				}
+				req.Body = io.NopCloser(bytes.NewReader(body))
+				req.ContentLength = int64(len(body))
+			}
+			h.ServeHTTP(w, req)
+		})
+	})
+	ref := shard.Build(xmltree.MustParseString(doc), k)
+	queries := []string{"alpha", "beta", "alpha beta", "gamma delta"}
+	for _, wand := range []string{"true", "false"} {
+		inject.Store(json.RawMessage(wand))
+		for _, query := range queries {
+			for _, opts := range []xseek.SearchOptions{{Limit: 1}, {Limit: 3}, {Limit: 2, Offset: 2}} {
+				for _, acc := range []xseek.Accuracy{xseek.AccuracyExact, xseek.AccuracyApprox} {
+					ctx := fmt.Sprintf("wand=%s query %q page %+v acc=%d", wand, query, opts, acc)
+					opts.Accuracy = acc
+					want, wantTotal, _, wantErr := ref.SearchRankedPageWAND(query, opts)
+					got, gotTotal, _, gotErr := cl.co.SearchRankedPageWAND(query, opts)
+					if !sameError(wantErr, gotErr) {
+						t.Fatalf("%s: err %v vs %v", ctx, gotErr, wantErr)
+					}
+					if rankedKey(got) != rankedKey(want) {
+						t.Fatalf("%s:\n got  %s\n want %s", ctx, rankedKey(got), rankedKey(want))
+					}
+					// Approximate totals may legitimately differ in whether
+					// a side stopped early (the cross-leg threshold races).
+					if gotTotal != wantTotal && (acc == xseek.AccuracyExact || (gotTotal >= 0 && wantTotal >= 0)) {
+						t.Fatalf("%s: total %d vs %d", ctx, gotTotal, wantTotal)
+					}
+				}
+			}
+		}
+	}
+	if ranked.Load() == 0 {
+		t.Fatal("no ranked leg request reached the legs")
+	}
+	if n := sentWand.Load(); n != 0 {
+		t.Fatalf("coordinator sent the retired wand field on %d requests", n)
 	}
 }

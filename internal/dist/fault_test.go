@@ -65,7 +65,7 @@ func TestLegHangTimeoutRetry(t *testing.T) {
 	if _, err := cl.co.Search("alpha"); err == nil {
 		t.Fatal("doc-order search with a hung leg should fail strictly, got nil error")
 	}
-	if _, _, err := cl.co.SearchRankedPageStream("alpha", xseek.SearchOptions{Limit: 3}); err == nil {
+	if _, _, _, err := cl.co.SearchRankedPageWAND("alpha", xseek.SearchOptions{Limit: 3}); err == nil {
 		t.Fatal("ranked page with a hung leg (no AllowPartial) should fail, got nil error")
 	}
 	retries, _, _, legErrs, _, _ := cl.co.DistCounters()
@@ -98,10 +98,11 @@ func TestLegKilledDegradedRanked(t *testing.T) {
 
 	// Reference full ranking: the universe of (result, score) pairs any
 	// degraded page may draw from.
-	full, _, err := ref.SearchRankedPageStream("alpha", xseek.SearchOptions{Limit: 100})
+	results, err := ref.Search("alpha")
 	if err != nil {
 		t.Fatalf("reference ranking: %v", err)
 	}
+	full := ref.RankResults(results, "alpha")
 	valid := make(map[string]bool, len(full))
 	for _, r := range full {
 		valid[rankedKey([]*xseek.RankedResult{r})] = true
@@ -109,7 +110,7 @@ func TestLegKilledDegradedRanked(t *testing.T) {
 
 	cl.https[1].Close() // kill leg 1
 
-	page, total, err := cl.co.SearchRankedPageStream("alpha", xseek.SearchOptions{Limit: 4})
+	page, total, _, err := cl.co.SearchRankedPageWAND("alpha", xseek.SearchOptions{Limit: 4})
 	if err != nil {
 		t.Fatalf("degraded ranked page should succeed, got %v", err)
 	}
@@ -292,7 +293,7 @@ func TestCoordinatorConcurrentQueriesAndWrites(t *testing.T) {
 					default:
 					}
 				}
-				if _, _, err := cl.co.SearchRankedPageStream("alpha beta", xseek.SearchOptions{Limit: 3}); err != nil && !strings.Contains(err.Error(), "epoch") {
+				if _, _, _, err := cl.co.SearchRankedPageWAND("alpha beta", xseek.SearchOptions{Limit: 3}); err != nil && !strings.Contains(err.Error(), "epoch") {
 					select {
 					case errs <- fmt.Errorf("ranked: %w", err):
 					default:

@@ -279,7 +279,7 @@ func serveQuery(s *legState, req *QueryRequest) (*Envelope, error) {
 	if req.Approx {
 		acc = xseek.AccuracyApprox
 	}
-	lq := shard.LegQuery{Query: req.Query, Terms: req.Terms, Limit: req.Limit, WAND: req.WAND, Accuracy: acc}
+	lq := shard.LegQuery{Query: req.Query, Terms: req.Terms, Limit: req.Limit, Accuracy: acc}
 	switch req.Kind {
 	case KindSearch:
 		docs, err := s.leg.SearchLeg(lq)

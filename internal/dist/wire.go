@@ -86,7 +86,7 @@ func DecodeFrame(r io.Reader, v any) error {
 // Query kinds. Each maps onto one shard.Leg method.
 const (
 	KindSearch = "search" // doc-order leg: SLCAs + entity results
-	KindRanked = "ranked" // streamed/WAND ranked leg: top page
+	KindRanked = "ranked" // score-bounded ranked leg: top page
 	KindSubset = "subset" // heap-select the top of an explicit subset
 	KindTF     = "tf"     // batched postings-under-subtree counts
 )
@@ -103,9 +103,10 @@ type QueryRequest struct {
 	// agree without re-tokenizing.
 	Terms []string `json:"terms,omitempty"`
 	Limit int      `json:"limit,omitempty"`
-	// WAND selects the score-bounded consumer for KindRanked; Approx
-	// allows its early stop.
-	WAND   bool `json:"wand,omitempty"`
+	// Approx allows the KindRanked consumer's early stop. Requests
+	// from coordinators that predate the single ranked consumer also
+	// carry a "wand" field; decoding ignores it, and every ranked leg
+	// runs the score-bounded consumer.
 	Approx bool `json:"approx,omitempty"`
 	// FloorBits is a snapshot of the coordinator's shared WAND
 	// threshold (Float64bits), the leg's starting score floor. Any

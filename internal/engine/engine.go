@@ -169,18 +169,15 @@ type executor interface {
 	PlannerDecisions() (indexedLookup, scanEager int64)
 	TotalNodes() int
 	DocFreq(term string) int
-	// Streamed read paths: a lazy doc-order cursor, the early-
-	// terminating ranked page (bit-identical to Search + RankPage), the
-	// result-count estimate the stream planner keys on, and the
-	// executor's streamed-decision counter.
+	// Streamed read paths: a lazy doc-order cursor, the score-bounded
+	// ranked page, the result-count estimate the stream planner keys
+	// on, and the executor's streamed-decision counter. The ranked page
+	// in exact mode is bit-identical to Search + RankPage while skipping
+	// provably non-competitive scoring; approximate mode may
+	// additionally stop draining and report xseek.StreamTotalUnknown.
+	// Executors without bound metadata (legacy snapshots) run the same
+	// consumer unpruned, reported via WANDStats.Bounded.
 	SearchStream(query string) (xseek.Cursor, error)
-	SearchRankedPageStream(query string, opts xseek.SearchOptions) ([]*xseek.RankedResult, int, error)
-	// SearchRankedPageWAND is the score-bounded ranked page: exact mode
-	// stays bit-identical to SearchRankedPageStream while skipping
-	// provably non-competitive scoring; approximate mode may additionally
-	// stop draining and report xseek.StreamTotalUnknown. Executors
-	// without bound metadata (legacy snapshots) fall back to the plain
-	// streamed pipeline internally, reported via WANDStats.Bounded.
 	SearchRankedPageWAND(query string, opts xseek.SearchOptions) ([]*xseek.RankedResult, int, xseek.WANDStats, error)
 	EstimateResults(query string) int
 	StreamedDecisions() int64
@@ -742,8 +739,8 @@ func (e *Engine) SearchCleanedPage(query string, opts xseek.SearchOptions) (*Pag
 // cache as usual, after which ranked pages go eager.
 //
 // Routed streamed pages run the score-bounded (block-max WAND)
-// consumer, which degrades to plain streaming by itself when bound
-// metadata is missing — WANDStats.Bounded reports which happened, and
+// consumer, which runs unpruned by itself when bound metadata is
+// missing — WANDStats.Bounded reports which happened, and
 // feeds the ranked_wand / wand_pruned / blocks_skipped metrics.
 // Requesting xseek.AccuracyApprox forces the bounded route regardless
 // of cache state: the page is still exact, but the total may come back

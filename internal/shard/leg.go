@@ -26,9 +26,9 @@ type Leg interface {
 	// SearchLeg runs the doc-order leg: compile → SLCA → spine filter →
 	// entity mapping over the group's index.
 	SearchLeg(q LegQuery) (LegDocs, error)
-	// RankedLeg runs the streamed (q.WAND false) or score-bounded
-	// (q.WAND true) ranked leg, returning the leg's own top q.Limit in
-	// rank order plus its kept SLCAs and full entity-result count.
+	// RankedLeg runs the score-bounded ranked leg, returning the leg's
+	// own top q.Limit in rank order plus its kept SLCAs and full
+	// entity-result count.
 	// shared is the fan-out's monotone-max threshold; a remote leg
 	// forwards a snapshot of it as its score floor and raises it with
 	// the leg's final threshold on return.
@@ -52,9 +52,7 @@ type LegQuery struct {
 	// Limit is the number of ranked entries the leg keeps (the
 	// fan-out's offset+limit); 0 means unbounded.
 	Limit int
-	// WAND selects the score-bounded consumer; Accuracy is forwarded
-	// to it.
-	WAND     bool
+	// Accuracy is forwarded to the ranked leg's consumer.
 	Accuracy xseek.Accuracy
 }
 
@@ -172,8 +170,8 @@ func (l *localLeg) RankedLeg(q LegQuery, shared *xseek.SharedThreshold) (LegPage
 	}
 	var out LegPage
 	// Drop cross-segment artifacts (spine-owned SLCAs) before entity
-	// mapping, collecting the survivors for the spine fix-up — the
-	// streamed twin of the kept-filter in SearchLeg.
+	// mapping, collecting the survivors for the spine fix-up — the lazy
+	// twin of the kept-filter in SearchLeg.
 	filtered := slca.FilterTee(it,
 		func(id dewey.ID) bool { return !l.spineSet[id.String()] },
 		func(id dewey.ID) { out.SLCAs = append(out.SLCAs, id) },
@@ -190,12 +188,8 @@ func (l *localLeg) RankedLeg(q LegQuery, shared *xseek.SharedThreshold) (LegPage
 			out.Boundary = append(out.Boundary, &xseek.Result{Node: h.Node, Match: h.Match, Label: xseek.LabelFor(h.Node)})
 		},
 	)
-	if q.WAND {
-		opts := xseek.SearchOptions{Limit: q.Limit, Accuracy: q.Accuracy}
-		out.Top, out.Total, out.Stats, err = xseek.ConsumeRankedWAND(es, opts, sh.StreamScorer(q.Terms), sh.TermBounds(q.Terms), shared)
-	} else {
-		out.Top, out.Total, err = xseek.ConsumeRankedStream(es, xseek.SearchOptions{Limit: q.Limit}, sh.StreamScorer(q.Terms))
-	}
+	opts := xseek.SearchOptions{Limit: q.Limit, Accuracy: q.Accuracy}
+	out.Top, out.Total, out.Stats, err = xseek.ConsumeRankedWAND(es, opts, sh.StreamScorer(q.Terms), sh.TermBounds(q.Terms), shared)
 	if err != nil {
 		return LegPage{}, err
 	}

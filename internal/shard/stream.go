@@ -7,27 +7,36 @@ import (
 	"repro/internal/xseek"
 )
 
-// This file is the fan-out's streamed ranked path: each leg runs the
-// lazy SLCA → entity → bounded-heap pipeline over its own index
-// (collecting its kept SLCAs on the fly for the spine fix-up), and the
-// per-leg top lists merge through the existing K-way rank merge. No
-// leg ever materializes its full result list — only its top
-// Offset+Limit survive per leg — yet the page, scores, and total are
-// bit-identical to Search + RankPage.
+// This file is the fan-out's lazy read paths. The ranked path: each
+// leg runs the lazy SLCA → entity → bounded-heap consumer over its own
+// index with block-max pruning (collecting its kept SLCAs on the fly
+// for the spine fix-up), and the per-leg top lists merge through the
+// existing K-way rank merge. No leg ever materializes its full result
+// list — only its top Offset+Limit survive per leg — yet the page,
+// scores, and total are bit-identical to Search + RankPage.
+//
+// One shared monotone threshold circulates: each leg publishes its own
+// k-th-best score as its heap fills, so a slow leg can prune with the
+// global bar, not just its own. Leg scoring (and therefore leg bounds)
+// is leg-local: a leg's hits lie inside its own segments, and
+// spine-owned SLCAs are filtered out and fixed up eagerly afterwards.
+// Cross-leg pruning uses strict comparison only: a pruned entity
+// scores strictly below the final global k-th score, so it can affect
+// neither membership nor tie order of the page.
+//
+// Over a transport the threshold circulates as per-leg score floors: a
+// remote leg starts from a snapshot of the shared bar and reports its
+// final bar back. Any snapshot is a lower bound on the global k-th
+// best score, so staleness only costs pruning opportunity, never
+// correctness.
 
-// SearchRankedPageStream returns the options' window of the relevance
-// ranking plus the exact total, running every leg streamed. An
+// SearchRankedPageWAND returns the options' window of the relevance
+// ranking with score-bounded pruning in every leg. Exact mode is
+// bit-identical to Search + RankPage; approximate mode may stop
+// draining legs early, reporting StreamTotalUnknown as the total. An
 // unbounded window (Limit <= 0) has nothing to terminate early and
 // falls back to the eager path.
-func (f *Fanout) SearchRankedPageStream(query string, opts xseek.SearchOptions) ([]*xseek.RankedResult, int, error) {
-	page, total, _, err := f.rankedPage(query, opts, false)
-	return page, total, err
-}
-
-// rankedPage is the shared ranked fan-out behind the streamed and
-// score-bounded (wand) paths; the two differ only in which consumer a
-// leg runs and whether a shared threshold circulates.
-func (f *Fanout) rankedPage(query string, opts xseek.SearchOptions, wand bool) ([]*xseek.RankedResult, int, xseek.WANDStats, error) {
+func (f *Fanout) SearchRankedPageWAND(query string, opts xseek.SearchOptions) ([]*xseek.RankedResult, int, xseek.WANDStats, error) {
 	var zero xseek.WANDStats
 	lo := opts.Offset
 	if lo < 0 {
@@ -66,11 +75,8 @@ func (f *Fanout) rankedPage(query string, opts xseek.SearchOptions, wand bool) (
 	}
 	f.plannerStreamed.Add(1)
 
-	lq := LegQuery{Query: query, Terms: terms, Limit: hi, WAND: wand, Accuracy: opts.Accuracy}
-	var shared *xseek.SharedThreshold
-	if wand {
-		shared = &xseek.SharedThreshold{}
-	}
+	lq := LegQuery{Query: query, Terms: terms, Limit: hi, Accuracy: opts.Accuracy}
+	shared := &xseek.SharedThreshold{}
 	outs := make([]LegPage, len(f.legs))
 	errs := make([]error, len(f.legs))
 	core.ForEachParallel(len(f.legs), 0, func(g int) {

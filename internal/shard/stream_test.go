@@ -9,7 +9,7 @@ import (
 	"repro/internal/xseek"
 )
 
-// TestShardedStreamEquivalence: the streamed fan-out must be
+// TestShardedStreamEquivalence: the lazy fan-out paths must be
 // bit-identical to the monolithic eager engine at K ∈ {1, 2, 8} —
 // same ranked windows (scores included), same exact totals, same
 // errors, and a doc-order cursor that drains to the same result list.
@@ -67,7 +67,7 @@ func TestShardedStreamEquivalence(t *testing.T) {
 						}
 						return mono.RankPage(want, query, opts), len(want), nil
 					}()
-					gotPage, gotTotal, gotErr := sharded.SearchRankedPageStream(query, opts)
+					gotPage, gotTotal, _, gotErr := sharded.SearchRankedPageWAND(query, opts)
 					if !sameError(wantPageErr, gotErr) {
 						t.Fatalf("tree %d K=%d query %q page %+v: err %v vs %v",
 							ti, k, query, opts, gotErr, wantPageErr)
@@ -89,22 +89,22 @@ func TestShardedStreamEquivalence(t *testing.T) {
 	}
 }
 
-// TestShardedStreamCountsDecisions: the streamed fan-out advances the
-// engine's streamed counter; the eager path does not.
+// TestShardedStreamCountsDecisions: the ranked fan-out advances the
+// engine's streamed counter; its eager fallback does not.
 func TestShardedStreamCountsDecisions(t *testing.T) {
 	root := xmltree.MustParseString("<root><n0><leaf>alpha</leaf></n0><n0><leaf>alpha</leaf></n0></root>")
 	e := Build(root, 2)
 	if e.StreamedDecisions() != 0 {
 		t.Fatal("fresh engine has streamed decisions")
 	}
-	if _, _, err := e.SearchRankedPageStream("alpha", xseek.SearchOptions{Limit: 1}); err != nil {
+	if _, _, _, err := e.SearchRankedPageWAND("alpha", xseek.SearchOptions{Limit: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if e.StreamedDecisions() != 1 {
 		t.Fatalf("streamed decisions = %d, want 1", e.StreamedDecisions())
 	}
 	// The unbounded fallback is eager and must not count.
-	if _, _, err := e.SearchRankedPageStream("alpha", xseek.SearchOptions{}); err != nil {
+	if _, _, _, err := e.SearchRankedPageWAND("alpha", xseek.SearchOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if e.StreamedDecisions() != 1 {

@@ -28,7 +28,7 @@ func syntheticLists(nEntities, skew int) []index.PostingList {
 // skew it times both eager algorithms and the planner's automatic
 // choice. The planner is correct when auto tracks the faster fixed
 // algorithm at every skew — scan-eager on uniform shapes, indexed
-// lookup on heavily skewed ones. BENCH_PLANNER.json records a run.
+// lookup on heavily skewed ones.
 func BenchmarkPlanner(b *testing.B) {
 	const nEntities = 50000
 	for _, skew := range []int{1, 2, 4, 8, 16, 24, 32, 48, 64, 256} {

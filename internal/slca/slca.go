@@ -28,9 +28,9 @@ const (
 
 // DefaultSkewThreshold is the Max/Min list-length ratio above which the
 // planner prefers IndexedLookupEager over ScanEager. Calibrated with
-// BenchmarkPlanner (see BENCH_PLANNER.json): at skew 1 the merge is
-// ~30% faster than binary probing and stays ahead through skew 32, the
-// two cross at skew ≈ 48, and by skew 256 indexed lookup wins ~4.5x.
+// BenchmarkPlanner: at skew 1 the merge is ~30% faster than binary
+// probing and stays ahead through skew 32, the two cross at skew ≈ 48,
+// and by skew 256 indexed lookup wins ~4.5x.
 const DefaultSkewThreshold = 48.0
 
 // Plan picks the cheaper eager algorithm from posting-list shape
@@ -286,81 +286,4 @@ func cloneIDs(ids index.PostingList) []dewey.ID {
 		out[i] = id.Clone()
 	}
 	return out
-}
-
-// ELCA computes Exclusive LCAs: nodes v such that v's subtree contains
-// every keyword even after removing the subtrees of v's descendant
-// SLCAs. ELCA is a superset of SLCA and is provided for completeness
-// of the XSeek substrate (some XSeek variants return ELCAs).
-func ELCA(lists []index.PostingList) []dewey.ID {
-	slcas := IndexedLookupEager(lists)
-	if len(slcas) == 0 {
-		return nil
-	}
-	// A node is an ELCA iff, excluding matches under its descendant
-	// SLCAs, it still covers all keywords. Check every ancestor of
-	// every SLCA (small sets in practice).
-	seen := make(map[string]bool)
-	var out []dewey.ID
-	consider := func(v dewey.ID) {
-		key := v.String()
-		if seen[key] {
-			return
-		}
-		seen[key] = true
-		if isELCA(v, lists, slcas) {
-			out = append(out, v)
-		}
-	}
-	for _, s := range slcas {
-		consider(s)
-		cur := s
-		for {
-			p, ok := cur.Parent()
-			if !ok {
-				break
-			}
-			consider(p)
-			cur = p
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
-	return out
-}
-
-// isELCA reports whether v contains a witness of every keyword that is
-// not under a proper-descendant candidate of v. A node is a candidate
-// iff it contains all keywords, which holds exactly for the
-// ancestors-or-selves of SLCAs; since candidacy is upward closed, a
-// match m under v is excluded iff the child of v on the path to m is
-// itself a candidate (i.e. is an ancestor-or-self of some SLCA).
-func isELCA(v dewey.ID, lists []index.PostingList, slcas []dewey.ID) bool {
-	for _, list := range lists {
-		found := false
-		for _, m := range list {
-			if !v.IsAncestorOrSelf(m) {
-				continue
-			}
-			if m.Equal(v) {
-				found = true // witness at v itself is never excluded
-				break
-			}
-			child := m[:v.Level()+1]
-			excluded := false
-			for _, s := range slcas {
-				if child.IsAncestorOrSelf(s) {
-					excluded = true
-					break
-				}
-			}
-			if !excluded {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-	}
-	return true
 }

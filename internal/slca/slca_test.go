@@ -202,47 +202,6 @@ func TestEndToEndOverRealTree(t *testing.T) {
 	}
 }
 
-func TestELCASupersetOfSLCA(t *testing.T) {
-	r := rand.New(rand.NewSource(44))
-	for i := 0; i < 200; i++ {
-		ls := randomLists(r, 1+r.Intn(3))
-		s := IndexedLookupEager(ls)
-		e := ELCA(ls)
-		set := map[string]bool{}
-		for _, id := range e {
-			set[id.String()] = true
-		}
-		for _, id := range s {
-			if !set[id.String()] {
-				t.Fatalf("SLCA %v missing from ELCA %v (slca %v)", id, idStrings(e), idStrings(s))
-			}
-		}
-	}
-}
-
-func TestELCAFindsExclusiveAncestor(t *testing.T) {
-	// k1 at 0.0, 0.2 ; k2 at 0.1.0, 0.1.1 and k1 at 0.1.2.
-	// SLCA: 0.1 (contains k1@0.1.2, k2@0.1.0).
-	// 0 contains k1 at 0.0 (outside 0.1) and k2 only inside 0.1 -> not ELCA.
-	l1 := ids("0.0", "0.1.2", "0.2")
-	l2 := ids("0.1.0", "0.1.1")
-	e := ELCA(lists(l1, l2))
-	if !reflect.DeepEqual(idStrings(e), []string{"0.1"}) {
-		t.Fatalf("ELCA = %v", idStrings(e))
-	}
-}
-
-func TestELCAWithExclusiveWitnessAtAncestor(t *testing.T) {
-	// k1 at 0.0 and 0.1.0; k2 at 0.2 and 0.1.1.
-	// SLCA: 0.1. Node 0 still has k1@0.0 and k2@0.2 outside 0.1 -> ELCA.
-	l1 := ids("0.0", "0.1.0")
-	l2 := ids("0.1.1", "0.2")
-	e := ELCA(lists(l1, l2))
-	if !reflect.DeepEqual(idStrings(e), []string{"0", "0.1"}) {
-		t.Fatalf("ELCA = %v", idStrings(e))
-	}
-}
-
 func buildBenchLists(n int) []index.PostingList {
 	r := rand.New(rand.NewSource(99))
 	mk := func() index.PostingList {

@@ -24,10 +24,9 @@ type Iterator interface {
 // asking for the top `need` results runs streamed when the driving
 // (smallest) posting list holds at least need*DefaultStreamRatio
 // postings — i.e. when early termination can plausibly skip most of
-// the eager work. Calibrated with BenchmarkStreamTopK (see
-// BENCH_STREAM.json): at ratios below ~4 the streamed and eager costs
-// converge, while small windows over rare+common workloads above the
-// threshold win 4-8x.
+// the eager work. Calibrated with BenchmarkStreamTopK: at ratios below
+// ~4 the streamed and eager costs converge, while small windows over
+// rare+common workloads above the threshold win 4-8x.
 const DefaultStreamRatio = 4
 
 // PlanStreamed reports whether a query for the first `need` results

@@ -10,9 +10,10 @@ import (
 // This file is the live read path's lazy twin: composite posting
 // sequences (base parts ⊕ delta − tombstones) exposed as iterators
 // instead of materialized lists, driving the streamed SLCA and
-// entity-mapping stages over the live tree. Snapshots are immutable,
-// so a stream stays consistent across concurrent writes — it simply
-// keeps reading the epoch it was opened on.
+// entity-mapping stages over the live tree — the doc-order cursor here,
+// the ranked page in wand.go. Snapshots are immutable, so a stream
+// stays consistent across concurrent writes — it simply keeps reading
+// the epoch it was opened on.
 
 // termIter returns the lazy composite iterator for one term: the base
 // parts and the delta list merged on the fly, tombstoned subtrees
@@ -162,22 +163,6 @@ func (s *state) streamScorer(terms []string) xseek.Scorer {
 		}
 		return score
 	}
-}
-
-// SearchRankedPageStream runs the streamed ranked pipeline over the
-// live corpus: lazy composite SLCAs, streamed entity mapping,
-// bounded-heap top-k. Page, scores, and total are bit-identical to
-// Search + RankPage over the same snapshot.
-func (e *Engine) SearchRankedPageStream(query string, opts xseek.SearchOptions) ([]*xseek.RankedResult, int, error) {
-	s := e.view()
-	terms, err := compileStream(s, query)
-	if err != nil {
-		return nil, 0, err
-	}
-	e.plannerStreamed.Add(1)
-	it := s.slcaIter(terms, e)
-	es := xseek.NewEntityStream(it, s.root, s.schema)
-	return xseek.ConsumeRankedStream(es, opts, s.streamScorer(terms))
 }
 
 // EstimateResults bounds the query's live result count for stream

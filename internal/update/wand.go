@@ -5,7 +5,8 @@ import (
 	"repro/internal/xseek"
 )
 
-// The live engine's score-bounded ranked path. The bound for one term
+// The live engine's ranked path: the lazy composite pipeline of
+// stream.go feeding the score-bounded consumer. The bound for one term
 // composes per-part bounds in two steps, each matching where a result
 // subtree's postings can actually live:
 //
@@ -25,7 +26,7 @@ import (
 
 // termBounds builds one composite bound cursor per scoring term over
 // this snapshot, or nil when any part lacks bound metadata (legacy
-// compact payload) — the fallback-to-streaming signal.
+// compact payload) — the signal to run the consumer unpruned.
 func (s *state) termBounds(terms []string) []xseek.TermBound {
 	out := make([]xseek.TermBound, 0, len(terms))
 	for _, t := range terms {
@@ -70,10 +71,10 @@ func (s *state) termBounds(terms []string) []xseek.TermBound {
 }
 
 // SearchRankedPageWAND runs the score-bounded ranked pipeline over
-// the live corpus: the streamed composite pipeline of
-// SearchRankedPageStream with block-max pruning on top. Exact mode is
-// bit-identical to it; approximate mode may stop draining and report
-// StreamTotalUnknown.
+// the live corpus: lazy composite SLCAs, streamed entity mapping, and
+// the bounded-heap consumer with block-max pruning. Exact mode is
+// bit-identical to Search + RankPage over the same snapshot;
+// approximate mode may stop draining and report StreamTotalUnknown.
 func (e *Engine) SearchRankedPageWAND(query string, opts xseek.SearchOptions) ([]*xseek.RankedResult, int, xseek.WANDStats, error) {
 	s := e.view()
 	terms, err := compileStream(s, query)

@@ -4,7 +4,6 @@ import (
 	"strings"
 
 	"repro/internal/index"
-	"repro/internal/slca"
 )
 
 // CleanQuery maps each query keyword to the closest indexed term:
@@ -37,20 +36,4 @@ func (e *Engine) SearchCleaned(query string) ([]*Result, []string, error) {
 	cleaned := e.CleanQuery(query)
 	res, err := e.Search(strings.Join(cleaned, " "))
 	return res, cleaned, err
-}
-
-// SearchELCA runs the query under Exclusive LCA semantics instead of
-// SLCA: ancestors that contain all keywords through witnesses outside
-// their candidate descendants are also returned. ELCA is a superset of
-// SLCA; some XSeek variants prefer it for recall.
-func (e *Engine) SearchELCA(query string) ([]*Result, error) {
-	terms := index.TokenizeQuery(query)
-	if len(terms) == 0 {
-		return nil, ErrEmptyQuery
-	}
-	lists, _, err := e.idx.QueryLists(terms)
-	if err != nil {
-		return nil, err
-	}
-	return e.mapToEntities(slca.ELCA(lists), false)
 }

@@ -3,8 +3,6 @@ package xseek
 import (
 	"reflect"
 	"testing"
-
-	"repro/internal/xmltree"
 )
 
 func TestCleanQueryPassesKnownTerms(t *testing.T) {
@@ -42,44 +40,5 @@ func TestSearchCleanedEndToEnd(t *testing.T) {
 	}
 	if cleaned[0] != "tomtom" {
 		t.Fatalf("cleaned = %v", cleaned)
-	}
-}
-
-func TestSearchELCASupersetOfSearch(t *testing.T) {
-	doc := `
-<library>
-  <shelf>
-    <book><title>go systems</title></book>
-    <book><title>go networks</title></book>
-    <topic>systems</topic>
-  </shelf>
-</library>`
-	e := New(xmltree.MustParseString(doc))
-	slcaRes, err := e.Search("go systems")
-	if err != nil {
-		t.Fatal(err)
-	}
-	elcaRes, err := e.SearchELCA("go systems")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(elcaRes) < len(slcaRes) {
-		t.Fatalf("ELCA results %d < SLCA results %d", len(elcaRes), len(slcaRes))
-	}
-	seen := map[string]bool{}
-	for _, r := range elcaRes {
-		seen[r.Node.ID.String()] = true
-	}
-	for _, r := range slcaRes {
-		if !seen[r.Node.ID.String()] {
-			t.Fatalf("SLCA result %s missing from ELCA results", r.Label)
-		}
-	}
-}
-
-func TestSearchELCAEmptyQuery(t *testing.T) {
-	e := New(shopTree(t))
-	if _, err := e.SearchELCA("..."); err == nil {
-		t.Fatal("empty ELCA query should error")
 	}
 }

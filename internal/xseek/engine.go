@@ -20,8 +20,7 @@ var ErrEmptyQuery = fmt.Errorf("xseek: empty query")
 //
 // Search runs as a staged pipeline — tokenize → plan → SLCA →
 // entity-map → label — with the first two stages reified as a Query
-// value (Compile) so callers can inspect or override the plan, and the
-// final result list addressable in windows (SearchPage).
+// value (Compile) so callers can inspect or override the plan.
 type Engine struct {
 	root   *xmltree.Node
 	idx    *index.Index
@@ -43,9 +42,9 @@ type Engine struct {
 	// queries, surfaced through the serving layer's metrics.
 	plannerIndexed atomic.Int64
 	plannerScan    atomic.Int64
-	// plannerStreamed counts ranked pages the planner's third choice
-	// routed to the lazy pipeline (orthogonal to the algorithm
-	// counters above: a streamed query still picks a seek discipline).
+	// plannerStreamed counts ranked pages that ran the lazy pipeline
+	// (orthogonal to the algorithm counters above: a streamed query
+	// still picks a seek discipline).
 	plannerStreamed atomic.Int64
 }
 
@@ -118,8 +117,8 @@ func (e *Engine) PlannerDecisions() (indexedLookup, scanEager int64) {
 	return e.plannerIndexed.Load(), e.plannerScan.Load()
 }
 
-// StreamedDecisions reports how many ranked pages the planner routed
-// to the streamed (early-terminating) pipeline on this engine.
+// StreamedDecisions reports how many ranked pages ran the streamed
+// (early-terminating) pipeline on this engine.
 func (e *Engine) StreamedDecisions() int64 { return e.plannerStreamed.Load() }
 
 // Result is one search result: the entity subtree that contains an
@@ -146,9 +145,6 @@ type SearchOptions struct {
 	// Offset skips that many results from the start; out-of-range
 	// offsets yield an empty window, not an error.
 	Offset int
-	// Mode picks the execution strategy: ExecAuto (default) defers to
-	// the planner, ExecEager and ExecStream force a pipeline.
-	Mode ExecMode
 	// Accuracy applies to the score-bounded (WAND) ranked paths:
 	// AccuracyExact (default) keeps pages and totals bit-identical to
 	// eager execution, AccuracyApprox may stop draining at the score
@@ -229,76 +225,25 @@ func (q *Query) Execute() ([]*Result, error) {
 	if !slca.KnownAlgorithm(q.Alg) {
 		return nil, fmt.Errorf("xseek: unknown SLCA algorithm %q", q.Alg)
 	}
-	return q.eng.mapToEntities(q.SLCAs(), true)
+	return q.eng.MapToEntities(q.SLCAs())
 }
 
-// ExecutePage runs Execute and returns the options' window of the
-// result list plus the full result count. Under ExecStream the page is
-// pulled lazily and the pipeline stops as soon as Offset+Limit results
-// exist; if that stops before exhaustion the Total is
-// StreamTotalUnknown. ExecAuto keeps doc-order pages eager — only the
-// ranked path auto-routes, since its Total stays exact.
-func (q *Query) ExecutePage(opts SearchOptions) ([]*Result, int, error) {
-	if opts.Mode == ExecStream {
-		return q.executePageStream(opts)
-	}
-	all, err := q.Execute()
-	if err != nil {
-		return nil, 0, err
-	}
-	lo, hi := opts.Window(len(all))
-	return all[lo:hi], len(all), nil
-}
-
-// executePageStream cuts a doc-order page from the lazy pipeline,
-// pulling only until the window is full.
-func (q *Query) executePageStream(opts SearchOptions) ([]*Result, int, error) {
-	rs, err := q.Stream()
-	if err != nil {
-		return nil, 0, err
-	}
-	lo := opts.Offset
-	if lo < 0 {
-		lo = 0
-	}
-	need := 0 // 0: no bound, drain the stream
-	if opts.Limit > 0 {
-		if n := lo + opts.Limit; n > lo {
-			need = n
-		}
-	}
-	var page []*Result
-	for need == 0 || rs.Emitted() < need {
-		r, ok := rs.Next()
-		if !ok {
-			if err := rs.Err(); err != nil {
-				return nil, 0, err
-			}
-			// Exhausted: the emitted count is the exact total.
-			return page, rs.Emitted(), nil
-		}
-		if rs.Emitted() > lo {
-			page = append(page, r)
-		}
-	}
-	return page, StreamTotalUnknown, nil
-}
-
-// mapToEntities is the entity-map + label stage shared by the SLCA and
-// ELCA paths: lift each match to its nearest enclosing entity, merge
-// matches falling in the same entity, and label the survivors. When
-// strict is set, a match ID absent from the tree is an internal error;
-// otherwise it is skipped (ELCA considers ancestors liberally).
-func (e *Engine) mapToEntities(matches []dewey.ID, strict bool) ([]*Result, error) {
+// MapToEntities runs the pipeline's entity-map + label stage on an SLCA
+// set: each match is lifted to its nearest enclosing entity, matches
+// falling in the same entity merge, and the survivors come back
+// labelled in document order. A match ID absent from the tree is an
+// internal error.
+//
+// The sharded executor fans the SLCA stage out per shard and feeds the
+// per-shard ID sets through this stage, so sharded and monolithic
+// searches share one entity-inference implementation.
+func (e *Engine) MapToEntities(matches []dewey.ID) ([]*Result, error) {
 	var out []*Result
 	seen := make(map[string]bool)
 	for _, m := range matches {
 		matchNode := e.root.NodeAt(m)
 		if matchNode == nil {
-			if strict {
-				return nil, fmt.Errorf("xseek: internal: SLCA %v not in tree", m)
-			}
-			continue
+			return nil, fmt.Errorf("xseek: internal: SLCA %v not in tree", m)
 		}
 		resultRoot := e.schema.NearestEntity(matchNode)
 		if resultRoot == nil {
@@ -329,17 +274,6 @@ func (e *Engine) Search(query string) ([]*Result, error) {
 		return nil, err
 	}
 	return q.Execute()
-}
-
-// SearchPage runs the pipeline and returns the window the options
-// select, along with the total result count. Concatenating consecutive
-// pages reproduces the full Search result list.
-func (e *Engine) SearchPage(query string, opts SearchOptions) ([]*Result, int, error) {
-	q, err := e.Compile(query)
-	if err != nil {
-		return nil, 0, err
-	}
-	return q.ExecutePage(opts)
 }
 
 // nameLikeTags are attribute tags that make good result labels, in

@@ -31,6 +31,9 @@ func pagedDoc(n int) string {
 	return b.String()
 }
 
+// TestSearchPageConcatenationEqualsSearch: consecutive Window cuts of
+// the doc-order result list — how the serving layer pages a cached
+// Search — tile the full list for every page size.
 func TestSearchPageConcatenationEqualsSearch(t *testing.T) {
 	e := New(xmltree.MustParseString(pagedDoc(23)))
 	full, err := e.Search("gps")
@@ -43,25 +46,17 @@ func TestSearchPageConcatenationEqualsSearch(t *testing.T) {
 	for _, limit := range []int{1, 4, 7, 23, 100} {
 		var got []*Result
 		for off := 0; ; off += limit {
-			page, total, err := e.SearchPage("gps", SearchOptions{Limit: limit, Offset: off})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if total != len(full) {
-				t.Fatalf("limit %d offset %d: total = %d, want %d", limit, off, total, len(full))
-			}
-			if len(page) == 0 {
+			lo, hi := SearchOptions{Limit: limit, Offset: off}.Window(len(full))
+			if lo == hi {
 				break
 			}
-			got = append(got, page...)
+			got = append(got, full[lo:hi]...)
 		}
 		if len(got) != len(full) {
 			t.Fatalf("limit %d: concatenated %d results, want %d", limit, len(got), len(full))
 		}
 		for i := range full {
-			// Each search re-runs the pipeline, so compare node
-			// identity rather than result-struct pointers.
-			if got[i].Node != full[i].Node {
+			if got[i] != full[i] {
 				t.Fatalf("limit %d: page concat diverges at %d: %q vs %q", limit, i, got[i].Label, full[i].Label)
 			}
 		}
@@ -70,17 +65,16 @@ func TestSearchPageConcatenationEqualsSearch(t *testing.T) {
 
 func TestSearchPageOutOfRangeOffset(t *testing.T) {
 	e := New(xmltree.MustParseString(pagedDoc(5)))
-	page, total, err := e.SearchPage("gps", SearchOptions{Limit: 10, Offset: 99})
+	full, err := e.Search("gps")
 	if err != nil {
-		t.Fatalf("out-of-range offset errored: %v", err)
+		t.Fatal(err)
 	}
-	if len(page) != 0 || total != 5 {
-		t.Fatalf("page = %d results, total = %d; want empty page, total 5", len(page), total)
+	if lo, hi := (SearchOptions{Limit: 10, Offset: 99}).Window(len(full)); lo != hi || len(full) != 5 {
+		t.Fatalf("window [%d, %d) of %d results; want an empty page of 5", lo, hi, len(full))
 	}
 	// Negative values clamp instead of failing.
-	page, total, err = e.SearchPage("gps", SearchOptions{Limit: -3, Offset: -7})
-	if err != nil || len(page) != 5 || total != 5 {
-		t.Fatalf("negative options: page=%d total=%d err=%v, want full list", len(page), total, err)
+	if lo, hi := (SearchOptions{Limit: -3, Offset: -7}).Window(len(full)); lo != 0 || hi != 5 {
+		t.Fatalf("negative options: window [%d, %d), want the full list", lo, hi)
 	}
 }
 
@@ -174,6 +168,9 @@ func TestTopKRandomizedAgainstFullSort(t *testing.T) {
 	}
 }
 
+// TestSearchRankedPageConcatenationEqualsSearchRanked: consecutive
+// pages of the ranked consumer tile the full eager ranking, scores
+// included.
 func TestSearchRankedPageConcatenationEqualsSearchRanked(t *testing.T) {
 	e := New(xmltree.MustParseString(pagedDoc(29)))
 	full, err := e.SearchRanked("gps")
@@ -182,7 +179,7 @@ func TestSearchRankedPageConcatenationEqualsSearchRanked(t *testing.T) {
 	}
 	var got []*RankedResult
 	for off := 0; ; off += 6 {
-		page, total, err := e.SearchRankedPage("gps", SearchOptions{Limit: 6, Offset: off})
+		page, total, _, err := e.SearchRankedPageWAND("gps", SearchOptions{Limit: 6, Offset: off})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,16 +191,7 @@ func TestSearchRankedPageConcatenationEqualsSearchRanked(t *testing.T) {
 		}
 		got = append(got, page...)
 	}
-	if len(got) != len(full) {
-		t.Fatalf("concatenated %d, want %d", len(got), len(full))
-	}
-	for i := range full {
-		// Each search re-runs the pipeline, so compare node identity
-		// and score rather than result-struct pointers.
-		if got[i].Node != full[i].Node || got[i].Score != full[i].Score {
-			t.Fatalf("ranked page concat diverges at %d: %q vs %q", i, got[i].Label, full[i].Label)
-		}
-	}
+	requireSamePages(t, "ranked page concat", got, full)
 }
 
 func TestExecuteRejectsUnknownAlgorithmOverride(t *testing.T) {

@@ -3,7 +3,6 @@ package xseek
 import (
 	"math"
 
-	"repro/internal/dewey"
 	"repro/internal/index"
 	"repro/internal/xmltree"
 )
@@ -51,16 +50,3 @@ func FromPartsRanked(root *xmltree.Node, idx *index.Index, schema *Schema, total
 // DocFreq returns the number of corpus nodes containing term — the
 // engine half of the CorpusStats interface.
 func (e *Engine) DocFreq(term string) int { return e.idx.DocFreq(term) }
-
-// MapToEntities runs the pipeline's entity-map + label stage on an
-// externally computed SLCA set: each match is lifted to its nearest
-// enclosing entity, matches falling in the same entity merge, and the
-// survivors come back labelled in document order. A match ID absent
-// from the tree is an internal error.
-//
-// The sharded executor fans the SLCA stage out per shard and feeds the
-// per-shard ID sets through this stage, so sharded and monolithic
-// searches share one entity-inference implementation.
-func (e *Engine) MapToEntities(matches []dewey.ID) ([]*Result, error) {
-	return e.mapToEntities(matches, true)
-}

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/index"
-	"repro/internal/slca"
 )
 
 // RankedResult is a search result with a relevance score. XSACT's demo
@@ -29,50 +28,6 @@ func (e *Engine) SearchRanked(query string) ([]*RankedResult, error) {
 		return nil, err
 	}
 	return e.RankResults(results, query), nil
-}
-
-// SearchRankedPage runs Search and returns the options' window of the
-// relevance ordering, plus the total result count — selecting the top
-// Offset+Limit results with a bounded heap instead of sorting the full
-// set. Concatenating consecutive pages reproduces SearchRanked.
-//
-// Execution strategy follows opts.Mode: ExecEager materializes then
-// ranks; ExecStream runs the lazy pipeline; ExecAuto (the default)
-// streams when the planner judges the window small relative to the
-// result bound (slca.PlanStreamed) and stays eager otherwise. Both
-// pipelines return bit-identical pages and totals — the ranked stream
-// consumes all SLCAs (so Total stays exact) but skips materializing,
-// sorting, and labelling the non-window results.
-func (e *Engine) SearchRankedPage(query string, opts SearchOptions) ([]*RankedResult, int, error) {
-	q, err := e.Compile(query)
-	if err != nil {
-		return nil, 0, err
-	}
-	stream := opts.Mode == ExecStream
-	if opts.Mode == ExecAuto {
-		lo := opts.Offset
-		if lo < 0 {
-			lo = 0
-		}
-		need := 0
-		if opts.Limit > 0 {
-			if n := lo + opts.Limit; n > lo {
-				need = n
-			}
-		}
-		if slca.PlanStreamed(q.Stats, need) {
-			stream = true
-			e.plannerStreamed.Add(1)
-		}
-	}
-	if stream {
-		return q.RankStream(opts)
-	}
-	results, err := q.Execute()
-	if err != nil {
-		return nil, 0, err
-	}
-	return e.RankPage(results, query, opts), len(results), nil
 }
 
 // RankResults scores and orders an already-computed result set for a

@@ -1,7 +1,6 @@
 package xseek
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 
@@ -14,26 +13,13 @@ import (
 // This file is the streaming execution path: SLCAs pulled lazily from
 // slca.Iterator are lifted to entities, deduplicated, and either
 // emitted in document order (ResultStream — early-terminating paging)
-// or fed through a bounded heap (consumeRankedStream — exact top-k
-// with scores bit-identical to the eager ranking). The shard and
-// update engines reuse EntityStream and consumeRankedStream with
-// their own tf sources.
+// or fed to the ranked consumer (ConsumeRankedWAND in wand.go — exact
+// top-k with scores bit-identical to the eager ranking). The shard and
+// update engines reuse EntityStream and the consumer with their own tf
+// sources.
 
-// ExecMode selects how a paged query executes.
-type ExecMode int
-
-const (
-	// ExecAuto lets the planner choose between eager and streamed
-	// execution per query (the default).
-	ExecAuto ExecMode = iota
-	// ExecEager forces the materialize-then-window pipeline.
-	ExecEager
-	// ExecStream forces the lazy pipeline.
-	ExecStream
-)
-
-// StreamTotalUnknown is the Total a doc-order streamed page reports
-// when early termination stopped before the result count was known.
+// StreamTotalUnknown is the Total a streamed page reports when early
+// termination stopped before the result count was known.
 const StreamTotalUnknown = -1
 
 // pathWalker resolves document-ordered Dewey IDs against a tree and
@@ -148,7 +134,7 @@ type EntityHit struct {
 
 // EntityStream lifts a document-ordered SLCA stream to a document-
 // ordered stream of distinct result entities — the lazy twin of
-// mapToEntities, with identical output. Entities are held in a small
+// MapToEntities, with identical output. Entities are held in a small
 // pending buffer until no unseen SLCA can map to them or one of their
 // entity ancestors (which would reorder or duplicate the output), so
 // every hit is emitted exactly once, in document order, as early as
@@ -169,7 +155,7 @@ type EntityStream struct {
 
 // NewEntityStream builds an entity stream over the given SLCA iterator
 // and live tree/schema pair. A stream whose SLCA is missing from the
-// tree stops with an error (the strict mapToEntities contract).
+// tree stops with an error (the MapToEntities contract).
 func NewEntityStream(it slca.Iterator, root *xmltree.Node, schema *Schema) *EntityStream {
 	return &EntityStream{it: it, w: newPathWalker(root, schema)}
 }
@@ -456,103 +442,6 @@ func (h streamHeap) Less(i, j int) bool { return h.beats(h[j], h[i]) } // min-he
 func (h streamHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
 func (h *streamHeap) Push(x any)        { *h = append(*h, x.(streamHit)) }
 func (h *streamHeap) Pop() any          { old := *h; n := len(old) - 1; v := old[n]; *h = old[:n]; return v }
-
-// ConsumeRankedStream drains an entity stream through a bounded heap
-// and returns the options' window of the exact relevance ranking plus
-// the exact total. Only the window's survivors are labelled. The
-// output is bit-identical — scores, order, length — to scoring the
-// eager result list and ranking it with RankPage/RankResults. Shared
-// by every executor's streamed ranked path; each supplies its own tf
-// source through the Scorer.
-func ConsumeRankedStream(es *EntityStream, opts SearchOptions, score Scorer) ([]*RankedResult, int, error) {
-	lo := opts.Offset
-	if lo < 0 {
-		lo = 0
-	}
-	want := 0 // 0: unbounded (whole ranking)
-	if opts.Limit > 0 {
-		if c := lo + opts.Limit; c > lo { // overflow-safe, mirroring Window
-			want = c
-		}
-	}
-	var h streamHeap
-	total := 0
-	for {
-		hit, ok := es.Next()
-		if !ok {
-			break
-		}
-		sc := score(hit.Node.ID)
-		entry := streamHit{hit: hit, score: sc, ord: total}
-		total++
-		if want == 0 || len(h) < want {
-			h = append(h, entry)
-			if len(h) == want {
-				heap.Init(&h)
-			}
-			continue
-		}
-		// Bounded: displace the worst kept entry when beaten. Ties keep
-		// the earlier document position, so a later equal score never
-		// displaces.
-		if h.beats(entry, h[0]) {
-			h[0] = entry
-			heap.Fix(&h, 0)
-		}
-	}
-	if err := es.Err(); err != nil {
-		return nil, 0, err
-	}
-	// Drain into rank order. The unbounded (or under-filled) heap was
-	// never heapified; sort it by the same key.
-	var ranked []streamHit
-	if want != 0 && len(h) == want {
-		ranked = make([]streamHit, len(h))
-		for n := len(h) - 1; n >= 0; n-- {
-			ranked[n] = heap.Pop(&h).(streamHit)
-		}
-	} else {
-		ranked = h
-		sort.Slice(ranked, func(i, j int) bool { return h.beats(ranked[i], ranked[j]) })
-	}
-	if lo > len(ranked) {
-		lo = len(ranked)
-	}
-	out := make([]*RankedResult, 0, len(ranked)-lo)
-	for _, s := range ranked[lo:] {
-		out = append(out, &RankedResult{
-			Result: &Result{Node: s.hit.Node, Match: s.hit.Match, Label: LabelFor(s.hit.Node)},
-			Score:  s.score,
-		})
-	}
-	return out, total, nil
-}
-
-// RankStream runs the streamed ranked pipeline on the compiled query:
-// lazy SLCAs, streamed entity mapping, bounded-heap top-k. The window
-// and total are bit-identical to SearchRankedPage's eager path.
-func (q *Query) RankStream(opts SearchOptions) ([]*RankedResult, int, error) {
-	it, err := q.SLCAIter()
-	if err != nil {
-		return nil, 0, err
-	}
-	es := NewEntityStream(it, q.eng.root, q.eng.schema)
-	return ConsumeRankedStream(es, opts, q.eng.StreamScorer(q.Terms))
-}
-
-// SearchRankedPageStream is the always-streamed twin of
-// SearchRankedPage, for callers (and benchmarks) that want to bypass
-// the planner's routing. It still counts toward StreamedDecisions —
-// the counter reports pages that ran streamed, however chosen — and
-// matches the update and shard engines' accounting.
-func (e *Engine) SearchRankedPageStream(query string, opts SearchOptions) ([]*RankedResult, int, error) {
-	q, err := e.Compile(query)
-	if err != nil {
-		return nil, 0, err
-	}
-	e.plannerStreamed.Add(1)
-	return q.RankStream(opts)
-}
 
 // EstimateResults bounds the query's result count for stream planning:
 // the driving (smallest) posting list length, 0 when the query cannot

@@ -117,9 +117,22 @@ func TestStreamPrefixInvariance(t *testing.T) {
 	}
 }
 
-// TestRankStreamEqualsEagerRankedPage: the streamed ranked pipeline
-// must be bit-identical to the eager one — scores, order, labels,
-// window clamping, and totals — for every paging shape.
+// rankUnpruned runs the compiled query through the ranked consumer
+// without bound metadata — the path a legacy snapshot (no block
+// maxima) takes.
+func rankUnpruned(q *Query, opts SearchOptions) ([]*RankedResult, int, WANDStats, error) {
+	it, err := q.SLCAIter()
+	if err != nil {
+		return nil, 0, WANDStats{}, err
+	}
+	es := NewEntityStream(it, q.eng.root, q.eng.schema)
+	return ConsumeRankedWAND(es, opts, q.eng.StreamScorer(q.Terms), nil, nil)
+}
+
+// TestRankStreamEqualsEagerRankedPage: the unpruned ranked stream must
+// be bit-identical to the eager Search + RankPage pipeline — scores,
+// order, labels, window clamping, and totals — for every paging shape,
+// and must report that it did not prune.
 func TestRankStreamEqualsEagerRankedPage(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	optsGrid := []SearchOptions{
@@ -135,108 +148,29 @@ func TestRankStreamEqualsEagerRankedPage(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		e := New(xmltree.MustParseString(randomNestedDoc(r, 2+r.Intn(6))))
 		for _, query := range streamQueries {
+			q, err := e.Compile(query)
+			if err != nil {
+				continue // vocabulary miss on a tiny corpus
+			}
 			for _, opts := range optsGrid {
-				eagerOpts, streamOpts := opts, opts
-				eagerOpts.Mode = ExecEager
-				streamOpts.Mode = ExecStream
-				want, wantTotal, errW := e.SearchRankedPage(query, eagerOpts)
-				got, gotTotal, errG := e.SearchRankedPage(query, streamOpts)
-				if (errW == nil) != (errG == nil) {
-					t.Fatalf("query %q opts %+v: eager err %v vs stream err %v", query, opts, errW, errG)
+				ctx := fmt.Sprintf("trial %d query %q opts %+v", trial, query, opts)
+				want, wantTotal, err := eagerRankedPage(e, query, opts)
+				if err != nil {
+					t.Fatalf("%s: eager: %v", ctx, err)
 				}
-				if errW != nil {
-					continue
+				got, gotTotal, st, err := rankUnpruned(q, opts)
+				if err != nil {
+					t.Fatalf("%s: stream: %v", ctx, err)
 				}
 				if gotTotal != wantTotal {
-					t.Fatalf("query %q opts %+v: total %d want %d", query, opts, gotTotal, wantTotal)
+					t.Fatalf("%s: total %d want %d", ctx, gotTotal, wantTotal)
 				}
-				if len(got) != len(want) {
-					t.Fatalf("query %q opts %+v: %d results want %d", query, opts, len(got), len(want))
-				}
-				for i := range want {
-					if got[i].Node != want[i].Node || got[i].Score != want[i].Score || got[i].Label != want[i].Label {
-						t.Fatalf("query %q opts %+v: rank %d diverges: got (%q score %v) want (%q score %v)",
-							query, opts, i, got[i].Label, got[i].Score, want[i].Label, want[i].Score)
-					}
+				requireSamePages(t, ctx, got, want)
+				if st != (WANDStats{}) {
+					t.Fatalf("%s: unpruned consumer reported %+v", ctx, st)
 				}
 			}
 		}
-	}
-}
-
-// TestExecutePageStreamMode: doc-order pages under ExecStream match
-// the eager pages; the total is exact when the stream was exhausted
-// and StreamTotalUnknown when early termination cut it short.
-func TestExecutePageStreamMode(t *testing.T) {
-	e := New(xmltree.MustParseString(pagedDoc(23)))
-	for _, opts := range []SearchOptions{
-		{Limit: 5},
-		{Limit: 5, Offset: 10},
-		{Limit: 100},
-		{},
-		{Limit: 5, Offset: 99},
-	} {
-		eager, total, err := e.SearchPage("gps", opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		streamOpts := opts
-		streamOpts.Mode = ExecStream
-		got, streamTotal, err := e.SearchPage("gps", streamOpts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(eager) {
-			t.Fatalf("opts %+v: %d results want %d", opts, len(got), len(eager))
-		}
-		for i := range eager {
-			if got[i].Node != eager[i].Node || got[i].Label != eager[i].Label {
-				t.Fatalf("opts %+v: page diverges at %d", opts, i)
-			}
-		}
-		earlyStop := opts.Limit > 0 && opts.Offset+opts.Limit < total
-		if earlyStop {
-			if streamTotal != StreamTotalUnknown {
-				t.Fatalf("opts %+v: early-stopped total = %d, want StreamTotalUnknown", opts, streamTotal)
-			}
-		} else if streamTotal != total {
-			t.Fatalf("opts %+v: exhausted total = %d, want %d", opts, streamTotal, total)
-		}
-	}
-}
-
-// TestAutoModeRoutesSmallWindowsStreamed: on a corpus whose driving
-// list dwarfs the requested window, ExecAuto must take the streamed
-// path (counter advances) and still return the eager answer.
-func TestAutoModeRoutesSmallWindowsStreamed(t *testing.T) {
-	e := New(xmltree.MustParseString(pagedDoc(60)))
-	before := e.StreamedDecisions()
-	got, total, err := e.SearchRankedPage("gps", SearchOptions{Limit: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.StreamedDecisions() != before+1 {
-		t.Fatalf("streamed decisions = %d, want %d", e.StreamedDecisions(), before+1)
-	}
-	want, wantTotal, err := e.SearchRankedPage("gps", SearchOptions{Limit: 3, Mode: ExecEager})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if total != wantTotal || len(got) != len(want) {
-		t.Fatalf("auto (%d of %d) vs eager (%d of %d)", len(got), total, len(want), wantTotal)
-	}
-	for i := range want {
-		if got[i].Node != want[i].Node || got[i].Score != want[i].Score {
-			t.Fatalf("auto page diverges at %d", i)
-		}
-	}
-	// A window spanning the whole corpus must stay eager.
-	before = e.StreamedDecisions()
-	if _, _, err := e.SearchRankedPage("gps", SearchOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if e.StreamedDecisions() != before {
-		t.Fatal("unbounded query took the streamed path")
 	}
 }
 
@@ -252,7 +186,7 @@ func TestStreamErrorOnUnknownAlgorithm(t *testing.T) {
 	if _, err := q.Stream(); err == nil {
 		t.Fatal("unknown algorithm must fail the stream")
 	}
-	if _, _, err := q.RankStream(SearchOptions{Limit: 1}); err == nil {
+	if _, _, _, err := q.RankWAND(SearchOptions{Limit: 1}, nil); err == nil {
 		t.Fatal("unknown algorithm must fail the ranked stream")
 	}
 }

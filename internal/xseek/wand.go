@@ -10,9 +10,9 @@ import (
 	"repro/internal/index"
 )
 
-// This file is the score-bounded (block-max WAND) twin of
-// ConsumeRankedStream: the same lazy SLCA → entity → bounded-heap
-// pipeline, but once the top-k heap is full, each entity is first
+// This file is the ranked consumer every executor shares: the lazy
+// SLCA → entity → bounded-heap pipeline with score-bound (block-max
+// WAND) pruning. Once the top-k heap is full, each entity is first
 // checked against an upper bound on its score — each term's block-max
 // tf bound (index.BoundCursor) pushed through the shared TermWeight
 // with the term's precomputed IDF. The bound is a suffix maximum, so
@@ -22,9 +22,10 @@ import (
 // consumer stops scoring (exact mode — the total stays exact) or
 // stops draining entirely (approximate mode — the total is reported
 // as StreamTotalUnknown). Exact mode is bit-identical to the eager
-// and plain streamed rankings: pruned entities score strictly within
-// the bound, and ties keep the earlier document position, which every
-// pruned entity loses by construction.
+// ranking: pruned entities score strictly within the bound, and ties
+// keep the earlier document position, which every pruned entity loses
+// by construction. Without bounds or a bounded window the same loop
+// simply never prunes.
 
 // Accuracy selects how a score-bounded ranked page may trade the
 // exact total for work.
@@ -43,9 +44,8 @@ const (
 // page, for the serving layer's metrics.
 type WANDStats struct {
 	// Bounded reports whether bound metadata was available; false
-	// means the query fell back to the plain streamed pipeline (e.g.
-	// a legacy v4 snapshot without block maxima, or an unbounded
-	// window).
+	// means the consumer ran unpruned (e.g. a legacy v4 snapshot
+	// without block maxima, or an unbounded window).
 	Bounded bool
 	// Pruned counts entities whose exact scoring was skipped.
 	Pruned int64
@@ -130,32 +130,33 @@ func boundBelow(bounds []TermBound, id dewey.ID, tau float64, shared *SharedThre
 	return shared != nil && ub < shared.Load()
 }
 
-// ConsumeRankedWAND drains an entity stream through the bounded heap
-// with score-bound pruning. The page is always bit-identical to
-// ConsumeRankedStream's; the total is exact except after an
-// approximate-mode early stop, which reports StreamTotalUnknown. A
-// nil bounds slice or an unbounded window disables pruning and
-// delegates to ConsumeRankedStream (Bounded stays false). shared may
-// be nil; when set, the consumer raises it with its own k-th score
-// and prunes against it strictly.
+// ConsumeRankedWAND drains an entity stream through a bounded heap and
+// returns the options' window of the exact relevance ranking. Only the
+// window's survivors are labelled. The page is bit-identical — scores,
+// order, length — to scoring the eager result list and ranking it with
+// RankPage/RankResults; the total is exact except after an
+// approximate-mode early stop, which reports StreamTotalUnknown. It is
+// every executor's ranked consumer; each supplies its own tf source
+// through the Scorer and its own bounds. A nil bounds slice (e.g. a
+// legacy snapshot without block maxima) or an unbounded window never
+// prunes, and Bounded stays false. shared may be nil; when set, the
+// consumer raises it with its own k-th score and prunes against it
+// strictly.
 func ConsumeRankedWAND(es *EntityStream, opts SearchOptions, score Scorer, bounds []TermBound, shared *SharedThreshold) ([]*RankedResult, int, WANDStats, error) {
 	lo := opts.Offset
 	if lo < 0 {
 		lo = 0
 	}
-	want := 0
+	want := math.MaxInt // unbounded: keep (and exactly score) every entity
 	if opts.Limit > 0 {
 		if c := lo + opts.Limit; c > lo { // overflow-safe, mirroring Window
 			want = c
 		}
 	}
-	if want == 0 || len(bounds) == 0 {
-		// Unbounded windows need every exact score; without bound
-		// metadata there is nothing to prune with.
-		out, total, err := ConsumeRankedStream(es, opts, score)
-		return out, total, WANDStats{}, err
-	}
-	st := WANDStats{Bounded: true}
+	// Unbounded windows need every exact score; without bound metadata
+	// there is nothing to prune with.
+	prune := want != math.MaxInt && len(bounds) > 0
+	st := WANDStats{Bounded: prune}
 	var h streamHeap
 	total := 0
 	cut := false // the permanent cutoff: no later entity can displace
@@ -170,7 +171,7 @@ func ConsumeRankedWAND(es *EntityStream, opts SearchOptions, score Scorer, bound
 			st.Pruned++
 			continue
 		}
-		if len(h) == want && boundBelow(bounds, hit.Node.ID, h[0].score, shared) {
+		if len(h) == want && prune && boundBelow(bounds, hit.Node.ID, h[0].score, shared) {
 			// The bound is non-increasing and both thresholds are
 			// non-decreasing, so the first failure is final: stop
 			// scoring, and in approximate mode stop draining too.
@@ -210,7 +211,8 @@ func ConsumeRankedWAND(es *EntityStream, opts SearchOptions, score Scorer, bound
 	if err := es.Err(); err != nil {
 		return nil, 0, st, err
 	}
-	// Drain into rank order, exactly as ConsumeRankedStream does.
+	// Drain into rank order. An unbounded (or under-filled) heap was
+	// never heapified; sort it by the same key.
 	var ranked []streamHit
 	if len(h) == want {
 		ranked = make([]streamHit, len(h))
@@ -240,7 +242,7 @@ func ConsumeRankedWAND(es *EntityStream, opts SearchOptions, score Scorer, bound
 // TermBounds builds one score-bound cursor per scoring term (terms
 // with zero IDF contribute no weight and are skipped, matching
 // StreamScorer), or nil when any term's block maxima are unavailable
-// — the signal to fall back to unpruned streaming.
+// — the signal to run the consumer unpruned.
 func (e *Engine) TermBounds(terms []string) []TermBound {
 	out := make([]TermBound, 0, len(terms))
 	for _, t := range terms {
@@ -272,10 +274,12 @@ func (q *Query) RankWAND(opts SearchOptions, shared *SharedThreshold) ([]*Ranked
 	return ConsumeRankedWAND(es, opts, q.eng.StreamScorer(q.Terms), q.eng.TermBounds(q.Terms), shared)
 }
 
-// SearchRankedPageWAND is the score-bounded twin of
-// SearchRankedPageStream: same page bytes in exact mode, with
-// pruning stats alongside. It counts toward StreamedDecisions — the
-// counter reports pages that ran the lazy pipeline, however bounded.
+// SearchRankedPageWAND compiles the query and returns the options'
+// window of the relevance ranking through the score-bounded consumer:
+// in exact mode the same page bytes and total as Search + RankPage,
+// with pruning stats alongside. It counts toward StreamedDecisions —
+// the counter reports pages that ran the lazy pipeline, however
+// bounded.
 func (e *Engine) SearchRankedPageWAND(query string, opts SearchOptions) ([]*RankedResult, int, WANDStats, error) {
 	q, err := e.Compile(query)
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/xmltree"
 )
@@ -42,13 +41,11 @@ func wandBenchCorpus(n, scatter int) *Engine {
 	return NewParallel(xmltree.MustParseString(b.String()))
 }
 
-// BenchmarkWANDTopK contrasts the plain streamed ranked page (score
-// every candidate, heap-select the window) with the score-bounded
-// consumer in both accuracy modes, across heavy-entity placement ×
-// window size. BENCH_WAND.json records a run. scatter=front is the
-// prunable shape; scatter=48 poisons every block's maximum so the
-// bounds buy nothing — the regression guard that pruning bookkeeping
-// stays cheap.
+// BenchmarkWANDTopK contrasts the eager ranked page with the
+// score-bounded consumer in both accuracy modes, across heavy-entity
+// placement × window size. scatter=front is the prunable shape;
+// scatter=48 poisons every block's maximum so the bounds buy nothing —
+// the regression guard that pruning bookkeeping stays cheap.
 func BenchmarkWANDTopK(b *testing.B) {
 	const nEntities = 20000
 	for _, scatter := range []int{0, 48} {
@@ -59,103 +56,15 @@ func BenchmarkWANDTopK(b *testing.B) {
 		b.Run(fmt.Sprintf("scatter=%s", ss), func(b *testing.B) {
 			e := wandBenchCorpus(nEntities, scatter)
 			for _, limit := range []int{10, 100} {
-				opts := SearchOptions{Limit: limit}
-				b.Run(fmt.Sprintf("limit=%d/streamed", limit), func(b *testing.B) {
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						if _, _, err := e.SearchRankedPageStream("common broad", opts); err != nil {
-							b.Fatal(err)
-						}
-					}
-				})
-				b.Run(fmt.Sprintf("limit=%d/wand-exact", limit), func(b *testing.B) {
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						if _, _, _, err := e.SearchRankedPageWAND("common broad", opts); err != nil {
-							b.Fatal(err)
-						}
-					}
-				})
-				b.Run(fmt.Sprintf("limit=%d/wand-approx", limit), func(b *testing.B) {
-					b.ReportAllocs()
-					aopts := opts
-					aopts.Accuracy = AccuracyApprox
-					for i := 0; i < b.N; i++ {
-						if _, _, _, err := e.SearchRankedPageWAND("common broad", aopts); err != nil {
-							b.Fatal(err)
-						}
-					}
-				})
+				benchRankedModes(b, e, "common broad", fmt.Sprintf("limit=%d", limit), SearchOptions{Limit: limit})
 			}
 		})
 	}
 }
 
-// TestWANDTopKSpeedup is the benchmark's claim as a regression guard:
-// on the prunable shape (broad low-skew query, heavy entities
-// front-loaded) a small approximate window must beat plain streaming
-// by at least 2x, with blocks actually skipped. The floor sits well
-// below the benchmarked ratio (BENCH_WAND.json records the real
-// number) so CI timing noise cannot flake the suite. Exact mode still
-// has to count the tail for the total, so its ratio is only logged.
+// TestWANDTopKSpeedup pins the benchmark's speedup deterministically
+// instead of timing it: on the front-loaded broad workload the heap
+// saturates within the first blocks and the bounds rule out the rest.
 func TestWANDTopKSpeedup(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing comparison skipped in -short mode")
-	}
-	if raceEnabled {
-		t.Skip("race instrumentation skews the streamed/WAND ratio; CI runs this in a no-race step")
-	}
-	e := wandBenchCorpus(20000, 0)
-	opts := SearchOptions{Limit: 10}
-	aopts := opts
-	aopts.Accuracy = AccuracyApprox
-	query := "common broad"
-
-	// Warm every path once (first-touch schema child links, page cache).
-	if _, _, err := e.SearchRankedPageStream(query, opts); err != nil {
-		t.Fatal(err)
-	}
-	_, _, st, err := e.SearchRankedPageWAND(query, aopts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.Bounded || st.BlocksSkipped == 0 || st.Pruned == 0 {
-		t.Fatalf("prunable shape did not prune: %+v", st)
-	}
-	if _, _, _, err := e.SearchRankedPageWAND(query, opts); err != nil {
-		t.Fatal(err)
-	}
-
-	const rounds = 30
-	start := time.Now()
-	for i := 0; i < rounds; i++ {
-		if _, _, err := e.SearchRankedPageStream(query, opts); err != nil {
-			t.Fatal(err)
-		}
-	}
-	streamTime := time.Since(start) / rounds
-
-	start = time.Now()
-	for i := 0; i < rounds; i++ {
-		if _, _, _, err := e.SearchRankedPageWAND(query, aopts); err != nil {
-			t.Fatal(err)
-		}
-	}
-	approxTime := time.Since(start) / rounds
-
-	start = time.Now()
-	for i := 0; i < rounds; i++ {
-		if _, _, _, err := e.SearchRankedPageWAND(query, opts); err != nil {
-			t.Fatal(err)
-		}
-	}
-	exactTime := time.Since(start) / rounds
-
-	ratio := float64(streamTime) / float64(approxTime)
-	t.Logf("streamed %v, wand-exact %v (%.1fx), wand-approx %v (%.1fx faster)",
-		streamTime, exactTime, float64(streamTime)/float64(exactTime), approxTime, ratio)
-	if ratio < 2 {
-		t.Fatalf("approximate WAND top-k only %.1fx faster than streamed (wand %v, streamed %v)",
-			ratio, approxTime, streamTime)
-	}
+	requirePrunes(t, wandBenchCorpus(4000, 0), "common broad")
 }

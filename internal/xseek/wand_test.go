@@ -62,10 +62,19 @@ func requireSamePages(t *testing.T, ctx string, got, want []*RankedResult) {
 	}
 }
 
+// eagerRankedPage is the reference every ranked path is checked
+// against: the eager Search + RankPage pipeline and its exact total.
+func eagerRankedPage(e *Engine, query string, opts SearchOptions) ([]*RankedResult, int, error) {
+	results, err := e.Search(query)
+	if err != nil {
+		return nil, 0, err
+	}
+	return e.RankPage(results, query, opts), len(results), nil
+}
+
 // TestWANDExactBitIdentical: the exact-mode score-bounded page must be
-// bit-identical to both the eager and the plain streamed rankings for
-// every window shape, including paging envelopes, while actually
-// pruning on small windows.
+// bit-identical to the eager ranking for every window shape, including
+// paging envelopes, while actually pruning on small windows.
 func TestWANDExactBitIdentical(t *testing.T) {
 	for _, scatter := range []int{0, 7} {
 		e := wandTestCorpus(900, scatter)
@@ -74,25 +83,18 @@ func TestWANDExactBitIdentical(t *testing.T) {
 				for _, off := range []int{0, 3} {
 					ctx := fmt.Sprintf("scatter=%d q=%q k=%d off=%d", scatter, query, k, off)
 					opts := SearchOptions{Limit: k, Offset: off}
-					eager := opts
-					eager.Mode = ExecEager
-					eRes, eTotal, err := e.SearchRankedPage(query, eager)
+					eRes, eTotal, err := eagerRankedPage(e, query, opts)
 					if err != nil {
 						t.Fatalf("%s: eager: %v", ctx, err)
-					}
-					sRes, sTotal, err := e.SearchRankedPageStream(query, opts)
-					if err != nil {
-						t.Fatalf("%s: streamed: %v", ctx, err)
 					}
 					wRes, wTotal, st, err := e.SearchRankedPageWAND(query, opts)
 					if err != nil {
 						t.Fatalf("%s: wand: %v", ctx, err)
 					}
-					if eTotal != sTotal || eTotal != wTotal {
-						t.Fatalf("%s: totals eager=%d streamed=%d wand=%d", ctx, eTotal, sTotal, wTotal)
+					if eTotal != wTotal {
+						t.Fatalf("%s: totals eager=%d wand=%d", ctx, eTotal, wTotal)
 					}
 					requireSamePages(t, ctx+" wand-vs-eager", wRes, eRes)
-					requireSamePages(t, ctx+" wand-vs-streamed", wRes, sRes)
 					if !st.Bounded {
 						t.Fatalf("%s: WANDStats.Bounded = false, want bounds active", ctx)
 					}
@@ -182,7 +184,7 @@ func TestWANDPagePrefixConsistency(t *testing.T) {
 		e := NewParallel(xmltree.MustParseString(b.String()))
 
 		// The full exact ranking, eager — the reference ordering.
-		full, total, err := e.SearchRankedPage("alpha beta", SearchOptions{Mode: ExecEager})
+		full, total, err := eagerRankedPage(e, "alpha beta", SearchOptions{})
 		if err != nil {
 			t.Fatalf("trial %d: eager full: %v", trial, err)
 		}
@@ -224,7 +226,7 @@ func TestWANDPagePrefixConsistency(t *testing.T) {
 }
 
 // TestWANDUnboundedWindowFallsBack: with no window to prune for, the
-// consumer must delegate to plain streaming and report Bounded=false.
+// consumer must run unpruned and report Bounded=false.
 func TestWANDUnboundedWindowFallsBack(t *testing.T) {
 	e := wandTestCorpus(300, 5)
 	wRes, wTotal, st, err := e.SearchRankedPageWAND("alpha beta", SearchOptions{})
@@ -234,7 +236,7 @@ func TestWANDUnboundedWindowFallsBack(t *testing.T) {
 	if st.Bounded || st.Pruned != 0 {
 		t.Fatalf("unbounded window: stats = %+v, want unbounded passthrough", st)
 	}
-	eRes, eTotal, err := e.SearchRankedPage("alpha beta", SearchOptions{Mode: ExecEager})
+	eRes, eTotal, err := eagerRankedPage(e, "alpha beta", SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
