@@ -50,8 +50,11 @@ func PlanStreamed(stats index.PlanStats, need int) bool {
 type streamer struct {
 	driver index.Iter
 	others []index.Iter
-	tent   dewey.ID
-	done   bool
+	// tent is only meaningful while hasTent is set: the document root's
+	// Dewey ID is the nil slice, so nil cannot double as "no tentative".
+	tent    dewey.ID
+	hasTent bool
+	done    bool
 }
 
 // Next implements Iterator.
@@ -66,8 +69,8 @@ func (s *streamer) Next() (dewey.ID, bool) {
 		}
 		cand := s.candidate(v)
 		switch {
-		case s.tent == nil:
-			s.tent = cand
+		case !s.hasTent:
+			s.tent, s.hasTent = cand, true
 		case s.tent.Equal(cand):
 			// Duplicate of the tentative: merged.
 		case s.tent.IsAncestorOf(cand):
@@ -82,10 +85,9 @@ func (s *streamer) Next() (dewey.ID, bool) {
 		}
 	}
 	s.done = true
-	if s.tent != nil {
-		out := s.tent
-		s.tent = nil
-		return out, true
+	if s.hasTent {
+		s.hasTent = false
+		return s.tent, true
 	}
 	return nil, false
 }
