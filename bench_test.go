@@ -22,6 +22,7 @@ import (
 	"repro/internal/experiment"
 	"repro/internal/feature"
 	"repro/internal/index"
+	"repro/internal/reference"
 	"repro/internal/shard"
 	"repro/internal/slca"
 	"repro/internal/snippet"
@@ -126,9 +127,9 @@ func BenchmarkFigure1To2SnippetGap(b *testing.B) {
 	b.ReportMetric(float64(multi), "xsactDoD")
 }
 
-// BenchmarkAblationSLCA compares the Indexed Lookup Eager SLCA
-// algorithm against the naive scan (DESIGN.md ablation) on the movie
-// corpus's densest benchmark query.
+// BenchmarkAblationSLCA compares the served SLCA stream against the
+// reference Indexed Lookup Eager algorithm and the naive scan
+// (DESIGN.md ablation) on the movie corpus's densest benchmark query.
 func BenchmarkAblationSLCA(b *testing.B) {
 	setupMovies(b)
 	idx := benchSetup.eng.Index()
@@ -137,16 +138,22 @@ func BenchmarkAblationSLCA(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.Run("stream", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_ = slca.Collect(slca.Stream(lists))
+		}
+	})
 	b.Run("eager", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			_ = slca.IndexedLookupEager(lists)
+			_ = reference.IndexedLookupEager(lists)
 		}
 	})
 	b.Run("naive", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			_ = slca.Naive(lists)
+			_ = reference.Naive(lists)
 		}
 	})
 }

@@ -93,9 +93,10 @@ type Metrics struct {
 	QueryCacheLen int `json:"query_cache_len"`
 	StatsCacheLen int `json:"stats_cache_len"`
 	DFSCacheLen   int `json:"dfs_cache_len"`
-	// SLCA cost-planner decisions for compiled (cache-miss) queries,
-	// summed across shards for a sharded engine (each shard plans its
-	// own leg of a fan-out).
+	// SLCA planner decisions for compiled (cache-miss) queries: the seek
+	// discipline (galloping vs linear) of the one streamed SLCA, summed
+	// across shards for a sharded engine (each shard plans its own leg
+	// of a fan-out).
 	PlannerIndexedLookup int64 `json:"planner_indexed_lookup"`
 	PlannerScanEager     int64 `json:"planner_scan_eager"`
 	// Streamed-execution counters: PlannerStreamed is the executor's

@@ -117,77 +117,67 @@ type localLeg struct {
 	sh       *lazyShard
 }
 
-func (l *localLeg) SearchLeg(q LegQuery) (LegDocs, error) {
+// stream is the front half both leg calls share: compile → SLCA →
+// spine filter → entity stream over the group's engine. As the stream
+// is pulled, the kept (non-spine) SLCAs are appended to *slcas for the
+// spine fix-up and spine-rooted entities to *boundary. A nil stream
+// with a nil error means a keyword is missing from this group: no SLCA
+// can fall inside it, while other groups (or the spine) still answer.
+func (l *localLeg) stream(query string, slcas *[]dewey.ID, boundary *[]*xseek.Result) (*xseek.Engine, *xseek.EntityStream, error) {
 	sh := l.sh.get()
-	cq, err := sh.Compile(q.Query)
+	cq, err := sh.Compile(query)
 	if err != nil {
-		// A keyword missing from this shard only means no SLCA can
-		// fall inside it; other shards (or the spine) still answer.
 		var noMatch *index.NoMatchError
 		if errors.As(err, &noMatch) {
-			return LegDocs{}, nil
+			return nil, nil, nil
 		}
-		return LegDocs{}, err
+		return nil, nil, err
 	}
-	ids := cq.SLCAs()
-	kept := make([]dewey.ID, 0, len(ids))
-	for _, id := range ids {
-		if !l.spineSet[id.String()] {
-			kept = append(kept, id)
-		}
-	}
-	rs, err := sh.MapToEntities(kept)
+	it, err := cq.SLCAIter()
 	if err != nil {
+		return nil, nil, err
+	}
+	// Drop cross-segment artifacts (spine-owned SLCAs) before entity
+	// mapping, collecting the survivors for the spine fix-up.
+	filtered := slca.FilterTee(it,
+		func(id dewey.ID) bool { return !l.spineSet[id.String()] },
+		func(id dewey.ID) { *slcas = append(*slcas, id) },
+	)
+	es := xseek.NewEntityStream(filtered, l.root, l.schema)
+	// A group-internal SLCA can still lift to a spine-rooted entity
+	// (the partition split that entity's subtree). Such entities leave
+	// the stream before scoring and counting: the leg's index sees only
+	// its own groups' matches, so its score for a cross-group entity
+	// would be partial, and another leg may emit the same entity. The
+	// fan-out re-derives both from the Boundary reports with
+	// whole-corpus knowledge.
+	es.FilterEntities(
+		func(n *xmltree.Node) bool { return !l.spineSet[n.ID.String()] },
+		func(h xseek.EntityHit) {
+			*boundary = append(*boundary, &xseek.Result{Node: h.Node, Match: h.Match, Label: xseek.LabelFor(h.Node)})
+		},
+	)
+	return sh, es, nil
+}
+
+func (l *localLeg) SearchLeg(q LegQuery) (LegDocs, error) {
+	var out LegDocs
+	_, es, err := l.stream(q.Query, &out.SLCAs, &out.Boundary)
+	if es == nil {
 		return LegDocs{}, err
 	}
-	out := LegDocs{SLCAs: kept}
-	for _, r := range rs {
-		// A group-internal SLCA can still lift to a spine-rooted
-		// entity (the partition split that entity's subtree). Those
-		// results need cross-group merging, so they travel separately.
-		if l.spineSet[r.Node.ID.String()] {
-			out.Boundary = append(out.Boundary, r)
-		} else {
-			out.Results = append(out.Results, r)
-		}
+	if out.Results, err = xseek.Drain(xseek.NewResultStream(es)); err != nil {
+		return LegDocs{}, err
 	}
 	return out, nil
 }
 
 func (l *localLeg) RankedLeg(q LegQuery, shared *xseek.SharedThreshold) (LegPage, error) {
-	sh := l.sh.get()
-	cq, err := sh.Compile(q.Query)
-	if err != nil {
-		var noMatch *index.NoMatchError
-		if errors.As(err, &noMatch) {
-			return LegPage{}, nil
-		}
-		return LegPage{}, err
-	}
-	it, err := cq.SLCAIter()
-	if err != nil {
-		return LegPage{}, err
-	}
 	var out LegPage
-	// Drop cross-segment artifacts (spine-owned SLCAs) before entity
-	// mapping, collecting the survivors for the spine fix-up — the lazy
-	// twin of the kept-filter in SearchLeg.
-	filtered := slca.FilterTee(it,
-		func(id dewey.ID) bool { return !l.spineSet[id.String()] },
-		func(id dewey.ID) { out.SLCAs = append(out.SLCAs, id) },
-	)
-	es := xseek.NewEntityStream(filtered, l.root, l.schema)
-	// Entities rooted on the spine leave the stream before scoring and
-	// counting: the leg's index sees only its own groups' matches, so
-	// its score for a cross-group entity would be partial, and another
-	// leg may emit the same entity. The fan-out re-derives both from
-	// the Boundary reports with whole-corpus knowledge.
-	es.FilterEntities(
-		func(n *xmltree.Node) bool { return !l.spineSet[n.ID.String()] },
-		func(h xseek.EntityHit) {
-			out.Boundary = append(out.Boundary, &xseek.Result{Node: h.Node, Match: h.Match, Label: xseek.LabelFor(h.Node)})
-		},
-	)
+	sh, es, err := l.stream(q.Query, &out.SLCAs, &out.Boundary)
+	if es == nil {
+		return LegPage{}, err
+	}
 	opts := xseek.SearchOptions{Limit: q.Limit, Accuracy: q.Accuracy}
 	out.Top, out.Total, out.Stats, err = xseek.ConsumeRankedWAND(es, opts, sh.StreamScorer(q.Terms), sh.TermBounds(q.Terms), shared)
 	if err != nil {

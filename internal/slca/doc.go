@@ -7,12 +7,14 @@
 // v is an SLCA if additionally no proper descendant of v is also a
 // candidate. Results are returned in document order.
 //
-// Three algorithms are provided: Naive, a simple quadratic-ish scan
-// used as a correctness oracle, and the two eager algorithms of Xu &
-// Papakonstantinou (SIGMOD 2005) — IndexedLookupEager, which walks the
-// smallest list and probes the others with binary search, and
-// ScanEager, which advances merge pointers through the others instead.
-// Which eager variant wins depends on posting-list skew, so Compute
-// routes through a cost-based planner (Plan) that picks from the
-// lists' shape statistics.
+// There is one implementation, and every read path serves it: a lazy
+// Iterator that drives the smallest list and folds each of its nodes
+// against its closest neighbours in the other lists (Xu &
+// Papakonstantinou, SIGMOD 2005), keeping one tentative result so each
+// SLCA is emitted as soon as it is final. Plan picks the seek
+// discipline on the other lists from their shape statistics: linear
+// merge pointers (ScanStream) on uniform sizes, galloping probes
+// (IndexedLookupStream) when a rare term makes the driving list short.
+// The eager algorithms and the quadratic Naive oracle live in
+// internal/reference, which only tests import.
 package slca

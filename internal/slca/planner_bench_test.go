@@ -25,19 +25,26 @@ func syntheticLists(nEntities, skew int) []index.PostingList {
 }
 
 // BenchmarkPlanner calibrates DefaultSkewThreshold: for each list-shape
-// skew it times both eager algorithms and the planner's automatic
-// choice. The planner is correct when auto tracks the faster fixed
-// algorithm at every skew — scan-eager on uniform shapes, indexed
-// lookup on heavily skewed ones.
+// skew it drains both seek disciplines of the served SLCA stream and
+// the planner's automatic choice. The planner is correct when auto
+// tracks the faster fixed discipline at every skew — linear merge on
+// uniform shapes, galloping on heavily skewed ones.
 func BenchmarkPlanner(b *testing.B) {
 	const nEntities = 50000
 	for _, skew := range []int{1, 2, 4, 8, 16, 24, 32, 48, 64, 256} {
 		lists := syntheticLists(nEntities, skew)
-		for _, alg := range []Algorithm{AlgIndexedLookup, AlgScanEager, AlgAuto} {
-			b.Run(fmt.Sprintf("skew=%d/%s", skew, alg), func(b *testing.B) {
+		for _, c := range []struct {
+			name   string
+			stream func([]index.PostingList) Iterator
+		}{
+			{string(AlgIndexedLookup), IndexedLookupStream},
+			{string(AlgScanEager), ScanStream},
+			{string(AlgAuto), Stream},
+		} {
+			b.Run(fmt.Sprintf("skew=%d/%s", skew, c.name), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					_ = ComputeWith(alg, lists)
+					_ = Collect(c.stream(lists))
 				}
 			})
 		}

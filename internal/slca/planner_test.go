@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/dewey"
 	"repro/internal/index"
+	"repro/internal/reference"
 	"repro/internal/xmltree"
 )
 
@@ -35,32 +36,6 @@ func TestPlanPicksByskew(t *testing.T) {
 		if got := Plan(index.StatsOf(lists)); got != c.want {
 			t.Errorf("Plan(%v) = %s, want %s", c.lengths, got, c.want)
 		}
-	}
-}
-
-func TestComputeWithUnknownAlgorithm(t *testing.T) {
-	lists := []index.PostingList{{dewey.New(0)}, {dewey.New(1)}}
-	if got := ComputeWith(Algorithm("nope"), lists); got != nil {
-		t.Fatalf("unknown algorithm returned %v, want nil", got)
-	}
-}
-
-func TestComputeCountsPlannerDecisions(t *testing.T) {
-	i0, s0 := plannerDecisions()
-	// Uniform lists → scan; skewed lists → indexed lookup.
-	uniform := []index.PostingList{
-		{dewey.New(0, 0), dewey.New(1, 0)},
-		{dewey.New(0, 1), dewey.New(1, 1)},
-	}
-	skewed := []index.PostingList{{dewey.New(0, 0)}, make(index.PostingList, 100)}
-	for j := range skewed[1] {
-		skewed[1][j] = dewey.New(j/10, j%10)
-	}
-	Compute(uniform)
-	Compute(skewed)
-	i1, s1 := plannerDecisions()
-	if i1-i0 != 1 || s1-s0 != 1 {
-		t.Fatalf("planner deltas = %d indexed, %d scan; want 1 and 1", i1-i0, s1-s0)
 	}
 }
 
@@ -97,9 +72,9 @@ func randomDoc(r *rand.Rand, vocab []string) string {
 }
 
 // TestAlgorithmsAgreeOnRandomTrees is the cross-algorithm property
-// test: on randomized corpora and queries, Naive (the oracle),
-// IndexedLookupEager, ScanEager, and the planned Compute must produce
-// identical SLCA sets.
+// test: on randomized corpora and queries, both seek disciplines and
+// the planned Stream must produce exactly the reference Naive SLCA
+// set.
 func TestAlgorithmsAgreeOnRandomTrees(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	vocab := []string{"alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta"}
@@ -114,16 +89,17 @@ func TestAlgorithmsAgreeOnRandomTrees(t *testing.T) {
 			for i := range terms {
 				terms[i] = vocab[r.Intn(len(vocab))]
 			}
-			lists, _, _ := idx.QueryLists(terms) // missing terms fine: all algorithms return nil
-			oracle := idKey(Naive(lists))
-			for _, alg := range []Algorithm{AlgIndexedLookup, AlgScanEager, AlgAuto} {
-				if got := idKey(ComputeWith(alg, lists)); got != oracle {
+			lists, _, _ := idx.QueryLists(terms) // missing terms fine: every route returns nil
+			oracle := idKey(reference.Naive(lists))
+			for name, it := range map[string]Iterator{
+				"IndexedLookupStream": IndexedLookupStream(lists),
+				"ScanStream":          ScanStream(lists),
+				"Stream":              Stream(lists),
+			} {
+				if got := idKey(Collect(it)); got != oracle {
 					t.Fatalf("tree %d query %v: %s = %q, oracle = %q\ndoc: %s",
-						ti, terms, alg, got, oracle, doc)
+						ti, terms, name, got, oracle, doc)
 				}
-			}
-			if got := idKey(Compute(lists)); got != oracle {
-				t.Fatalf("tree %d query %v: Compute = %q, oracle = %q", ti, terms, got, oracle)
 			}
 		}
 	}

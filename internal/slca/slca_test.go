@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/dewey"
 	"repro/internal/index"
+	"repro/internal/reference"
 	"repro/internal/xmltree"
 )
 
@@ -40,7 +41,7 @@ func idStrings(in []dewey.ID) []string {
 
 func TestSLCASingleKeyword(t *testing.T) {
 	// Matches at 0.1 and 0.1.2: only the deepest survives.
-	got := Compute(lists(ids("0.1", "0.1.2", "2")))
+	got := Collect(Stream(lists(ids("0.1", "0.1.2", "2"))))
 	want := []string{"0.1.2", "2"}
 	if !reflect.DeepEqual(idStrings(got), want) {
 		t.Fatalf("got %v, want %v", idStrings(got), want)
@@ -49,7 +50,7 @@ func TestSLCASingleKeyword(t *testing.T) {
 
 func TestSLCATwoKeywordsSimple(t *testing.T) {
 	// k1 at 0.0, k2 at 0.1 -> SLCA is 0.
-	got := Compute(lists(ids("0.0"), ids("0.1")))
+	got := Collect(Stream(lists(ids("0.0"), ids("0.1"))))
 	if !reflect.DeepEqual(idStrings(got), []string{"0"}) {
 		t.Fatalf("got %v", idStrings(got))
 	}
@@ -58,7 +59,7 @@ func TestSLCATwoKeywordsSimple(t *testing.T) {
 func TestSLCASmallestWins(t *testing.T) {
 	// k1 at 0.0 and 0.1.0; k2 at 0.1.1.
 	// LCA(0.1.0, 0.1.1) = 0.1 is smaller than LCA(0.0, 0.1.1) = 0.
-	got := Compute(lists(ids("0.0", "0.1.0"), ids("0.1.1")))
+	got := Collect(Stream(lists(ids("0.0", "0.1.0"), ids("0.1.1"))))
 	if !reflect.DeepEqual(idStrings(got), []string{"0.1"}) {
 		t.Fatalf("got %v, want [0.1]", idStrings(got))
 	}
@@ -66,35 +67,35 @@ func TestSLCASmallestWins(t *testing.T) {
 
 func TestSLCAMultipleResults(t *testing.T) {
 	// Two independent products both matching both keywords.
-	got := Compute(lists(ids("0.0.0", "0.1.0"), ids("0.0.1", "0.1.1")))
+	got := Collect(Stream(lists(ids("0.0.0", "0.1.0"), ids("0.0.1", "0.1.1"))))
 	if !reflect.DeepEqual(idStrings(got), []string{"0.0", "0.1"}) {
 		t.Fatalf("got %v", idStrings(got))
 	}
 }
 
 func TestSLCAEmptyListMeansNoResult(t *testing.T) {
-	if got := Compute(lists(ids("0.0"), nil)); got != nil {
+	if got := Collect(Stream(lists(ids("0.0"), nil))); got != nil {
 		t.Fatalf("got %v, want nil", idStrings(got))
 	}
-	if got := Compute(nil); got != nil {
+	if got := Collect(Stream(nil)); got != nil {
 		t.Fatalf("got %v for no lists", idStrings(got))
 	}
 }
 
 func TestSLCASameNodeMatchesAll(t *testing.T) {
 	// One node contains both keywords.
-	got := Compute(lists(ids("0.2.1"), ids("0.2.1")))
+	got := Collect(Stream(lists(ids("0.2.1"), ids("0.2.1"))))
 	if !reflect.DeepEqual(idStrings(got), []string{"0.2.1"}) {
 		t.Fatalf("got %v", idStrings(got))
 	}
 }
 
 func TestSLCAThreeKeywords(t *testing.T) {
-	got := Compute(lists(
+	got := Collect(Stream(lists(
 		ids("0.0.0", "1.0.0"),
 		ids("0.0.1", "1.0.1"),
 		ids("0.1", "1.0.2"),
-	))
+	)))
 	// Result 0: LCA(0.0.x, 0.1) = 0. Result 1: all under 1.0.
 	// 1.0 is not an ancestor of 0, both kept.
 	if !reflect.DeepEqual(idStrings(got), []string{"0", "1.0"}) {
@@ -131,15 +132,16 @@ func randomLists(r *rand.Rand, k int) []index.PostingList {
 	return out
 }
 
-// TestPropEagerMatchesNaive cross-checks the efficient algorithm
-// against the oracle on random inputs.
+// TestPropEagerMatchesNaive cross-checks the galloping stream (Indexed
+// Lookup Eager's discipline) against the reference oracle on random
+// inputs.
 func TestPropEagerMatchesNaive(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	for i := 0; i < 500; i++ {
 		k := 1 + r.Intn(3)
 		ls := randomLists(r, k)
-		eager := IndexedLookupEager(ls)
-		naive := Naive(ls)
+		eager := Collect(IndexedLookupStream(ls))
+		naive := reference.Naive(ls)
 		if !reflect.DeepEqual(idStrings(eager), idStrings(naive)) {
 			t.Fatalf("iteration %d: eager %v != naive %v (lists %v)",
 				i, idStrings(eager), idStrings(naive), ls)
@@ -153,7 +155,7 @@ func TestPropSLCAInvariants(t *testing.T) {
 	r := rand.New(rand.NewSource(43))
 	for i := 0; i < 300; i++ {
 		ls := randomLists(r, 1+r.Intn(3))
-		res := IndexedLookupEager(ls)
+		res := Collect(IndexedLookupStream(ls))
 		for ai, a := range res {
 			for bi, b := range res {
 				if ai != bi && a.IsAncestorOf(b) {
@@ -189,7 +191,7 @@ func TestEndToEndOverRealTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := Compute(ls)
+	res := Collect(Stream(ls))
 	// "tomtom gps" both occur in product 1's <name>; the only other
 	// joint cover is <store> itself, which is an ancestor of that name
 	// and therefore not smallest. Exactly one SLCA: the <name> node.
@@ -220,12 +222,12 @@ func buildBenchLists(n int) []index.PostingList {
 	return []index.PostingList{mk(), mk()}
 }
 
-func BenchmarkIndexedLookupEager(b *testing.B) {
+func BenchmarkIndexedLookupStream(b *testing.B) {
 	ls := buildBenchLists(500)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = IndexedLookupEager(ls)
+		_ = Collect(IndexedLookupStream(ls))
 	}
 }
 
@@ -234,6 +236,6 @@ func BenchmarkNaive(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = Naive(ls)
+		_ = reference.Naive(ls)
 	}
 }

@@ -5,8 +5,8 @@ import (
 	"repro/internal/index"
 )
 
-// This file holds the streaming (lazy) twins of the eager SLCA
-// algorithms: the same smallest-list-driven candidate computation, but
+// This file holds the one SLCA implementation every read path serves:
+// Xu & Papakonstantinou's smallest-list-driven candidate computation,
 // pulled one result at a time through an Iterator instead of
 // materialized, sorted, and pruned in bulk. A consumer that stops
 // after k results pays for the driving-list prefix that produced them,
@@ -24,15 +24,15 @@ type Iterator interface {
 // asking for the top `need` results runs streamed when the driving
 // (smallest) posting list holds at least need*DefaultStreamRatio
 // postings — i.e. when early termination can plausibly skip most of
-// the eager work. Calibrated with BenchmarkStreamTopK: at ratios below
-// ~4 the streamed and eager costs converge, while small windows over
-// rare+common workloads above the threshold win 4-8x.
+// the full drain. Calibrated with BenchmarkStreamTopK: at ratios below
+// ~4 the early-terminating and full-list costs converge, while small
+// windows over rare+common workloads above the threshold win 4-8x.
 const DefaultStreamRatio = 4
 
 // PlanStreamed reports whether a query for the first `need` results
-// (offset+limit) should run the streamed pipeline instead of an eager
-// algorithm. need <= 0 means "all results", which streaming cannot
-// shortcut.
+// (offset+limit) should run the early-terminating ranked pipeline
+// instead of ranking the full result list. need <= 0 means "all
+// results", which streaming cannot shortcut.
 func PlanStreamed(stats index.PlanStats, need int) bool {
 	return need > 0 && stats.Min >= need*DefaultStreamRatio
 }
@@ -92,9 +92,9 @@ func (s *streamer) Next() (dewey.ID, bool) {
 	return nil, false
 }
 
-// candidate folds driver node v against every other list exactly as
-// the eager ScanEager does: the deepest LCA of the running candidate
-// with v's closest left or right neighbour in each list.
+// candidate folds driver node v against every other list: the deepest
+// LCA of the running candidate with v's closest left or right
+// neighbour in each list.
 func (s *streamer) candidate(v dewey.ID) dewey.ID {
 	if len(s.others) == 0 {
 		return v[:len(v):len(v)]
@@ -126,45 +126,28 @@ func StreamIters(driver index.Iter, others []index.Iter) Iterator {
 	return &streamer{driver: driver, others: others}
 }
 
-// ScanStream is the streaming twin of ScanEager: the non-driver lists
-// advance with linear merge pointers. Equivalent output, pulled
-// lazily.
+// ScanStream streams the SLCAs with the non-driver lists advancing on
+// linear merge pointers (Scan Eager's discipline).
 func ScanStream(lists []index.PostingList) Iterator {
 	return streamLists(lists, index.ListIterLinear)
 }
 
-// IndexedLookupStream is the streaming twin of IndexedLookupEager: the
-// non-driver lists are probed with galloping searches, so a rare
-// driving term touches only O(|S1|·k·log|S|) postings no matter how
-// long the common lists are.
+// IndexedLookupStream streams the SLCAs with the non-driver lists
+// probed by galloping searches (Indexed Lookup Eager's discipline), so
+// a rare driving term touches only O(|S1|·k·log|S|) postings no matter
+// how long the common lists are.
 func IndexedLookupStream(lists []index.PostingList) Iterator {
 	return streamLists(lists, index.ListIter)
 }
 
 // Stream returns a streaming SLCA iterator over the lists, picking the
-// seek discipline with the same planner rule the eager path uses
-// (scan below the skew threshold, gallop above).
+// seek discipline with Plan (scan below the skew threshold, gallop
+// above).
 func Stream(lists []index.PostingList) Iterator {
-	return StreamWith(Plan(index.StatsOf(lists)), lists)
-}
-
-// StreamWith returns a streaming iterator honouring a forced algorithm
-// choice. AlgAuto (and the empty string) defer to the planner;
-// AlgNaive materializes the oracle's answer and streams it (tests
-// only); unknown names return an empty iterator.
-func StreamWith(alg Algorithm, lists []index.PostingList) Iterator {
-	switch alg {
-	case AlgScanEager:
-		return ScanStream(lists)
-	case AlgIndexedLookup:
+	if Plan(index.StatsOf(lists)) == AlgIndexedLookup {
 		return IndexedLookupStream(lists)
-	case AlgNaive:
-		return IterOver(Naive(lists))
-	case AlgAuto, "":
-		return StreamWith(Plan(index.StatsOf(lists)), lists)
-	default:
-		return IterOver(nil)
 	}
+	return ScanStream(lists)
 }
 
 // streamLists builds the driver/others split for materialized lists.
@@ -199,7 +182,7 @@ type sliceIterator struct {
 }
 
 // IterOver streams an already-computed, document-ordered SLCA slice —
-// the bridge for eager fallbacks (naive oracle, cached results).
+// the bridge for ID sets computed elsewhere (the sharded spine fix-up).
 func IterOver(ids []dewey.ID) Iterator { return &sliceIterator{ids: ids} }
 
 func (s *sliceIterator) Next() (dewey.ID, bool) {
@@ -243,8 +226,7 @@ func (f *filterTee) Next() (dewey.ID, bool) {
 	}
 }
 
-// Collect drains it — the materializing bridge back to the eager
-// algebra, and the equivalence oracle in tests.
+// Collect drains it into a document-ordered slice.
 func Collect(it Iterator) []dewey.ID {
 	var out []dewey.ID
 	for {

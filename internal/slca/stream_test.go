@@ -7,21 +7,19 @@ import (
 
 	"repro/internal/dewey"
 	"repro/internal/index"
+	"repro/internal/reference"
 )
 
-// TestStreamCrossAlgorithmEquivalence extends the eager cross-check:
-// on random posting lists, the streamed variants consumed to
-// exhaustion must produce exactly the eager (and naive-oracle) result
-// set, in the same document order.
+// TestStreamCrossAlgorithmEquivalence: on random posting lists, every
+// stream consumed to exhaustion must produce exactly the reference
+// oracle's result set, in the same document order.
 func TestStreamCrossAlgorithmEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 300; trial++ {
 		k := 1 + r.Intn(3)
 		ls := randomLists(r, k)
-		want := Naive(ls)
+		want := reference.Naive(ls)
 		checks := map[string][]dewey.ID{
-			"ScanEager":           ScanEager(ls),
-			"IndexedLookupEager":  IndexedLookupEager(ls),
 			"ScanStream":          Collect(ScanStream(ls)),
 			"IndexedLookupStream": Collect(IndexedLookupStream(ls)),
 			"Stream":              Collect(Stream(ls)),
@@ -36,13 +34,13 @@ func TestStreamCrossAlgorithmEquivalence(t *testing.T) {
 }
 
 // TestStreamPrefixInvariance: for every k, the first k pulls of the
-// stream equal the first k entries of the eager output in document
-// order — the property that makes early termination exact.
+// stream equal the first k entries of the reference eager output in
+// document order — the property that makes early termination exact.
 func TestStreamPrefixInvariance(t *testing.T) {
 	r := rand.New(rand.NewSource(12))
 	for trial := 0; trial < 100; trial++ {
 		ls := randomLists(r, 1+r.Intn(3))
-		want := ScanEager(ls)
+		want := reference.ScanEager(ls)
 		for _, k := range []int{1, 2, 3, 7} {
 			if k > len(want) {
 				k = len(want)
@@ -79,16 +77,6 @@ func TestStreamEmptyAndSingleList(t *testing.T) {
 	got := Collect(Stream(lists(ids("0.1", "0.1.2", "2"))))
 	if !reflect.DeepEqual(idStrings(got), []string{"0.1.2", "2"}) {
 		t.Fatalf("single-list stream got %v", idStrings(got))
-	}
-}
-
-func TestStreamWithUnknownAlgorithm(t *testing.T) {
-	if _, ok := StreamWith("bogus", lists(ids("0"))).Next(); ok {
-		t.Fatal("unknown algorithm must stream nothing")
-	}
-	got := Collect(StreamWith(AlgNaive, lists(ids("0.0"), ids("0.1"))))
-	if !reflect.DeepEqual(idStrings(got), []string{"0"}) {
-		t.Fatalf("naive fallback got %v", idStrings(got))
 	}
 }
 

@@ -1,12 +1,9 @@
 package update
 
 import (
-	"fmt"
 	"sort"
 
-	"repro/internal/dewey"
 	"repro/internal/index"
-	"repro/internal/slca"
 	"repro/internal/xmltree"
 	"repro/internal/xseek"
 )
@@ -34,93 +31,16 @@ func (s *state) list(term string) index.PostingList {
 	return index.MergeLists(parts...)
 }
 
-// lists resolves every term's composite list, sharing work between
-// duplicate terms.
-func (s *state) lists(terms []string) []index.PostingList {
-	cache := make(map[string]index.PostingList, len(terms))
-	out := make([]index.PostingList, len(terms))
-	for i, t := range terms {
-		l, ok := cache[t]
-		if !ok {
-			l = s.list(t)
-			cache[t] = l
-		}
-		out[i] = l
-	}
-	return out
-}
-
-// nodeAt resolves a Dewey ID against the live tree. Only the top
-// ordinal needs special handling: removals leave holes in the root's
-// ordinal sequence, so it is looked up in the ordinal-sorted live
-// child table; below a top-level child, subtrees are untouched and
-// positional resolution applies.
-func (s *state) nodeAt(id dewey.ID) *xmltree.Node {
-	if len(id) == 0 {
-		return s.root
-	}
-	i := sort.Search(len(s.top), func(k int) bool { return s.top[k].ord >= id[0] })
-	if i == len(s.top) || s.top[i].ord != id[0] {
-		return nil
-	}
-	return s.top[i].node.NodeAt(id[1:])
-}
-
 // Search runs a keyword query over the live corpus with exactly the
-// monolithic pipeline semantics: tokenize → whole-corpus keyword check
-// → plan → SLCA over composite lists → entity mapping. Results come
-// back in document order; globally absent keywords produce the same
-// NoMatchError a cold engine reports.
+// monolithic pipeline semantics: it drains SearchStream, so results
+// come back in document order and globally absent keywords produce the
+// same NoMatchError a cold engine reports.
 func (e *Engine) Search(query string) ([]*xseek.Result, error) {
-	s := e.view()
-	terms := index.TokenizeQuery(query)
-	if len(terms) == 0 {
-		return nil, xseek.ErrEmptyQuery
+	c, err := e.SearchStream(query)
+	if err != nil {
+		return nil, err
 	}
-	var missing []string
-	for _, t := range terms {
-		if s.df.get(t) == 0 {
-			missing = append(missing, t)
-		}
-	}
-	if len(missing) > 0 {
-		return nil, &index.NoMatchError{Terms: missing}
-	}
-	lists := s.lists(terms)
-	alg := slca.Plan(index.StatsOf(lists))
-	if alg == slca.AlgIndexedLookup {
-		e.plannerIndexed.Add(1)
-	} else {
-		e.plannerScan.Add(1)
-	}
-	return s.mapToEntities(slca.ComputeWith(alg, lists))
-}
-
-// mapToEntities is the entity-map + label stage over the live tree,
-// mirroring the xseek pipeline: lift each SLCA to its nearest enclosing
-// entity under the live schema, merge matches sharing an entity, label,
-// and sort into document order.
-func (s *state) mapToEntities(matches []dewey.ID) ([]*xseek.Result, error) {
-	var out []*xseek.Result
-	seen := make(map[string]bool)
-	for _, m := range matches {
-		n := s.nodeAt(m)
-		if n == nil {
-			return nil, fmt.Errorf("update: internal: SLCA %v not in live tree", m)
-		}
-		resultRoot := s.schema.NearestEntity(n)
-		if resultRoot == nil {
-			resultRoot = n
-		}
-		key := resultRoot.ID.String()
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		out = append(out, &xseek.Result{Node: resultRoot, Match: n, Label: xseek.LabelFor(resultRoot)})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Node.ID.Compare(out[j].Node.ID) < 0 })
-	return out, nil
+	return xseek.Drain(c)
 }
 
 // RankResults scores and orders a result set with the exact cold-build

@@ -71,7 +71,7 @@ func (s *state) planStats(terms []string) index.PlanStats {
 // slcaIter builds the lazy SLCA stage over the live composite
 // sequences: the rarest term drives, the others answer neighbour
 // probes with the planned seek discipline. Counts the planner decision
-// on the engine's counters, like the eager Search does.
+// on the engine's counters, once per read.
 func (s *state) slcaIter(terms []string, counters *Engine) slca.Iterator {
 	stats := s.planStats(terms)
 	alg := slca.Plan(stats)

@@ -10,12 +10,13 @@ import (
 	"repro/internal/xseek"
 )
 
-// assertStreamEquivalent verifies the live streamed read paths against
-// the live eager ones on the same snapshot: the doc-order cursor
-// drained must equal Search, and the ranked page must be bit-identical
-// (scores, labels, total) to RankPage over the eager results. Called from assertEquivalent, so it runs under every
-// interleaving of adds, removes, and compactions the equivalence suite
-// generates, for monolithic and sharded bases alike.
+// assertStreamEquivalent verifies the live read paths on one snapshot:
+// the doc-order cursor drained must equal Search, Search must equal the
+// reference over the live composite lists, and the ranked page must be
+// bit-identical (scores, labels, total) to RankPage over those results.
+// Called from assertEquivalent, so it runs under every interleaving of
+// adds, removes, and compactions the equivalence suite generates, for
+// monolithic and sharded bases alike.
 func assertStreamEquivalent(t *testing.T, step string, live *Engine) {
 	t.Helper()
 	for _, q := range equivQueries {
@@ -40,6 +41,10 @@ func assertStreamEquivalent(t *testing.T, step string, live *Engine) {
 		}
 		if lc, cc := canonical(sr), canonical(er); lc != cc {
 			t.Fatalf("%s: query %q streamed results differ:\nstream:\n%s\neager:\n%s", step, q, lc, cc)
+		}
+		if ref, _ := referenceSearch(t, live, q); canonical(ref) != canonical(er) {
+			t.Fatalf("%s: query %q results differ from the reference:\ngot:\n%s\nreference:\n%s",
+				step, q, canonical(er), canonical(ref))
 		}
 		for _, opts := range equivPages {
 			want := live.RankPage(er, q, opts)

@@ -11,4 +11,13 @@
 //     children of that tag — multiple instances indicate an entity set;
 //   - a non-*-node leaf carrying a value denotes an attribute;
 //   - remaining nodes are connection nodes (structural glue).
+//
+// Every read runs one lazy pipeline: Compile resolves the posting
+// lists, Query.SLCAIter streams the SLCAs (package slca), EntityStream
+// lifts each to its nearest entity in document order, and either a
+// ResultStream labels the hits — Search and Execute drain it, paged
+// reads stop early — or ConsumeRankedWAND keeps the top-k. The sharded
+// spine fix-up lifts its own SLCAs through the same EntityStream via
+// MapToEntities. The eager entity map survives only as the test oracle
+// in internal/reference.
 package xseek

@@ -2,7 +2,6 @@ package xseek
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync/atomic"
 
@@ -112,7 +111,7 @@ func (e *Engine) Index() *index.Index { return e.idx }
 func (e *Engine) TotalNodes() int { return e.totalNodes }
 
 // PlannerDecisions reports how many compiled queries the SLCA cost
-// planner routed to each eager algorithm on this engine.
+// planner routed to each seek discipline on this engine.
 func (e *Engine) PlannerDecisions() (indexedLookup, scanEager int64) {
 	return e.plannerIndexed.Load(), e.plannerScan.Load()
 }
@@ -175,8 +174,8 @@ func (o SearchOptions) Window(n int) (lo, hi int) {
 // Query is a compiled keyword query: the outcome of the pipeline's
 // tokenize and plan stages. The remaining stages (SLCA, entity
 // mapping, labelling) run on Execute. Fields are read-only snapshots;
-// Alg may be overwritten before Execute to force an algorithm — it
-// must name one of slca's known algorithms, or Execute errors.
+// Alg may be overwritten before Execute to force a seek discipline —
+// it must name one of slca's algorithms, or Execute errors.
 type Query struct {
 	// Terms are the tokenized keywords.
 	Terms []string
@@ -212,62 +211,47 @@ func (e *Engine) Compile(query string) (*Query, error) {
 	return &Query{Terms: terms, Lists: lists, Stats: stats, Alg: alg, eng: e}, nil
 }
 
-// SLCAs runs the SLCA stage with the query's planned (or overridden)
-// algorithm.
+// SLCAs drains the lazy SLCA stage (SLCAIter) with the query's planned
+// (or overridden) seek discipline; an unknown override yields nil.
 func (q *Query) SLCAs() []dewey.ID {
-	return slca.ComputeWith(q.Alg, q.Lists)
+	it, err := q.SLCAIter()
+	if err != nil {
+		return nil
+	}
+	return slca.Collect(it)
 }
 
 // Execute runs the remaining pipeline stages — SLCA, entity mapping,
-// labelling — and returns the full result list in document order. An
-// unrecognized Alg override is an error, not an empty result list.
+// labelling — and returns the full result list in document order: a
+// drain of Stream. An unrecognized Alg override is an error, not an
+// empty result list.
 func (q *Query) Execute() ([]*Result, error) {
-	if !slca.KnownAlgorithm(q.Alg) {
-		return nil, fmt.Errorf("xseek: unknown SLCA algorithm %q", q.Alg)
+	rs, err := q.Stream()
+	if err != nil {
+		return nil, err
 	}
-	return q.eng.MapToEntities(q.SLCAs())
+	return Drain(rs)
 }
 
 // MapToEntities runs the pipeline's entity-map + label stage on an SLCA
 // set: each match is lifted to its nearest enclosing entity, matches
 // falling in the same entity merge, and the survivors come back
-// labelled in document order. A match ID absent from the tree is an
-// internal error.
+// labelled in document order. The IDs must be in document order and
+// free of duplicates. A match ID absent from the tree is an internal
+// error.
 //
-// The sharded executor fans the SLCA stage out per shard and feeds the
-// per-shard ID sets through this stage, so sharded and monolithic
-// searches share one entity-inference implementation.
+// The sharded executor derives the SLCAs that land on its spine with
+// whole-corpus knowledge and lifts them through this stage, the same
+// EntityStream every search uses.
 func (e *Engine) MapToEntities(matches []dewey.ID) ([]*Result, error) {
-	var out []*Result
-	seen := make(map[string]bool)
-	for _, m := range matches {
-		matchNode := e.root.NodeAt(m)
-		if matchNode == nil {
-			return nil, fmt.Errorf("xseek: internal: SLCA %v not in tree", m)
-		}
-		resultRoot := e.schema.NearestEntity(matchNode)
-		if resultRoot == nil {
-			resultRoot = matchNode
-		}
-		key := resultRoot.ID.String()
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		out = append(out, &Result{
-			Node:  resultRoot,
-			Match: matchNode,
-			Label: LabelFor(resultRoot),
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Node.ID.Compare(out[j].Node.ID) < 0 })
-	return out, nil
+	return Drain(NewResultStream(NewEntityStream(slca.IterOver(matches), e.root, e.schema)))
 }
 
-// Search runs a keyword query and returns results in document order.
-// Distinct SLCAs falling in the same entity are merged into one
-// result. A query with no matches returns an empty slice and the
-// index.NoMatchError describing the missing keywords.
+// Search runs a keyword query and returns results in document order —
+// the drained result cursor of SearchStream. Distinct SLCAs falling in
+// the same entity are merged into one result. A query with no matches
+// returns an empty slice and the index.NoMatchError describing the
+// missing keywords.
 func (e *Engine) Search(query string) ([]*Result, error) {
 	q, err := e.Compile(query)
 	if err != nil {

@@ -205,9 +205,11 @@ func TestExecuteRejectsUnknownAlgorithmOverride(t *testing.T) {
 		t.Fatal("unknown algorithm override did not error")
 	}
 	q.Alg = "" // empty defers to the planner
-	if rs, err := q.Execute(); err != nil || len(rs) == 0 {
+	rs, err := q.Execute()
+	if err != nil || len(rs) == 0 {
 		t.Fatalf("empty algorithm override: %d results, err %v", len(rs), err)
 	}
+	compareResults(t, rs, referenceResults(t, e, "gps"), "empty algorithm override")
 }
 
 func TestPlannerCountersAdvance(t *testing.T) {

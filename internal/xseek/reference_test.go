@@ -7,22 +7,32 @@ import (
 	"repro/internal/xmltree"
 )
 
-// referenceResults answers a query with the test-only reference
+// referenceSearch answers a query with the test-only reference
 // implementations: Naive SLCA over the compiled posting lists, the
 // eager entity map under this engine's schema, and LabelFor labels.
-func referenceResults(t testing.TB, e *Engine, query string) []*Result {
-	t.Helper()
+// Compile errors (empty query, missing keywords) pass through.
+func referenceSearch(e *Engine, query string) ([]*Result, error) {
 	q, err := e.Compile(query)
 	if err != nil {
-		t.Fatalf("compile %q: %v", query, err)
+		return nil, err
 	}
 	hits, err := reference.Entities(e.root, reference.Naive(q.Lists), e.schema.NearestEntity)
 	if err != nil {
-		t.Fatalf("reference %q: %v", query, err)
+		return nil, err
 	}
 	var out []*Result
 	for _, h := range hits {
 		out = append(out, &Result{Node: h.Node, Match: h.Match, Label: LabelFor(h.Node)})
+	}
+	return out, nil
+}
+
+// referenceResults is referenceSearch for a query known to match.
+func referenceResults(t testing.TB, e *Engine, query string) []*Result {
+	t.Helper()
+	out, err := referenceSearch(e, query)
+	if err != nil {
+		t.Fatalf("reference %q: %v", query, err)
 	}
 	return out
 }
@@ -30,15 +40,8 @@ func referenceResults(t testing.TB, e *Engine, query string) []*Result {
 // drainCursor pulls a cursor to exhaustion, failing on a stream error.
 func drainCursor(t testing.TB, c Cursor) []*Result {
 	t.Helper()
-	var out []*Result
-	for {
-		r, ok := c.Next()
-		if !ok {
-			break
-		}
-		out = append(out, r)
-	}
-	if err := c.Err(); err != nil {
+	out, err := Drain(c)
+	if err != nil {
 		t.Fatal(err)
 	}
 	return out

@@ -10,13 +10,13 @@ import (
 	"repro/internal/xmltree"
 )
 
-// This file is the streaming execution path: SLCAs pulled lazily from
-// slca.Iterator are lifted to entities, deduplicated, and either
-// emitted in document order (ResultStream — early-terminating paging)
-// or fed to the ranked consumer (ConsumeRankedWAND in wand.go — exact
-// top-k with scores bit-identical to the eager ranking). The shard and
-// update engines reuse EntityStream and the consumer with their own tf
-// sources.
+// This file is the execution path every read takes: SLCAs pulled
+// lazily from slca.Iterator are lifted to entities, deduplicated, and
+// either emitted in document order (ResultStream — drained by Search,
+// or paged with early termination) or fed to the ranked consumer
+// (ConsumeRankedWAND in wand.go — exact top-k with scores bit-identical
+// to ranking the full list). The shard and update engines reuse
+// EntityStream and the consumer with their own tf sources.
 
 // StreamTotalUnknown is the Total a streamed page reports when early
 // termination stopped before the result count was known.
@@ -133,8 +133,9 @@ type EntityHit struct {
 }
 
 // EntityStream lifts a document-ordered SLCA stream to a document-
-// ordered stream of distinct result entities — the lazy twin of
-// MapToEntities, with identical output. Entities are held in a small
+// ordered stream of distinct result entities: each SLCA maps to its
+// nearest entity ancestor-or-self (itself when none encloses it), and
+// the first SLCA to reach an entity is its match. Entities are held in a small
 // pending buffer until no unseen SLCA can map to them or one of their
 // entity ancestors (which would reorder or duplicate the output), so
 // every hit is emitted exactly once, in document order, as early as
@@ -155,7 +156,7 @@ type EntityStream struct {
 
 // NewEntityStream builds an entity stream over the given SLCA iterator
 // and live tree/schema pair. A stream whose SLCA is missing from the
-// tree stops with an error (the MapToEntities contract).
+// tree stops with an error.
 func NewEntityStream(it slca.Iterator, root *xmltree.Node, schema *Schema) *EntityStream {
 	return &EntityStream{it: it, w: newPathWalker(root, schema)}
 }
@@ -239,7 +240,7 @@ func (es *EntityStream) Next() (EntityHit, bool) {
 }
 
 // insertPending adds a hit in document order, merging duplicates (the
-// first match wins, as the eager seen-map does).
+// first match wins).
 func (es *EntityStream) insertPending(h EntityHit) {
 	k := sort.Search(len(es.pending), func(i int) bool {
 		return es.pending[i].Node.ID.Compare(h.Node.ID) >= 0
@@ -267,10 +268,27 @@ type Cursor interface {
 	Emitted() int
 }
 
+// Drain pulls a cursor to exhaustion: every executor's doc-order
+// Search is a drain of its own cursor.
+func Drain(c Cursor) ([]*Result, error) {
+	var out []*Result
+	for {
+		r, ok := c.Next()
+		if !ok {
+			break
+		}
+		out = append(out, r)
+	}
+	if err := c.Err(); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 // ResultStream is a pull cursor over labelled search results in
-// document order — the streaming twin of Execute. Labels are computed
-// per emitted result, so a consumer stopping after k results pays k
-// labelling calls, not one per result.
+// document order; Execute drains it. Labels are computed per emitted
+// result, so a consumer stopping after k results pays k labelling
+// calls, not one per result.
 type ResultStream struct {
 	es *EntityStream
 	n  int
@@ -308,8 +326,6 @@ func (q *Query) SLCAIter() (slca.Iterator, error) {
 		alg = slca.Plan(q.Stats)
 	}
 	switch alg {
-	case slca.AlgNaive:
-		return slca.IterOver(slca.Naive(q.Lists)), nil
 	case slca.AlgScanEager, slca.AlgIndexedLookup:
 	default:
 		return nil, fmt.Errorf("xseek: unknown SLCA algorithm %q", q.Alg)

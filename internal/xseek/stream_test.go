@@ -44,8 +44,9 @@ var streamQueries = []string{
 }
 
 // TestStreamEqualsExecute: draining the doc-order result stream must
-// reproduce Execute exactly — same entities, same match nodes, same
-// labels, same order — across random nested corpora and queries.
+// reproduce the reference (Naive SLCA + eager entity map) exactly —
+// same entities, same match nodes, same labels, same order — across
+// random nested corpora and queries, and so must Execute.
 func TestStreamEqualsExecute(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 40; trial++ {
@@ -55,10 +56,12 @@ func TestStreamEqualsExecute(t *testing.T) {
 			if err != nil {
 				continue // vocabulary miss on a tiny corpus
 			}
-			want, err := q.Execute()
+			want := referenceResults(t, e, query)
+			executed, err := q.Execute()
 			if err != nil {
 				t.Fatal(err)
 			}
+			compareResults(t, executed, want, fmt.Sprintf("trial %d query %q Execute", trial, query))
 			rs, err := q.Stream()
 			if err != nil {
 				t.Fatal(err)
@@ -80,7 +83,7 @@ func TestStreamEqualsExecute(t *testing.T) {
 }
 
 // TestStreamPrefixInvariance: the first k pulls of the stream equal
-// the first k results of Execute for every k — the property paging
+// the first k reference results for every k — the property paging
 // relies on.
 func TestStreamPrefixInvariance(t *testing.T) {
 	r := rand.New(rand.NewSource(22))
@@ -91,10 +94,7 @@ func TestStreamPrefixInvariance(t *testing.T) {
 			if err != nil {
 				continue
 			}
-			want, err := q.Execute()
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := referenceResults(t, e, query)
 			for _, k := range []int{1, 2, 5} {
 				if k > len(want) {
 					k = len(want)
@@ -130,7 +130,7 @@ func rankUnpruned(q *Query, opts SearchOptions) ([]*RankedResult, int, WANDStats
 }
 
 // TestRankStreamEqualsEagerRankedPage: the unpruned ranked stream must
-// be bit-identical to the eager Search + RankPage pipeline — scores,
+// be bit-identical to RankPage over the reference results — scores,
 // order, labels, window clamping, and totals — for every paging shape,
 // and must report that it did not prune.
 func TestRankStreamEqualsEagerRankedPage(t *testing.T) {
@@ -174,8 +174,8 @@ func TestRankStreamEqualsEagerRankedPage(t *testing.T) {
 	}
 }
 
-// TestStreamErrorOnUnknownAlgorithm mirrors Execute's override
-// contract on the lazy path.
+// TestStreamErrorOnUnknownAlgorithm: an Alg override that names no
+// seek discipline fails the lazy paths instead of matching nothing.
 func TestStreamErrorOnUnknownAlgorithm(t *testing.T) {
 	e := New(xmltree.MustParseString(pagedDoc(4)))
 	q, err := e.Compile("gps")

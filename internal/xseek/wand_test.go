@@ -63,9 +63,9 @@ func requireSamePages(t *testing.T, ctx string, got, want []*RankedResult) {
 }
 
 // eagerRankedPage is the reference every ranked path is checked
-// against: the eager Search + RankPage pipeline and its exact total.
+// against: RankPage over the reference results and their exact total.
 func eagerRankedPage(e *Engine, query string, opts SearchOptions) ([]*RankedResult, int, error) {
-	results, err := e.Search(query)
+	results, err := referenceSearch(e, query)
 	if err != nil {
 		return nil, 0, err
 	}
