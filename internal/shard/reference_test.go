@@ -55,9 +55,9 @@ func TestRootSLCATwoShards(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var streamed []*xseek.Result
-		for r, ok := c.Next(); ok; r, ok = c.Next() {
-			streamed = append(streamed, r)
+		streamed, err := xseek.Drain(c)
+		if err != nil {
+			t.Fatal(err)
 		}
 		if resultKey(streamed) != resultKey(want) {
 			t.Fatalf("%q: SearchStream %s, want %s", q, resultKey(streamed), resultKey(want))

@@ -70,15 +70,8 @@ func TestRootSLCAAfterLiveWrite(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var streamed []*xseek.Result
-			for {
-				r, ok := sc.Next()
-				if !ok {
-					break
-				}
-				streamed = append(streamed, r)
-			}
-			if err := sc.Err(); err != nil {
+			streamed, err := xseek.Drain(sc)
+			if err != nil {
 				t.Fatal(err)
 			}
 			if canonical(streamed) != canonical(want) {

@@ -135,10 +135,10 @@ type EntityHit struct {
 // EntityStream lifts a document-ordered SLCA stream to a document-
 // ordered stream of distinct result entities: each SLCA maps to its
 // nearest entity ancestor-or-self (itself when none encloses it), and
-// the first SLCA to reach an entity is its match. Entities are held in a small
-// pending buffer until no unseen SLCA can map to them or one of their
-// entity ancestors (which would reorder or duplicate the output), so
-// every hit is emitted exactly once, in document order, as early as
+// the first SLCA to reach an entity is its match. Entities are held in
+// a small pending buffer until no unseen SLCA can map to them or one of
+// their entity ancestors (which would reorder or duplicate the output),
+// so every hit is emitted exactly once, in document order, as early as
 // correctness allows.
 type EntityStream struct {
 	it      slca.Iterator
