@@ -11,6 +11,7 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"os"
@@ -98,17 +99,21 @@ func run(data string, seed int64, query string, list bool, selects string, bound
 	}
 
 	tbl := table.Build(dfss)
+	out := bufio.NewWriter(os.Stdout)
 	switch format {
 	case "text":
-		err = tbl.WriteText(os.Stdout)
+		err = tbl.WriteText(out)
 	case "html":
-		err = tbl.WriteHTML(os.Stdout)
+		err = tbl.WriteHTML(out)
 	case "markdown", "md":
-		err = tbl.WriteMarkdown(os.Stdout)
+		err = tbl.WriteMarkdown(out)
 	case "csv":
-		err = tbl.WriteCSV(os.Stdout)
+		err = tbl.WriteCSV(out)
 	default:
 		return fmt.Errorf("unknown format %q", format)
+	}
+	if err == nil {
+		err = out.Flush()
 	}
 	if err != nil {
 		return err

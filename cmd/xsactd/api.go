@@ -83,12 +83,13 @@ type searchResponse struct {
 //
 // rank=1 returns the relevance ordering instead of document order,
 // with each result's TF-IDF score alongside. Ranked search picks its
-// own execution strategy (small windows over broad queries run the
+// own execution strategy (a cached query is paged from its memoized
+// ranking; uncached small windows over broad queries run the
 // score-bounded streamed pipeline), so it composes with accuracy=
 // rather than exec=: "exact" (the default) reports the exact total,
-// "approx" lets the engine stop scanning once no later result can
-// enter the page — the page itself is still exact, but total may come
-// back -1.
+// "approx" lets an uncached query stop scanning once no later result
+// can enter the page — the page itself is still exact, but total may
+// come back -1. A cached query reports its exact total either way.
 func (s *server) apiSearch(w http.ResponseWriter, r *http.Request) {
 	query := r.FormValue("q")
 	if query == "" {

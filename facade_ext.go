@@ -49,13 +49,13 @@ func (d *Document) SearchPage(query string, limit, offset int) ([]*Result, int, 
 	return out, page.Total, nil
 }
 
-// SearchRankedPage is SearchPage over the relevance ordering: the top
-// offset+limit results are selected with a bounded heap, skipping the
-// full sort when the window ends before the result list does. Small
-// windows over large uncached result sets route automatically to the
-// engine's streamed pipeline, which never materializes the full result
-// list; both routes return identical pages and exact totals.
-// Concatenating consecutive pages reproduces SearchRanked.
+// SearchRankedPage is SearchPage over the relevance ordering. A query
+// already in the engine's cache is ranked once and every later page is
+// a window of that ranking. Small windows over large uncached result
+// sets route automatically to the engine's streamed pipeline, which
+// never materializes the full result list; both routes return
+// identical pages and exact totals. Concatenating consecutive pages
+// reproduces SearchRanked.
 func (d *Document) SearchRankedPage(query string, limit, offset int) ([]*Result, []float64, int, error) {
 	page, err := d.eng.SearchRankedPage(query, xseek.SearchOptions{Limit: limit, Offset: offset})
 	if err != nil {

@@ -151,9 +151,15 @@ func Parse(s string) (ID, error) {
 	if s == "/" || s == "" {
 		return Root(), nil
 	}
-	parts := strings.Split(s, ".")
-	id := make(ID, len(parts))
-	for i, p := range parts {
+	// Walk the components in place: IDs cross the shard wire by the
+	// thousand per query, so no per-ID []string.
+	id := make(ID, strings.Count(s, ".")+1)
+	rest := s
+	for i := range id {
+		p := rest
+		if j := strings.IndexByte(rest, '.'); j >= 0 {
+			p, rest = rest[:j], rest[j+1:]
+		}
 		v, err := strconv.Atoi(p)
 		if err != nil {
 			return nil, fmt.Errorf("dewey: parse %q: component %d: %w", s, i, err)

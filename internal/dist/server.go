@@ -286,7 +286,11 @@ func serveQuery(s *legState, req *QueryRequest) (*Envelope, error) {
 		if err != nil {
 			return nil, err
 		}
-		env := &Envelope{Total: len(docs.Results)}
+		env := &Envelope{
+			Total: len(docs.Results),
+			Hits:  make([]WireHit, 0, len(docs.Results)),
+			SLCAs: make([]string, 0, len(docs.SLCAs)),
+		}
 		for _, r := range docs.Results {
 			env.Hits = append(env.Hits, wireHit(r, 0))
 		}
@@ -313,6 +317,8 @@ func serveQuery(s *legState, req *QueryRequest) (*Envelope, error) {
 				BlocksSkipped: page.Stats.BlocksSkipped,
 				Terminated:    page.Stats.Terminated,
 			},
+			Hits:  make([]WireHit, 0, len(page.Top)),
+			SLCAs: make([]string, 0, len(page.SLCAs)),
 		}
 		for _, r := range page.Top {
 			env.Hits = append(env.Hits, wireHit(r.Result, math.Float64bits(r.Score)))

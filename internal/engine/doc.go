@@ -2,7 +2,8 @@
 // Engine per corpus owns every piece of per-document derived state —
 // the inverted index (or K shard indexes), the inferred schema, a
 // feature-statistics cache keyed by result subtree, a bounded LRU of
-// query → SLCA results, and a bounded LRU of generated DFS sets — and
+// query → SLCA results (each memoizing its relevance ranking once a
+// ranked read asks for it), and a bounded LRU of generated DFS sets — and
 // is safe for any number of concurrent readers.
 //
 // The layers above plumb through it instead of recomputing:

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -102,8 +103,11 @@ type Metrics struct {
 	// Streamed-execution counters: PlannerStreamed is the executor's
 	// count of ranked pages that ran the lazy early-terminating
 	// pipeline; RankedStreamed/RankedEager split SearchRankedPage's
-	// serving-level routing decisions; the Stream* trio tracks the
-	// resumable doc-order stream-cursor cache behind SearchStreamPage.
+	// serving-level routing decisions — RankedEager counts the pages
+	// served from the cached ranking of a query-cache outcome (a hit, or
+	// a miss that materialized the results); the Stream* trio tracks
+	// the resumable doc-order stream-cursor cache behind
+	// SearchStreamPage.
 	PlannerStreamed int64 `json:"planner_streamed"`
 	RankedStreamed  int64 `json:"ranked_streamed"`
 	RankedEager     int64 `json:"ranked_eager"`
@@ -166,16 +170,16 @@ type executor interface {
 	Search(query string) ([]*xseek.Result, error)
 	CleanQuery(query string) []string
 	RankResults(results []*xseek.Result, query string) []*xseek.RankedResult
-	RankPage(results []*xseek.Result, query string, opts xseek.SearchOptions) []*xseek.RankedResult
 	PlannerDecisions() (indexedLookup, scanEager int64)
 	TotalNodes() int
 	DocFreq(term string) int
 	// Streamed read paths: a lazy doc-order cursor, the score-bounded
 	// ranked page, the result-count estimate the stream planner keys
 	// on, and the executor's streamed-decision counter. The ranked page
-	// in exact mode is bit-identical to Search + RankPage while skipping
-	// provably non-competitive scoring; approximate mode may
-	// additionally stop draining and report xseek.StreamTotalUnknown.
+	// in exact mode is bit-identical to the same window of Search +
+	// RankResults while skipping provably non-competitive scoring;
+	// approximate mode may additionally stop draining and report
+	// xseek.StreamTotalUnknown.
 	// Executors without bound metadata (legacy snapshots) run the same
 	// consumer unpruned, reported via WANDStats.Bounded.
 	SearchStream(query string) (xseek.Cursor, error)
@@ -238,7 +242,7 @@ type Engine struct {
 	statsMu  sync.Mutex
 	stats    *lru // result-root Dewey ID + label → cacheEntry{*feature.Stats}
 	queryMu  sync.Mutex
-	queries  *lru // normalized query → queryOutcome
+	queries  *lru // normalized query → *queryOutcome
 	dfsMu    sync.Mutex
 	dfs      *lru // selection key → cacheEntry{[]*core.DFS}
 	streamMu sync.Mutex
@@ -584,19 +588,43 @@ func (e *Engine) Metrics() Metrics {
 // and "gps tomtom" share one cache slot: SLCA treats a query as a set
 // of keywords, so results are independent of keyword order.
 func queryKey(query string) string {
-	terms := index.TokenizeQuery(query)
-	sort.Strings(terms)
-	return strings.Join(terms, " ")
+	key, _ := queryKeys(query)
+	return key
+}
+
+// queryKeys returns queryKey alongside the query's term sequence in
+// query order. Ranking needs the latter: a result's score sums its
+// terms' weights in query order, and with three or more terms two
+// orders of one keyword set can round to different last bits.
+func queryKeys(query string) (key, terms string) {
+	toks := index.TokenizeQuery(query)
+	terms = strings.Join(toks, " ")
+	sort.Strings(toks)
+	return strings.Join(toks, " "), terms
 }
 
 // queryOutcome is one cached search outcome: either a result slice or
 // a deterministic no-match error, tagged with the live epoch it was
 // computed under. Caching the error too means repeated miss queries
 // are answered without touching the posting lists.
+//
+// ranking memoizes the results' relevance ordering, filled by the
+// first ranked read of the outcome. It lives and dies with the
+// epoch-tagged outcome; scores depend on the corpus's document
+// frequencies and node count, so an outcome kept across a write would
+// have to drop it.
 type queryOutcome struct {
 	results []*xseek.Result
 	err     error
 	epoch   uint64
+	ranking atomic.Pointer[ranking]
+}
+
+// ranking is a memoized relevance ordering of a cached result list,
+// with the query term sequence its scores were summed in.
+type ranking struct {
+	terms  string
+	ranked []*xseek.RankedResult
 }
 
 // cacheEntry tags an arbitrary cached value (feature stats, DFS sets)
@@ -616,32 +644,78 @@ type cacheEntry struct {
 // racing reader re-inserts it after the post-write purge.
 func (e *Engine) Search(query string) ([]*xseek.Result, error) {
 	box := e.box()
-	epoch := box.epoch()
-	key := queryKey(query)
+	out := e.search(box, box.epoch(), queryKey(query), query)
+	return out.results, out.err
+}
+
+// search is Search returning the outcome itself, under a caller-pinned
+// executor box and epoch.
+func (e *Engine) search(box *executorBox, epoch uint64, key, query string) *queryOutcome {
+	if out := e.cached(key, epoch); out != nil {
+		e.queryHits.Add(1)
+		return out
+	}
+	return e.execSearch(box, epoch, key, query)
+}
+
+// cached returns the query LRU's outcome for key when it was computed
+// under epoch, else nil. It does not count a hit or a miss.
+func (e *Engine) cached(key string, epoch uint64) *queryOutcome {
 	e.queryMu.Lock()
 	v, ok := e.queries.get(key)
 	e.queryMu.Unlock()
 	if ok {
-		out := v.(queryOutcome)
-		if out.epoch == epoch {
-			e.queryHits.Add(1)
-			return out.results, out.err
+		if out := v.(*queryOutcome); out.epoch == epoch {
+			return out
 		}
 	}
+	return nil
+}
+
+// execSearch is a query-cache miss: it runs the executor's search and
+// caches the outcome when it is cacheable.
+func (e *Engine) execSearch(box *executorBox, epoch uint64, key, query string) *queryOutcome {
 	e.queryMisses.Add(1)
 	rs, err := box.exec.Search(query)
+	out := &queryOutcome{results: rs, err: err, epoch: epoch}
 	var noMatch *index.NoMatchError
 	if err != nil && !errors.As(err, &noMatch) {
-		return rs, err
+		return out
 	}
 	// Cache only when no write landed mid-search; a stale insert would
-	// still be rejected by the epoch check above, this just avoids it.
+	// still be rejected by the epoch check in cached, this just avoids it.
 	if box.epoch() == epoch {
 		e.queryMu.Lock()
-		e.queryEvictions.Add(int64(e.queries.put(key, queryOutcome{results: rs, err: err, epoch: epoch})))
+		e.queryEvictions.Add(int64(e.queries.put(key, out)))
 		e.queryMu.Unlock()
 	}
-	return rs, err
+	return out
+}
+
+// rankingOf returns the relevance ordering of out's results for a
+// query whose term sequence is terms. The outcome's memo serves it when
+// it was scored for that sequence; otherwise the executor ranks the
+// results, and the ranking becomes the memo when the memo is still
+// empty and no write landed since epoch (the executor scores against
+// its current corpus statistics). A nil ranking is a failed
+// distributed scoring fan-out: it is returned, never memoized. The
+// returned slice is shared and read-only.
+func (e *Engine) rankingOf(box *executorBox, epoch uint64, out *queryOutcome, query, terms string) []*xseek.RankedResult {
+	if r := out.ranking.Load(); r != nil && r.terms == terms {
+		return r.ranked
+	}
+	ranked := box.exec.RankResults(out.results, query)
+	if ranked == nil || box.epoch() != epoch {
+		return ranked
+	}
+	if !out.ranking.CompareAndSwap(nil, &ranking{terms: terms, ranked: ranked}) {
+		// A racing reader memoized first; serve its copy if it is for the
+		// same term order, so every reader of one memo sees one slice.
+		if r := out.ranking.Load(); r.terms == terms {
+			return r.ranked
+		}
+	}
+	return ranked
 }
 
 // SearchCleaned spell-corrects the query against the corpus vocabulary
@@ -662,25 +736,27 @@ func (e *Engine) SearchCleaned(query string) ([]*xseek.Result, []string, error) 
 const rankedAttempts = 4
 
 // SearchRanked searches through the cache and orders the cached
-// results by TF-IDF relevance. Ranking re-scores on every call (it is
-// cheap relative to SLCA); only the underlying result set is cached.
-// The search and the scoring pass are retried together until they
-// observe one stable epoch.
+// results by TF-IDF relevance. The ordering is computed once per cached
+// outcome and query term order, then served from the outcome's memo;
+// the caller gets its own copy of the slice (the entries themselves are
+// shared and read-only). The search and the scoring pass are retried
+// together until they observe one stable epoch.
 func (e *Engine) SearchRanked(query string) ([]*xseek.RankedResult, error) {
+	key, terms := queryKeys(query)
 	var ranked []*xseek.RankedResult
 	for i := 0; i < rankedAttempts; i++ {
 		box := e.box()
 		epoch := box.epoch()
-		results, err := e.Search(query)
-		if err != nil {
-			return nil, err
+		out := e.search(box, epoch, key, query)
+		if out.err != nil {
+			return nil, out.err
 		}
-		ranked = box.exec.RankResults(results, query)
+		ranked = e.rankingOf(box, epoch, out, query, terms)
 		if box.epoch() == epoch {
 			break
 		}
 	}
-	return ranked, nil
+	return slices.Clone(ranked), nil
 }
 
 // Page is one window of a search's full result list. The engine caches
@@ -726,65 +802,71 @@ func (e *Engine) SearchCleanedPage(query string, opts xseek.SearchOptions) (*Pag
 }
 
 // SearchRankedPage searches through the cache and returns the options'
-// window of the relevance ordering. On a query-cache hit the cached
-// result list is re-scored eagerly (windowing over it is nearly free);
-// on a miss with a small bounded window over a large estimated result
-// set it routes to the executor's streamed pipeline, which never
-// materializes the full result list. Both routes produce bit-identical
-// pages and exact totals. Like SearchRanked, each attempt is retried
-// until it observes one stable epoch.
+// window of the relevance ordering. On a query-cache hit the page is a
+// window of the cached outcome's ranking, computed by the first ranked
+// read of that outcome and memoized (see SearchRanked), so later pages
+// cost a slice header — whatever the accuracy asked for, since the
+// memoized page and total are exact. On a miss, a small bounded window
+// over a large estimated result set (or any xseek.AccuracyApprox
+// request) runs the executor's streamed pipeline, which never
+// materializes the full result list; any other miss searches through
+// the cache and windows the fresh outcome's ranking. Exact pages are
+// bit-identical and totals exact on every route. Like SearchRanked,
+// each attempt is retried until it observes one stable epoch. The
+// page's entries are shared and read-only.
 //
 // The streamed route deliberately does not populate the query cache —
 // it never computes the full result list, and a partial entry would
 // poison doc-order paging. A later Search of the same query warms the
-// cache as usual, after which ranked pages go eager.
+// cache as usual, after which ranked pages come from its ranking.
 //
 // Routed streamed pages run the score-bounded (block-max WAND)
 // consumer, which runs unpruned by itself when bound metadata is
-// missing — WANDStats.Bounded reports which happened, and
-// feeds the ranked_wand / wand_pruned / blocks_skipped metrics.
-// Requesting xseek.AccuracyApprox forces the bounded route regardless
-// of cache state: the page is still exact, but the total may come back
+// missing — WANDStats.Bounded reports which happened, and feeds the
+// ranked_wand / wand_pruned / blocks_skipped metrics. An approximate
+// streamed page is still exact, but its total may come back
 // xseek.StreamTotalUnknown.
 func (e *Engine) SearchRankedPage(query string, opts xseek.SearchOptions) (*RankedPage, error) {
-	var out *RankedPage
+	key, terms := queryKeys(query)
+	var page *RankedPage
 	for i := 0; i < rankedAttempts; i++ {
 		box := e.box()
 		epoch := box.epoch()
-		if opts.Accuracy == xseek.AccuracyApprox || e.routeStreamed(box, epoch, query, opts) {
-			page, total, st, err := box.exec.SearchRankedPageWAND(query, opts)
-			if err != nil {
-				return nil, err
-			}
-			e.rankedStreamed.Add(1)
-			if st.Bounded {
-				e.rankedWAND.Add(1)
-				e.wandPruned.Add(st.Pruned)
-				e.blocksSkipped.Add(st.BlocksSkipped)
-			}
-			lo := opts.Offset
-			if lo < 0 {
-				lo = 0
-			}
-			if total >= 0 {
-				lo, _ = opts.Window(total)
-			}
-			out = &RankedPage{Results: page, Total: total, Offset: lo}
-		} else {
-			results, err := e.Search(query)
-			if err != nil {
-				return nil, err
-			}
-			e.rankedEager.Add(1)
-			page := box.exec.RankPage(results, query, opts)
-			lo, _ := opts.Window(len(results))
-			out = &RankedPage{Results: page, Total: len(results), Offset: lo}
+		var err error
+		if page, err = e.rankedPage(box, epoch, key, terms, query, opts); err != nil {
+			return nil, err
 		}
 		if box.epoch() == epoch {
 			break
 		}
 	}
-	return out, nil
+	return page, nil
+}
+
+// rankedPage is one SearchRankedPage attempt under a pinned executor
+// box and epoch, with one query-cache lookup.
+func (e *Engine) rankedPage(box *executorBox, epoch uint64, key, terms, query string, opts xseek.SearchOptions) (*RankedPage, error) {
+	out := e.cached(key, epoch)
+	switch {
+	case out != nil:
+		e.queryHits.Add(1)
+	case opts.Accuracy == xseek.AccuracyApprox || routeStreamed(box, query, opts):
+		return e.streamedPage(box, query, opts)
+	default:
+		out = e.execSearch(box, epoch, key, query)
+	}
+	if out.err != nil {
+		return nil, out.err
+	}
+	e.rankedEager.Add(1)
+	ranked := e.rankingOf(box, epoch, out, query, terms)
+	lo, hi := opts.Window(len(out.results))
+	if ranked != nil {
+		// Full slice expression: cap the window so a caller's append
+		// cannot write into the memoized ranking.
+		ranked = ranked[lo:hi:hi]
+	}
+	return &RankedPage{Results: ranked, Total: len(out.results), Offset: lo}, nil
 }
 
 // SearchCleanedRankedPage is SearchRankedPage over the spell-corrected

@@ -10,18 +10,18 @@ import (
 )
 
 // This file is the serving layer's side of the lazy execution paths:
-// the cache-aware routing decision for ranked pages and a resumable
-// doc-order cursor cache, so sequential pagination over a streamed
-// query pulls each result from the pipeline exactly once.
+// the routing decision and the streamed page for ranked reads that
+// miss the query cache, and a resumable doc-order cursor cache, so
+// sequential pagination over a streamed query pulls each result from
+// the pipeline exactly once.
 
-// routeStreamed decides whether a ranked page should run the
-// executor's streamed pipeline instead of Search + RankPage. Streaming
-// wins only when all of these hold: the window is bounded, the full
-// result list is not already sitting in the query cache (windowing a
-// cached list is a heap pass over materialized results — cheaper than
-// any re-execution), and the stream planner judges the window small
-// against the estimated result count.
-func (e *Engine) routeStreamed(box *executorBox, epoch uint64, query string, opts xseek.SearchOptions) bool {
+// routeStreamed decides whether a ranked page that missed the query
+// cache should run the executor's streamed pipeline instead of
+// materializing the full result list. Streaming wins only when the
+// window is bounded and the stream planner judges it small against the
+// estimated result count. (A hit never gets here: windowing the cached
+// outcome's ranking is cheaper than any re-execution.)
+func routeStreamed(box *executorBox, query string, opts xseek.SearchOptions) bool {
 	lo := opts.Offset
 	if lo < 0 {
 		lo = 0
@@ -33,15 +33,31 @@ func (e *Engine) routeStreamed(box *executorBox, epoch uint64, query string, opt
 	if need <= lo { // overflow
 		return false
 	}
-	key := queryKey(query)
-	e.queryMu.Lock()
-	v, ok := e.queries.get(key)
-	e.queryMu.Unlock()
-	if ok && v.(queryOutcome).epoch == epoch {
-		return false
-	}
 	est := box.exec.EstimateResults(query)
 	return slca.PlanStreamed(index.PlanStats{Min: est}, need)
+}
+
+// streamedPage runs one ranked page through the executor's
+// score-bounded streamed pipeline and feeds the WAND metrics.
+func (e *Engine) streamedPage(box *executorBox, query string, opts xseek.SearchOptions) (*RankedPage, error) {
+	page, total, st, err := box.exec.SearchRankedPageWAND(query, opts)
+	if err != nil {
+		return nil, err
+	}
+	e.rankedStreamed.Add(1)
+	if st.Bounded {
+		e.rankedWAND.Add(1)
+		e.wandPruned.Add(st.Pruned)
+		e.blocksSkipped.Add(st.BlocksSkipped)
+	}
+	lo := opts.Offset
+	if lo < 0 {
+		lo = 0
+	}
+	if total >= 0 {
+		lo, _ = opts.Window(total)
+	}
+	return &RankedPage{Results: page, Total: total, Offset: lo}, nil
 }
 
 // SearchStream opens a fresh lazy doc-order cursor over the query's

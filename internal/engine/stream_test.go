@@ -59,7 +59,8 @@ func TestEngineStreamPageConcatenation(t *testing.T) {
 // TestEngineRankedStreamRouting: a small bounded window over a large
 // uncached result set routes to the streamed pipeline (bit-identical
 // page, exact total); warming the query cache flips the same request
-// back to the eager route.
+// to a window of the cached outcome's ranking, which later pages reuse
+// instead of re-scoring.
 func TestEngineRankedStreamRouting(t *testing.T) {
 	e := pagedCorpus(t, 60)
 	eager := pagedCorpus(t, 60)
@@ -91,8 +92,8 @@ func TestEngineRankedStreamRouting(t *testing.T) {
 		}
 	}
 
-	// Warm the query cache: the identical request now re-scores the
-	// cached list instead of re-executing.
+	// Warm the query cache: the identical request is now a window of the
+	// cached outcome's ranking, scored on this first ranked hit.
 	if _, err := e.Search("gps"); err != nil {
 		t.Fatal(err)
 	}
@@ -109,8 +110,23 @@ func TestEngineRankedStreamRouting(t *testing.T) {
 			t.Fatalf("eager route diverges from streamed at %d", i)
 		}
 	}
+	// The next page of the same outcome is cut from the memoized
+	// ranking: the very entries the previous page held, not a re-score.
+	page3, err := e.SearchRankedPage("gps", xseek.SearchOptions{Limit: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m = e.Metrics(); m.RankedStreamed != 1 || m.RankedEager != 2 {
+		t.Fatalf("second warm window: streamed %d / eager %d, want 1 / 2", m.RankedStreamed, m.RankedEager)
+	}
+	for i := range page2.Results {
+		if page3.Results[i] != page2.Results[i] {
+			t.Fatalf("warm rank %d was re-scored instead of served from the cached ranking", i)
+		}
+	}
 
-	// An unbounded window has nothing to terminate early: always eager.
+	// An unbounded window has nothing to terminate early: a cold one
+	// searches through the cache and ranks the fresh outcome.
 	e2 := pagedCorpus(t, 60)
 	if _, err := e2.SearchRankedPage("gps", xseek.SearchOptions{}); err != nil {
 		t.Fatal(err)

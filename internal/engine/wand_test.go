@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -61,13 +62,14 @@ func TestEngineWANDMetrics(t *testing.T) {
 	}
 }
 
-// TestEngineApproxRouting: accuracy=approx forces the score-bounded
-// route even where the planner would go eager, keeps the page identical
-// to the exact one, and clamps the returned offset when the total
-// degrades to unknown.
+// TestEngineApproxRouting: accuracy=approx on a warm query cache is
+// served from the cached outcome's ranking, page and total exact; on a
+// cold cache it takes the score-bounded route, keeps the page
+// identical to the exact one, and clamps the returned offset when the
+// total degrades to unknown.
 func TestEngineApproxRouting(t *testing.T) {
 	e := wandCorpus(t, 900)
-	// Warm the query cache so the planner would pick the eager route.
+	// Warm the query cache: every ranked read below is a hit.
 	if _, err := e.Search("alpha beta"); err != nil {
 		t.Fatal(err)
 	}
@@ -84,26 +86,31 @@ func TestEngineApproxRouting(t *testing.T) {
 		t.Fatal(err)
 	}
 	m = e.Metrics()
-	if m.RankedWAND != 1 {
-		t.Fatalf("approx request did not take the WAND route (ranked_wand=%d)", m.RankedWAND)
+	if m.RankedEager != 2 || m.RankedStreamed != 0 || m.RankedWAND != 0 {
+		t.Fatalf("warm approx: eager %d / streamed %d / wand %d, want 2 / 0 / 0 (served from the cached ranking)",
+			m.RankedEager, m.RankedStreamed, m.RankedWAND)
 	}
-	if len(approx.Results) != len(exact.Results) {
-		t.Fatalf("approx page has %d results, want %d", len(approx.Results), len(exact.Results))
+	samePage(t, approx.Results, exact.Results)
+	if approx.Total != exact.Total {
+		t.Fatalf("warm approx total = %d, want the exact %d", approx.Total, exact.Total)
 	}
-	for i := range exact.Results {
-		if approx.Results[i].Label != exact.Results[i].Label || approx.Results[i].Score != exact.Results[i].Score {
-			t.Fatalf("approx result %d %q@%v, want %q@%v", i,
-				approx.Results[i].Label, approx.Results[i].Score,
-				exact.Results[i].Label, exact.Results[i].Score)
-		}
+
+	cold := wandCorpus(t, 900)
+	capprox, err := cold.SearchRankedPage("alpha beta", xseek.SearchOptions{Limit: 5, Accuracy: xseek.AccuracyApprox})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if approx.Total != exact.Total && approx.Total != xseek.StreamTotalUnknown {
-		t.Fatalf("approx total = %d, want %d or unknown", approx.Total, exact.Total)
+	if m := cold.Metrics(); m.RankedWAND != 1 || m.RankedEager != 0 {
+		t.Fatalf("cold approx: wand %d / eager %d, want 1 / 0", m.RankedWAND, m.RankedEager)
+	}
+	samePage(t, capprox.Results, exact.Results)
+	if capprox.Total != exact.Total && capprox.Total != xseek.StreamTotalUnknown {
+		t.Fatalf("cold approx total = %d, want %d or unknown", capprox.Total, exact.Total)
 	}
 
 	// With an unknown total the offset cannot be re-derived from
 	// Window(total); it must come back as the (clamped) requested offset.
-	off, err := e.SearchRankedPage("alpha beta",
+	off, err := cold.SearchRankedPage("alpha beta",
 		xseek.SearchOptions{Limit: 3, Offset: 2, Accuracy: xseek.AccuracyApprox})
 	if err != nil {
 		t.Fatal(err)
@@ -111,12 +118,27 @@ func TestEngineApproxRouting(t *testing.T) {
 	if off.Offset != 2 {
 		t.Fatalf("approx offset echoed as %d, want 2", off.Offset)
 	}
-	neg, err := e.SearchRankedPage("alpha beta",
+	neg, err := cold.SearchRankedPage("alpha beta",
 		xseek.SearchOptions{Limit: 3, Offset: -4, Accuracy: xseek.AccuracyApprox})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if neg.Offset != 0 {
 		t.Fatalf("negative approx offset clamped to %d, want 0", neg.Offset)
+	}
+}
+
+// samePage fails unless two ranked pages hold the same results (by
+// Dewey ID, so pages of two engines over equal corpora compare) in the
+// same order with bit-identical scores.
+func samePage(t *testing.T, got, want []*xseek.RankedResult) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("page has %d results, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Node.ID.Compare(want[i].Node.ID) != 0 || math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
+			t.Fatalf("result %d %q@%v, want %q@%v", i, got[i].Label, got[i].Score, want[i].Label, want[i].Score)
+		}
 	}
 }

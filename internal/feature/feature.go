@@ -48,12 +48,19 @@ type Stats struct {
 	// Label identifies the result in tables and logs.
 	Label string
 
-	groupCount map[string]int          // entity tag -> instance count in this result
-	occ        map[Type]map[string]int // type -> value -> occurrences
-	typeTotals map[Type]int            // type -> total occurrences
-	entities   []string                // entity tags, sorted
-	types      map[string][]Type       // entity -> types in significance order
-	values     map[Type][]ValueCount   // type -> values in descending-count order
+	groupCount map[string]int      // entity tag -> instance count in this result
+	byType     map[Type]*typeStats // type -> its values and their occurrences
+	entities   []string            // entity tags, sorted
+	types      map[string][]Type   // entity -> types in significance order
+}
+
+// typeStats is one feature type's statistics within a result. One map
+// entry per type, rather than three maps keyed by type, makes a Stats
+// about a fifth lighter, and the serving engine caches thousands.
+type typeStats struct {
+	occ    map[string]int // value -> occurrences
+	total  int            // sum of occ: the type's significance
+	values []ValueCount   // occ in descending-count order, set by freeze
 }
 
 // affirmative reports whether a leaf value is a yes-marker, in which
@@ -92,10 +99,7 @@ func Extract(result *xmltree.Node, schema *xseek.Schema, label string) *Stats {
 	s := &Stats{
 		Label:      label,
 		groupCount: make(map[string]int),
-		occ:        make(map[Type]map[string]int),
-		typeTotals: make(map[Type]int),
-		types:      make(map[string][]Type),
-		values:     make(map[Type][]ValueCount),
+		byType:     make(map[Type]*typeStats),
 	}
 
 	// Count entity instances within the result (the result root counts
@@ -110,7 +114,11 @@ func Extract(result *xmltree.Node, schema *xseek.Schema, label string) *Stats {
 	})
 
 	// perInstance dedupes (entity instance, feature) pairs.
-	perInstance := make(map[string]bool)
+	type instanceFeature struct {
+		owner *xmltree.Node
+		f     Feature
+	}
+	perInstance := make(map[instanceFeature]bool)
 
 	result.Walk(func(n *xmltree.Node) bool {
 		if n.Kind != xmltree.Element {
@@ -128,10 +136,10 @@ func Extract(result *xmltree.Node, schema *xseek.Schema, label string) *Stats {
 				owner = owningEntity(n, result, schema)
 			}
 			f := Feature{Type: Type{Entity: owner.Tag, Attribute: a.Name}, Value: a.Value}
-			key := owner.ID.String() + "\x00" + f.Type.String() + "\x00" + f.Value
+			key := instanceFeature{owner, f}
 			if !perInstance[key] {
 				perInstance[key] = true
-				s.add(f)
+				s.add(f, 1)
 			}
 		}
 		if !n.IsLeafElement() {
@@ -152,12 +160,12 @@ func Extract(result *xmltree.Node, schema *xseek.Schema, label string) *Stats {
 		}
 		owner := owningEntity(n, result, schema)
 		f.Entity = owner.Tag
-		key := owner.ID.String() + "\x00" + f.Type.String() + "\x00" + f.Value
+		key := instanceFeature{owner, f}
 		if perInstance[key] {
 			return true
 		}
 		perInstance[key] = true
-		s.add(f)
+		s.add(f, 1)
 		return true
 	})
 
@@ -178,24 +186,24 @@ func owningEntity(leaf, result *xmltree.Node, schema *xseek.Schema) *xmltree.Nod
 	return result
 }
 
-func (s *Stats) add(f Feature) {
-	vals := s.occ[f.Type]
-	if vals == nil {
-		vals = make(map[string]int)
-		s.occ[f.Type] = vals
+// add records n more occurrences of feature f.
+func (s *Stats) add(f Feature, n int) {
+	ts := s.byType[f.Type]
+	if ts == nil {
+		ts = &typeStats{occ: make(map[string]int)}
+		s.byType[f.Type] = ts
 	}
-	vals[f.Value]++
-	s.typeTotals[f.Type]++
+	ts.occ[f.Value] += n
+	ts.total += n
 }
 
 // freeze computes the deterministic significance orderings.
 func (s *Stats) freeze() {
-	entSet := make(map[string]bool)
-	for t := range s.occ {
-		entSet[t.Entity] = true
+	s.types = make(map[string][]Type)
+	for t := range s.byType {
 		s.types[t.Entity] = append(s.types[t.Entity], t)
 	}
-	for e := range entSet {
+	for e := range s.types {
 		s.entities = append(s.entities, e)
 	}
 	sort.Strings(s.entities)
@@ -205,7 +213,7 @@ func (s *Stats) freeze() {
 	// sixty distinct values, even when both occur once per instance.
 	maxValueCount := func(t Type) int {
 		m := 0
-		for _, c := range s.occ[t] {
+		for _, c := range s.byType[t].occ {
 			if c > m {
 				m = c
 			}
@@ -215,8 +223,8 @@ func (s *Stats) freeze() {
 	for e, ts := range s.types {
 		sort.Slice(ts, func(i, j int) bool {
 			ti, tj := ts[i], ts[j]
-			if s.typeTotals[ti] != s.typeTotals[tj] {
-				return s.typeTotals[ti] > s.typeTotals[tj]
+			if a, b := s.byType[ti].total, s.byType[tj].total; a != b {
+				return a > b
 			}
 			if mi, mj := maxValueCount(ti), maxValueCount(tj); mi != mj {
 				return mi > mj
@@ -225,9 +233,9 @@ func (s *Stats) freeze() {
 		})
 		s.types[e] = ts
 	}
-	for t, vals := range s.occ {
-		vcs := make([]ValueCount, 0, len(vals))
-		for v, c := range vals {
+	for _, ts := range s.byType {
+		vcs := make([]ValueCount, 0, len(ts.occ))
+		for v, c := range ts.occ {
 			vcs = append(vcs, ValueCount{Value: v, Count: c})
 		}
 		sort.Slice(vcs, func(i, j int) bool {
@@ -236,7 +244,7 @@ func (s *Stats) freeze() {
 			}
 			return vcs[i].Value < vcs[j].Value
 		})
-		s.values[t] = vcs
+		ts.values = vcs
 	}
 }
 
@@ -257,22 +265,37 @@ func (s *Stats) AllTypes() []Type {
 }
 
 // HasType reports whether the result carries any feature of type t.
-func (s *Stats) HasType(t Type) bool { return s.typeTotals[t] > 0 }
+func (s *Stats) HasType(t Type) bool { return s.TypeTotal(t) > 0 }
 
 // ValuesOf returns the values of type t in descending occurrence
 // order. The returned slice must not be modified.
-func (s *Stats) ValuesOf(t Type) []ValueCount { return s.values[t] }
+func (s *Stats) ValuesOf(t Type) []ValueCount {
+	if ts := s.byType[t]; ts != nil {
+		return ts.values
+	}
+	return nil
+}
 
 // Occ returns the occurrence count of feature (t, v).
-func (s *Stats) Occ(t Type, v string) int { return s.occ[t][v] }
+func (s *Stats) Occ(t Type, v string) int { return s.Counts(t)[v] }
 
 // Counts returns type t's value -> occurrence map (nil when the result
 // lacks t), for callers that look up many values of one type. The map
 // must not be modified.
-func (s *Stats) Counts(t Type) map[string]int { return s.occ[t] }
+func (s *Stats) Counts(t Type) map[string]int {
+	if ts := s.byType[t]; ts != nil {
+		return ts.occ
+	}
+	return nil
+}
 
 // TypeTotal returns the total occurrences of type t (its significance).
-func (s *Stats) TypeTotal(t Type) int { return s.typeTotals[t] }
+func (s *Stats) TypeTotal(t Type) int {
+	if ts := s.byType[t]; ts != nil {
+		return ts.total
+	}
+	return 0
+}
 
 // GroupCount returns the number of instances of the entity in the
 // result (the denominator of relative frequencies). Unknown entities
@@ -293,14 +316,14 @@ func (s *Stats) Rel(t Type, v string) float64 {
 // FeatureCount returns the number of distinct features in the result.
 func (s *Stats) FeatureCount() int {
 	n := 0
-	for _, vals := range s.occ {
-		n += len(vals)
+	for _, ts := range s.byType {
+		n += len(ts.occ)
 	}
 	return n
 }
 
 // TypeCount returns the number of distinct feature types.
-func (s *Stats) TypeCount() int { return len(s.occ) }
+func (s *Stats) TypeCount() int { return len(s.byType) }
 
 // StatLine renders the "ATTR:VALUE:# of occ" listing of Figure 1 for
 // the top k features, most significant first.
@@ -308,7 +331,7 @@ func (s *Stats) StatLine(k int) string {
 	var rows []string
 	for _, e := range s.entities {
 		for _, t := range s.types[e] {
-			for _, vc := range s.values[t] {
+			for _, vc := range s.ValuesOf(t) {
 				rows = append(rows, fmt.Sprintf("%s: %s: %d", t.Attribute, vc.Value, vc.Count))
 			}
 		}
@@ -327,25 +350,15 @@ func NewStatsFromCounts(label string, groupCounts map[string]int, counts map[Fea
 	s := &Stats{
 		Label:      label,
 		groupCount: make(map[string]int, len(groupCounts)),
-		occ:        make(map[Type]map[string]int),
-		typeTotals: make(map[Type]int),
-		types:      make(map[string][]Type),
-		values:     make(map[Type][]ValueCount),
+		byType:     make(map[Type]*typeStats),
 	}
 	for e, c := range groupCounts {
 		s.groupCount[e] = c
 	}
 	for f, c := range counts {
-		if c <= 0 {
-			continue
+		if c > 0 {
+			s.add(f, c)
 		}
-		vals := s.occ[f.Type]
-		if vals == nil {
-			vals = make(map[string]int)
-			s.occ[f.Type] = vals
-		}
-		vals[f.Value] += c
-		s.typeTotals[f.Type] += c
 	}
 	s.freeze()
 	return s

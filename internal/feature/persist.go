@@ -20,7 +20,11 @@ type gobStats struct {
 // interactive pipeline, so callers serving repeat comparisons can
 // cache Stats alongside the corpus.
 func (s *Stats) Save(w io.Writer) error {
-	g := gobStats{Label: s.Label, GroupCount: s.groupCount, Occ: s.occ}
+	occ := make(map[Type]map[string]int, len(s.byType))
+	for t, ts := range s.byType {
+		occ[t] = ts.occ
+	}
+	g := gobStats{Label: s.Label, GroupCount: s.groupCount, Occ: occ}
 	if err := gob.NewEncoder(w).Encode(&g); err != nil {
 		return fmt.Errorf("feature: save stats: %w", err)
 	}
@@ -37,21 +41,17 @@ func LoadStats(r io.Reader) (*Stats, error) {
 	s := &Stats{
 		Label:      g.Label,
 		groupCount: g.GroupCount,
-		occ:        g.Occ,
-		typeTotals: make(map[Type]int),
-		types:      make(map[string][]Type),
-		values:     make(map[Type][]ValueCount),
+		byType:     make(map[Type]*typeStats, len(g.Occ)),
 	}
 	if s.groupCount == nil {
 		s.groupCount = make(map[string]int)
 	}
-	if s.occ == nil {
-		s.occ = make(map[Type]map[string]int)
-	}
-	for t, vals := range s.occ {
+	for t, vals := range g.Occ {
+		ts := &typeStats{occ: vals}
 		for _, c := range vals {
-			s.typeTotals[t] += c
+			ts.total += c
 		}
+		s.byType[t] = ts
 	}
 	s.freeze()
 	return s, nil

@@ -234,6 +234,9 @@ func (f *Fanout) StreamedDecisions() int64 { return f.plannerStreamed.Load() }
 func (f *Fanout) tfCounts(probes []TFProbe) ([]int, error) {
 	out := make([]int, len(probes))
 	perLeg := make([][]int, len(f.legs)) // probe indices routed to each leg
+	for g := range perLeg {
+		perLeg[g] = make([]int, 0, len(probes)/len(f.legs)+1) // owned probes split about evenly
+	}
 	for i, p := range probes {
 		if g := f.own.Owner(p.ID); g >= 0 {
 			perLeg[g] = append(perLeg[g], i)

@@ -112,21 +112,27 @@ func (f *Fanout) RankPageErr(results []*xseek.Result, query string, opts xseek.S
 // stays in (result, term-occurrence) order so every float operation
 // matches the monolithic scorer's exactly.
 func (f *Fanout) scoreResults(results []*xseek.Result, query string) ([]*xseek.RankedResult, error) {
-	terms := index.TokenizeQuery(query)
+	// Only terms with a corpus IDF are probed; resolve them once.
+	type weighted struct {
+		term string
+		idf  float64
+	}
+	var terms []weighted
+	for _, t := range index.TokenizeQuery(query) {
+		if idf, ok := f.idf[t]; ok {
+			terms = append(terms, weighted{t, idf})
+		}
+	}
 	type slot struct {
 		ri  int     // result index
 		idf float64 // the occurrence's term weight input
 	}
-	var probes []TFProbe
-	var slots []slot
+	probes := make([]TFProbe, 0, len(results)*len(terms))
+	slots := make([]slot, 0, len(results)*len(terms))
 	for ri, r := range results {
 		for _, t := range terms {
-			idf, ok := f.idf[t]
-			if !ok {
-				continue
-			}
-			probes = append(probes, TFProbe{Term: t, ID: r.Node.ID})
-			slots = append(slots, slot{ri: ri, idf: idf})
+			probes = append(probes, TFProbe{Term: t.term, ID: r.Node.ID})
+			slots = append(slots, slot{ri: ri, idf: t.idf})
 		}
 	}
 	counts, err := f.tfCounts(probes)
@@ -134,8 +140,10 @@ func (f *Fanout) scoreResults(results []*xseek.Result, query string) ([]*xseek.R
 		return nil, err
 	}
 	out := make([]*xseek.RankedResult, len(results))
+	slab := make([]xseek.RankedResult, len(results)) // one allocation for every entry
 	for ri, r := range results {
-		out[ri] = &xseek.RankedResult{Result: r}
+		slab[ri] = xseek.RankedResult{Result: r}
+		out[ri] = &slab[ri]
 	}
 	for si, s := range slots {
 		if counts[si] == 0 {

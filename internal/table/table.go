@@ -5,6 +5,7 @@ import (
 	"html"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/core"
@@ -40,14 +41,18 @@ type Table struct {
 
 // Build assembles the comparison table for a set of DFSs. Rows are
 // ordered by entity, then by maximum significance across results, so
-// the most characteristic types come first.
+// the most characteristic types come first. Every row's cells share
+// one backing array, and every cell's values another: a table is built
+// per comparison request.
 func Build(dfss []*core.DFS) *Table {
 	t := &Table{}
 	typeSet := make(map[feature.Type]bool)
+	maxValues := 0
 	for _, d := range dfss {
 		t.Labels = append(t.Labels, d.Stats.Label)
-		for tp := range d.Sel {
+		for tp, depth := range d.Sel {
 			typeSet[tp] = true
+			maxValues += depth
 		}
 	}
 	types := make([]feature.Type, 0, len(typeSet))
@@ -73,27 +78,35 @@ func Build(dfss []*core.DFS) *Table {
 		}
 		return types[i].Attribute < types[j].Attribute
 	})
-	for _, tp := range types {
-		row := Row{Type: tp}
-		for _, d := range dfss {
+	t.Rows = make([]Row, len(types))
+	cells := make([]Cell, len(types)*len(dfss))
+	values := make([]CellValue, 0, maxValues)
+	for ri, tp := range types {
+		row := cells[ri*len(dfss) : (ri+1)*len(dfss) : (ri+1)*len(dfss)]
+		for ci, d := range dfss {
 			depth, ok := d.Sel[tp]
-			cell := Cell{Known: ok}
-			if ok {
-				vals := d.Stats.ValuesOf(tp)
-				if depth > len(vals) {
-					depth = len(vals)
-				}
-				for _, vc := range vals[:depth] {
-					cell.Values = append(cell.Values, CellValue{
-						Value: vc.Value,
-						Rel:   d.Stats.Rel(tp, vc.Value),
-						Count: vc.Count,
-					})
-				}
+			row[ci].Known = ok
+			if !ok {
+				continue
 			}
-			row.Cells = append(row.Cells, cell)
+			vals := d.Stats.ValuesOf(tp)
+			if depth > len(vals) {
+				depth = len(vals)
+			}
+			if depth == 0 {
+				continue
+			}
+			start := len(values)
+			for _, vc := range vals[:depth] {
+				values = append(values, CellValue{
+					Value: vc.Value,
+					Rel:   d.Stats.Rel(tp, vc.Value),
+					Count: vc.Count,
+				})
+			}
+			row[ci].Values = values[start:len(values):len(values)]
 		}
-		t.Rows = append(t.Rows, row)
+		t.Rows[ri] = Row{Type: tp, Cells: row}
 	}
 	return t
 }
@@ -167,39 +180,69 @@ func (t *Table) Text() string {
 }
 
 // WriteHTML renders the table as a self-contained HTML fragment
-// (<table> element) for the web demo.
+// (<table> element) for the web demo. It writes piece by piece, so an
+// unbuffered w should be wrapped in a bufio.Writer; the first write
+// error stops the rendering and is returned.
 func (t *Table) WriteHTML(w io.Writer) error {
-	var b strings.Builder
-	b.WriteString("<table class=\"xsact-comparison\">\n<thead><tr><th>feature</th>")
+	hw := &errWriter{w: w}
+	hw.str("<table class=\"xsact-comparison\">\n<thead><tr><th>feature</th>")
 	for _, l := range t.Labels {
-		fmt.Fprintf(&b, "<th>%s</th>", html.EscapeString(l))
+		hw.str("<th>")
+		hw.str(html.EscapeString(l))
+		hw.str("</th>")
 	}
-	b.WriteString("</tr></thead>\n<tbody>\n")
+	hw.str("</tr></thead>\n<tbody>\n")
+	var num []byte
 	for _, row := range t.Rows {
-		fmt.Fprintf(&b, "<tr><td>%s</td>", html.EscapeString(row.Type.String()))
+		// Type.String() escaped, without building it: ':' needs no escape.
+		hw.str("<tr><td>")
+		hw.str(html.EscapeString(row.Type.Entity))
+		hw.str(":")
+		hw.str(html.EscapeString(row.Type.Attribute))
+		hw.str("</td>")
 		for _, c := range row.Cells {
 			if !c.Known {
-				b.WriteString(`<td class="unknown">unknown</td>`)
+				hw.str(`<td class="unknown">unknown</td>`)
 				continue
 			}
-			b.WriteString("<td>")
+			hw.str("<td>")
 			for i, v := range c.Values {
 				if i > 0 {
-					b.WriteString("<br>")
+					hw.str("<br>")
 				}
-				if v.Rel >= 0.999 {
-					b.WriteString(html.EscapeString(v.Value))
-				} else {
-					fmt.Fprintf(&b, "%s (%.0f%%)", html.EscapeString(v.Value), v.Rel*100)
+				hw.str(html.EscapeString(v.Value))
+				if v.Rel < 0.999 {
+					// " (%.0f%%)" of the relative frequency, without fmt.
+					num = append(num[:0], " ("...)
+					num = strconv.AppendFloat(num, v.Rel*100, 'f', 0, 64)
+					num = append(num, "%)"...)
+					hw.bytes(num)
 				}
 			}
-			b.WriteString("</td>")
+			hw.str("</td>")
 		}
-		b.WriteString("</tr>\n")
+		hw.str("</tr>\n")
 	}
-	b.WriteString("</tbody>\n</table>\n")
-	_, err := io.WriteString(w, b.String())
-	return err
+	hw.str("</tbody>\n</table>\n")
+	return hw.err
+}
+
+// errWriter latches the first write error and drops later writes.
+type errWriter struct {
+	w   io.Writer
+	err error
+}
+
+func (e *errWriter) str(s string) {
+	if e.err == nil {
+		_, e.err = io.WriteString(e.w, s)
+	}
+}
+
+func (e *errWriter) bytes(p []byte) {
+	if e.err == nil {
+		_, e.err = e.w.Write(p)
+	}
 }
 
 // HTML returns the HTML rendering.

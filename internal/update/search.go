@@ -66,6 +66,7 @@ func (e *Engine) scoreResults(s *state, results []*xseek.Result, query string) [
 	terms := index.TokenizeQuery(query)
 	lists := make(map[string]index.PostingList, len(terms))
 	out := make([]*xseek.RankedResult, len(results))
+	slab := make([]xseek.RankedResult, len(results)) // one allocation for every entry
 	for i, r := range results {
 		score := 0.0
 		for _, t := range terms {
@@ -84,7 +85,8 @@ func (e *Engine) scoreResults(s *state, results []*xseek.Result, query string) [
 			}
 			score += xseek.TermWeight(tf, xseek.IDF(s.totalNodes, df))
 		}
-		out[i] = &xseek.RankedResult{Result: r, Score: score}
+		slab[i] = xseek.RankedResult{Result: r, Score: score}
+		out[i] = &slab[i]
 	}
 	return out
 }

@@ -145,14 +145,30 @@ func (n *Node) Value() string {
 	if n.Kind == Text {
 		return strings.TrimSpace(n.Text)
 	}
+	// A leaf's one text child is returned as a substring of the tree's
+	// own text, with no copy; only several text children are joined.
+	var single string
 	var b strings.Builder
+	seen := 0
 	for _, c := range n.Children {
-		if c.Kind == Text {
-			if b.Len() > 0 {
-				b.WriteByte(' ')
-			}
-			b.WriteString(strings.TrimSpace(c.Text))
+		if c.Kind != Text {
+			continue
 		}
+		t := strings.TrimSpace(c.Text)
+		if seen++; seen == 1 {
+			single = t
+			continue
+		}
+		if seen == 2 {
+			b.WriteString(single)
+		}
+		if b.Len() > 0 {
+			b.WriteByte(' ')
+		}
+		b.WriteString(t)
+	}
+	if seen <= 1 {
+		return single
 	}
 	return b.String()
 }

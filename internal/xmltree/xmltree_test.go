@@ -137,6 +137,43 @@ func TestValueAndDeepValue(t *testing.T) {
 	}
 }
 
+// TestValueJoinsTextChildren pins Value's join rule against a plain
+// reimplementation: each text child trimmed, a space before every text
+// once the value so far is non-empty, and a lone text child returned
+// without building a new string.
+func TestValueJoinsTextChildren(t *testing.T) {
+	want := func(n *Node) string {
+		var b strings.Builder
+		for _, c := range n.Children {
+			if c.Kind == Text {
+				if b.Len() > 0 {
+					b.WriteByte(' ')
+				}
+				b.WriteString(strings.TrimSpace(c.Text))
+			}
+		}
+		return b.String()
+	}
+	for _, texts := range [][]string{
+		nil, {"  a b  "}, {"a", "b"}, {"  ", "b"}, {"a", "  "}, {"", "", "c"}, {" x ", "y", " z"},
+	} {
+		n := NewElement("v")
+		for i, s := range texts {
+			n.AppendChild(NewText(s))
+			if i == 0 {
+				n.AppendChild(NewElement("sep"))
+			}
+		}
+		if got := n.Value(); got != want(n) {
+			t.Fatalf("Value of %q = %q, want %q", texts, got, want(n))
+		}
+	}
+	leaf := NewElement("name").AppendChild(NewText(" TomTom "))
+	if n := testing.AllocsPerRun(100, func() { _ = leaf.Value() }); n != 0 {
+		t.Fatalf("a lone text child's value allocated %v times, want 0 (a slice of the tree's text)", n)
+	}
+}
+
 func TestLeafElement(t *testing.T) {
 	root := mustSample(t)
 	name := root.Children[0].FirstChildElement("name")

@@ -56,24 +56,40 @@ func (e *Engine) RankPage(results []*Result, query string, opts SearchOptions) [
 }
 
 // scoreResults computes each result's TF-IDF score in input order,
-// using the corpus constants precomputed at engine construction.
+// using the corpus constants precomputed at engine construction. Each
+// term's IDF and posting list are resolved once per call; weights
+// still accumulate in (result, query-term) order, so every float
+// operation matches a per-pair lookup exactly.
 func (e *Engine) scoreResults(results []*Result, query string) []*RankedResult {
-	terms := index.TokenizeQuery(query)
 	out := make([]*RankedResult, len(results))
+	if len(results) == 0 {
+		return out
+	}
+	// One backing array for the entries: a ranking is kept or dropped
+	// as a whole, so n small objects would only cost the collector.
+	slab := make([]RankedResult, len(results))
+	terms := index.TokenizeQuery(query)
+	idfs := make([]float64, len(terms))
+	lists := make([]index.PostingList, len(terms))
+	for j, t := range terms {
+		if idfs[j] = e.termIDF(t); idfs[j] != 0 {
+			lists[j] = e.idx.Lookup(t)
+		}
+	}
 	for i, r := range results {
 		score := 0.0
-		for _, t := range terms {
-			idf := e.termIDF(t)
+		for j, idf := range idfs {
 			if idf == 0 {
 				continue
 			}
-			tf := index.CountUnder(e.idx.Lookup(t), r.Node.ID)
+			tf := index.CountUnder(lists[j], r.Node.ID)
 			if tf == 0 {
 				continue
 			}
 			score += TermWeight(tf, idf)
 		}
-		out[i] = &RankedResult{Result: r, Score: score}
+		slab[i] = RankedResult{Result: r, Score: score}
+		out[i] = &slab[i]
 	}
 	return out
 }
