@@ -338,8 +338,8 @@ type documentResponse struct {
 // POST parses the XML fragment and appends it as a new top-level
 // entity, immediately searchable; the response's id is the handle
 // DELETE accepts (and matches the id field of /api/v1/search results).
-// With -snapshot-dir set, each accepted write re-persists the engine in
-// the journaled live layout, so restarts replay it.
+// With -snapshot-dir set, each accepted write re-persists the engine
+// with its journal of pending writes, so restarts replay it.
 func (s *server) apiDocuments(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodPost:

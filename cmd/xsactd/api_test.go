@@ -80,13 +80,17 @@ func captureLog(t *testing.T, fn func()) string {
 // that replaces it.
 func TestSnapshotLifecycle(t *testing.T) {
 	dir := t.TempDir()
+	s, err := newServer(5, dir, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	gen := func() *xmltree.Node {
 		return dataset.ProductReviews(dataset.ReviewsConfig{Seed: 5})
 	}
 
 	var first *engine.Engine
 	out := captureLog(t, func() {
-		first = buildEngine("Product Reviews", "reviews", 5, dir, 1, 0, persist.CompactFormatVersion, gen)
+		first = s.buildEngine("Product Reviews", gen)
 	})
 	if !strings.Contains(out, "wrote snapshot") {
 		t.Fatalf("first build should write a snapshot, log:\n%s", out)
@@ -98,7 +102,7 @@ func TestSnapshotLifecycle(t *testing.T) {
 
 	var second *engine.Engine
 	out = captureLog(t, func() {
-		second = buildEngine("Product Reviews", "reviews", 5, dir, 1, 0, persist.CompactFormatVersion, gen)
+		second = s.buildEngine("Product Reviews", gen)
 	})
 	if !strings.Contains(out, "loaded from snapshot") {
 		t.Fatalf("second startup should load the snapshot, log:\n%s", out)
@@ -127,7 +131,7 @@ func TestSnapshotLifecycle(t *testing.T) {
 	}
 	var third *engine.Engine
 	out = captureLog(t, func() {
-		third = buildEngine("Product Reviews", "reviews", 5, dir, 1, 0, persist.CompactFormatVersion, gen)
+		third = s.buildEngine("Product Reviews", gen)
 	})
 	if !strings.Contains(out, "rebuilding") || !strings.Contains(out, "wrote snapshot") {
 		t.Fatalf("corrupt snapshot should rebuild and rewrite, log:\n%s", out)
@@ -137,13 +141,83 @@ func TestSnapshotLifecycle(t *testing.T) {
 	}
 }
 
+// TestLegacyV3SnapshotConvertedOnLoad: a snapshot in the retired
+// journaled v3 layout loads with its pending writes, is rewritten as
+// v4 on the spot, and the rewritten file carries the same writes into
+// the next restart. A live snapshot embeds its own corpus, so the
+// committed fixture (a small <shop> with one pending add and one
+// pending remove) stands in for the dataset's file.
+func TestLegacyV3SnapshotConvertedOnLoad(t *testing.T) {
+	fixture, err := os.ReadFile(filepath.Join("..", "..", "internal", "persist", "testdata", "live_v3_k1.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "reviews-seed5.snap")
+	if err := os.WriteFile(path, fixture, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	gen := func() *xmltree.Node {
+		return dataset.ProductReviews(dataset.ReviewsConfig{Seed: 5})
+	}
+	restart := func() (*engine.Engine, string) {
+		s, err := newServer(5, dir, 1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var eng *engine.Engine
+		out := captureLog(t, func() { eng = s.buildEngine("Product Reviews", gen) })
+		return eng, out
+	}
+	header := func() string {
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		v, err := persist.SniffVersion(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("XSACTSNAP %d", v)
+	}
+
+	first, out := restart()
+	if !strings.Contains(out, "loaded from snapshot") || !strings.Contains(out, "rewrote v3 snapshot") {
+		t.Fatalf("v3 snapshot should load and be rewritten, log:\n%s", out)
+	}
+	if h := header(); h != "XSACTSNAP 4" {
+		t.Fatalf("snapshot header after conversion = %q, want XSACTSNAP 4", h)
+	}
+	second, out := restart()
+	if !strings.Contains(out, "loaded from snapshot") || strings.Contains(out, "rewrote") {
+		t.Fatalf("converted snapshot should load without another rewrite, log:\n%s", out)
+	}
+
+	// The fixture's journal added "fresh" (kind solar) and removed item1.
+	for i, eng := range []*engine.Engine{first, second} {
+		if rs, err := eng.Search("fresh solar"); err != nil || len(rs) != 1 {
+			t.Fatalf("restart %d: journaled add: %d results, err %v", i+1, len(rs), err)
+		}
+		if rs, _ := eng.Search("item1"); len(rs) != 0 {
+			t.Fatalf("restart %d: journaled remove lost: item1 has %d results", i+1, len(rs))
+		}
+		if rs, err := eng.Search("item2"); err != nil || len(rs) != 1 {
+			t.Fatalf("restart %d: base entity item2: %d results, err %v", i+1, len(rs), err)
+		}
+		if m := eng.Metrics(); m.PendingDelta == 0 || m.PendingTombstones == 0 {
+			t.Fatalf("restart %d: journal not pending after reload: %+v", i+1, m)
+		}
+	}
+}
+
 // TestServerSecondStartupFromSnapshot exercises the lifecycle through
 // the real server plumbing: two servers sharing a snapshot dir must
 // serve identical JSON, the second from disk.
 func TestServerSecondStartupFromSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	serve := func() (string, string) {
-		s, err := newServer(1, dir, 1, 0, persist.CompactFormatVersion)
+		s, err := newServer(1, dir, 1, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,8 +6,6 @@ import (
 	"net/url"
 	"strings"
 	"testing"
-
-	"repro/internal/persist"
 )
 
 // request performs an arbitrary-method HTTP call with an optional body.
@@ -135,7 +133,7 @@ func TestServerWritesSurviveRestart(t *testing.T) {
 	dir := t.TempDir()
 	const ds = "Movies"
 
-	s1, err := newServer(1, dir, 1, 0, persist.CompactFormatVersion)
+	s1, err := newServer(1, dir, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +149,7 @@ func TestServerWritesSurviveRestart(t *testing.T) {
 		t.Fatalf("entity not searchable on first server: %d", got)
 	}
 
-	s2, err := newServer(1, dir, 1, 0, persist.CompactFormatVersion)
+	s2, err := newServer(1, dir, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,27 +11,25 @@
 // With -snapshot-dir, an engine's derived state (inverted index +
 // inferred schema) is reloaded from disk when a valid snapshot exists
 // and written back after a fresh build, so restarts skip the rebuild.
-// -snapshot-format picks the layout written: the default "v4" compact
-// layout is mmap-ed on load and decodes postings lazily as queries
-// touch them (near-zero restart); "gob" writes the legacy layouts.
-// Loading accepts every layout regardless of the flag.
+// Snapshots are written in the v4 layout, which is mmap-ed on load and
+// decodes postings lazily as queries touch them (near-zero restart). A
+// snapshot in the retired journaled v3 layout still loads and is
+// rewritten as v4 straight away; older layouts cost one rebuild.
 //
 // With -shards N each corpus is split into N index shards (at
 // top-level entity boundaries) that build in parallel and serve
 // queries through a fan-out/merge executor; results are identical to
-// the unsharded engine. Snapshots are per-layout: a sharded engine
-// writes the multi-shard format, whose shards reload lazily and
-// survive single-shard corruption by rebuilding only the bad shard.
-//
-// Usage:
+// the unsharded engine. Snapshots are per-layout: a sharded engine's
+// snapshot carries one postings section per shard, each reloading
+// lazily, so single-shard corruption rebuilds only the bad shard.
 //
 // The corpus is live: POST /api/v1/documents adds a top-level entity
 // (immediately searchable), DELETE /api/v1/documents removes one, and
 // POST /api/v1/compact folds pending writes back into the base index
 // under an epoch swap that never blocks queries. -compact-every N
 // compacts automatically after N pending writes. With -snapshot-dir,
-// accepted writes are persisted in a journaled snapshot layout and
-// replayed on restart.
+// every accepted write re-saves the snapshot with its journal of
+// pending writes, which a restart replays.
 //
 // The binary also hosts the two distributed roles: -shard-server
 // serves one shard leg of every dataset over the versioned wire API
@@ -41,7 +39,7 @@
 //
 // Usage:
 //
-//	xsactd [-addr :8080] [-seed 1] [-snapshot-dir DIR] [-snapshot-format v4|gob] [-shards N] [-compact-every N] [-pprof :6060]
+//	xsactd [-addr :8080] [-seed 1] [-snapshot-dir DIR] [-shards N] [-compact-every N] [-pprof :6060]
 //	xsactd -shard-server -shard-id I -shard-count K [-addr :9101] [-seed 1] [-snapshot-dir DIR] [-peer URL]
 //	xsactd -coordinator URL1,URL2,... [-addr :8080] [-seed 1] [-replicas N] [-max-inflight N] [-dist-timeout 5s] [-dist-retries 2] [-dist-hedge 0] [-dist-partial]
 package main
@@ -56,7 +54,6 @@ import (
 	"time"
 
 	"repro/internal/dist"
-	"repro/internal/persist"
 )
 
 func main() {
@@ -64,7 +61,6 @@ func main() {
 		addr         = flag.String("addr", ":8080", "listen address")
 		seed         = flag.Int64("seed", 1, "dataset seed")
 		snapshotDir  = flag.String("snapshot-dir", "", "directory for engine snapshots (empty = rebuild on every start)")
-		snapFormat   = flag.String("snapshot-format", "v4", "snapshot layout to write: v4 (compact, mmap-ed on load) or gob (legacy v1/v2/v3); every layout still loads")
 		shards       = flag.Int("shards", 1, "index shards per dataset (1 = monolithic index)")
 		compactEvery = flag.Int("compact-every", 64, "auto-compact the live write path after this many pending writes (0 = manual compaction only)")
 		pprofAddr    = flag.String("pprof", "", "profiling listen address for /debug/pprof/ and /debug/memstats (empty = profiling off); keep it off public ingress")
@@ -102,12 +98,7 @@ func main() {
 		log.Fatal(http.ListenAndServe(*addr, srv.routes()))
 	}
 
-	format, err := snapshotFormat(*snapFormat)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "xsactd:", err)
-		os.Exit(1)
-	}
-	srv, err = newServer(*seed, *snapshotDir, *shards, *compactEvery, format)
+	srv, err = newServer(*seed, *snapshotDir, *shards, *compactEvery)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "xsactd:", err)
 		os.Exit(1)
@@ -122,19 +113,6 @@ func main() {
 	}
 	log.Printf("xsactd listening on %s (datasets: %v, shards: %d)", *addr, srv.datasetNames(), *shards)
 	log.Fatal(http.ListenAndServe(*addr, srv.routes()))
-}
-
-// snapshotFormat maps the -snapshot-format flag to a persist format
-// selector: "v4" writes the compact mmap-able layout, "gob" the legacy
-// automatic v1/v2/v3 one. Reading is format-agnostic either way.
-func snapshotFormat(name string) (int, error) {
-	switch name {
-	case "v4":
-		return persist.CompactFormatVersion, nil
-	case "gob":
-		return 0, nil
-	}
-	return 0, fmt.Errorf("-snapshot-format %q: want v4 or gob", name)
 }
 
 // datasetNames lists the loaded corpora in menu order.

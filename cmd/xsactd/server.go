@@ -8,6 +8,7 @@ import (
 	"log"
 	"net/http"
 	"net/url"
+	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -77,37 +78,37 @@ func (l *lazyEngine) peek() *engine.Engine {
 // server holds one lazily-built, shared serving engine per dataset,
 // plus the snapshot configuration writes persist through.
 type server struct {
-	datasets    map[string]*lazyEngine
-	order       []string
-	slugs       map[string]string // dataset name → snapshot file slug
-	seed        int64
-	snapshotDir string
-	snapFormat  int // persist.SaveFileFormat selector (0 = legacy gob)
-	shards      int
-	// snapMu serializes post-write snapshot saves: each save captures
-	// the engine's state at save time (under the lock), so rename order
+	datasets     map[string]*lazyEngine
+	order        []string
+	slugs        map[string]string // dataset name → snapshot file slug
+	seed         int64
+	snapshotDir  string
+	shards       int
+	compactEvery int
+	// snapMu serializes snapshot saves: each save captures the
+	// engine's state at save time (under the lock), so rename order
 	// matches capture order and a stale image can never replace a newer
 	// one when write handlers race.
 	snapMu sync.Mutex
 }
 
 // newServer assembles the dataset table. When snapshotDir is non-empty
-// each engine build first tries to reload its derived state from
+// each engine build first tries to reload from
 // <snapshotDir>/<slug>-seed<seed>[-sN].snap, and writes that file back
 // after a fresh build, so the second server startup skips index
 // construction and schema inference entirely. shards > 1 builds every
 // engine with that many index shards (and keeps their snapshots in
 // per-layout files, so switching the flag never misreads a snapshot of
 // the other layout).
-func newServer(seed int64, snapshotDir string, shards, compactEvery, snapFormat int) (*server, error) {
+func newServer(seed int64, snapshotDir string, shards, compactEvery int) (*server, error) {
 	s := &server{
 		datasets: make(map[string]*lazyEngine), slugs: make(map[string]string),
-		seed: seed, snapshotDir: snapshotDir, snapFormat: snapFormat, shards: shards,
+		seed: seed, snapshotDir: snapshotDir, shards: shards, compactEvery: compactEvery,
 	}
 	for _, d := range datasetDefs(seed) {
 		d := d
 		s.datasets[d.name] = &lazyEngine{build: func() *engine.Engine {
-			return buildEngine(d.name, d.slug, seed, snapshotDir, shards, compactEvery, snapFormat, d.gen)
+			return s.buildEngine(d.name, d.gen)
 		}}
 		s.order = append(s.order, d.name)
 		s.slugs[d.name] = d.slug
@@ -115,41 +116,75 @@ func newServer(seed int64, snapshotDir string, shards, compactEvery, snapFormat 
 	return s, nil
 }
 
-// buildEngine generates the corpus and produces its serving engine,
-// serving the derived state from a snapshot when one is present and
-// valid. Snapshot failures are never fatal — a bad file just costs a
-// rebuild (and is replaced by a fresh snapshot afterwards); a
-// multi-shard snapshot with one corrupt shard section loads anyway and
-// rebuilds only that shard lazily.
-func buildEngine(name, slug string, seed int64, dir string, shards, compactEvery, snapFormat int, gen func() *xmltree.Node) *engine.Engine {
+// buildEngine generates a dataset's corpus and produces its serving
+// engine, reloading it from the dataset's snapshot when one is present
+// and valid. Snapshot failures are never fatal — a bad file (a retired
+// v1/v2 layout included) just costs a rebuild, and is replaced by a
+// fresh snapshot afterwards; a sharded snapshot with one corrupt shard
+// section loads anyway and rebuilds only that shard lazily. A file in
+// the retired journaled v3 layout loads and is rewritten as v4 at
+// once, so each legacy file is read only once.
+func (s *server) buildEngine(name string, gen func() *xmltree.Node) *engine.Engine {
 	root := gen()
-	cfg := engine.Config{Shards: shards, AutoCompactThreshold: compactEvery}
-	if dir == "" {
+	cfg := engine.Config{Shards: s.shards, AutoCompactThreshold: s.compactEvery}
+	if s.snapshotDir == "" {
 		return engine.NewWithConfig(root, cfg)
 	}
-	path := filepath.Join(dir, snapshotFile(slug, seed, shards))
-	// For immutable (v1/v2) snapshots persist.Load verifies the corpus
-	// fingerprint against the freshly generated root, which
-	// deterministically encodes dataset and seed. A live (v3) snapshot
-	// cannot match the generator's tree — it contains accepted writes —
-	// so it is self-contained and trusted via its own checksums; the
-	// per-layout file name (slug, seed, shard count) is what scopes it
-	// to this dataset.
+	path := s.snapshotPath(name)
+	// A snapshot of a never-written corpus is trusted only once persist
+	// has verified its corpus fingerprint against the freshly generated
+	// root, which deterministically encodes dataset and seed. A live
+	// snapshot cannot match the generator's tree — it contains accepted
+	// writes — so it carries its own base tree and is trusted via its
+	// checksums; the per-layout file name (slug, seed, shard count) is
+	// what scopes it to this dataset.
 	eng, _, err := persist.LoadFile(path, root, cfg)
 	if err == nil {
 		log.Printf("xsactd: %s: engine loaded from snapshot %s", name, path)
+		if snapshotVersion(path) == persist.LiveFormatVersion {
+			if err := s.writeSnapshot(name, eng); err != nil {
+				log.Printf("xsactd: %s: rewriting v3 snapshot %s as v4 failed: %v", name, path, err)
+			} else {
+				log.Printf("xsactd: %s: rewrote v3 snapshot %s as v4", name, path)
+			}
+		}
 		return eng
 	}
 	if !errors.Is(err, fs.ErrNotExist) {
 		log.Printf("xsactd: %s: snapshot %s unusable (%v); rebuilding", name, path, err)
 	}
 	built := engine.NewWithConfig(root, cfg)
-	if err := persist.SaveFileFormat(path, built, persist.Meta{CorpusName: name, Seed: seed}, snapFormat); err != nil {
+	if err := s.writeSnapshot(name, built); err != nil {
 		log.Printf("xsactd: %s: writing snapshot %s failed: %v", name, path, err)
 	} else {
 		log.Printf("xsactd: %s: wrote snapshot %s", name, path)
 	}
 	return built
+}
+
+// snapshotVersion is the format version in the header of the snapshot
+// at path, 0 when it cannot be read.
+func snapshotVersion(path string) int {
+	f, err := os.Open(path)
+	if err != nil {
+		return 0
+	}
+	defer f.Close()
+	v, _ := persist.SniffVersion(f)
+	return v
+}
+
+// snapshotPath is where a dataset's snapshot lives.
+func (s *server) snapshotPath(name string) string {
+	return filepath.Join(s.snapshotDir, snapshotFile(s.slugs[name], s.seed, s.shards))
+}
+
+// writeSnapshot atomically replaces a dataset's snapshot with eng's
+// current state, under snapMu.
+func (s *server) writeSnapshot(name string, eng *engine.Engine) error {
+	s.snapMu.Lock()
+	defer s.snapMu.Unlock()
+	return persist.SaveFile(s.snapshotPath(name), eng, persist.Meta{CorpusName: name, Seed: s.seed})
 }
 
 // snapshotFile names a dataset's snapshot. Sharded layouts get their
@@ -187,9 +222,8 @@ func (s *server) routes() http.Handler {
 }
 
 // saveSnapshot persists a dataset's engine after a successful write so
-// a restart replays it (a live engine with pending writes snapshots in
-// the journaled v3 layout whatever format was requested — v4 carries
-// no journal; once compacted it snapshots as a self-contained v4).
+// a restart replays it: a live engine snapshots its base tree plus the
+// journal of pending writes, or just the base once compacted.
 // Failures are logged, never fatal: the live engine still serves the
 // write, it just won't survive a restart.
 func (s *server) saveSnapshot(name string) {
@@ -200,11 +234,8 @@ func (s *server) saveSnapshot(name string) {
 	if eng == nil {
 		return
 	}
-	s.snapMu.Lock()
-	defer s.snapMu.Unlock()
-	path := filepath.Join(s.snapshotDir, snapshotFile(s.slugs[name], s.seed, s.shards))
-	if err := persist.SaveFileFormat(path, eng, persist.Meta{CorpusName: name, Seed: s.seed}, s.snapFormat); err != nil {
-		log.Printf("xsactd: %s: writing snapshot %s failed: %v", name, path, err)
+	if err := s.writeSnapshot(name, eng); err != nil {
+		log.Printf("xsactd: %s: writing snapshot %s failed: %v", name, s.snapshotPath(name), err)
 	}
 }
 

@@ -7,13 +7,11 @@ import (
 	"net/url"
 	"strings"
 	"testing"
-
-	"repro/internal/persist"
 )
 
 func testServer(t *testing.T) *httptest.Server {
 	t.Helper()
-	s, err := newServer(1, "", 1, 0, persist.CompactFormatVersion)
+	s, err := newServer(1, "", 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +151,7 @@ func TestNotFound(t *testing.T) {
 }
 
 func TestDatasetNames(t *testing.T) {
-	s, err := newServer(1, "", 1, 0, persist.CompactFormatVersion)
+	s, err := newServer(1, "", 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,9 +8,13 @@ package dist_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -18,6 +22,7 @@ import (
 	"time"
 
 	"repro/internal/dist"
+	"repro/internal/engine"
 	"repro/internal/persist"
 	"repro/internal/shard"
 	"repro/internal/update"
@@ -163,6 +168,28 @@ func TestHedgedReads(t *testing.T) {
 	_, hedges, _, _, _, _ := cl.co.DistCounters()
 	if hedges == 0 {
 		t.Fatalf("expected a hedged read to have been launched, hedges=%d", hedges)
+	}
+}
+
+// TestSaveDistributedEngineRefused: a coordinator-backed engine holds
+// no local index or tree to snapshot, so an engine snapshot of it must
+// fail with an error naming the group snapshots its legs persist
+// through — not dereference a missing local executor — and must not
+// publish a file.
+func TestSaveDistributedEngineRefused(t *testing.T) {
+	cl := startCluster(t, 2, spreadDoc(4), dist.Config{})
+	eng := engine.FromDist(cl.co, engine.Config{})
+
+	var buf bytes.Buffer
+	if err := persist.Save(&buf, eng, persist.Meta{}); err == nil || !strings.Contains(err.Error(), "group snapshots") {
+		t.Fatalf("Save: err = %v, want a group-snapshot refusal", err)
+	}
+	path := filepath.Join(t.TempDir(), "c.snap")
+	if err := persist.SaveFileFormat(path, eng, persist.Meta{}, persist.CompactFormatVersion); err == nil || !strings.Contains(err.Error(), "group snapshots") {
+		t.Fatalf("SaveFileFormat: err = %v, want a group-snapshot refusal", err)
+	}
+	if _, err := os.Stat(path); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("refused save left a file behind: %v", err)
 	}
 }
 

@@ -49,12 +49,6 @@ type Config struct {
 	// explicitly). Compaction runs under an epoch swap and never blocks
 	// in-flight queries.
 	AutoCompactThreshold int
-	// MaterializePostings makes a compact (v4) snapshot decode every
-	// posting list into the heap at load, the pre-v4 resident behavior:
-	// maximum steady-state query speed at the cost of the cold-start
-	// and memory wins. Off (the default) decodes blocks lazily as
-	// queries touch them.
-	MaterializePostings bool
 }
 
 func (c Config) normalized() Config {

@@ -49,7 +49,7 @@ func TestBoundsAdmissible(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := OpenCompact(root, st, payload, false)
+		out, err := OpenCompact(root, st, payload)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,7 +195,7 @@ func TestLegacyCompactPayloadFallsBack(t *testing.T) {
 	idx := Build(root)
 	st := NewSymbolTable()
 	payload := encodeCompactLegacy(t, idx, st)
-	legacy, err := OpenCompact(root, st, payload, false)
+	legacy, err := OpenCompact(root, st, payload)
 	if err != nil {
 		t.Fatalf("OpenCompact(legacy): %v", err)
 	}
@@ -229,7 +229,7 @@ func TestCompactVersionRejected(t *testing.T) {
 	buf = binary.AppendUvarint(buf, 0) // terms
 	buf = binary.AppendUvarint(buf, 0) // elements
 	buf = binary.AppendUvarint(buf, 0) // nLists
-	if _, err := OpenCompact(nil, NewSymbolTable(), buf, false); err == nil {
+	if _, err := OpenCompact(nil, NewSymbolTable(), buf); err == nil {
 		t.Fatal("unknown payload version opened without error")
 	}
 }
@@ -279,7 +279,7 @@ func driveSkipEquivalence(t *testing.T, list PostingList, ops []byte) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := OpenCompact(nil, st, payload, false)
+		out, err := OpenCompact(nil, st, payload)
 		if err != nil {
 			t.Fatal(err)
 		}

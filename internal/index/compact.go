@@ -209,9 +209,8 @@ type listView struct {
 // OpenCompact attaches a compact payload (EncodeCompact's output) to
 // root as a servable index sharing st. The payload must outlive the
 // index and is never written to — an mmap-ed file section qualifies.
-// With eager set, every list is decoded up front (the pre-v4 resident
-// behavior); otherwise blocks decode lazily as queries touch them.
-func OpenCompact(root *xmltree.Node, st *SymbolTable, payload []byte, eager bool) (*Index, error) {
+// Blocks decode lazily as queries touch them.
+func OpenCompact(root *xmltree.Node, st *SymbolTable, payload []byte) (*Index, error) {
 	terms, pos, err := uvarintAt(payload, 0)
 	if err != nil {
 		return nil, err
@@ -277,18 +276,14 @@ func OpenCompact(root *xmltree.Node, st *SymbolTable, payload []byte, eager bool
 	if pos != len(payload) {
 		return nil, fmt.Errorf("index: compact: %d trailing bytes", len(payload)-pos)
 	}
-	idx := &Index{
+	return &Index{
 		symbols:  st,
 		postings: make(map[uint32]PostingList),
 		root:     root,
 		terms:    int(terms),
 		elements: int(elements),
 		compact:  cp,
-	}
-	if eager {
-		cp.each(func(id uint32, _ int) { cp.materialize(id) })
-	}
-	return idx, nil
+	}, nil
 }
 
 func (cp *compactPostings) count(id uint32) int {

@@ -10,6 +10,8 @@ import (
 )
 
 // compactRoundtrip encodes idx against a fresh table and reopens it.
+// With eager set, every list is decoded into the heap right away, so
+// callers can compare the lazy block path against the resident one.
 func compactRoundtrip(t *testing.T, idx *Index, eager bool) *Index {
 	t.Helper()
 	st := NewSymbolTable()
@@ -17,9 +19,12 @@ func compactRoundtrip(t *testing.T, idx *Index, eager bool) *Index {
 	if err != nil {
 		t.Fatalf("EncodeCompact: %v", err)
 	}
-	out, err := OpenCompact(idx.Root(), st, payload, eager)
+	out, err := OpenCompact(idx.Root(), st, payload)
 	if err != nil {
 		t.Fatalf("OpenCompact: %v", err)
+	}
+	if eager {
+		out.compact.each(func(id uint32, _ int) { out.compact.materialize(id) })
 	}
 	return out
 }

@@ -1,9 +1,7 @@
 package index
 
 import (
-	"encoding/gob"
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 
@@ -340,69 +338,4 @@ type NoMatchError struct {
 
 func (e *NoMatchError) Error() string {
 	return fmt.Sprintf("index: no matches for keywords %v", e.Terms)
-}
-
-// WireVersion identifies the Save/Load encoding. Bump it whenever the
-// gob wire form changes incompatibly; Load rejects mismatches so stale
-// snapshots fall back to a rebuild instead of decoding garbage.
-const WireVersion = 2
-
-// gobIndex is the wire form for Save/Load. Dewey IDs flatten to []int.
-// Terms stay strings on this wire so v1-v3 snapshots keep loading
-// regardless of symbol assignment; the v4 snapshot uses the compact
-// ID-keyed layout instead (compact.go).
-type gobIndex struct {
-	Version  int
-	Postings map[string][][]int
-	Terms    int
-	Elements int
-}
-
-// Save writes the index postings to w with encoding/gob, prefixed by
-// the wire version. The tree itself is not persisted; pair Save with
-// the document it indexes.
-func (idx *Index) Save(w io.Writer) error {
-	g := gobIndex{
-		Version:  WireVersion,
-		Postings: make(map[string][][]int),
-		Terms:    idx.terms,
-		Elements: idx.elements,
-	}
-	idx.eachList(func(id uint32, list PostingList) {
-		ids := make([][]int, len(list))
-		for i, pid := range list {
-			ids[i] = []int(pid)
-		}
-		g.Postings[idx.symbols.Name(id)] = ids
-	})
-	if err := gob.NewEncoder(w).Encode(&g); err != nil {
-		return fmt.Errorf("index: save: %w", err)
-	}
-	return nil
-}
-
-// Load reads postings written by Save and attaches them to root. An
-// index written under a different wire version is rejected. Terms are
-// interned into a fresh table.
-func Load(r io.Reader, root *xmltree.Node) (*Index, error) {
-	var g gobIndex
-	if err := gob.NewDecoder(r).Decode(&g); err != nil {
-		return nil, fmt.Errorf("index: load: %w", err)
-	}
-	if g.Version != WireVersion {
-		return nil, fmt.Errorf("index: load: wire version %d, want %d", g.Version, WireVersion)
-	}
-	idx := newIndex(root, nil)
-	idx.terms = g.Terms
-	idx.elements = g.Elements
-	for term, ids := range g.Postings {
-		list := make(PostingList, len(ids))
-		for i, id := range ids {
-			list[i] = dewey.ID(id)
-		}
-		idx.postings[idx.intern(term)] = list
-	}
-	idx.lids = nil
-	idx.buildSkips()
-	return idx, nil
 }

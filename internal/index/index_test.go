@@ -1,11 +1,8 @@
 package index
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/xmltree"
@@ -172,14 +169,23 @@ func TestStatsIndexedElementsDistinct(t *testing.T) {
 	}
 }
 
+// TestSaveLoadRoundTrip: the index's persisted form — the symbol
+// table wire bytes plus the compact postings payload, as a snapshot
+// stores them — reopens over the same tree with identical lists,
+// vocabulary and statistics.
 func TestSaveLoadRoundTrip(t *testing.T) {
 	root := xmltree.MustParseString(doc)
 	idx := Build(root)
-	var buf bytes.Buffer
-	if err := idx.Save(&buf); err != nil {
+	saved := NewSymbolTable()
+	payload, err := EncodeCompact(idx, saved)
+	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := Load(&buf, root)
+	st, err := DecodeSymbolTable(saved.AppendEncoded(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := OpenCompact(root, st, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,21 +208,13 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestLoadRejectsWrongWireVersion(t *testing.T) {
-	var buf bytes.Buffer
-	stale := gobIndex{Version: WireVersion - 1}
-	if err := gob.NewEncoder(&buf).Encode(&stale); err != nil {
-		t.Fatal(err)
-	}
-	_, err := Load(&buf, nil)
-	if err == nil || !strings.Contains(err.Error(), "wire version") {
-		t.Fatalf("Load of stale version: err = %v, want wire-version error", err)
-	}
-}
-
 func TestLoadGarbage(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("not gob")), nil); err == nil {
-		t.Fatal("Load of garbage succeeded")
+	garbage := []byte("not an index")
+	if _, err := DecodeSymbolTable(garbage); err == nil {
+		t.Fatal("DecodeSymbolTable of garbage succeeded")
+	}
+	if _, err := OpenCompact(nil, NewSymbolTable(), garbage); err == nil {
+		t.Fatal("OpenCompact of garbage succeeded")
 	}
 }
 

@@ -1,27 +1,27 @@
-// Package persist snapshots an engine's derived state — the inverted
-// index (or its K shards), the inferred schema, and corpus metadata —
-// so a server restart reloads them from disk instead of re-walking the
-// corpus. The tree itself is not persisted: corpora are cheap to
-// regenerate (dataset seeds) or re-parse, while index construction and
-// schema inference dominate startup; a snapshot skips exactly that
-// derived work.
+// Package persist snapshots a serving engine so a server restart
+// reloads it from disk instead of re-walking the corpus: the inverted
+// index (or its K shards), the inferred schema, corpus metadata, and —
+// for a corpus that has accepted writes — the document itself plus the
+// journal of writes pending since the last compaction.
 //
-// Two container layouts share the one-line text header
-// ("XSACTSNAP <version>\n"), and Load dispatches on it:
+// One layout is written: version 4 (v4.go), a one-line text header
+// ("XSACTSNAP 4\n") followed by self-describing checksummed sections.
+// LoadFile mmaps it and serves postings straight out of the mapping. A
+// never-written corpus is not stored: the caller regenerates (dataset
+// seeds) or re-parses it, and Load checks a corpus fingerprint (root
+// tag + node count + content hash) before trusting the derived state.
+// A live corpus carries its base tree and replays its journal through
+// the engine's write path, so a restart resumes exactly where the
+// writer stopped.
 //
-//   - Version 1 (monolithic): one gob envelope holding the metadata
-//     and the index/schema sections under a single checksum. Any
-//     corruption fails the load and the caller rebuilds everything.
-//   - Version 2 (sharded): the envelope carries the schema and the
-//     aggregated term-frequency table (verified eagerly), plus one
-//     index section per shard, each with its own CRC32. Shard sections
-//     decode lazily on first use, and a section that fails its
-//     checksum is repaired by rebuilding only that shard from its own
-//     segment subtrees — the other shards still load from disk.
+// Load also reads version 3 (live.go), the retired journaled layout,
+// because its journal holds accepted user writes: it rebuilds the base
+// from the embedded XML and replays the journal. Versions 1 and 2
+// held only derived state of a corpus the caller can regenerate, so
+// they fail closed with a "rebuild" error, as does any header, version,
+// checksum or fingerprint mismatch; callers fall back to a rebuild and
+// write a fresh v4 snapshot.
 //
-// Either way the section wire forms stay owned by internal/index and
-// internal/xseek (their Save/Load), and Load verifies the header, the
-// versions, and a corpus fingerprint (root tag + node count + content
-// hash) before trusting anything; every whole-file failure is an
-// error, and callers fall back to a rebuild.
+// The per-leg shard-group snapshot (group.go) is a separate format:
+// the distributed cluster's wire contract.
 package persist

@@ -2,8 +2,8 @@ package persist
 
 // This file implements the per-group snapshot (shard-group format
 // version 1): the unit of state a distributed shard server ships and
-// reloads. It is deliberately journal-shaped, like the v3 live
-// layout: the base document at the leg's last compaction plus the
+// reloads. It is deliberately journal-shaped, like a live engine
+// snapshot: the base document at the leg's last compaction plus the
 // write ops applied since, so a restored leg replays its way back to
 // the exact pre-crash state — same tree, same Dewey ordinals (holes
 // included), same group index — and resumes at the same epoch. The
@@ -43,7 +43,7 @@ type GroupSnapshot struct {
 	// AssignIDs(nil) reproduces the exact base Dewey IDs.
 	BaseXML string
 	// Journal is the writes applied since the base, in application
-	// order (the same op type the v3 live layout replays).
+	// order (the same op type a live engine snapshot replays).
 	Journal []update.JournalOp
 	// TotalNodes and DF are the installed whole-corpus ranking
 	// constants at snapshot time.

@@ -1,17 +1,18 @@
 package persist
 
-// This file implements the live snapshot layout (format version 3): a
-// complete base snapshot — the base tree's XML plus a nested v1/v2
-// snapshot of its derived state — followed by the journal of writes
-// pending since the last compaction. Loading parses the base tree,
-// reopens the base snapshot over it, and replays the journal through
-// the serving engine's write path, so a restart (including one that
-// interrupted a compaction before its epoch swap committed) resumes
-// with exactly the pre-crash corpus: compaction is atomic-or-nothing.
+// This file reads the retired live snapshot layout (format version 3):
+// one gob envelope holding the base document's XML, a nested snapshot
+// of the base's derived state in a layout that is no longer read, and
+// the journal of writes pending over the base. Nothing writes it any
+// more — a journaled v4 snapshot carries the same state — but its
+// journal holds accepted user writes, so it stays readable: the base
+// is rebuilt from the XML with the recorded shard count and the
+// journal is replayed over it. The nested snapshot stays covered by
+// the envelope checksum but is never decoded.
 //
-// Unlike v1/v2, the layout is self-contained: the caller's tree cannot
-// describe a corpus that has accepted writes, so Load ignores it and
-// reconstructs the document from the snapshot.
+// Like a live v4 snapshot, the layout is self-contained: the caller's
+// tree cannot describe a corpus that has accepted writes, so Load
+// ignores it and reconstructs the document from the snapshot.
 
 import (
 	"bufio"
@@ -19,19 +20,16 @@ import (
 	"encoding/gob"
 	"fmt"
 	"hash/crc32"
-	"io"
 
-	"repro/internal/dewey"
 	"repro/internal/engine"
-	"repro/internal/update"
 	"repro/internal/xmltree"
 )
 
 // liveEnvelope is the gob wire form of the live layout.
 type liveEnvelope struct {
 	Meta Meta
-	// BaseXML is the base document (xmltree.XMLString); Base is a full
-	// v1/v2 snapshot of the base engine's derived state over it.
+	// BaseXML is the base document (xmltree.XMLString); Base is a
+	// nested snapshot of the base engine's derived state over it.
 	BaseXML []byte
 	Base    []byte
 	// Journal is the gob-encoded []update.JournalOp pending over the
@@ -48,48 +46,11 @@ func (e *liveEnvelope) checksum() uint32 {
 	return crc.Sum32()
 }
 
-// saveLive writes the v3 layout for a live engine. The base tree is
-// serialized and immediately re-parsed so the recorded fingerprint is
-// computed over exactly the tree Load will reconstruct (serialization
-// normalizes whitespace-only differences; index postings and the
-// schema are insensitive to them).
-func saveLive(w io.Writer, live *update.Engine, meta Meta) error {
-	baseRoot, x, sh, journal := live.SnapshotParts()
-	baseXML := xmltree.XMLString(baseRoot)
-	reparsed, err := xmltree.ParseString(baseXML)
-	if err != nil {
-		return fmt.Errorf("persist: live base does not round-trip: %w", err)
-	}
-
-	var baseBuf bytes.Buffer
-	if err := saveParts(&baseBuf, reparsed, x, sh, Meta{CorpusName: meta.CorpusName, Seed: meta.Seed}); err != nil {
-		return err
-	}
-	var jBuf bytes.Buffer
-	if err := gob.NewEncoder(&jBuf).Encode(journal); err != nil {
-		return fmt.Errorf("persist: encode journal: %w", err)
-	}
-
-	meta.RootTag = reparsed.Tag
-	meta.NodeCount, meta.ContentHash = fingerprint(reparsed)
-	if sh != nil {
-		meta.Shards = sh.ShardCount()
-	}
-	env := liveEnvelope{Meta: meta, BaseXML: []byte(baseXML), Base: baseBuf.Bytes(), Journal: jBuf.Bytes()}
-	env.Checksum = env.checksum()
-	if _, err := fmt.Fprintf(w, "%s %d\n", magic, LiveFormatVersion); err != nil {
-		return fmt.Errorf("persist: write header: %w", err)
-	}
-	if err := gob.NewEncoder(w).Encode(&env); err != nil {
-		return fmt.Errorf("persist: encode: %w", err)
-	}
-	return nil
-}
-
-// loadLive decodes the v3 layout: reopen the base, then replay the
-// journal through the engine's write path. Any failure — corrupt
-// section, unreplayable op — fails the load; the caller falls back to
-// a rebuild of whatever corpus it can generate.
+// loadLive decodes the v3 layout: rebuild the base from its XML, then
+// replay the journal through the engine's write path. Any failure —
+// corrupt envelope, fingerprint mismatch, unreplayable op — fails the
+// load; the caller falls back to a rebuild of whatever corpus it can
+// generate.
 func loadLive(br *bufio.Reader, cfg engine.Config) (*engine.Engine, Meta, error) {
 	var env liveEnvelope
 	if err := gob.NewDecoder(br).Decode(&env); err != nil {
@@ -98,41 +59,25 @@ func loadLive(br *bufio.Reader, cfg engine.Config) (*engine.Engine, Meta, error)
 	if got := env.checksum(); got != env.Checksum {
 		return nil, Meta{}, fmt.Errorf("persist: live checksum mismatch (%08x, want %08x): snapshot corrupt", got, env.Checksum)
 	}
+	// Version skew fails closed: no writer ever produced a v3 envelope
+	// around a v4 base, so finding one means mismatched tooling
+	// stitched sections together. Refusing here sends the caller to a
+	// rebuild instead of trusting a combination never tested against
+	// this journal.
+	if bytes.HasPrefix(env.Base, []byte(fmt.Sprintf("%s %d\n", magic, CompactFormatVersion))) {
+		return nil, Meta{}, fmt.Errorf("persist: v3 live envelope wrapping a v4 base: version skew, rebuild required")
+	}
 	root, err := xmltree.ParseString(string(env.BaseXML))
 	if err != nil {
 		return nil, Meta{}, fmt.Errorf("persist: parse live base: %w", err)
 	}
-	// Version skew fails closed: no writer produces a v3 envelope
-	// around a v4 base (SaveFormat writes compacted live corpora as
-	// self-contained v4, journaled ones as all-v3), so finding one
-	// means mismatched tooling stitched sections together. Refusing
-	// here sends the caller to a rebuild instead of trusting a base
-	// whose combination was never tested against this journal.
-	if bytes.HasPrefix(env.Base, []byte(fmt.Sprintf("%s %d\n", magic, CompactFormatVersion))) {
-		return nil, Meta{}, fmt.Errorf("persist: v3 live envelope wrapping a v4 base: version skew, rebuild required")
+	if err := verifyFingerprint(env.Meta, root); err != nil {
+		return nil, Meta{}, err
 	}
-	eng, _, err := Load(bytes.NewReader(env.Base), root, cfg)
-	if err != nil {
-		return nil, Meta{}, fmt.Errorf("persist: live base: %w", err)
-	}
-	var journal []update.JournalOp
-	if err := gob.NewDecoder(bytes.NewReader(env.Journal)).Decode(&journal); err != nil {
-		return nil, Meta{}, fmt.Errorf("persist: decode journal: %w", err)
-	}
-	for i, op := range journal {
-		if op.Remove {
-			if err := eng.RemoveEntity(dewey.New(op.Ord)); err != nil {
-				return nil, Meta{}, fmt.Errorf("persist: replay op %d: %w", i, err)
-			}
-			continue
-		}
-		n, err := xmltree.ParseString(op.XML)
-		if err != nil {
-			return nil, Meta{}, fmt.Errorf("persist: replay op %d: %w", i, err)
-		}
-		if _, err := eng.AddEntity(n); err != nil {
-			return nil, Meta{}, fmt.Errorf("persist: replay op %d: %w", i, err)
-		}
+	cfg.Shards = env.Meta.Shards
+	eng := engine.NewWithConfig(root, cfg)
+	if err := replayJournal(eng, env.Journal); err != nil {
+		return nil, Meta{}, err
 	}
 	return eng, env.Meta, nil
 }

@@ -74,12 +74,13 @@ func TestLiveSnapshotRoundTrip(t *testing.T) {
 			if err := Save(&buf, eng, Meta{CorpusName: "shop", Seed: 7}); err != nil {
 				t.Fatal(err)
 			}
-			if !strings.HasPrefix(buf.String(), fmt.Sprintf("%s %d\n", magic, LiveFormatVersion)) {
-				t.Fatalf("live engine snapshot not in v3 layout: %q", buf.String()[:24])
+			if !strings.HasPrefix(buf.String(), "XSACTSNAP 4\n") {
+				t.Fatalf("live engine snapshot not in v4 layout: %q", buf.String()[:24])
 			}
+			v4Span(t, buf.Bytes(), secJournal, 0)
 
-			// The caller's root is ignored for v3; pass an unrelated tree
-			// to prove the layout is self-contained.
+			// The caller's root is ignored for a live snapshot; pass an
+			// unrelated tree to prove it is self-contained.
 			loaded, meta, err := Load(bytes.NewReader(buf.Bytes()), xmltree.MustParseString("<other/>"), cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -108,12 +109,18 @@ func TestLiveSnapshotCrashMidCompactionReplay(t *testing.T) {
 	mustWrite(t, eng, "<product><name>fresh0</name><kind>gps</kind></product>", 2)
 	mustWrite(t, eng, "<product><name>fresh1</name><kind>gps</kind></product>", -1)
 
-	// The durable image on disk at the moment compaction starts: base +
-	// journal. A crash anywhere inside compaction leaves exactly this.
+	// The durable image on disk at the moment compaction starts: base
+	// ('X') + journal ('J'). A crash anywhere inside compaction leaves
+	// exactly this.
 	var crashImage bytes.Buffer
 	if err := Save(&crashImage, eng, Meta{CorpusName: "shop"}); err != nil {
 		t.Fatal(err)
 	}
+	if !bytes.HasPrefix(crashImage.Bytes(), []byte("XSACTSNAP 4\n")) {
+		t.Fatalf("crash image header = %q, want version 4", crashImage.Bytes()[:12])
+	}
+	v4Span(t, crashImage.Bytes(), secXML, 0)
+	v4Span(t, crashImage.Bytes(), secJournal, 0)
 
 	// The surviving process compacts; the crashed replica replays.
 	if err := eng.Compact(); err != nil {

@@ -3,9 +3,8 @@ package persist
 import (
 	"bufio"
 	"bytes"
-	"encoding/gob"
+	"errors"
 	"fmt"
-	"hash/crc32"
 	"hash/fnv"
 	"io"
 	"os"
@@ -13,22 +12,13 @@ import (
 	"strconv"
 
 	"repro/internal/engine"
-	"repro/internal/index"
-	"repro/internal/shard"
 	"repro/internal/xmltree"
-	"repro/internal/xseek"
 )
 
-// FormatVersion identifies the single-index snapshot container format;
-// ShardedFormatVersion the multi-shard layout; LiveFormatVersion the
-// live layout (base snapshot + pending-write journal, see live.go).
-// The index and schema sections carry their own wire versions on top.
-// Load dispatches on the header, so any layout reopens transparently.
-const (
-	FormatVersion        = 1
-	ShardedFormatVersion = 2
-	LiveFormatVersion    = 3
-)
+// LiveFormatVersion identifies the retired journaled layout (live.go):
+// still read, never written. CompactFormatVersion (v4.go) is the one
+// layout Save writes.
+const LiveFormatVersion = 3
 
 // magic is the first token of the header line.
 const magic = "XSACTSNAP"
@@ -92,98 +82,52 @@ func fingerprint(root *xmltree.Node) (count int, hash uint64) {
 	return count, h.Sum64()
 }
 
-// envelope is the gob wire form following the header line. Checksum
-// guards the sections against bit rot: gob itself decodes corrupted
-// bytes without complaint as long as they parse.
-type envelope struct {
-	Meta     Meta
-	Checksum uint32 // crc32(Index ++ Schema)
-	Index    []byte // written by index.Index.Save
-	Schema   []byte // written by xseek.Schema.Save
-}
-
-// checksum is the integrity check over the snapshot's data sections.
-func (e *envelope) checksum() uint32 {
-	crc := crc32.NewIEEE()
-	crc.Write(e.Index)
-	crc.Write(e.Schema)
-	return crc.Sum32()
-}
-
-// Save writes a snapshot of eng's derived state to w — the
-// single-index layout for a monolithic engine, the multi-shard layout
-// (per-shard sections with individual checksums) for a sharded one,
-// and the live layout (base sections plus a journal of pending writes)
-// for an engine that has accepted updates. meta's CorpusName and Seed
-// are recorded as given; the corpus fingerprint is taken from the
-// engine's own tree.
+// Save writes a v4 snapshot of eng to w. meta's CorpusName and Seed
+// are recorded as given; the corpus fingerprint is taken from the tree
+// the snapshot describes. A never-written engine stores only its
+// derived state. A live engine stores its base as of the last
+// compaction — the tree itself in the 'X' section, plus its index and
+// schema — and the journal of writes pending over that base ('J').
+// A distributed engine has no local state to store: its shard legs
+// persist through group snapshots (EncodeGroup).
 func Save(w io.Writer, eng *engine.Engine, meta Meta) error {
-	if live := eng.Live(); live != nil && live.Epoch() > 0 {
-		return saveLive(w, live, meta)
+	if eng.Dist() != nil {
+		return errors.New("persist: a distributed engine has no local snapshot; its shard legs persist through group snapshots")
 	}
-	return saveParts(w, eng.Root(), eng.Xseek(), eng.Sharded(), meta)
+	live := eng.Live()
+	if live == nil || live.Epoch() == 0 {
+		return saveV4(w, eng.Root(), eng.Xseek(), eng.Sharded(), nil, nil, meta)
+	}
+	// The base tree is serialized and immediately re-parsed, so the
+	// recorded fingerprint covers exactly the tree Load reconstructs
+	// (serialization normalizes whitespace-only differences; postings
+	// and the schema are insensitive to them).
+	baseRoot, x, sh, journal := live.SnapshotParts()
+	baseXML := xmltree.XMLString(baseRoot)
+	reparsed, err := xmltree.ParseString(baseXML)
+	if err != nil {
+		return fmt.Errorf("persist: live base does not round-trip: %w", err)
+	}
+	return saveV4(w, reparsed, x, sh, []byte(baseXML), journal, meta)
 }
 
-// saveParts writes the immutable layouts (v1/v2) for an executor given
-// by its parts: sh selects the multi-shard layout, otherwise x the
-// single-index one. root supplies the corpus fingerprint.
-func saveParts(w io.Writer, root *xmltree.Node, x *xseek.Engine, sh *shard.Engine, meta Meta) error {
-	meta.RootTag = root.Tag
-	meta.NodeCount, meta.ContentHash = fingerprint(root)
-	if sh != nil {
-		meta.Shards = sh.ShardCount()
-		return saveSharded(w, sh, meta)
-	}
-
-	var idxBuf, schBuf bytes.Buffer
-	if err := x.Index().Save(&idxBuf); err != nil {
-		return fmt.Errorf("persist: %w", err)
-	}
-	if err := x.Schema().Save(&schBuf); err != nil {
-		return fmt.Errorf("persist: %w", err)
-	}
-	if _, err := fmt.Fprintf(w, "%s %d\n", magic, FormatVersion); err != nil {
-		return fmt.Errorf("persist: write header: %w", err)
-	}
-	env := envelope{Meta: meta, Index: idxBuf.Bytes(), Schema: schBuf.Bytes()}
-	env.Checksum = env.checksum()
-	if err := gob.NewEncoder(w).Encode(&env); err != nil {
-		return fmt.Errorf("persist: encode: %w", err)
-	}
-	return nil
-}
-
-// Load reads a snapshot written by Save and assembles a serving engine
-// over root with the given cache bounds, skipping index construction
-// and schema inference. The header selects the layout: a single-index
-// snapshot yields a monolithic engine, a multi-shard snapshot a
-// sharded one (whose shard count comes from the snapshot, overriding
-// cfg.Shards). It fails — and the caller should rebuild — when the
-// header or any wire version mismatches, the metadata or schema is
-// corrupt, or the snapshot's corpus fingerprint does not match root;
-// corruption confined to one shard's section is repaired by rebuilding
-// just that shard on first use instead.
+// Load reads a snapshot and assembles a serving engine with the given
+// cache bounds, skipping index construction and schema inference. A
+// sharded snapshot yields a sharded engine whose shard count comes
+// from the snapshot, overriding cfg.Shards. A snapshot that embeds its
+// corpus (a live one) ignores root and resumes with its pending writes
+// replayed; otherwise root must be the corpus the snapshot was taken
+// from. Load fails — and the caller should rebuild — on a bad header,
+// a legacy (v1/v2) layout, a checksum or fingerprint mismatch, or a
+// journal that does not replay; corruption confined to one shard's
+// postings is repaired by rebuilding just that shard on first use.
 func Load(r io.Reader, root *xmltree.Node, cfg engine.Config) (*engine.Engine, Meta, error) {
 	br := bufio.NewReader(r)
-	header, err := br.ReadString('\n')
+	version, err := readHeader(br)
 	if err != nil {
-		return nil, Meta{}, fmt.Errorf("persist: read header: %w", err)
-	}
-	var gotMagic string
-	var version int
-	if _, err := fmt.Sscanf(header, "%s %d", &gotMagic, &version); err != nil || gotMagic != magic {
-		return nil, Meta{}, fmt.Errorf("persist: not a snapshot (header %q)", header)
+		return nil, Meta{}, err
 	}
 	switch version {
-	case FormatVersion:
-		return loadSingle(br, root, cfg)
-	case ShardedFormatVersion:
-		return loadSharded(br, root, cfg)
-	case LiveFormatVersion:
-		// The live layout is self-contained: its base tree travels in
-		// the snapshot (the live corpus has writes the caller's tree
-		// cannot know about), so the passed root is ignored.
-		return loadLive(br, cfg)
 	case CompactFormatVersion:
 		// The generic reader path buys none of the mapping win: read
 		// the sections into memory and serve them lazily from there.
@@ -193,33 +137,33 @@ func Load(r io.Reader, root *xmltree.Node, cfg engine.Config) (*engine.Engine, M
 			return nil, Meta{}, fmt.Errorf("persist: read v4 sections: %w", err)
 		}
 		return loadV4(data, root, cfg)
+	case LiveFormatVersion:
+		return loadLive(br, cfg)
+	case 1, 2:
+		return nil, Meta{}, fmt.Errorf("persist: format version %d is a legacy layout that is no longer read: rebuild", version)
 	default:
-		return nil, Meta{}, fmt.Errorf("persist: format version %d, want %d, %d, %d or %d",
-			version, FormatVersion, ShardedFormatVersion, LiveFormatVersion, CompactFormatVersion)
+		return nil, Meta{}, fmt.Errorf("persist: format version %d, want %d or %d", version, CompactFormatVersion, LiveFormatVersion)
 	}
 }
 
-// loadSingle decodes the v1 single-index layout.
-func loadSingle(br *bufio.Reader, root *xmltree.Node, cfg engine.Config) (*engine.Engine, Meta, error) {
-	var env envelope
-	if err := gob.NewDecoder(br).Decode(&env); err != nil {
-		return nil, Meta{}, fmt.Errorf("persist: decode: %w", err)
-	}
-	if got := env.checksum(); got != env.Checksum {
-		return nil, Meta{}, fmt.Errorf("persist: checksum mismatch (%08x, want %08x): snapshot corrupt", got, env.Checksum)
-	}
-	if err := verifyFingerprint(env.Meta, root); err != nil {
-		return nil, Meta{}, err
-	}
-	idx, err := index.Load(bytes.NewReader(env.Index), root)
+// readHeader parses the "XSACTSNAP <version>" header line.
+func readHeader(br *bufio.Reader) (int, error) {
+	header, err := br.ReadString('\n')
 	if err != nil {
-		return nil, Meta{}, fmt.Errorf("persist: %w", err)
+		return 0, fmt.Errorf("persist: read header: %w", err)
 	}
-	schema, err := xseek.LoadSchema(bytes.NewReader(env.Schema))
-	if err != nil {
-		return nil, Meta{}, fmt.Errorf("persist: %w", err)
+	var gotMagic string
+	var version int
+	if _, err := fmt.Sscanf(header, "%s %d", &gotMagic, &version); err != nil || gotMagic != magic {
+		return 0, fmt.Errorf("persist: not a snapshot (header %q)", header)
 	}
-	return engine.FromXseek(xseek.FromParts(root, idx, schema), cfg), env.Meta, nil
+	return version, nil
+}
+
+// SniffVersion reads just a snapshot's header line and returns its
+// format version.
+func SniffVersion(r io.Reader) (int, error) {
+	return readHeader(bufio.NewReader(io.LimitReader(r, 64)))
 }
 
 // verifyFingerprint checks a snapshot's corpus identity against the
@@ -233,15 +177,13 @@ func verifyFingerprint(meta Meta, root *xmltree.Node) error {
 	return nil
 }
 
-// SaveFile writes a snapshot to path atomically (temp file + rename),
-// creating parent directories as needed.
+// SaveFile writes a snapshot to path atomically and durably, creating
+// parent directories as needed: the bytes go to a temp file that is
+// synced before it is renamed over path, and the directory is synced
+// after the rename (best effort where the platform cannot open or sync
+// a directory). For a live engine the file is the only durable copy of
+// its accepted writes.
 func SaveFile(path string, eng *engine.Engine, meta Meta) error {
-	return SaveFileFormat(path, eng, meta, 0)
-}
-
-// SaveFileFormat is SaveFile with an explicit snapshot format (see
-// SaveFormat).
-func SaveFileFormat(path string, eng *engine.Engine, meta Meta, format int) error {
 	dir := filepath.Dir(path)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("persist: %w", err)
@@ -251,9 +193,13 @@ func SaveFileFormat(path string, eng *engine.Engine, meta Meta, format int) erro
 		return fmt.Errorf("persist: %w", err)
 	}
 	defer os.Remove(tmp.Name())
-	if err := SaveFormat(tmp, eng, meta, format); err != nil {
+	if err := Save(tmp, eng, meta); err != nil {
 		tmp.Close()
 		return err
+	}
+	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		return fmt.Errorf("persist: %w", err)
 	}
 	if err := tmp.Close(); err != nil {
 		return fmt.Errorf("persist: %w", err)
@@ -261,7 +207,23 @@ func SaveFileFormat(path string, eng *engine.Engine, meta Meta, format int) erro
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		return fmt.Errorf("persist: %w", err)
 	}
+	// Make the rename itself durable. Some platforms and filesystems
+	// cannot open or sync a directory; the file's own bytes are already
+	// synced, so that failure is not reported.
+	if d, err := os.Open(dir); err == nil {
+		_ = d.Sync()
+		d.Close()
+	}
 	return nil
+}
+
+// SaveFileFormat is SaveFile for callers that name the layout; format
+// must be CompactFormatVersion, the only layout written.
+func SaveFileFormat(path string, eng *engine.Engine, meta Meta, format int) error {
+	if format != CompactFormatVersion {
+		return fmt.Errorf("persist: save format %d not supported (only %d is written)", format, CompactFormatVersion)
+	}
+	return SaveFile(path, eng, meta)
 }
 
 // LoadFile is Load over the file at path, with one upgrade: a v4
@@ -275,7 +237,7 @@ func LoadFile(path string, root *xmltree.Node, cfg engine.Config) (*engine.Engin
 		return nil, Meta{}, fmt.Errorf("persist: %w", err)
 	}
 	defer f.Close()
-	version, err := sniffVersion(f)
+	version, err := SniffVersion(f)
 	if err != nil {
 		return nil, Meta{}, err
 	}
@@ -300,20 +262,6 @@ func LoadFile(path string, root *xmltree.Node, cfg engine.Config) (*engine.Engin
 		return nil, Meta{}, err
 	}
 	return eng, meta, nil
-}
-
-// sniffVersion reads just the header line's format version.
-func sniffVersion(f *os.File) (int, error) {
-	header, err := bufio.NewReader(io.LimitReader(f, 64)).ReadString('\n')
-	if err != nil {
-		return 0, fmt.Errorf("persist: read header: %w", err)
-	}
-	var gotMagic string
-	var version int
-	if _, err := fmt.Sscanf(header, "%s %d", &gotMagic, &version); err != nil || gotMagic != magic {
-		return 0, fmt.Errorf("persist: not a snapshot (header %q)", header)
-	}
-	return version, nil
 }
 
 // readFileFallback reads the whole file from the start — the

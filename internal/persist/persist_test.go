@@ -82,12 +82,15 @@ func TestRoundTripGoldenEquality(t *testing.T) {
 func TestLoadRejectsCorruptSnapshot(t *testing.T) {
 	root := testRoot()
 	snap := snapshotOf(t, engine.New(root), Meta{})
+	if !bytes.HasPrefix(snap, []byte("XSACTSNAP 4\n")) {
+		t.Fatalf("snapshot header = %q, want version 4", snap[:12])
+	}
 
 	cases := map[string][]byte{
 		"empty":          nil,
 		"not a snapshot": []byte("hello world\n"),
-		"bad magic":      append([]byte("NOTASNAP 1\n"), snap[len("XSACTSNAP 1\n"):]...),
-		"old version":    append([]byte("XSACTSNAP 0\n"), snap[len("XSACTSNAP 1\n"):]...),
+		"bad magic":      append([]byte("NOTASNAP 4\n"), snap[len("XSACTSNAP 4\n"):]...),
+		"old version":    append([]byte("XSACTSNAP 0\n"), snap[len("XSACTSNAP 4\n"):]...),
 		"truncated":      snap[:len(snap)/2],
 		"bit rot":        append(append([]byte{}, snap[:len(snap)-40]...), make([]byte, 40)...),
 	}

@@ -22,8 +22,8 @@ func shardedSnapshot(t *testing.T, shards int) (*engine.Engine, []byte) {
 // engine exactly, with zero shard rebuilds.
 func TestShardedRoundTrip(t *testing.T) {
 	eng, snap := shardedSnapshot(t, 3)
-	if !bytes.HasPrefix(snap, []byte("XSACTSNAP 2\n")) {
-		t.Fatalf("sharded snapshot header = %q, want version 2", snap[:12])
+	if !bytes.HasPrefix(snap, []byte("XSACTSNAP 4\n")) {
+		t.Fatalf("sharded snapshot header = %q, want version 4", snap[:12])
 	}
 
 	loaded, meta, err := Load(bytes.NewReader(snap), testRoot(), engine.Config{})
@@ -57,33 +57,28 @@ func TestShardedRoundTrip(t *testing.T) {
 	}
 }
 
-// reencode decodes a v2 snapshot's envelope, applies f, and re-encodes
-// it — targeted corruption for the lazy-shard tests.
-func reencode(t *testing.T, snap []byte, f func(*shardedEnvelope)) []byte {
+// withSection returns a copy of snap whose n-th section of the given
+// kind carries payload instead, under a freshly computed CRC — targeted
+// damage that gets past the checksum to the checks behind it.
+func withSection(t *testing.T, snap []byte, kind byte, n int, payload []byte) []byte {
 	t.Helper()
-	body := bytes.TrimPrefix(snap, []byte("XSACTSNAP 2\n"))
-	var env shardedEnvelope
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&env); err != nil {
-		t.Fatal(err)
-	}
-	f(&env)
+	off, size := v4Span(t, snap, kind, n)
 	var out bytes.Buffer
-	out.WriteString("XSACTSNAP 2\n")
-	if err := gob.NewEncoder(&out).Encode(&env); err != nil {
+	out.Write(snap[:off-9])
+	if err := writeV4Section(&out, kind, payload); err != nil {
 		t.Fatal(err)
 	}
+	out.Write(snap[off+size+4:])
 	return out.Bytes()
 }
 
 // TestShardedSingleShardCorruption: flipping bytes in exactly one
-// shard section must not fail the load — that one shard is rebuilt
+// shard's postings must not fail the load — that one shard is rebuilt
 // from the tree on first use, and searches remain identical.
 func TestShardedSingleShardCorruption(t *testing.T) {
 	eng, snap := shardedSnapshot(t, 3)
-	bad := reencode(t, snap, func(env *shardedEnvelope) {
-		env.Shards[1][0] ^= 0xFF
-		env.Shards[1][len(env.Shards[1])/2] ^= 0xFF
-	})
+	off, size := v4Span(t, snap, secPost, 1)
+	bad := flipped(flipped(snap, off), off+size/2)
 
 	loaded, _, err := Load(bytes.NewReader(bad), testRoot(), engine.Config{})
 	if err != nil {
@@ -109,20 +104,27 @@ func TestShardedSingleShardCorruption(t *testing.T) {
 	}
 }
 
-// TestShardedHeadCorruption: corrupting the eagerly-verified schema or
-// frequency sections must fail the whole load (the caller rebuilds).
+// TestShardedHeadCorruption: corrupting the eagerly-verified frequency
+// section, or declaring a shard count the postings sections do not
+// match, must fail the whole load (the caller rebuilds).
 func TestShardedHeadCorruption(t *testing.T) {
 	_, snap := shardedSnapshot(t, 2)
-	bad := reencode(t, snap, func(env *shardedEnvelope) {
-		env.Freqs[0] ^= 0xFF
-	})
-	if _, _, err := Load(bytes.NewReader(bad), testRoot(), engine.Config{}); err == nil {
-		t.Fatal("head corruption must fail the load")
+	off, _ := v4Span(t, snap, secFreqs, 0)
+	if _, _, err := Load(bytes.NewReader(flipped(snap, off)), testRoot(), engine.Config{}); err == nil {
+		t.Fatal("frequency-section corruption must fail the load")
 	}
 
-	bad = reencode(t, snap, func(env *shardedEnvelope) {
-		env.Meta.Shards = 5 // declared K no longer matches the sections
-	})
+	off, size := v4Span(t, snap, secHead, 0)
+	var head v4Head
+	if err := gob.NewDecoder(bytes.NewReader(snap[off : off+size])).Decode(&head); err != nil {
+		t.Fatal(err)
+	}
+	head.Meta.Shards = 5 // declared K no longer matches the sections
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&head); err != nil {
+		t.Fatal(err)
+	}
+	bad := withSection(t, snap, secHead, 0, buf.Bytes())
 	if _, _, err := Load(bytes.NewReader(bad), testRoot(), engine.Config{}); err == nil {
 		t.Fatal("shard-count mismatch must fail the load")
 	}

@@ -1,23 +1,27 @@
 package persist
 
-// This file implements the compact snapshot layout (format version 4):
-// after the usual header line, a flat sequence of self-describing
-// binary sections, each `[1-byte kind][uint64 LE length][payload]
-// [uint32 LE crc32]`. Unlike the gob envelopes of v1-v3, every section
-// is addressable without decoding its neighbours, so LoadFile can mmap
-// the whole file and serve postings straight out of the mapping: the
-// symbol table and postings payloads are the index.SymbolTable /
-// index.OpenCompact byte forms, decoded lazily block by block as
-// queries touch them. Cold start touches only the section directory,
-// the symbol table, the schema, and the corpus fingerprint walk.
+// This file implements the snapshot layout (format version 4), the
+// only one Save writes: after the header line, a flat sequence of
+// self-describing binary sections, each `[1-byte kind][uint64 LE
+// length][payload][uint32 LE crc32]`. Unlike the retired gob
+// envelopes, every section is addressable without decoding its
+// neighbours, so LoadFile can mmap the whole file and serve postings
+// straight out of the mapping: the symbol table and postings payloads
+// are the index.SymbolTable / index.OpenCompact byte forms, decoded
+// lazily block by block as queries touch them. Cold start touches only
+// the section directory, the symbol table, the schema, and the corpus
+// fingerprint walk.
 //
 // Section kinds, in file order:
 //
 //	'M'  head: gob(v4Head) — Meta plus the aggregate element count
-//	'X'  optional: the document XML, making the snapshot self-contained
-//	     (written when saving a compacted live corpus, whose tree the
-//	     loading caller cannot regenerate; Load then ignores its root
-//	     argument, as v3 does)
+//	'X'  live only: the base document XML (the tree as of the last
+//	     compaction), making the snapshot self-contained — the loading
+//	     caller cannot regenerate a written-to corpus, so Load then
+//	     ignores its root argument
+//	'J'  live with pending writes only: gob []update.JournalOp, the
+//	     writes applied since the base, replayed in order through the
+//	     engine's write path at load. Never present without 'X'.
 //	'Y'  symbol table (index.SymbolTable.AppendEncoded)
 //	'S'  schema (xseek.Schema.Save)
 //	'F'  sharded only: gob term→document-frequency table
@@ -32,12 +36,8 @@ package persist
 // CRC policy: every section except sharded 'P' sections is verified at
 // load — fail closed into a rebuild. Sharded 'P' sections verify
 // lazily on first touch, and a corrupt one rebuilds only that shard
-// (the v2 semantics, counted in Rebuilds).
-//
-// A live engine with journaled (uncompacted) writes cannot be saved as
-// v4 — the layout has no journal section by design; SaveFormat falls
-// back to v3 for it, and loadLive rejects a v3 envelope wrapping a v4
-// base (a combination no writer produces — version skew fails closed).
+// (counted in Rebuilds). A journal that fails to replay fails the
+// load.
 
 import (
 	"bytes"
@@ -47,9 +47,11 @@ import (
 	"hash/crc32"
 	"io"
 
+	"repro/internal/dewey"
 	"repro/internal/engine"
 	"repro/internal/index"
 	"repro/internal/shard"
+	"repro/internal/update"
 	"repro/internal/xmltree"
 	"repro/internal/xseek"
 )
@@ -61,6 +63,7 @@ const CompactFormatVersion = 4
 const (
 	secHead    = 'M'
 	secXML     = 'X'
+	secJournal = 'J'
 	secSymbols = 'Y'
 	secSchema  = 'S'
 	secFreqs   = 'F'
@@ -132,42 +135,10 @@ func parseV4Sections(data []byte) ([]v4Section, error) {
 	return out, nil
 }
 
-// SaveFormat is Save with an explicit snapshot format: 0 selects the
-// automatic legacy layout (v1/v2/v3, exactly Save's behavior) and
-// CompactFormatVersion the sectioned mmap-able layout. A live engine
-// with uncompacted writes falls back to v3 even when v4 is requested —
-// the journal must travel, and only v3 carries one; the next
-// compaction makes the corpus v4-eligible again.
-func SaveFormat(w io.Writer, eng *engine.Engine, meta Meta, format int) error {
-	switch format {
-	case 0:
-		return Save(w, eng, meta)
-	case CompactFormatVersion:
-	default:
-		return fmt.Errorf("persist: save format %d not supported (want 0 or %d)", format, CompactFormatVersion)
-	}
-	if live := eng.Live(); live != nil && live.Epoch() > 0 {
-		baseRoot, x, sh, journal := live.SnapshotParts()
-		if len(journal) > 0 {
-			return saveLive(w, live, meta)
-		}
-		// Compacted: the base is the whole corpus. Serialize the tree
-		// into the snapshot ('X' section) so a restart reconstructs the
-		// written-to corpus no generator can reproduce, and fingerprint
-		// the re-parse — exactly the tree Load will hand back.
-		baseXML := xmltree.XMLString(baseRoot)
-		reparsed, err := xmltree.ParseString(baseXML)
-		if err != nil {
-			return fmt.Errorf("persist: live base does not round-trip: %w", err)
-		}
-		return saveV4(w, reparsed, x, sh, []byte(baseXML), meta)
-	}
-	return saveV4(w, eng.Root(), eng.Xseek(), eng.Sharded(), nil, meta)
-}
-
 // saveV4 writes the sectioned layout. xml, when non-nil, becomes the
-// self-containing 'X' section.
-func saveV4(w io.Writer, root *xmltree.Node, x *xseek.Engine, sh *shard.Engine, xml []byte, meta Meta) error {
+// self-containing 'X' section, and a non-empty journal the 'J' section
+// replayed over it.
+func saveV4(w io.Writer, root *xmltree.Node, x *xseek.Engine, sh *shard.Engine, xml []byte, journal []update.JournalOp, meta Meta) error {
 	meta.RootTag = root.Tag
 	meta.NodeCount, meta.ContentHash = fingerprint(root)
 
@@ -204,6 +175,15 @@ func saveV4(w io.Writer, root *xmltree.Node, x *xseek.Engine, sh *shard.Engine, 
 	}
 	if xml != nil {
 		if err := writeV4Section(w, secXML, xml); err != nil {
+			return err
+		}
+	}
+	if len(journal) > 0 {
+		var jBuf bytes.Buffer
+		if err := gob.NewEncoder(&jBuf).Encode(journal); err != nil {
+			return fmt.Errorf("persist: encode journal: %w", err)
+		}
+		if err := writeV4Section(w, secJournal, jBuf.Bytes()); err != nil {
 			return err
 		}
 	}
@@ -245,16 +225,17 @@ func saveV4(w io.Writer, root *xmltree.Node, x *xseek.Engine, sh *shard.Engine, 
 }
 
 // loadV4 assembles a serving engine over the section bytes (everything
-// after the header line). data may be an mmap-ed region: postings
-// sections are handed to the index layer as-is and decoded lazily, so
-// data must stay valid for the engine's lifetime.
+// after the header line) and replays any journal through it. data may
+// be an mmap-ed region: postings sections are handed to the index
+// layer as-is and decoded lazily, so data must stay valid for the
+// engine's lifetime.
 func loadV4(data []byte, root *xmltree.Node, cfg engine.Config) (*engine.Engine, Meta, error) {
 	secs, err := parseV4Sections(data)
 	if err != nil {
 		return nil, Meta{}, err
 	}
 	var head *v4Head
-	var symSec, schSec, xmlSec, freqSec *v4Section
+	var symSec, schSec, xmlSec, jSec, freqSec *v4Section
 	var posts []v4Section
 	for i := range secs {
 		s := &secs[i]
@@ -269,6 +250,8 @@ func loadV4(data []byte, root *xmltree.Node, cfg engine.Config) (*engine.Engine,
 			}
 		case secXML:
 			xmlSec = s
+		case secJournal:
+			jSec = s
 		case secSymbols:
 			symSec = s
 		case secSchema:
@@ -284,10 +267,20 @@ func loadV4(data []byte, root *xmltree.Node, cfg engine.Config) (*engine.Engine,
 	if head == nil || symSec == nil || schSec == nil || len(posts) == 0 {
 		return nil, Meta{}, fmt.Errorf("persist: v4: missing required sections")
 	}
+	if jSec != nil {
+		// A journal replays over the embedded base only; over the
+		// caller's tree its ordinals would address the wrong entities.
+		if xmlSec == nil {
+			return nil, Meta{}, fmt.Errorf("persist: v4: journal section without an embedded corpus")
+		}
+		if err := jSec.verify(); err != nil {
+			return nil, Meta{}, err
+		}
+	}
 	if xmlSec != nil {
 		// Self-contained snapshot: the tree travels with it, and the
 		// caller's root (a generator corpus that cannot know about
-		// compacted writes) is ignored, as in v3.
+		// written entities) is ignored.
 		if err := xmlSec.verify(); err != nil {
 			return nil, Meta{}, err
 		}
@@ -321,11 +314,11 @@ func loadV4(data []byte, root *xmltree.Node, cfg engine.Config) (*engine.Engine,
 		if err := posts[0].verify(); err != nil {
 			return nil, Meta{}, err
 		}
-		idx, err := index.OpenCompact(root, st, posts[0].Data, cfg.MaterializePostings)
+		idx, err := index.OpenCompact(root, st, posts[0].Data)
 		if err != nil {
 			return nil, Meta{}, fmt.Errorf("persist: %w", err)
 		}
-		return engine.FromXseek(xseek.FromParts(root, idx, schema), cfg), head.Meta, nil
+		return replayed(engine.FromXseek(xseek.FromParts(root, idx, schema), cfg), jSec, head.Meta)
 	}
 
 	if freqSec == nil {
@@ -351,12 +344,51 @@ func loadV4(data []byte, root *xmltree.Node, cfg engine.Config) (*engine.Engine,
 			if err := sec.verify(); err != nil {
 				return nil, err
 			}
-			return index.OpenCompact(lroot, st, sec.Data, cfg.MaterializePostings)
+			return index.OpenCompact(lroot, st, sec.Data)
 		}
 	}
 	sh, err := shard.FromSourcesShared(root, schema, head.Meta.Shards, df, head.IndexedElements, loaders, st)
 	if err != nil {
 		return nil, Meta{}, err
 	}
-	return engine.FromSharded(sh, cfg), head.Meta, nil
+	return replayed(engine.FromSharded(sh, cfg), jSec, head.Meta)
+}
+
+// replayed replays the verified 'J' section, if any, over the freshly
+// opened base engine.
+func replayed(eng *engine.Engine, jSec *v4Section, meta Meta) (*engine.Engine, Meta, error) {
+	if jSec != nil {
+		if err := replayJournal(eng, jSec.Data); err != nil {
+			return nil, Meta{}, err
+		}
+	}
+	return eng, meta, nil
+}
+
+// replayJournal decodes a gob []update.JournalOp — the journal form
+// both the v4 'J' section and the v3 envelope carry — and re-applies
+// each op through eng's write path, in order. The ops address the
+// base's entities by top-level ordinal, so eng must serve exactly the
+// base the journal was recorded over.
+func replayJournal(eng *engine.Engine, data []byte) error {
+	var journal []update.JournalOp
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&journal); err != nil {
+		return fmt.Errorf("persist: decode journal: %w", err)
+	}
+	for i, op := range journal {
+		if op.Remove {
+			if err := eng.RemoveEntity(dewey.New(op.Ord)); err != nil {
+				return fmt.Errorf("persist: replay op %d: %w", i, err)
+			}
+			continue
+		}
+		n, err := xmltree.ParseString(op.XML)
+		if err != nil {
+			return fmt.Errorf("persist: replay op %d: %w", i, err)
+		}
+		if _, err := eng.AddEntity(n); err != nil {
+			return fmt.Errorf("persist: replay op %d: %w", i, err)
+		}
+	}
+	return nil
 }

@@ -14,7 +14,7 @@ import (
 func BenchmarkStartupMmap(b *testing.B) {
 	root := benchRoot()
 	path := filepath.Join(b.TempDir(), "bench.v4")
-	if err := SaveFileFormat(path, engine.New(root), Meta{CorpusName: "bench"}, CompactFormatVersion); err != nil {
+	if err := SaveFile(path, engine.New(root), Meta{CorpusName: "bench"}); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
@@ -32,7 +32,7 @@ func BenchmarkStartupMmap(b *testing.B) {
 func BenchmarkStartupMmapFirstQuery(b *testing.B) {
 	root := benchRoot()
 	path := filepath.Join(b.TempDir(), "bench.v4")
-	if err := SaveFileFormat(path, engine.New(root), Meta{CorpusName: "bench"}, CompactFormatVersion); err != nil {
+	if err := SaveFile(path, engine.New(root), Meta{CorpusName: "bench"}); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()

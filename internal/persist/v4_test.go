@@ -11,18 +11,34 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/index"
+	"repro/internal/update"
 	"repro/internal/xmltree"
 	"repro/internal/xseek"
 )
 
-// v4SnapshotOf saves eng in the compact v4 layout.
+// v4SnapshotOf saves eng and checks the bytes are in the v4 layout.
 func v4SnapshotOf(t testing.TB, eng *engine.Engine, meta Meta) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := SaveFormat(&buf, eng, meta, CompactFormatVersion); err != nil {
-		t.Fatal(err)
+	snap := snapshotOf(t, eng, meta)
+	if !bytes.HasPrefix(snap, []byte("XSACTSNAP 4\n")) {
+		t.Fatalf("snapshot header = %q, want version 4", snap[:12])
 	}
-	return buf.Bytes()
+	return snap
+}
+
+// materializeAll decodes every posting list of a loaded engine into
+// the heap: Lookup turns a lazily served compact list resident.
+func materializeAll(eng *engine.Engine) {
+	idxs := []*index.Index{eng.Index()}
+	if sh := eng.Sharded(); sh != nil {
+		idxs = sh.ShardIndexes()
+	}
+	for _, idx := range idxs {
+		for _, term := range idx.Vocabulary() {
+			idx.Lookup(term)
+		}
+	}
 }
 
 // rankedFingerprint canonicalizes an engine's ranked answers — labels,
@@ -59,21 +75,20 @@ var v4Queries = []string{"tomtom gps", "garmin", "canon camera", "easy camera", 
 // TestV4RoundTripEquivalence: an engine loaded from a v4 snapshot must
 // be bit-identical to the fresh-built one — same ranked labels, same
 // scores, same paging envelopes — for the monolithic executor and for
-// sharded ones, with and without eager materialization.
+// sharded ones, serving postings lazily out of the snapshot bytes or
+// with every list decoded into the heap first (eager).
 func TestV4RoundTripEquivalence(t *testing.T) {
 	for _, shards := range []int{1, 2, 8} {
 		for _, eager := range []bool{false, true} {
 			t.Run(fmt.Sprintf("shards=%d/eager=%v", shards, eager), func(t *testing.T) {
 				fresh := engine.NewWithConfig(testRoot(), engine.Config{Shards: shards})
 				snap := v4SnapshotOf(t, fresh, Meta{CorpusName: "reviews", Seed: 11})
-				if !bytes.HasPrefix(snap, []byte("XSACTSNAP 4\n")) {
-					t.Fatalf("v4 snapshot header = %q", snap[:12])
-				}
-
-				cfg := engine.Config{MaterializePostings: eager}
-				loaded, meta, err := Load(bytes.NewReader(snap), testRoot(), cfg)
+				loaded, meta, err := Load(bytes.NewReader(snap), testRoot(), engine.Config{})
 				if err != nil {
 					t.Fatal(err)
+				}
+				if eager {
+					materializeAll(loaded)
 				}
 				if meta.CorpusName != "reviews" || meta.Seed != 11 {
 					t.Fatalf("meta after load = %+v", meta)
@@ -105,9 +120,8 @@ func TestV4RoundTripEquivalence(t *testing.T) {
 // postings section — are byte-identical across saves of one engine
 // (the table is interned in sorted vocabulary order, so IDs and the
 // delta streams keyed by them cannot drift with map iteration order).
-// The gob-encoded head/schema sections are exempt: gob serializes maps
-// in iteration order, a nondeterminism v4 inherits from the v1-v3 wire
-// forms it shares them with.
+// The gob-encoded schema and frequency sections are exempt: gob
+// serializes maps in iteration order.
 func TestV4Deterministic(t *testing.T) {
 	for _, shards := range []int{1, 3} {
 		eng := engine.NewWithConfig(testRoot(), engine.Config{Shards: shards})
@@ -142,7 +156,7 @@ func TestV4FileMmapRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "snap", "reviews.v4")
 	fresh := engine.NewWithConfig(testRoot(), engine.Config{Shards: 2})
-	if err := SaveFileFormat(path, fresh, Meta{CorpusName: "reviews", Seed: 11}, CompactFormatVersion); err != nil {
+	if err := SaveFile(path, fresh, Meta{CorpusName: "reviews", Seed: 11}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -163,13 +177,10 @@ func TestV4FileMmapRoundTrip(t *testing.T) {
 		t.Fatalf("v4-loaded engine reports IndexBytes = 0")
 	}
 
-	// LoadFile still dispatches legacy layouts through the reader path.
-	legacy := filepath.Join(dir, "reviews.v2")
-	if err := SaveFile(legacy, fresh, Meta{CorpusName: "reviews", Seed: 11}); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := LoadFile(legacy, testRoot(), engine.Config{}); err != nil {
-		t.Fatalf("LoadFile(v2): %v", err)
+	// LoadFile still dispatches the retired v3 layout through the
+	// reader path.
+	if _, _, err := LoadFile(filepath.Join("testdata", "live_v3_k2.snap"), nil, engine.Config{}); err != nil {
+		t.Fatalf("LoadFile(v3): %v", err)
 	}
 }
 
@@ -214,27 +225,110 @@ func TestV4LiveCompactedSelfContained(t *testing.T) {
 	}
 }
 
-// TestV4JournaledFallsBackToV3: a live engine with pending journaled
-// writes cannot be represented in v4 (no journal section by design);
-// requesting v4 writes the v3 live layout instead, which reloads.
-func TestV4JournaledFallsBackToV3(t *testing.T) {
+// TestV4JournaledRoundTrip: a live engine with pending journaled
+// writes saves as v4 with its base tree ('X') and journal ('J'), and
+// reloads — through Load and the mmap LoadFile path alike — with the
+// same answers and the same pending backlog; a later compaction and
+// write keep the reload in step with the engine that never restarted.
+func TestV4JournaledRoundTrip(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			cfg := engine.Config{Shards: shards}
+			eng := engine.NewWithConfig(xmltree.MustParseString(liveCorpusXML(4)), cfg)
+			if err := eng.Compact(); err != nil {
+				t.Fatal(err)
+			}
+			mustWrite(t, eng, "<product><name>pending</name><kind>gps</kind></product>", 2)
+
+			snap := v4SnapshotOf(t, eng, Meta{CorpusName: "shop", Seed: 7})
+			v4Span(t, snap, secXML, 0)
+			v4Span(t, snap, secJournal, 0)
+			path := filepath.Join(t.TempDir(), "shop.snap")
+			if err := os.WriteFile(path, snap, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			viaReader, _, err := Load(bytes.NewReader(snap), nil, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			viaFile, _, err := LoadFile(path, nil, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkInStep(t, eng, []*engine.Engine{viaReader, viaFile}, "pending", "gps", "item2", "radio")
+		})
+	}
+}
+
+// checkInStep asserts that every reload answers like ref with the
+// same pending backlog, then compacts all of them, applies one more
+// write to each, and asserts they still agree.
+func checkInStep(t *testing.T, ref *engine.Engine, reloads []*engine.Engine, queries ...string) {
+	t.Helper()
+	check := func(stage string) {
+		t.Helper()
+		want, wm := searchFingerprint(t, ref, queries...), ref.Metrics()
+		for i, e := range reloads {
+			if got := searchFingerprint(t, e, queries...); got != want {
+				t.Fatalf("%s: reload %d diverges:\n%s\nvs\n%s", stage, i, got, want)
+			}
+			if m := e.Metrics(); m.PendingDelta != wm.PendingDelta || m.PendingTombstones != wm.PendingTombstones {
+				t.Fatalf("%s: reload %d pending backlog %d/%d, want %d/%d", stage, i,
+					m.PendingDelta, m.PendingTombstones, wm.PendingDelta, wm.PendingTombstones)
+			}
+		}
+	}
+	check("reload")
+	for _, e := range append([]*engine.Engine{ref}, reloads...) {
+		if err := e.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		mustWrite(t, e, "<product><name>after</name><kind>lunar</kind></product>", 0)
+	}
+	queries = append(queries, "after", "lunar")
+	check("compact + write")
+}
+
+// TestV4JournalFailsClosed: a journal is accepted writes, so any doubt
+// about it fails the load rather than serving a corpus that silently
+// lost or misapplied them — a flipped bit in the 'J' section, a 'J'
+// section without the embedded base it replays over, and a journal
+// whose ops do not replay.
+func TestV4JournalFailsClosed(t *testing.T) {
 	root := xmltree.MustParseString(liveCorpusXML(4))
 	eng := engine.New(root)
-	if err := eng.Compact(); err != nil {
-		t.Fatal(err)
-	}
 	mustWrite(t, eng, "<product><name>pending</name><kind>gps</kind></product>", -1)
-
 	snap := v4SnapshotOf(t, eng, Meta{CorpusName: "shop", Seed: 7})
-	if !bytes.HasPrefix(snap, []byte("XSACTSNAP 3\n")) {
-		t.Fatalf("journaled live engine snapshot header = %q, want v3 fallback", snap[:12])
-	}
-	loaded, _, err := Load(bytes.NewReader(snap), nil, engine.Config{})
-	if err != nil {
+	jOff, jLen := v4Span(t, snap, secJournal, 0)
+	xOff, xLen := v4Span(t, snap, secXML, 0)
+
+	var bogus bytes.Buffer
+	if err := gob.NewEncoder(&bogus).Encode([]update.JournalOp{{Remove: true, Ord: 99}}); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := searchFingerprint(t, loaded, "pending", "gps"), searchFingerprint(t, eng, "pending", "gps"); got != want {
-		t.Fatalf("v3 fallback reload diverges:\n%s\nvs\n%s", got, want)
+	cases := []struct {
+		name string
+		data []byte
+		want string
+	}{
+		{"bit flip in journal", flipped(snap, jOff+jLen/2), "checksum mismatch"},
+		{"journal without corpus", append(append([]byte(nil), snap[:xOff-9]...), snap[xOff+xLen+4:]...), "without an embedded corpus"},
+		{"unreplayable journal", withSection(t, snap, secJournal, 0, bogus.Bytes()), "replay op 0"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, _, err := Load(bytes.NewReader(tc.data), root, engine.Config{})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Load: err = %v, want %q", err, tc.want)
+			}
+			path := filepath.Join(t.TempDir(), "bad.snap")
+			if err := os.WriteFile(path, tc.data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := LoadFile(path, root, engine.Config{}); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("LoadFile: err = %v, want %q", err, tc.want)
+			}
+		})
 	}
 }
 
@@ -358,55 +452,102 @@ func TestV4VersionSkewFailsClosed(t *testing.T) {
 	}
 }
 
-// TestSnapshotCrossVersion: every layout the current build can write —
-// v1 single-index, v2 sharded, v3 live, v4 compact — must load back
-// with matching answers. CI runs this by name as the cross-version
-// compatibility gate.
+// TestSnapshotCrossVersion: what each snapshot version does on load.
+// v1/v2 held only regenerable derived state and fail closed with a
+// rebuild error; v3 fixtures written by an older build load equal to
+// a fresh engine after the same writes; v4 — the one layout written —
+// round-trips plain, sharded, journaled and journaled+sharded engines
+// through Load and the mmap LoadFile path, and the reloads stay in
+// step through a compaction and one more write. CI runs this by name
+// as the cross-version compatibility gate.
 func TestSnapshotCrossVersion(t *testing.T) {
-	queries := []string{"tomtom gps", "garmin"}
-
-	write := func(eng *engine.Engine, format int) []byte {
-		var buf bytes.Buffer
-		if err := SaveFormat(&buf, eng, Meta{CorpusName: "reviews", Seed: 11}, format); err != nil {
+	legacy := func(version int) []byte {
+		return []byte(fmt.Sprintf("%s %d\nanything", magic, version))
+	}
+	t.Run("v1 single-index", func(t *testing.T) {
+		_, _, err := Load(bytes.NewReader(legacy(1)), testRoot(), engine.Config{})
+		if err == nil || !strings.Contains(err.Error(), "legacy layout") {
+			t.Fatalf("err = %v, want legacy-layout rejection", err)
+		}
+	})
+	t.Run("v2 sharded", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "v2.snap")
+		if err := os.WriteFile(path, legacy(2), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		return buf.Bytes()
-	}
+		_, _, err := LoadFile(path, testRoot(), engine.Config{})
+		if err == nil || !strings.Contains(err.Error(), "legacy layout") {
+			t.Fatalf("err = %v, want legacy-layout rejection", err)
+		}
+	})
 
-	mono := engine.New(testRoot())
-	sharded := engine.NewWithConfig(testRoot(), engine.Config{Shards: 2})
-	live := engine.New(xmltree.MustParseString(liveCorpusXML(4)))
-	mustWrite(t, live, "<product><name>fresh</name><kind>gps</kind></product>", -1)
+	t.Run("v3 live", func(t *testing.T) {
+		for _, shards := range []int{1, 2} {
+			t.Run(fmt.Sprintf("K=%d", shards), func(t *testing.T) {
+				cfg := engine.Config{Shards: shards}
+				ref := engine.NewWithConfig(xmltree.MustParseString(liveCorpusXML(4)), cfg)
+				mustWrite(t, ref, "<product><name>fresh</name><kind>solar</kind></product>", 1)
 
-	cases := []struct {
-		name    string
-		version int
-		snap    []byte
-		ref     *engine.Engine
-		root    *xmltree.Node
-	}{
-		{"v1 single-index", FormatVersion, write(mono, 0), mono, testRoot()},
-		{"v2 sharded", ShardedFormatVersion, write(sharded, 0), sharded, testRoot()},
-		{"v3 live", LiveFormatVersion, write(live, 0), live, nil},
-		{"v4 compact", CompactFormatVersion, write(mono, CompactFormatVersion), mono, testRoot()},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			header := fmt.Sprintf("%s %d\n", magic, tc.version)
-			if !bytes.HasPrefix(tc.snap, []byte(header)) {
-				t.Fatalf("snapshot header = %q, want %q", tc.snap[:13], header)
-			}
-			loaded, _, err := Load(bytes.NewReader(tc.snap), tc.root, engine.Config{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			qs := queries
-			if tc.ref == live {
-				qs = []string{"fresh", "gps"}
-			}
-			if got, want := searchFingerprint(t, loaded, qs...), searchFingerprint(t, tc.ref, qs...); got != want {
-				t.Fatalf("%s reload diverges:\n%s\nvs\n%s", tc.name, got, want)
-			}
-		})
-	}
+				path := filepath.Join("testdata", fmt.Sprintf("live_v3_k%d.snap", shards))
+				data, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.HasPrefix(data, []byte("XSACTSNAP 3\n")) {
+					t.Fatalf("fixture header = %q, want version 3", data[:12])
+				}
+				viaReader, meta, err := Load(bytes.NewReader(data), nil, engine.Config{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if meta.CorpusName != "shop" || meta.Seed != 7 || viaReader.ShardCount() != shards {
+					t.Fatalf("meta = %+v, %d shards, want shop/7 with %d", meta, viaReader.ShardCount(), shards)
+				}
+				viaFile, _, err := LoadFile(path, nil, engine.Config{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkInStep(t, ref, []*engine.Engine{viaReader, viaFile}, "fresh", "solar", "gps", "radio", "item1", "item2")
+			})
+		}
+	})
+
+	t.Run("v4 compact", func(t *testing.T) {
+		for _, tc := range []struct {
+			name    string
+			shards  int
+			journal bool
+		}{
+			{"plain", 1, false},
+			{"sharded", 2, false},
+			{"journaled", 1, true},
+			{"journaled+sharded", 2, true},
+		} {
+			t.Run(tc.name, func(t *testing.T) {
+				cfg := engine.Config{Shards: tc.shards}
+				root := xmltree.MustParseString(liveCorpusXML(4))
+				ref := engine.NewWithConfig(root, cfg)
+				if tc.journal {
+					mustWrite(t, ref, "<product><name>fresh</name><kind>solar</kind></product>", 1)
+				}
+				snap := v4SnapshotOf(t, ref, Meta{CorpusName: "shop", Seed: 7})
+				path := filepath.Join(t.TempDir(), "shop.snap")
+				if err := os.WriteFile(path, snap, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				viaReader, _, err := Load(bytes.NewReader(snap), root, engine.Config{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				viaFile, _, err := LoadFile(path, root, engine.Config{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := viaReader.ShardCount(); got != tc.shards {
+					t.Fatalf("reloaded with %d shards, want %d", got, tc.shards)
+				}
+				checkInStep(t, ref, []*engine.Engine{viaReader, viaFile}, "fresh", "solar", "gps", "radio", "item1", "item2")
+			})
+		}
+	})
 }

@@ -22,7 +22,7 @@ func TestConcurrentLazySearch(t *testing.T) {
 		g := g
 		loaders[g] = func() (*index.Index, error) { return indexes[g], nil }
 	}
-	lazy, err := FromSources(root, schema, 4, fresh.TermFrequencies(), fresh.IndexStats().IndexedElements, loaders)
+	lazy, err := FromSourcesShared(root, schema, 4, fresh.TermFrequencies(), fresh.IndexStats().IndexedElements, loaders, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

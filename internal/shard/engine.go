@@ -160,21 +160,16 @@ func (e *Engine) reusableIndex(segs []*xmltree.Node) *index.Index {
 // write path reads them to compose its base ⊕ delta − tombstones view.
 func (e *Engine) SpineIndex() *index.Index { return e.spine.Index() }
 
-// FromSources assembles a sharded engine whose shard indexes load
-// lazily — typically from a multi-shard snapshot (package persist). k,
-// df, and elements (the aggregate distinct-indexed-element count, see
+// FromSourcesShared assembles a sharded engine whose shard indexes
+// load lazily — typically from a v4 snapshot (package persist). k, df,
+// and elements (the aggregate distinct-indexed-element count, see
 // IndexStats) must come from the snapshot; the partition is recomputed
 // deterministically from root + schema + k, so it matches the one the
 // indexes were built under. load[g] supplies group g's index; a nil
 // or failing loader falls back to rebuilding that one shard from its
-// own segment subtrees, counted in Rebuilds.
-func FromSources(root *xmltree.Node, schema *xseek.Schema, k int, df map[string]int, elements int, load []func() (*index.Index, error)) (*Engine, error) {
-	return FromSourcesShared(root, schema, k, df, elements, load, nil)
-}
-
-// FromSourcesShared is FromSources with an explicit symbol table (fresh
-// when nil): a v4 snapshot's shard sections all intern through the
-// snapshot's one table, and rebuild fallbacks join it too.
+// own segment subtrees, counted in Rebuilds. st is the symbol table
+// every shard interns through (fresh when nil): a snapshot's shard
+// sections all share its one table, and rebuild fallbacks join it too.
 func FromSourcesShared(root *xmltree.Node, schema *xseek.Schema, k int, df map[string]int, elements int, load []func() (*index.Index, error), st *index.SymbolTable) (*Engine, error) {
 	part := Plan(root, schema, k)
 	if len(load) != len(part.Groups) {

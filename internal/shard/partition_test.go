@@ -174,7 +174,7 @@ func TestFromSourcesRebuildFallback(t *testing.T) {
 		}
 		loaders[g] = func() (*index.Index, error) { return indexes[g], nil }
 	}
-	loaded, err := FromSources(root, schema, 3, fresh.TermFrequencies(), fresh.IndexStats().IndexedElements, loaders)
+	loaded, err := FromSourcesShared(root, schema, 3, fresh.TermFrequencies(), fresh.IndexStats().IndexedElements, loaders, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,9 +15,9 @@ import (
 
 // JournalOp is one durable write: an entity addition (the fragment's
 // XML, replayed through AddEntity) or a removal (the victim's top-level
-// ordinal). The persistence layer (snapshot v3) records the journal of
-// ops since the last compaction so a restart can replay pending writes
-// onto the reloaded base.
+// ordinal). A live snapshot's journal section records the ops since
+// the last compaction so a restart can replay pending writes onto the
+// reloaded base.
 type JournalOp struct {
 	// Remove discriminates the variants.
 	Remove bool

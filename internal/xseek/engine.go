@@ -63,7 +63,7 @@ func New(root *xmltree.Node) *Engine {
 // typically an index and schema loaded from a snapshot (package
 // persist) instead of rebuilt from the tree. The caller is responsible
 // for the parts describing the same document; idx must be attached to
-// root (index.Load does this).
+// root (index.OpenCompact does this).
 func FromParts(root *xmltree.Node, idx *index.Index, schema *Schema) *Engine {
 	e := &Engine{root: root, idx: idx, schema: schema}
 	e.initDerived()

@@ -59,14 +59,16 @@ func TestFromPartsMatchesNew(t *testing.T) {
 	root := dataset.ProductReviews(dataset.ReviewsConfig{Seed: 4})
 	fresh := New(root)
 
-	var idxBuf, schBuf bytes.Buffer
-	if err := fresh.Index().Save(&idxBuf); err != nil {
+	st := index.NewSymbolTable()
+	payload, err := index.EncodeCompact(fresh.Index(), st)
+	if err != nil {
 		t.Fatal(err)
 	}
+	var schBuf bytes.Buffer
 	if err := fresh.Schema().Save(&schBuf); err != nil {
 		t.Fatal(err)
 	}
-	idx, err := index.Load(&idxBuf, root)
+	idx, err := index.OpenCompact(root, st, payload)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,37 +12,23 @@ import (
 // SaveSnapshot writes the document's derived state — inverted index,
 // inferred schema, and corpus metadata — so a later process can reopen
 // the same XML with LoadSnapshot and skip index construction and
-// schema inference entirely. A document with live updates is written
-// in the journaled live layout: the base snapshot plus the pending
-// writes, replayed on load.
+// schema inference entirely. The snapshot is in the compact sectioned
+// layout: symbol table plus varint-compressed postings in checksummed
+// sections, which persist.LoadFile can mmap and serve without
+// materializing the postings. A document with live updates also
+// stores its base document and the journal of pending writes, replayed
+// on load. A document served by a shard cluster (FromCluster) cannot
+// be saved here: its legs persist through their own group snapshots.
 func (d *Document) SaveSnapshot(w io.Writer) error {
 	return persist.Save(w, d.eng, persist.Meta{})
 }
 
-// SnapshotFormatCompact selects the compact v4 layout for
-// SaveSnapshotFormat: symbol table plus varint-compressed postings in
-// self-describing checksummed sections. A file in this layout is
-// mmap-ed by persist.LoadFile and served without materializing the
-// postings; LoadSnapshot reads it through the generic path, decoding
-// blocks lazily as queries touch them.
-const SnapshotFormatCompact = persist.CompactFormatVersion
-
-// SaveSnapshotFormat is SaveSnapshot with an explicit layout: 0 writes
-// the automatic legacy layout (exactly SaveSnapshot), and
-// SnapshotFormatCompact the compact sectioned one. A document with
-// pending (uncompacted) live writes falls back to the journaled legacy
-// layout even when the compact one is requested — the journal must
-// travel, and the compact layout carries none by design.
-func (d *Document) SaveSnapshotFormat(w io.Writer, format int) error {
-	return persist.SaveFormat(w, d.eng, persist.Meta{}, format)
-}
-
 // LoadSnapshot parses the XML document and attaches a snapshot written
 // by SaveSnapshot over the same XML. It fails when the snapshot is
-// corrupt or from an old format version; callers should fall back to
-// Parse, which rebuilds. An immutable snapshot is additionally
-// rejected when it was taken from a different document (corpus
-// fingerprint check). A live snapshot instead carries its own base
+// corrupt or in a retired layout that holds no writes; callers should
+// fall back to Parse, which rebuilds. A snapshot of a never-written
+// document is additionally rejected when it was taken from a different
+// document (corpus fingerprint check). A live snapshot instead carries its own base
 // document — the caller's XML cannot know about applied writes — so
 // its identity rests on the snapshot's internal checksums and
 // fingerprint, the xml argument is superseded, and the returned

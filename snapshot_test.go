@@ -50,15 +50,15 @@ func TestDocumentSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDocumentSnapshotFormatCompact: the compact layout round-trips
-// through the facade with identical answers.
+// TestDocumentSnapshotFormatCompact: SaveSnapshot writes the compact
+// layout, which round-trips through the facade with identical answers.
 func TestDocumentSnapshotFormatCompact(t *testing.T) {
 	fresh, err := ParseString(demoDoc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var snap bytes.Buffer
-	if err := fresh.SaveSnapshotFormat(&snap, SnapshotFormatCompact); err != nil {
+	if err := fresh.SaveSnapshot(&snap); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.HasPrefix(snap.String(), "XSACTSNAP 4\n") {
