@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/engine"
-	"repro/internal/persist"
 	"repro/internal/xmltree"
 )
 
@@ -142,72 +141,74 @@ func TestSnapshotLifecycle(t *testing.T) {
 }
 
 // TestLegacyV3SnapshotConvertedOnLoad: a snapshot in the retired
-// journaled v3 layout loads with its pending writes, is rewritten as
-// v4 on the spot, and the rewritten file carries the same writes into
-// the next restart. A live snapshot embeds its own corpus, so the
-// committed fixture (a small <shop> with one pending add and one
-// pending remove) stands in for the dataset's file.
+// journaled v3 layout loads with its writes, is rewritten as v4 on the
+// spot, and the rewritten file carries the same writes through every
+// later restart. A live snapshot embeds its own corpus, so the
+// committed fixtures (a small <shop> where "fresh" was added and item1
+// removed) stand in for the dataset's file. One fixture keeps those
+// writes pending in its journal; the other was saved after a
+// compaction folded them into the base, leaving the journal empty —
+// the v4 rewrite must still carry the written-to tree, or the next
+// restart would find a snapshot that matches neither the generator nor
+// itself and rebuild without the writes.
 func TestLegacyV3SnapshotConvertedOnLoad(t *testing.T) {
-	fixture, err := os.ReadFile(filepath.Join("..", "..", "internal", "persist", "testdata", "live_v3_k1.snap"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	path := filepath.Join(dir, "reviews-seed5.snap")
-	if err := os.WriteFile(path, fixture, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	gen := func() *xmltree.Node {
-		return dataset.ProductReviews(dataset.ReviewsConfig{Seed: 5})
-	}
-	restart := func() (*engine.Engine, string) {
-		s, err := newServer(5, dir, 1, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var eng *engine.Engine
-		out := captureLog(t, func() { eng = s.buildEngine("Product Reviews", gen) })
-		return eng, out
-	}
-	header := func() string {
-		f, err := os.Open(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer f.Close()
-		v, err := persist.SniffVersion(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return fmt.Sprintf("XSACTSNAP %d", v)
-	}
+	for _, tc := range []struct {
+		fixture string
+		pending bool
+	}{
+		{"live_v3_k1.snap", true},
+		{"live_v3_k1_compacted.snap", false},
+	} {
+		t.Run(tc.fixture, func(t *testing.T) {
+			fixture, err := os.ReadFile(filepath.Join("..", "..", "internal", "persist", "testdata", tc.fixture))
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			path := filepath.Join(dir, "reviews-seed5.snap")
+			if err := os.WriteFile(path, fixture, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			gen := func() *xmltree.Node {
+				return dataset.ProductReviews(dataset.ReviewsConfig{Seed: 5})
+			}
+			header := func() string {
+				data, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				line, _, _ := strings.Cut(string(data), "\n")
+				return line
+			}
 
-	first, out := restart()
-	if !strings.Contains(out, "loaded from snapshot") || !strings.Contains(out, "rewrote v3 snapshot") {
-		t.Fatalf("v3 snapshot should load and be rewritten, log:\n%s", out)
-	}
-	if h := header(); h != "XSACTSNAP 4" {
-		t.Fatalf("snapshot header after conversion = %q, want XSACTSNAP 4", h)
-	}
-	second, out := restart()
-	if !strings.Contains(out, "loaded from snapshot") || strings.Contains(out, "rewrote") {
-		t.Fatalf("converted snapshot should load without another rewrite, log:\n%s", out)
-	}
-
-	// The fixture's journal added "fresh" (kind solar) and removed item1.
-	for i, eng := range []*engine.Engine{first, second} {
-		if rs, err := eng.Search("fresh solar"); err != nil || len(rs) != 1 {
-			t.Fatalf("restart %d: journaled add: %d results, err %v", i+1, len(rs), err)
-		}
-		if rs, _ := eng.Search("item1"); len(rs) != 0 {
-			t.Fatalf("restart %d: journaled remove lost: item1 has %d results", i+1, len(rs))
-		}
-		if rs, err := eng.Search("item2"); err != nil || len(rs) != 1 {
-			t.Fatalf("restart %d: base entity item2: %d results, err %v", i+1, len(rs), err)
-		}
-		if m := eng.Metrics(); m.PendingDelta == 0 || m.PendingTombstones == 0 {
-			t.Fatalf("restart %d: journal not pending after reload: %+v", i+1, m)
-		}
+			for restart := 1; restart <= 3; restart++ {
+				s, err := newServer(5, dir, 1, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var eng *engine.Engine
+				out := captureLog(t, func() { eng = s.buildEngine("Product Reviews", gen) })
+				if !strings.Contains(out, "loaded from snapshot") || !strings.Contains(out, "rewrote snapshot") {
+					t.Fatalf("restart %d: snapshot should load and be rewritten, log:\n%s", restart, out)
+				}
+				if h := header(); h != "XSACTSNAP 4" {
+					t.Fatalf("restart %d: snapshot header = %q, want XSACTSNAP 4", restart, h)
+				}
+				if rs, err := eng.Search("fresh solar"); err != nil || len(rs) != 1 {
+					t.Fatalf("restart %d: written add: %d results, err %v", restart, len(rs), err)
+				}
+				if rs, _ := eng.Search("item1"); len(rs) != 0 {
+					t.Fatalf("restart %d: written remove lost: item1 has %d results", restart, len(rs))
+				}
+				if rs, err := eng.Search("item2"); err != nil || len(rs) != 1 {
+					t.Fatalf("restart %d: base entity item2: %d results, err %v", restart, len(rs), err)
+				}
+				m := eng.Metrics()
+				if got := m.PendingDelta != 0 && m.PendingTombstones != 0; got != tc.pending {
+					t.Fatalf("restart %d: writes pending = %v, want %v: %+v", restart, got, tc.pending, m)
+				}
+			}
+		})
 	}
 }
 

@@ -13,8 +13,9 @@
 // and written back after a fresh build, so restarts skip the rebuild.
 // Snapshots are written in the v4 layout, which is mmap-ed on load and
 // decodes postings lazily as queries touch them (near-zero restart). A
-// snapshot in the retired journaled v3 layout still loads and is
-// rewritten as v4 straight away; older layouts cost one rebuild.
+// snapshot that embeds its corpus (a written-to dataset, or one in the
+// retired journaled v3 layout) is rewritten as v4 from the loaded
+// engine straight away; older layouts cost one rebuild.
 //
 // With -shards N each corpus is split into N index shards (at
 // top-level entity boundaries) that build in parallel and serve

@@ -8,7 +8,6 @@ import (
 	"log"
 	"net/http"
 	"net/url"
-	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -121,9 +120,9 @@ func newServer(seed int64, snapshotDir string, shards, compactEvery int) (*serve
 // and valid. Snapshot failures are never fatal — a bad file (a retired
 // v1/v2 layout included) just costs a rebuild, and is replaced by a
 // fresh snapshot afterwards; a sharded snapshot with one corrupt shard
-// section loads anyway and rebuilds only that shard lazily. A file in
-// the retired journaled v3 layout loads and is rewritten as v4 at
-// once, so each legacy file is read only once.
+// section loads anyway and rebuilds only that shard lazily. A snapshot
+// that embeds its corpus is rewritten at once from the loaded engine,
+// so a file in the retired journaled v3 layout is read only once.
 func (s *server) buildEngine(name string, gen func() *xmltree.Node) *engine.Engine {
 	root := gen()
 	cfg := engine.Config{Shards: s.shards, AutoCompactThreshold: s.compactEvery}
@@ -141,11 +140,11 @@ func (s *server) buildEngine(name string, gen func() *xmltree.Node) *engine.Engi
 	eng, _, err := persist.LoadFile(path, root, cfg)
 	if err == nil {
 		log.Printf("xsactd: %s: engine loaded from snapshot %s", name, path)
-		if snapshotVersion(path) == persist.LiveFormatVersion {
+		if eng.CorpusEmbedded() {
 			if err := s.writeSnapshot(name, eng); err != nil {
-				log.Printf("xsactd: %s: rewriting v3 snapshot %s as v4 failed: %v", name, path, err)
+				log.Printf("xsactd: %s: rewriting snapshot %s failed: %v", name, path, err)
 			} else {
-				log.Printf("xsactd: %s: rewrote v3 snapshot %s as v4", name, path)
+				log.Printf("xsactd: %s: rewrote snapshot %s in the current layout", name, path)
 			}
 		}
 		return eng
@@ -160,18 +159,6 @@ func (s *server) buildEngine(name string, gen func() *xmltree.Node) *engine.Engi
 		log.Printf("xsactd: %s: wrote snapshot %s", name, path)
 	}
 	return built
-}
-
-// snapshotVersion is the format version in the header of the snapshot
-// at path, 0 when it cannot be read.
-func snapshotVersion(path string) int {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0
-	}
-	defer f.Close()
-	v, _ := persist.SniffVersion(f)
-	return v
 }
 
 // snapshotPath is where a dataset's snapshot lives.

@@ -233,6 +233,10 @@ type Engine struct {
 
 	compacting atomic.Bool // auto-compaction single-flight guard
 
+	// embedded marks a corpus read out of a snapshot that carried it
+	// (see MarkCorpusEmbedded).
+	embedded atomic.Bool
+
 	statsMu  sync.Mutex
 	stats    *lru // result-root Dewey ID + label → cacheEntry{*feature.Stats}
 	queryMu  sync.Mutex
@@ -285,6 +289,15 @@ func FromSharded(s *shard.Engine, cfg Config) *Engine {
 	e.cur.Store(&executorBox{exec: s, sh: s})
 	return e
 }
+
+// MarkCorpusEmbedded records that the engine's corpus was read out of
+// a snapshot that carried the tree itself. No generator reproduces
+// such a corpus — it holds accepted writes — so every later snapshot
+// of the engine must carry the tree too, written to or not.
+func (e *Engine) MarkCorpusEmbedded() { e.embedded.Store(true) }
+
+// CorpusEmbedded reports whether MarkCorpusEmbedded was called.
+func (e *Engine) CorpusEmbedded() bool { return e.embedded.Load() }
 
 // newServing allocates the cache layer shared by all executors.
 func newServing(cfg Config) *Engine {

@@ -12,7 +12,8 @@
 // tag + node count + content hash) before trusting the derived state.
 // A live corpus carries its base tree and replays its journal through
 // the engine's write path, so a restart resumes exactly where the
-// writer stopped.
+// writer stopped; an engine loaded that way keeps carrying its tree in
+// every later snapshot, even one taken before its next write.
 //
 // Load also reads version 3 (live.go), the retired journaled layout,
 // because its journal holds accepted user writes: it rebuilds the base

@@ -12,7 +12,10 @@ package persist
 //
 // Like a live v4 snapshot, the layout is self-contained: the caller's
 // tree cannot describe a corpus that has accepted writes, so Load
-// ignores it and reconstructs the document from the snapshot.
+// ignores it and reconstructs the document from the snapshot. That
+// holds even when the journal is empty (the engine was compacted
+// before it was saved), so the loaded engine is marked as embedding
+// its corpus and saves as a v4 snapshot that carries the tree.
 
 import (
 	"bufio"
@@ -76,6 +79,7 @@ func loadLive(br *bufio.Reader, cfg engine.Config) (*engine.Engine, Meta, error)
 	}
 	cfg.Shards = env.Meta.Shards
 	eng := engine.NewWithConfig(root, cfg)
+	eng.MarkCorpusEmbedded()
 	if err := replayJournal(eng, env.Journal); err != nil {
 		return nil, Meta{}, err
 	}

@@ -12,6 +12,7 @@ import (
 	"strconv"
 
 	"repro/internal/engine"
+	"repro/internal/update"
 	"repro/internal/xmltree"
 )
 
@@ -84,25 +85,31 @@ func fingerprint(root *xmltree.Node) (count int, hash uint64) {
 
 // Save writes a v4 snapshot of eng to w. meta's CorpusName and Seed
 // are recorded as given; the corpus fingerprint is taken from the tree
-// the snapshot describes. A never-written engine stores only its
-// derived state. A live engine stores its base as of the last
-// compaction — the tree itself in the 'X' section, plus its index and
-// schema — and the journal of writes pending over that base ('J').
-// A distributed engine has no local state to store: its shard legs
-// persist through group snapshots (EncodeGroup).
+// the snapshot describes. An engine over a regenerable corpus — never
+// written, and not itself loaded from a self-contained snapshot —
+// stores only its derived state. Any other engine stores its base as
+// of the last compaction — the tree itself in the 'X' section, plus
+// its index and schema — and the journal of writes pending over that
+// base ('J'). A distributed engine has no local state to store: its
+// shard legs persist through group snapshots (EncodeGroup).
 func Save(w io.Writer, eng *engine.Engine, meta Meta) error {
 	if eng.Dist() != nil {
 		return errors.New("persist: a distributed engine has no local snapshot; its shard legs persist through group snapshots")
 	}
 	live := eng.Live()
-	if live == nil || live.Epoch() == 0 {
+	written := live != nil && live.Epoch() > 0
+	if !written && !eng.CorpusEmbedded() {
 		return saveV4(w, eng.Root(), eng.Xseek(), eng.Sharded(), nil, nil, meta)
+	}
+	baseRoot, x, sh := eng.Root(), eng.Xseek(), eng.Sharded()
+	var journal []update.JournalOp
+	if live != nil {
+		baseRoot, x, sh, journal = live.SnapshotParts()
 	}
 	// The base tree is serialized and immediately re-parsed, so the
 	// recorded fingerprint covers exactly the tree Load reconstructs
 	// (serialization normalizes whitespace-only differences; postings
 	// and the schema are insensitive to them).
-	baseRoot, x, sh, journal := live.SnapshotParts()
 	baseXML := xmltree.XMLString(baseRoot)
 	reparsed, err := xmltree.ParseString(baseXML)
 	if err != nil {
@@ -116,11 +123,13 @@ func Save(w io.Writer, eng *engine.Engine, meta Meta) error {
 // sharded snapshot yields a sharded engine whose shard count comes
 // from the snapshot, overriding cfg.Shards. A snapshot that embeds its
 // corpus (a live one) ignores root and resumes with its pending writes
-// replayed; otherwise root must be the corpus the snapshot was taken
-// from. Load fails — and the caller should rebuild — on a bad header,
-// a legacy (v1/v2) layout, a checksum or fingerprint mismatch, or a
-// journal that does not replay; corruption confined to one shard's
-// postings is repaired by rebuilding just that shard on first use.
+// replayed, and the engine is marked (engine.MarkCorpusEmbedded) so
+// that saving it embeds the corpus again; otherwise root must be the
+// corpus the snapshot was taken from. Load fails — and the caller
+// should rebuild — on a bad header, a legacy (v1/v2) layout, a
+// checksum or fingerprint mismatch, or a journal that does not replay;
+// corruption confined to one shard's postings is repaired by
+// rebuilding just that shard on first use.
 func Load(r io.Reader, root *xmltree.Node, cfg engine.Config) (*engine.Engine, Meta, error) {
 	br := bufio.NewReader(r)
 	version, err := readHeader(br)
@@ -160,9 +169,9 @@ func readHeader(br *bufio.Reader) (int, error) {
 	return version, nil
 }
 
-// SniffVersion reads just a snapshot's header line and returns its
+// sniffVersion reads just a snapshot's header line and returns its
 // format version.
-func SniffVersion(r io.Reader) (int, error) {
+func sniffVersion(r io.Reader) (int, error) {
 	return readHeader(bufio.NewReader(io.LimitReader(r, 64)))
 }
 
@@ -237,7 +246,7 @@ func LoadFile(path string, root *xmltree.Node, cfg engine.Config) (*engine.Engin
 		return nil, Meta{}, fmt.Errorf("persist: %w", err)
 	}
 	defer f.Close()
-	version, err := SniffVersion(f)
+	version, err := sniffVersion(f)
 	if err != nil {
 		return nil, Meta{}, err
 	}

@@ -318,7 +318,7 @@ func loadV4(data []byte, root *xmltree.Node, cfg engine.Config) (*engine.Engine,
 		if err != nil {
 			return nil, Meta{}, fmt.Errorf("persist: %w", err)
 		}
-		return replayed(engine.FromXseek(xseek.FromParts(root, idx, schema), cfg), jSec, head.Meta)
+		return replayed(engine.FromXseek(xseek.FromParts(root, idx, schema), cfg), xmlSec != nil, jSec, head.Meta)
 	}
 
 	if freqSec == nil {
@@ -351,12 +351,16 @@ func loadV4(data []byte, root *xmltree.Node, cfg engine.Config) (*engine.Engine,
 	if err != nil {
 		return nil, Meta{}, err
 	}
-	return replayed(engine.FromSharded(sh, cfg), jSec, head.Meta)
+	return replayed(engine.FromSharded(sh, cfg), xmlSec != nil, jSec, head.Meta)
 }
 
-// replayed replays the verified 'J' section, if any, over the freshly
-// opened base engine.
-func replayed(eng *engine.Engine, jSec *v4Section, meta Meta) (*engine.Engine, Meta, error) {
+// replayed finishes a freshly opened base engine: it marks a corpus
+// read from the 'X' section as embedded, so the engine's next snapshot
+// carries it again, and replays the verified 'J' section, if any.
+func replayed(eng *engine.Engine, embedded bool, jSec *v4Section, meta Meta) (*engine.Engine, Meta, error) {
+	if embedded {
+		eng.MarkCorpusEmbedded()
+	}
 	if jSec != nil {
 		if err := replayJournal(eng, jSec.Data); err != nil {
 			return nil, Meta{}, err

@@ -188,7 +188,7 @@ func TestV4FileMmapRoundTrip(t *testing.T) {
 // self-contained v4 snapshot (the tree travels in the 'X' section),
 // reloads without the caller knowing the written-to corpus, and
 // accepts the same post-restart writes as an engine that never
-// restarted.
+// restarted — also after being saved again with no write of its own.
 func TestV4LiveCompactedSelfContained(t *testing.T) {
 	root := xmltree.MustParseString(liveCorpusXML(6))
 	eng := engine.New(root)
@@ -209,19 +209,31 @@ func TestV4LiveCompactedSelfContained(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Saved again before any write of its own, the reload still
+	// embeds the written-to corpus rather than fingerprinting it as if
+	// the caller could regenerate it.
+	resaved, _, err := Load(bytes.NewReader(v4SnapshotOf(t, loaded, Meta{CorpusName: "shop", Seed: 7})), xmltree.MustParseString("<unrelated/>"), engine.Config{})
+	if err != nil {
+		t.Fatalf("resave of the reload: %v", err)
+	}
+	reloads := []*engine.Engine{loaded, resaved}
 	queries := []string{"gps", "solar", "fresh0", "item3 radio"}
-	if got, want := searchFingerprint(t, loaded, queries...), searchFingerprint(t, eng, queries...); got != want {
-		t.Fatalf("self-contained v4 reload diverges:\n%s\nvs\n%s", got, want)
+	for i, e := range reloads {
+		if got, want := searchFingerprint(t, e, queries...), searchFingerprint(t, eng, queries...); got != want {
+			t.Fatalf("self-contained v4 reload %d diverges:\n%s\nvs\n%s", i, got, want)
+		}
 	}
 
-	// Interleave further writes on both sides; they must stay in step.
-	for _, e := range []*engine.Engine{eng, loaded} {
+	// Interleave further writes on every side; they must stay in step.
+	for _, e := range append([]*engine.Engine{eng}, reloads...) {
 		mustWrite(t, e, "<product><name>post0</name><kind>gps</kind></product>", -1)
 		mustWrite(t, e, "<product><name>post1</name><kind>lunar</kind></product>", 2)
 	}
 	queries = append(queries, "post0", "lunar", "gps")
-	if got, want := searchFingerprint(t, loaded, queries...), searchFingerprint(t, eng, queries...); got != want {
-		t.Fatalf("post-reload writes diverge:\n%s\nvs\n%s", got, want)
+	for i, e := range reloads {
+		if got, want := searchFingerprint(t, e, queries...), searchFingerprint(t, eng, queries...); got != want {
+			t.Fatalf("post-reload writes diverge on reload %d:\n%s\nvs\n%s", i, got, want)
+		}
 	}
 }
 
@@ -482,13 +494,26 @@ func TestSnapshotCrossVersion(t *testing.T) {
 	})
 
 	t.Run("v3 live", func(t *testing.T) {
-		for _, shards := range []int{1, 2} {
-			t.Run(fmt.Sprintf("K=%d", shards), func(t *testing.T) {
-				cfg := engine.Config{Shards: shards}
+		for _, tc := range []struct {
+			fixture   string
+			shards    int
+			compacted bool
+		}{
+			{"live_v3_k1.snap", 1, false},
+			{"live_v3_k2.snap", 2, false},
+			{"live_v3_k1_compacted.snap", 1, true},
+		} {
+			t.Run(tc.fixture, func(t *testing.T) {
+				cfg := engine.Config{Shards: tc.shards}
 				ref := engine.NewWithConfig(xmltree.MustParseString(liveCorpusXML(4)), cfg)
 				mustWrite(t, ref, "<product><name>fresh</name><kind>solar</kind></product>", 1)
+				if tc.compacted {
+					if err := ref.Compact(); err != nil {
+						t.Fatal(err)
+					}
+				}
 
-				path := filepath.Join("testdata", fmt.Sprintf("live_v3_k%d.snap", shards))
+				path := filepath.Join("testdata", tc.fixture)
 				data, err := os.ReadFile(path)
 				if err != nil {
 					t.Fatal(err)
@@ -500,15 +525,60 @@ func TestSnapshotCrossVersion(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if meta.CorpusName != "shop" || meta.Seed != 7 || viaReader.ShardCount() != shards {
-					t.Fatalf("meta = %+v, %d shards, want shop/7 with %d", meta, viaReader.ShardCount(), shards)
+				if meta.CorpusName != "shop" || meta.Seed != 7 || viaReader.ShardCount() != tc.shards {
+					t.Fatalf("meta = %+v, %d shards, want shop/7 with %d", meta, viaReader.ShardCount(), tc.shards)
 				}
 				viaFile, _, err := LoadFile(path, nil, engine.Config{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				checkInStep(t, ref, []*engine.Engine{viaReader, viaFile}, "fresh", "solar", "gps", "radio", "item1", "item2")
+				// Resaved untouched, a v3 engine still carries its
+				// written-to corpus — even when its journal was empty —
+				// so the v4 copy loads without the caller's tree.
+				resaved, _, err := Load(bytes.NewReader(v4SnapshotOf(t, viaReader, meta)), xmltree.MustParseString("<unrelated/>"), engine.Config{})
+				if err != nil {
+					t.Fatalf("v4 resave of the v3 load: %v", err)
+				}
+				checkInStep(t, ref, []*engine.Engine{viaReader, viaFile, resaved}, "fresh", "solar", "gps", "radio", "item1", "item2")
 			})
+		}
+	})
+
+	t.Run("v3 corrupt", func(t *testing.T) {
+		data, err := os.ReadFile(filepath.Join("testdata", "live_v3_k1.snap"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The first "item0" lies in BaseXML, ahead of the nested base
+		// and the journal: flipping a byte there is bit rot the
+		// envelope checksum must catch.
+		at := bytes.Index(data, []byte("item0"))
+		if at < 0 {
+			t.Fatal(`fixture has no "item0"`)
+		}
+		rotted := bytes.Clone(data)
+		rotted[at+4] ^= 0x01
+		if _, _, err := Load(bytes.NewReader(rotted), nil, engine.Config{}); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+			t.Fatalf("bit rot: err = %v, want checksum mismatch", err)
+		}
+
+		// A BaseXML that no longer matches the recorded corpus, with the
+		// envelope checksum recomputed over it, must fail the
+		// fingerprint check instead.
+		nl := bytes.IndexByte(data, '\n')
+		var env liveEnvelope
+		if err := gob.NewDecoder(bytes.NewReader(data[nl+1:])).Decode(&env); err != nil {
+			t.Fatal(err)
+		}
+		env.BaseXML = bytes.Replace(env.BaseXML, []byte("item0"), []byte("other"), 1)
+		env.Checksum = env.checksum()
+		var buf bytes.Buffer
+		buf.Write(data[:nl+1])
+		if err := gob.NewEncoder(&buf).Encode(&env); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := Load(&buf, nil, engine.Config{}); err == nil || !strings.Contains(err.Error(), "does not match") {
+			t.Fatalf("altered base: err = %v, want fingerprint mismatch", err)
 		}
 	})
 

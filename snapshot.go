@@ -32,7 +32,8 @@ func (d *Document) SaveSnapshot(w io.Writer) error {
 // document — the caller's XML cannot know about applied writes — so
 // its identity rests on the snapshot's internal checksums and
 // fingerprint, the xml argument is superseded, and the returned
-// Document resumes with every pending write intact.
+// Document resumes with every pending write intact; its next
+// SaveSnapshot carries the base document again.
 func LoadSnapshot(xml, snapshot io.Reader) (*Document, error) {
 	root, err := xmltree.Parse(xml)
 	if err != nil {
