@@ -92,7 +92,9 @@ func run(data string, seed int64, query string, list bool, selects string, bound
 	for i, r := range picked {
 		stats[i] = feature.Extract(r.Node, eng.Schema(), r.Label)
 	}
-	opts := core.Options{SizeBound: bound, Threshold: thresh, Pad: true}
+	// Print the options the generator runs with: -L 0 and -x <= 0
+	// select the defaults.
+	opts := core.Options{SizeBound: bound, Threshold: thresh, Pad: true}.Normalized()
 	dfss := core.Generate(core.Algorithm(alg), stats, opts)
 	if dfss == nil {
 		return fmt.Errorf("unknown algorithm %q", alg)
@@ -119,7 +121,7 @@ func run(data string, seed int64, query string, list bool, selects string, bound
 		return err
 	}
 	fmt.Printf("\ntotal DoD = %d over %d results (algorithm %s, L=%d, x=%.0f%%)\n",
-		core.TotalDoD(dfss, thresh), len(dfss), alg, bound, thresh*100)
+		core.TotalDoD(dfss, opts.Threshold), len(dfss), alg, opts.SizeBound, opts.Threshold*100)
 	return nil
 }
 

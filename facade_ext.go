@@ -206,13 +206,9 @@ func CompareInteresting(results []*Result, opts CompareOptions) (*Comparison, er
 	stats := doc.eng.StatsForResults(inner)
 	copts := core.Options{SizeBound: opts.SizeBound, Threshold: opts.Threshold}
 	dfss := core.WeightedGreedy(stats, copts, core.ContrastInterest(stats))
-	x := opts.Threshold
-	if x <= 0 {
-		x = core.DefaultThreshold
-	}
 	cmp := &Comparison{
 		tbl: table.Build(dfss),
-		DoD: core.TotalDoD(dfss, x),
+		DoD: core.TotalDoD(dfss, opts.Threshold),
 	}
 	for _, s := range stats {
 		cmp.Labels = append(cmp.Labels, s.Label)

@@ -132,6 +132,35 @@ func TestPairDoDAbsentValueDifferentiates(t *testing.T) {
 	}
 }
 
+// TestEvaluatorsNormalizeThreshold: x <= 0 selects DefaultThreshold in
+// the evaluators exactly as Options.Normalized does in the generators,
+// so a DFS set is never optimized at 10 % and scored at 0 %. The two
+// results here are 5 % apart on their one shared type.
+func TestEvaluatorsNormalizeThreshold(t *testing.T) {
+	a := mkStats("a", 40, map[[2]string]int{{"pro", "compact"}: 20})
+	b := mkStats("b", 40, map[[2]string]int{{"pro", "compact"}: 21})
+	pro := feature.Type{Entity: "review", Attribute: "pro"}
+	dfss := []*DFS{{Stats: a, Sel: Selection{pro: 1}}, {Stats: b, Sel: Selection{pro: 1}}}
+	want := TotalDoD(dfss, DefaultThreshold)
+	if want != 0 {
+		t.Fatalf("5%% apart differentiates at the default threshold: DoD %d", want)
+	}
+	if got := TotalDoD(dfss, 0.01); got != 1 {
+		t.Fatalf("5%% apart does not differentiate at x = 1%%: DoD %d", got)
+	}
+	for _, x := range []float64{0, -1} {
+		if got := TotalDoD(dfss, x); got != want {
+			t.Fatalf("TotalDoD(x=%v) = %d, TotalDoD(DefaultThreshold) = %d", x, got, want)
+		}
+		if got := PairDoD(dfss[0], dfss[1], x); got != want {
+			t.Fatalf("PairDoD(x=%v) = %d, want %d", x, got, want)
+		}
+		if got := WeightedDoD(dfss, x, nil); got != float64(want) {
+			t.Fatalf("WeightedDoD(x=%v) = %v, want %d", x, got, want)
+		}
+	}
+}
+
 func TestPairDoDEqualFrequenciesDoNotDifferentiate(t *testing.T) {
 	a := mkStats("a", 10, map[[2]string]int{{"pro", "compact"}: 8})
 	b := mkStats("b", 10, map[[2]string]int{{"pro", "compact"}: 8})

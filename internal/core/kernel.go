@@ -1,16 +1,13 @@
 package core
 
-import (
-	"sort"
-
-	"repro/internal/feature"
-)
+import "repro/internal/feature"
 
 // kernel is the dense form of one generation call. Every algorithm
-// interns the union of the results' feature types to IDs ordered by
-// feature.Type.Less, keeps each result's working selection as a depth
-// byte per type ID, and converts back to Selection maps only when it
-// returns.
+// numbers the union of the results' feature types in feature.Type.Less
+// order (a merge of their type-sorted columns), points each (result,
+// type ID) cell at the result's feature.Column, keeps each result's
+// working selection as a depth byte per type ID, and converts back to
+// Selection maps only when it returns.
 //
 // Whether results i and j differ on type t depends only on the values
 // shown, and a value v differs by relDiffer(rel_i(v), rel_j(v), x)
@@ -28,11 +25,8 @@ type kernel struct {
 	types []feature.Type // type ID -> type, in Type.Less order
 
 	// Per (result i, type ID t), at index i*nt+t.
-	vals  [][]feature.ValueCount // values in occurrence order; nil = absent
-	occ   []map[string]int       // value -> occurrences
-	nv    []uint8                // usable depth: min(len(vals), SizeBound)
-	group []float64              // instance count of the type's entity
-	total []int                  // type total (significance)
+	cols []*feature.Column // the result's column of the type; nil = absent
+	nv   []uint8           // usable depth: min(#values, SizeBound)
 
 	// Result i's types entity by entity, each entity's in significance
 	// order: entity e spans order[spans[i][e].lo:spans[i][e].hi].
@@ -58,54 +52,53 @@ type denseMove struct {
 	depth uint8
 }
 
-// newKernel interns stats under normalized opts. Selections start empty.
+// newKernel lays stats out under normalized opts. The type union is
+// the successive merge of the results' type-sorted columns, and each
+// result's columns take their IDs in one walk along it, so no type is
+// sorted, searched or hashed. Selections start empty.
 func newKernel(stats []*feature.Stats, opts Options) *kernel {
 	kn := &kernel{stats: stats, opts: opts, k: len(stats)}
-	n := 0
+	n, widest := 0, 0
 	for _, s := range stats {
 		n += s.TypeCount()
+		widest = max(widest, s.TypeCount())
 	}
-	all := make([]feature.Type, 0, n)
+	var next []feature.Type
 	for _, s := range stats {
-		all = append(all, s.AllTypes()...)
-	}
-	sort.Slice(all, func(a, b int) bool { return all[a].Less(all[b]) })
-	for _, t := range all {
-		if len(kn.types) == 0 || kn.types[len(kn.types)-1] != t {
-			kn.types = append(kn.types, t)
-		}
+		next = mergeTypes(next[:0], kn.types, s.Columns())
+		kn.types, next = next, kn.types
 	}
 	kn.nt = len(kn.types)
 
 	cells := kn.k * kn.nt
-	kn.vals = make([][]feature.ValueCount, cells)
-	kn.occ = make([]map[string]int, cells)
+	kn.cols = make([]*feature.Column, cells)
 	kn.nv = make([]uint8, cells)
-	kn.group = make([]float64, cells)
-	kn.total = make([]int, cells)
 	kn.order = make([]int32, 0, n)
 	kn.spans = make([][]span, kn.k)
 	kn.whole = make([]span, kn.k)
 	kn.done = make([]bool, kn.nt)
 	kn.sel = make([]uint8, cells)
 	kn.size = make([]int, kn.k)
+	ids := make([]int32, widest) // per column of the current result: its type ID
 	for i, s := range stats {
-		ents := s.Entities()
+		cols := s.Columns()
+		t := 0
+		for ci := range cols {
+			col := &cols[ci]
+			for kn.types[t] != col.Type {
+				t++
+			}
+			ids[ci] = int32(t)
+			kn.cols[i*kn.nt+t] = col
+			kn.nv[i*kn.nt+t] = uint8(min(len(col.Values()), opts.SizeBound))
+		}
+		order, bounds := s.Order()
 		start := len(kn.order)
-		kn.spans[i] = make([]span, len(ents))
-		for e, ent := range ents {
-			g := float64(s.GroupCount(ent))
+		kn.spans[i] = make([]span, len(bounds)-1)
+		for e := range kn.spans[i] {
 			lo := len(kn.order)
-			for _, t := range s.TypesOf(ent) {
-				id := kn.id(t)
-				kn.order = append(kn.order, int32(id))
-				c := i*kn.nt + id
-				vals := s.ValuesOf(t)
-				kn.vals[c] = vals
-				kn.occ[c] = s.Counts(t)
-				kn.nv[c] = uint8(min(len(vals), opts.SizeBound))
-				kn.group[c] = g
-				kn.total[c] = s.TypeTotal(t)
+			for _, ci := range order[bounds[e]:bounds[e+1]] {
+				kn.order = append(kn.order, ids[ci])
 			}
 			kn.spans[i][e] = span{lo, len(kn.order)}
 		}
@@ -114,9 +107,29 @@ func newKernel(stats []*feature.Stats, opts Options) *kernel {
 	return kn
 }
 
-// id returns the dense ID of a type present in some result.
-func (kn *kernel) id(t feature.Type) int {
-	return sort.Search(kn.nt, func(i int) bool { return !kn.types[i].Less(t) })
+// mergeTypes appends to dst the sorted union of the sorted types a and
+// the types of the type-sorted columns b.
+func mergeTypes(dst, a []feature.Type, b []feature.Column) []feature.Type {
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch c := a[i].Compare(b[j].Type); {
+		case c < 0:
+			dst = append(dst, a[i])
+			i++
+		case c > 0:
+			dst = append(dst, b[j].Type)
+			j++
+		default:
+			dst = append(dst, a[i])
+			i++
+			j++
+		}
+	}
+	dst = append(dst, a[i:]...)
+	for ; j < len(b); j++ {
+		dst = append(dst, b[j].Type)
+	}
+	return dst
 }
 
 // row returns result i's working selection.
@@ -136,27 +149,29 @@ func (kn *kernel) column(t int) {
 		if kn.nv[ci] == 0 {
 			continue
 		}
+		a := kn.cols[ci]
+		avals, group := a.Values()[:kn.nv[ci]], float64(a.Group())
 		fi := kn.f[(t*kn.k+i)*kn.k:]
 		for j := 0; j < kn.k; j++ {
 			cj := j*kn.nt + t
 			if j == i || kn.nv[cj] == 0 {
 				continue
 			}
-			fi[j] = uint8(firstDiffer(kn.vals[ci][:kn.nv[ci]], kn.group[ci], kn.occ[cj], kn.group[cj], kn.opts.Threshold))
+			fi[j] = uint8(firstDiffer(avals, group, kn.cols[cj], kn.opts.Threshold))
 		}
 	}
 }
 
 // firstDiffer returns the 1-based position of the first value in avals
 // (one side's shown values of a type, group its entity's instance
-// count) whose relative frequency differs by more than x from the
-// other side's (bocc its value counts, bgroup its instance count), or
-// 0 when none does. It is the one differentiation rule: two DFSs
-// differ on a type exactly when either side's first differing depth is
-// within its shown depth.
-func firstDiffer(avals []feature.ValueCount, group float64, bocc map[string]int, bgroup float64, x float64) int {
+// count) whose relative frequency differs by more than x from its
+// frequency in the other side's column b, or 0 when none does. It is
+// the one differentiation rule: two DFSs differ on a type exactly when
+// either side's first differing depth is within its shown depth.
+func firstDiffer(avals []feature.ValueCount, group float64, b *feature.Column, x float64) int {
+	bgroup := float64(b.Group())
 	for d, vc := range avals {
-		if relDiffer(float64(vc.Count)/group, float64(bocc[vc.Value])/bgroup, x) {
+		if relDiffer(float64(vc.Count)/group, float64(b.Count(vc.Value))/bgroup, x) {
 			return d + 1
 		}
 	}
@@ -288,9 +303,9 @@ func (kn *kernel) apply(i int, m denseMove) {
 
 // scoreMove ranks a grow move of result i for padding.
 func (kn *kernel) scoreMove(i int, m denseMove) padScore {
-	c := i*kn.nt + int(m.t)
-	count := kn.vals[c][m.depth-1].Count
-	return padScore{rel: float64(count) / kn.group[c], count: count, total: kn.total[c]}
+	col := kn.cols[i*kn.nt+int(m.t)]
+	count := col.Values()[m.depth-1].Count
+	return padScore{rel: float64(count) / float64(col.Group()), count: count, total: col.Total()}
 }
 
 // betterPadMove orders grow moves within one result by padScore, then

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/feature"
@@ -44,7 +45,7 @@ func richStatsSet(r *rand.Rand, n int) []*feature.Stats {
 // TestFirstDifferingDepthIdentity checks the kernel's identity against
 // the reference predicate: for every pair of results, every shared
 // type and every (da, db) up to the value counts, the
-// first-differing-depth rule — in the kernel and in differOn — agrees
+// first-differing-depth rule — in the kernel and in PairDoD — agrees
 // with refTypeDiffers.
 func TestFirstDifferingDepthIdentity(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
@@ -67,8 +68,9 @@ func TestFirstDifferingDepthIdentity(t *testing.T) {
 							if got := kn.differs(ti, i, j, uint8(da), uint8(db)); got != want {
 								t.Fatalf("iter %d %s (%d,%d) depths (%d,%d): kernel %v, reference %v", iter, typ, i, j, da, db, got, want)
 							}
-							if got := differOn(a, b, typ, da, db, x); got != want {
-								t.Fatalf("iter %d %s (%d,%d) depths (%d,%d): differOn %v, reference %v", iter, typ, i, j, da, db, got, want)
+							pair := PairDoD(&DFS{Stats: a, Sel: Selection{typ: da}}, &DFS{Stats: b, Sel: Selection{typ: db}}, x)
+							if got := pair == 1; got != want {
+								t.Fatalf("iter %d %s (%d,%d) depths (%d,%d): PairDoD %d, reference %v", iter, typ, i, j, da, db, pair, want)
 							}
 							checked++
 						}
@@ -163,7 +165,7 @@ func TestKernelMovesMatchReference(t *testing.T) {
 		kn := newKernel(stats, opts)
 		for i, d := range dfss {
 			for typ, depth := range d.Sel {
-				kn.apply(i, denseMove{t: int32(kn.id(typ)), depth: uint8(depth)})
+				kn.apply(i, denseMove{t: int32(slices.Index(kn.types, typ)), depth: uint8(depth)})
 			}
 			if kn.size[i] < opts.SizeBound { // no grow applies at the bound
 				kn.moves = kn.growMoves(i, kn.row(i), kn.moves)
@@ -238,4 +240,29 @@ func BenchmarkKernelMultiSwapRich(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = MultiSwap(stats, opts)
 	}
+}
+
+// FuzzTotalDoDMatchesReference draws rich statistics and random valid
+// selections from the fuzzer's seed and demands that TotalDoD and
+// PairDoD equal the map-based reference evaluators.
+func FuzzTotalDoDMatchesReference(f *testing.F) {
+	f.Add(int64(1), uint8(2), uint8(4), uint8(0))
+	f.Add(int64(2), uint8(5), uint8(10), uint8(1))
+	f.Add(int64(3), uint8(8), uint8(20), uint8(2))
+	f.Fuzz(func(t *testing.T, seed int64, n, bound, xi uint8) {
+		r := rand.New(rand.NewSource(seed))
+		stats := richStatsSet(r, 2+int(n)%9)
+		x := []float64{0.1, 0.25, 0.5, 0.05, 1}[int(xi)%5]
+		dfss := Random(stats, Options{SizeBound: 1 + int(bound)%24, Threshold: x}, r)
+		if got, want := TotalDoD(dfss, x), refTotalDoD(dfss, x); got != want {
+			t.Fatalf("TotalDoD %d, reference %d", got, want)
+		}
+		for i, a := range dfss {
+			for _, b := range dfss[i+1:] {
+				if got, want := PairDoD(a, b, x), refPairDoD(a, b, x); got != want {
+					t.Fatalf("PairDoD %d, reference %d", got, want)
+				}
+			}
+		}
+	})
 }

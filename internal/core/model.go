@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/feature"
@@ -99,13 +100,13 @@ type DFS struct {
 // (entities sorted, types by significance, values by occurrence).
 func (d *DFS) Features() []feature.Feature {
 	var out []feature.Feature
-	for _, e := range d.Stats.Entities() {
-		for _, t := range d.Stats.TypesOf(e) {
-			depth := d.Sel[t]
-			vals := d.Stats.ValuesOf(t)
-			for i := 0; i < depth && i < len(vals); i++ {
-				out = append(out, feature.Feature{Type: t, Value: vals[i].Value})
-			}
+	cols := d.Stats.Columns()
+	order, _ := d.Stats.Order()
+	for _, c := range order {
+		col := &cols[c]
+		depth := d.Sel[col.Type]
+		for _, vc := range col.Values()[:min(max(depth, 0), len(col.Values()))] {
+			out = append(out, feature.Feature{Type: col.Type, Value: vc.Value})
 		}
 	}
 	return out
@@ -171,45 +172,82 @@ func relDiffer(a, b, x float64) bool {
 	return (hi-lo)/lo > x
 }
 
-// differOn reports whether results a and b, showing depths da and db
-// of shared type t, are differentiable in t: some value shown by
-// either side has relative frequencies differing by more than x. That
-// holds exactly when either side's first differing value lies within
-// its shown depth (see kernel).
-func differOn(a, b *feature.Stats, t feature.Type, da, db int, x float64) bool {
-	ga, gb := float64(a.GroupCount(t.Entity)), float64(b.GroupCount(t.Entity))
-	av, bv := a.ValuesOf(t), b.ValuesOf(t)
-	return firstDiffer(av[:min(da, len(av))], ga, b.Counts(t), gb, x) > 0 ||
-		firstDiffer(bv[:min(db, len(bv))], gb, a.Counts(t), ga, x) > 0
-}
-
 // PairDoD returns the degree of differentiation of two DFSs: the
 // number of feature types selected in both whose shown values expose a
-// more-than-x relative difference.
+// more-than-x relative difference. x <= 0 selects DefaultThreshold, as
+// Options.Normalized does; a depth below 1 selects nothing.
 func PairDoD(a, b *DFS, x float64) int {
-	dod := 0
-	for t, da := range a.Sel {
-		db, ok := b.Sel[t]
-		if !ok {
-			continue
-		}
-		if differOn(a.Stats, b.Stats, t, da, db, x) {
-			dod++
-		}
-	}
-	return dod
+	return TotalDoD([]*DFS{a, b}, x)
 }
 
 // TotalDoD returns the summed DoD over all pairs of DFSs —
-// Desideratum 3's objective.
+// Desideratum 3's objective. x is normalized as in PairDoD.
 func TotalDoD(dfss []*DFS, x float64) int {
 	total := 0
-	for i := 0; i < len(dfss); i++ {
-		for j := i + 1; j < len(dfss); j++ {
-			total += PairDoD(dfss[i], dfss[j], x)
+	forSharedTypes(dfss, x, func(_ feature.Type, differing int) { total += differing })
+	return total
+}
+
+// selectedCell is one (result, type) cell a DFS selects.
+type selectedCell struct {
+	col   *feature.Column // a zero Column of the type when the result lacks it
+	i     int32           // the result
+	shown int32           // values shown: the depth, capped at the column's length
+}
+
+// forSharedTypes calls fn for every feature type on which some pairs of
+// the DFSs differ, with the number of such pairs. It is the evaluation
+// side of the kernel: the selected cells are sorted by type, then
+// result, so the results selecting a type are contiguous, and a pair
+// differs exactly when either side's first differing value (firstDiffer
+// over its shown values) exists. Only selected cells are visited, and a
+// call allocates nothing for up to 256 of them.
+func forSharedTypes(dfss []*DFS, x float64, fn func(t feature.Type, differing int)) {
+	if x <= 0 {
+		x = DefaultThreshold
+	}
+	var buf [256]selectedCell
+	cells := buf[:0]
+	for i, d := range dfss {
+		for t, depth := range d.Sel {
+			if depth < 1 {
+				continue
+			}
+			col := d.Stats.Column(t)
+			if col == nil {
+				col = &feature.Column{Type: t}
+			}
+			cells = append(cells, selectedCell{col: col, i: int32(i), shown: int32(min(depth, len(col.Values())))})
 		}
 	}
-	return total
+	slices.SortFunc(cells, func(a, b selectedCell) int {
+		if c := a.col.Type.Compare(b.col.Type); c != 0 {
+			return c
+		}
+		return int(a.i - b.i)
+	})
+	for lo := 0; lo < len(cells); {
+		hi := lo + 1
+		for hi < len(cells) && cells[hi].col.Type == cells[lo].col.Type {
+			hi++
+		}
+		differing := 0
+		for p := lo; p < hi; p++ {
+			a := &cells[p]
+			avals, ga := a.col.Values()[:a.shown], float64(a.col.Group())
+			for q := p + 1; q < hi; q++ {
+				b := &cells[q]
+				if firstDiffer(avals, ga, b.col, x) > 0 ||
+					firstDiffer(b.col.Values()[:b.shown], float64(b.col.Group()), a.col, x) > 0 {
+					differing++
+				}
+			}
+		}
+		if differing > 0 {
+			fn(cells[lo].col.Type, differing)
+		}
+		lo = hi
+	}
 }
 
 // padScore ranks a grow move for padding purposes: the relative

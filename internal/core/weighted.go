@@ -61,20 +61,7 @@ func WeightedDoD(dfss []*DFS, x float64, interest Interestingness) float64 {
 		interest = UniformInterest
 	}
 	total := 0.0
-	for i := 0; i < len(dfss); i++ {
-		for j := i + 1; j < len(dfss); j++ {
-			a, b := dfss[i], dfss[j]
-			for t, da := range a.Sel {
-				db, ok := b.Sel[t]
-				if !ok {
-					continue
-				}
-				if differOn(a.Stats, b.Stats, t, da, db, x) {
-					total += interest(t)
-				}
-			}
-		}
-	}
+	forSharedTypes(dfss, x, func(t feature.Type, differing int) { total += float64(differing) * interest(t) })
 	return total
 }
 

@@ -135,14 +135,23 @@ func (id ID) String() string {
 	if len(id) == 0 {
 		return "/"
 	}
-	var b strings.Builder
+	var buf [32]byte
+	return string(id.AppendTo(buf[:0]))
+}
+
+// AppendTo appends the String form of the ID to b and returns the
+// extended slice, so a key holding IDs is built in one buffer.
+func (id ID) AppendTo(b []byte) []byte {
+	if len(id) == 0 {
+		return append(b, '/')
+	}
 	for i, c := range id {
 		if i > 0 {
-			b.WriteByte('.')
+			b = append(b, '.')
 		}
-		b.WriteString(strconv.Itoa(c))
+		b = strconv.AppendInt(b, int64(c), 10)
 	}
-	return b.String()
+	return b
 }
 
 // Parse parses the dotted form produced by String. It accepts "/" (or

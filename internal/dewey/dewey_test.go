@@ -277,3 +277,15 @@ func BenchmarkLCA(b *testing.B) {
 		_ = x.LCA(y)
 	}
 }
+
+func TestAppendToMatchesString(t *testing.T) {
+	for _, id := range []ID{nil, {0}, {0, 2, 1}, {12, 0, 345, 6789}, {-1, 3}} {
+		want := "prefix:" + id.String()
+		if got := string(id.AppendTo([]byte("prefix:"))); got != want {
+			t.Fatalf("AppendTo(%v) = %q, want %q", []int(id), got, want)
+		}
+	}
+	if got := (ID{0, 2, 1}).String(); got != "0.2.1" {
+		t.Fatalf("String = %q", got)
+	}
+}

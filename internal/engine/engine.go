@@ -893,7 +893,7 @@ func (e *Engine) SearchCleanedRankedPage(query string, opts xseek.SearchOptions)
 func (e *Engine) Stats(node *xmltree.Node, label string) *feature.Stats {
 	box := e.box()
 	epoch := box.epoch()
-	key := node.ID.String() + "\x00" + label
+	key := statsKey(node, label)
 	e.statsMu.Lock()
 	v, ok := e.stats.get(key)
 	e.statsMu.Unlock()
@@ -925,25 +925,34 @@ func (e *Engine) StatsForResults(results []*xseek.Result) []*feature.Stats {
 	return out
 }
 
+// statsKey identifies a result subtree and its label for the stats
+// cache: the Dewey ID, a NUL, the label, built in one buffer.
+func statsKey(node *xmltree.Node, label string) string {
+	var buf [64]byte
+	b := append(node.ID.AppendTo(buf[:0]), 0)
+	return string(append(b, label...))
+}
+
 // selectionKey identifies a (results, algorithm, options) combination
-// for the DFS cache. Callers pass normalized options so defaulted and
-// explicit spellings of the same configuration share one entry.
+// for the DFS cache, built in one buffer. Callers pass normalized
+// options so defaulted and explicit spellings of the same configuration
+// share one entry.
 func selectionKey(results []*xseek.Result, alg core.Algorithm, opts core.Options) string {
-	var b strings.Builder
-	b.WriteString(string(alg))
-	b.WriteByte('|')
-	b.WriteString(strconv.Itoa(opts.SizeBound))
-	b.WriteByte('|')
-	b.WriteString(strconv.FormatFloat(opts.Threshold, 'g', -1, 64))
-	b.WriteByte('|')
-	b.WriteString(strconv.Itoa(opts.MaxRounds))
-	b.WriteByte('|')
-	b.WriteString(strconv.FormatBool(opts.Pad))
+	var buf [256]byte
+	b := append(buf[:0], alg...)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(opts.SizeBound), 10)
+	b = append(b, '|')
+	b = strconv.AppendFloat(b, opts.Threshold, 'g', -1, 64)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(opts.MaxRounds), 10)
+	b = append(b, '|')
+	b = strconv.AppendBool(b, opts.Pad)
 	for _, r := range results {
-		b.WriteByte('|')
-		b.WriteString(r.Node.ID.String())
+		b = append(b, '|')
+		b = r.Node.ID.AppendTo(b)
 	}
-	return b.String()
+	return string(b)
 }
 
 // Generate produces the Differentiation Feature Sets for a set of

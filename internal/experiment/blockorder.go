@@ -22,9 +22,8 @@ type BlockOrderStats struct {
 // but coordinate ascent's path and fixpoint are not) and reports the
 // spread against the natural order.
 func BlockOrderAblation(stats []*feature.Stats, opts core.Options, trials int, seed int64) BlockOrderStats {
-	x := normThreshold(opts)
 	out := BlockOrderStats{
-		Baseline: core.TotalDoD(core.MultiSwap(stats, opts), x),
+		Baseline: core.TotalDoD(core.MultiSwap(stats, opts), opts.Threshold),
 		Trials:   trials,
 	}
 	out.Min, out.Max = out.Baseline, out.Baseline
@@ -34,7 +33,7 @@ func BlockOrderAblation(stats []*feature.Stats, opts core.Options, trials int, s
 		for j, p := range r.Perm(len(stats)) {
 			perm[j] = stats[p]
 		}
-		dod := core.TotalDoD(core.MultiSwap(perm, opts), x)
+		dod := core.TotalDoD(core.MultiSwap(perm, opts), opts.Threshold)
 		if dod < out.Min {
 			out.Min = dod
 		}

@@ -64,18 +64,11 @@ func Run(root *xmltree.Node, queries []string, algs []core.Algorithm, opts core.
 			start := time.Now()
 			dfss := core.Generate(alg, stats, opts)
 			run.Elapsed[alg] = time.Since(start)
-			run.DoD[alg] = core.TotalDoD(dfss, normThreshold(opts))
+			run.DoD[alg] = core.TotalDoD(dfss, opts.Threshold)
 		}
 		rep.Runs = append(rep.Runs, run)
 	}
 	return rep, nil
-}
-
-func normThreshold(o core.Options) float64 {
-	if o.Threshold <= 0 {
-		return core.DefaultThreshold
-	}
-	return o.Threshold
 }
 
 // WriteDoDTable renders the Figure 4(a) series: DoD per query per

@@ -56,7 +56,7 @@ func RichnessSweep(seed int64, query string, algs []core.Algorithm, opts core.Op
 			start := time.Now()
 			dfss := core.Generate(alg, stats, opts)
 			p.Elapsed[alg] = time.Since(start)
-			p.DoD[alg] = core.TotalDoD(dfss, normThreshold(opts))
+			p.DoD[alg] = core.TotalDoD(dfss, opts.Threshold)
 		}
 		out = append(out, p)
 	}

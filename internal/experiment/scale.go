@@ -38,7 +38,7 @@ func ScaleSweep(stats []*feature.Stats, algs []core.Algorithm, opts core.Options
 			start := time.Now()
 			dfss := core.Generate(alg, subset, opts)
 			p.Elapsed[alg] = time.Since(start)
-			p.DoD[alg] = core.TotalDoD(dfss, normThreshold(opts))
+			p.DoD[alg] = core.TotalDoD(dfss, opts.Threshold)
 		}
 		out = append(out, p)
 		if n == len(stats) {

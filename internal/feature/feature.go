@@ -2,7 +2,7 @@ package feature
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/xmltree"
@@ -26,6 +26,14 @@ func (t Type) Less(o Type) bool {
 	return t.Attribute < o.Attribute
 }
 
+// Compare is Less as a three-way comparison: -1, 0 or +1.
+func (t Type) Compare(o Type) int {
+	if c := strings.Compare(t.Entity, o.Entity); c != 0 {
+		return c
+	}
+	return strings.Compare(t.Attribute, o.Attribute)
+}
+
 // Feature is a concrete (entity, attribute, value) triplet.
 type Feature struct {
 	Type
@@ -43,24 +51,81 @@ type ValueCount struct {
 
 // Stats holds the feature statistics of one search result. Construct
 // with Extract; the ordering accessors embody the significance order
-// that validity (Desideratum 2) is defined against.
+// that validity (Desideratum 2) is defined against. A Stats is
+// immutable: one slice of columns, one per feature type in Type.Less
+// order, plus the significance order as per-entity spans over them.
+// Nothing in it is keyed by a hashed string, and the serving engine
+// caches thousands.
 type Stats struct {
 	// Label identifies the result in tables and logs.
 	Label string
 
-	groupCount map[string]int      // entity tag -> instance count in this result
-	byType     map[Type]*typeStats // type -> its values and their occurrences
-	entities   []string            // entity tags, sorted
-	types      map[string][]Type   // entity -> types in significance order
+	cols     []Column      // one per feature type, in Type.Less order
+	types    []Type        // entity by entity, each entity's types in significance order
+	order    []int32       // order[k] is the index in cols of types[k]
+	entities []string      // entities carrying features, sorted
+	bounds   []int32       // entity e spans types[bounds[e]:bounds[e+1]], and cols likewise
+	groups   []entityGroup // instance count of every entity seen, by name
 }
 
-// typeStats is one feature type's statistics within a result. One map
-// entry per type, rather than three maps keyed by type, makes a Stats
-// about a fifth lighter, and the serving engine caches thousands.
-type typeStats struct {
-	occ    map[string]int // value -> occurrences
-	total  int            // sum of occ: the type's significance
-	values []ValueCount   // occ in descending-count order, set by freeze
+// entityGroup is an entity's instance count within a result.
+type entityGroup struct {
+	entity string
+	n      int
+}
+
+// Column is one feature type's statistics within a result: its values
+// in significance order and a value -> count lookup that hashes
+// nothing.
+type Column struct {
+	Type    Type
+	group   int          // instances of Type.Entity in the result
+	total   int          // sum of the counts: the type's significance
+	values  []ValueCount // descending count, ties by value
+	byValue []int32      // indexes of values in Value order; nil when short
+}
+
+// shortColumn is the longest value list Count scans linearly instead
+// of binary-searching byValue.
+const shortColumn = 8
+
+// Values returns the column's values in descending occurrence order.
+// The returned slice must not be modified.
+func (c *Column) Values() []ValueCount { return c.values }
+
+// Total returns the column's total occurrences (its significance).
+func (c *Column) Total() int { return c.total }
+
+// Group returns the instance count of the column's entity, the
+// denominator of its relative frequencies. Like GroupCount it is never
+// below 1, even for a zero Column.
+func (c *Column) Group() int { return max(c.group, 1) }
+
+// Count returns the occurrences of value v (0 when absent).
+func (c *Column) Count(v string) int {
+	if c.byValue == nil {
+		for _, vc := range c.values {
+			if vc.Value == v {
+				return vc.Count
+			}
+		}
+		return 0
+	}
+	lo, hi := 0, len(c.byValue)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if c.values[c.byValue[m]].Value < v {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo < len(c.byValue) {
+		if vc := c.values[c.byValue[lo]]; vc.Value == v {
+			return vc.Count
+		}
+	}
+	return 0
 }
 
 // affirmative reports whether a leaf value is a yes-marker, in which
@@ -96,19 +161,14 @@ func negative(v string) bool {
 // Occurrences count entity instances, so repeating <pro>compact</pro>
 // twice inside one review still counts once for that review.
 func Extract(result *xmltree.Node, schema *xseek.Schema, label string) *Stats {
-	s := &Stats{
-		Label:      label,
-		groupCount: make(map[string]int),
-		byType:     make(map[Type]*typeStats),
-	}
-
 	// Count entity instances within the result (the result root counts
 	// as one instance of its own tag even if not a schema entity, so
 	// singleton attributes like product name get group size 1).
-	s.groupCount[result.Tag] = 1
+	groups := map[string]int{result.Tag: 1}
+	counts := make(map[Feature]int)
 	result.Walk(func(n *xmltree.Node) bool {
 		if n != result && n.Kind == xmltree.Element && schema.IsEntity(n) {
-			s.groupCount[n.Tag]++
+			groups[n.Tag]++
 		}
 		return true
 	})
@@ -139,7 +199,7 @@ func Extract(result *xmltree.Node, schema *xseek.Schema, label string) *Stats {
 			key := instanceFeature{owner, f}
 			if !perInstance[key] {
 				perInstance[key] = true
-				s.add(f, 1)
+				counts[f]++
 			}
 		}
 		if !n.IsLeafElement() {
@@ -165,12 +225,10 @@ func Extract(result *xmltree.Node, schema *xseek.Schema, label string) *Stats {
 			return true
 		}
 		perInstance[key] = true
-		s.add(f, 1)
+		counts[f]++
 		return true
 	})
-
-	s.freeze()
-	return s
+	return freeze(label, groups, counts)
 }
 
 // owningEntity returns the entity instance a leaf belongs to: the
@@ -186,66 +244,109 @@ func owningEntity(leaf, result *xmltree.Node, schema *xseek.Schema) *xmltree.Nod
 	return result
 }
 
-// add records n more occurrences of feature f.
-func (s *Stats) add(f Feature, n int) {
-	ts := s.byType[f.Type]
-	if ts == nil {
-		ts = &typeStats{occ: make(map[string]int)}
-		s.byType[f.Type] = ts
+// freeze lays counts out as type-sorted columns and computes the
+// deterministic significance orderings. groups maps entity tags to
+// instance counts; counts maps features to occurrences, and features
+// counted zero or less are dropped.
+func freeze(label string, groups map[string]int, counts map[Feature]int) *Stats {
+	s := &Stats{Label: label, groups: make([]entityGroup, 0, len(groups))}
+	for e, n := range groups {
+		s.groups = append(s.groups, entityGroup{e, n})
 	}
-	ts.occ[f.Value] += n
-	ts.total += n
-}
+	slices.SortFunc(s.groups, func(a, b entityGroup) int { return strings.Compare(a.entity, b.entity) })
 
-// freeze computes the deterministic significance orderings.
-func (s *Stats) freeze() {
-	s.types = make(map[string][]Type)
-	for t := range s.byType {
-		s.types[t.Entity] = append(s.types[t.Entity], t)
+	type featureCount struct {
+		f Feature
+		n int
 	}
-	for e := range s.types {
-		s.entities = append(s.entities, e)
-	}
-	sort.Strings(s.entities)
-	// Significance ties break toward the more *concentrated* type (the
-	// one whose occurrences pile onto fewer values): "subcategory:
-	// rain (28)" summarizes an entity set better than "price" with
-	// sixty distinct values, even when both occur once per instance.
-	maxValueCount := func(t Type) int {
-		m := 0
-		for _, c := range s.byType[t].occ {
-			if c > m {
-				m = c
-			}
+	fcs := make([]featureCount, 0, len(counts))
+	for f, n := range counts {
+		if n > 0 {
+			fcs = append(fcs, featureCount{f, n})
 		}
-		return m
 	}
-	for e, ts := range s.types {
-		sort.Slice(ts, func(i, j int) bool {
-			ti, tj := ts[i], ts[j]
-			if a, b := s.byType[ti].total, s.byType[tj].total; a != b {
-				return a > b
-			}
-			if mi, mj := maxValueCount(ti), maxValueCount(tj); mi != mj {
-				return mi > mj
-			}
-			return ti.Less(tj)
-		})
-		s.types[e] = ts
-	}
-	for _, ts := range s.byType {
-		vcs := make([]ValueCount, 0, len(ts.occ))
-		for v, c := range ts.occ {
-			vcs = append(vcs, ValueCount{Value: v, Count: c})
+	// Type order, then each type's values in descending-count order,
+	// ties by value: one sort lays out every column.
+	slices.SortFunc(fcs, func(a, b featureCount) int {
+		if c := a.f.Type.Compare(b.f.Type); c != 0 {
+			return c
 		}
-		sort.Slice(vcs, func(i, j int) bool {
-			if vcs[i].Count != vcs[j].Count {
-				return vcs[i].Count > vcs[j].Count
-			}
-			return vcs[i].Value < vcs[j].Value
-		})
-		ts.values = vcs
+		if a.n != b.n {
+			return b.n - a.n
+		}
+		return strings.Compare(a.f.Value, b.f.Value)
+	})
+	nt := 0
+	for i := range fcs {
+		if i == 0 || fcs[i].f.Type != fcs[i-1].f.Type {
+			nt++
+		}
 	}
+	s.cols = make([]Column, 0, nt)
+	values := make([]ValueCount, len(fcs))
+	long := 0 // values in columns longer than shortColumn
+	for i, fc := range fcs {
+		values[i] = ValueCount{Value: fc.f.Value, Count: fc.n}
+		if i == 0 || fc.f.Type != fcs[i-1].f.Type {
+			s.cols = append(s.cols, Column{Type: fc.f.Type})
+		}
+		c := &s.cols[len(s.cols)-1]
+		c.total += fc.n
+		c.values = values[i-len(c.values) : i+1 : i+1]
+		if len(c.values) == shortColumn+1 {
+			long += shortColumn + 1
+		} else if len(c.values) > shortColumn {
+			long++
+		}
+	}
+	byValue := make([]int32, 0, long)
+	for ci := range s.cols {
+		c := &s.cols[ci]
+		c.group = s.GroupCount(c.Type.Entity)
+		if len(c.values) <= shortColumn {
+			continue
+		}
+		lo := len(byValue)
+		for v := range c.values {
+			byValue = append(byValue, int32(v))
+		}
+		c.byValue = byValue[lo:len(byValue):len(byValue)]
+		slices.SortFunc(c.byValue, func(a, b int32) int { return strings.Compare(c.values[a].Value, c.values[b].Value) })
+	}
+
+	// Columns are sorted by entity first, so each entity's columns are
+	// one span; its significance order permutes the span. Significance
+	// ties break toward the more *concentrated* type (the one whose
+	// occurrences pile onto fewer values): "subcategory: rain (28)"
+	// summarizes an entity set better than "price" with sixty distinct
+	// values, even when both occur once per instance.
+	s.types = make([]Type, len(s.cols))
+	s.order = make([]int32, len(s.cols))
+	for ci := range s.cols {
+		if ci == 0 || s.cols[ci].Type.Entity != s.cols[ci-1].Type.Entity {
+			s.entities = append(s.entities, s.cols[ci].Type.Entity)
+			s.bounds = append(s.bounds, int32(ci))
+		}
+		s.order[ci] = int32(ci)
+	}
+	s.bounds = append(s.bounds, int32(len(s.cols)))
+	for e := range s.entities {
+		span := s.order[s.bounds[e]:s.bounds[e+1]]
+		slices.SortFunc(span, func(a, b int32) int {
+			ca, cb := &s.cols[a], &s.cols[b]
+			if ca.total != cb.total {
+				return cb.total - ca.total
+			}
+			if ma, mb := ca.values[0].Count, cb.values[0].Count; ma != mb {
+				return mb - ma
+			}
+			return int(a - b)
+		})
+	}
+	for k, ci := range s.order {
+		s.types[k] = s.cols[ci].Type
+	}
+	return s
 }
 
 // Entities returns the entity tags present in the result, sorted.
@@ -253,46 +354,71 @@ func (s *Stats) Entities() []string { return s.entities }
 
 // TypesOf returns the feature types of an entity in significance order
 // (descending total occurrences; ties broken lexicographically).
-func (s *Stats) TypesOf(entity string) []Type { return s.types[entity] }
-
-// AllTypes returns every feature type in the result.
-func (s *Stats) AllTypes() []Type {
-	var out []Type
-	for _, e := range s.entities {
-		out = append(out, s.types[e]...)
+func (s *Stats) TypesOf(entity string) []Type {
+	e, ok := slices.BinarySearch(s.entities, entity)
+	if !ok {
+		return nil
 	}
-	return out
+	lo, hi := s.bounds[e], s.bounds[e+1]
+	return s.types[lo:hi:hi]
+}
+
+// AllTypes returns every feature type in the result, entity by entity
+// in significance order, as a fresh slice.
+func (s *Stats) AllTypes() []Type { return append([]Type(nil), s.types...) }
+
+// Columns returns the result's columns, one per feature type, in
+// Type.Less order. The returned slice must not be modified.
+func (s *Stats) Columns() []Column { return s.cols }
+
+// Order returns the significance order as column indexes: entity by
+// entity in Entities order, each entity's types in TypesOf order.
+// Entity e's are order[bounds[e]:bounds[e+1]], and they index the span
+// cols[bounds[e]:bounds[e+1]] of Columns. Neither slice may be
+// modified.
+func (s *Stats) Order() (order, bounds []int32) { return s.order, s.bounds }
+
+// Column returns the column of type t, or nil when the result lacks t.
+func (s *Stats) Column(t Type) *Column {
+	lo, hi := 0, len(s.cols)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if s.cols[m].Type.Less(t) {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo < len(s.cols) && s.cols[lo].Type == t {
+		return &s.cols[lo]
+	}
+	return nil
 }
 
 // HasType reports whether the result carries any feature of type t.
-func (s *Stats) HasType(t Type) bool { return s.TypeTotal(t) > 0 }
+func (s *Stats) HasType(t Type) bool { return s.Column(t) != nil }
 
 // ValuesOf returns the values of type t in descending occurrence
 // order. The returned slice must not be modified.
 func (s *Stats) ValuesOf(t Type) []ValueCount {
-	if ts := s.byType[t]; ts != nil {
-		return ts.values
+	if c := s.Column(t); c != nil {
+		return c.values
 	}
 	return nil
 }
 
 // Occ returns the occurrence count of feature (t, v).
-func (s *Stats) Occ(t Type, v string) int { return s.Counts(t)[v] }
-
-// Counts returns type t's value -> occurrence map (nil when the result
-// lacks t), for callers that look up many values of one type. The map
-// must not be modified.
-func (s *Stats) Counts(t Type) map[string]int {
-	if ts := s.byType[t]; ts != nil {
-		return ts.occ
+func (s *Stats) Occ(t Type, v string) int {
+	if c := s.Column(t); c != nil {
+		return c.Count(v)
 	}
-	return nil
+	return 0
 }
 
 // TypeTotal returns the total occurrences of type t (its significance).
 func (s *Stats) TypeTotal(t Type) int {
-	if ts := s.byType[t]; ts != nil {
-		return ts.total
+	if c := s.Column(t); c != nil {
+		return c.total
 	}
 	return 0
 }
@@ -301,8 +427,9 @@ func (s *Stats) TypeTotal(t Type) int {
 // result (the denominator of relative frequencies). Unknown entities
 // report 1 so Rel never divides by zero.
 func (s *Stats) GroupCount(entity string) int {
-	if c := s.groupCount[entity]; c > 0 {
-		return c
+	g, ok := slices.BinarySearchFunc(s.groups, entity, func(g entityGroup, e string) int { return strings.Compare(g.entity, e) })
+	if ok && s.groups[g].n > 0 {
+		return s.groups[g].n
 	}
 	return 1
 }
@@ -316,24 +443,23 @@ func (s *Stats) Rel(t Type, v string) float64 {
 // FeatureCount returns the number of distinct features in the result.
 func (s *Stats) FeatureCount() int {
 	n := 0
-	for _, ts := range s.byType {
-		n += len(ts.occ)
+	for i := range s.cols {
+		n += len(s.cols[i].values)
 	}
 	return n
 }
 
 // TypeCount returns the number of distinct feature types.
-func (s *Stats) TypeCount() int { return len(s.byType) }
+func (s *Stats) TypeCount() int { return len(s.cols) }
 
 // StatLine renders the "ATTR:VALUE:# of occ" listing of Figure 1 for
 // the top k features, most significant first.
 func (s *Stats) StatLine(k int) string {
 	var rows []string
-	for _, e := range s.entities {
-		for _, t := range s.types[e] {
-			for _, vc := range s.ValuesOf(t) {
-				rows = append(rows, fmt.Sprintf("%s: %s: %d", t.Attribute, vc.Value, vc.Count))
-			}
+	for _, ci := range s.order {
+		c := &s.cols[ci]
+		for _, vc := range c.values {
+			rows = append(rows, fmt.Sprintf("%s: %s: %d", c.Type.Attribute, vc.Value, vc.Count))
 		}
 	}
 	if k > 0 && len(rows) > k {
@@ -347,19 +473,5 @@ func (s *Stats) StatLine(k int) string {
 // groupCounts maps entity tag to instance count; counts maps features
 // to occurrences.
 func NewStatsFromCounts(label string, groupCounts map[string]int, counts map[Feature]int) *Stats {
-	s := &Stats{
-		Label:      label,
-		groupCount: make(map[string]int, len(groupCounts)),
-		byType:     make(map[Type]*typeStats),
-	}
-	for e, c := range groupCounts {
-		s.groupCount[e] = c
-	}
-	for f, c := range counts {
-		if c > 0 {
-			s.add(f, c)
-		}
-	}
-	s.freeze()
-	return s
+	return freeze(label, groupCounts, counts)
 }

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"html"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -46,69 +46,104 @@ type Table struct {
 // per comparison request.
 func Build(dfss []*core.DFS) *Table {
 	t := &Table{}
-	typeSet := make(map[feature.Type]bool)
+	if len(dfss) > 0 {
+		t.Labels = make([]string, 0, len(dfss))
+	}
+	// Every selected (result, type) cell, sorted by type then result, so
+	// each row's cells are contiguous.
+	var selBuf [256]selected
+	sel := selBuf[:0]
 	maxValues := 0
-	for _, d := range dfss {
+	for ci, d := range dfss {
 		t.Labels = append(t.Labels, d.Stats.Label)
 		for tp, depth := range d.Sel {
-			typeSet[tp] = true
+			col := d.Stats.Column(tp)
+			if col == nil {
+				col = &feature.Column{Type: tp}
+			}
+			sel = append(sel, selected{col: col, ci: int32(ci), depth: int32(depth)})
 			maxValues += depth
 		}
 	}
-	types := make([]feature.Type, 0, len(typeSet))
-	for tp := range typeSet {
-		types = append(types, tp)
-	}
-	maxSig := func(tp feature.Type) int {
-		m := 0
-		for _, d := range dfss {
-			if s := d.Stats.TypeTotal(tp); s > m {
-				m = s
-			}
+	slices.SortFunc(sel, func(a, b selected) int {
+		if c := a.col.Type.Compare(b.col.Type); c != 0 {
+			return c
 		}
-		return m
-	}
-	sort.Slice(types, func(i, j int) bool {
-		if types[i].Entity != types[j].Entity {
-			return types[i].Entity < types[j].Entity
-		}
-		si, sj := maxSig(types[i]), maxSig(types[j])
-		if si != sj {
-			return si > sj
-		}
-		return types[i].Attribute < types[j].Attribute
+		return int(a.ci - b.ci)
 	})
-	t.Rows = make([]Row, len(types))
-	cells := make([]Cell, len(types)*len(dfss))
-	values := make([]CellValue, 0, maxValues)
-	for ri, tp := range types {
-		row := cells[ri*len(dfss) : (ri+1)*len(dfss) : (ri+1)*len(dfss)]
-		for ci, d := range dfss {
-			depth, ok := d.Sel[tp]
-			row[ci].Known = ok
-			if !ok {
-				continue
-			}
-			vals := d.Stats.ValuesOf(tp)
-			if depth > len(vals) {
-				depth = len(vals)
-			}
-			if depth == 0 {
-				continue
-			}
-			start := len(values)
-			for _, vc := range vals[:depth] {
-				values = append(values, CellValue{
-					Value: vc.Value,
-					Rel:   d.Stats.Rel(tp, vc.Value),
-					Count: vc.Count,
-				})
-			}
-			row[ci].Values = values[start:len(values):len(values)]
+	// Row r's cells are sel[start[r]:start[r+1]], rows in Type.Less order.
+	var startBuf [129]int32
+	start := startBuf[:0]
+	for i := range sel {
+		if i == 0 || sel[i].col.Type != sel[i-1].col.Type {
+			start = append(start, int32(i))
 		}
-		t.Rows[ri] = Row{Type: tp, Cells: row}
+	}
+	nr := len(start)
+	start = append(start, int32(len(sel)))
+
+	// A row's significance is its type's largest total in any result,
+	// selected or not: one walk of each result's columns along the rows.
+	var sigBuf, permBuf [128]int
+	sig, perm := sigBuf[:0], permBuf[:0]
+	for r := 0; r < nr; r++ {
+		sig, perm = append(sig, 0), append(perm, r)
+	}
+	for _, d := range dfss {
+		cols := d.Stats.Columns()
+		c := 0
+		for r := 0; r < nr; r++ {
+			tp := sel[start[r]].col.Type
+			for c < len(cols) && cols[c].Type.Less(tp) {
+				c++
+			}
+			if c < len(cols) && cols[c].Type == tp {
+				sig[r] = max(sig[r], cols[c].Total())
+			}
+		}
+	}
+	// Rows are already in (entity, attribute) order, so within each
+	// entity's run only significance reorders them.
+	for lo := 0; lo < nr; {
+		ent := sel[start[lo]].col.Type.Entity
+		hi := lo + 1
+		for hi < nr && sel[start[hi]].col.Type.Entity == ent {
+			hi++
+		}
+		slices.SortStableFunc(perm[lo:hi], func(a, b int) int { return sig[b] - sig[a] })
+		lo = hi
+	}
+
+	k := len(dfss)
+	t.Rows = make([]Row, nr)
+	cells := make([]Cell, nr*k)
+	values := make([]CellValue, 0, maxValues)
+	for ri, r := range perm {
+		row := cells[ri*k : (ri+1)*k : (ri+1)*k]
+		for _, s := range sel[start[r]:start[r+1]] {
+			row[s.ci].Known = true
+			vals := s.col.Values()
+			depth := min(int(s.depth), len(vals))
+			if depth <= 0 {
+				continue
+			}
+			group := float64(s.col.Group())
+			lo := len(values)
+			for _, vc := range vals[:depth] {
+				values = append(values, CellValue{Value: vc.Value, Rel: float64(vc.Count) / group, Count: vc.Count})
+			}
+			row[s.ci].Values = values[lo:len(values):len(values)]
+		}
+		t.Rows[ri] = Row{Type: sel[start[r]].col.Type, Cells: row}
 	}
 	return t
+}
+
+// selected is one (result, type) cell a DFS selects.
+type selected struct {
+	col   *feature.Column // a zero Column of the type when the result lacks it
+	ci    int32           // the result
+	depth int32
 }
 
 // cellText renders a cell for the text table.

@@ -277,13 +277,9 @@ func Compare(results []*Result, opts CompareOptions) (*Comparison, error) {
 	if dfss == nil {
 		return nil, fmt.Errorf("xsact: unknown algorithm %q", opts.Algorithm)
 	}
-	x := opts.Threshold
-	if x <= 0 {
-		x = core.DefaultThreshold
-	}
 	cmp := &Comparison{
 		tbl: table.Build(dfss),
-		DoD: core.TotalDoD(dfss, x),
+		DoD: core.TotalDoD(dfss, opts.Threshold),
 	}
 	for _, d := range dfss {
 		cmp.Labels = append(cmp.Labels, d.Stats.Label)
