@@ -58,10 +58,9 @@ type denseMove struct {
 // sorted, searched or hashed. Selections start empty.
 func newKernel(stats []*feature.Stats, opts Options) *kernel {
 	kn := &kernel{stats: stats, opts: opts, k: len(stats)}
-	n, widest := 0, 0
+	n := 0
 	for _, s := range stats {
 		n += s.TypeCount()
-		widest = max(widest, s.TypeCount())
 	}
 	var next []feature.Type
 	for _, s := range stats {
@@ -79,9 +78,10 @@ func newKernel(stats []*feature.Stats, opts Options) *kernel {
 	kn.done = make([]bool, kn.nt)
 	kn.sel = make([]uint8, cells)
 	kn.size = make([]int, kn.k)
-	ids := make([]int32, widest) // per column of the current result: its type ID
+	var ids []int32 // per column of the current result: its type ID
 	for i, s := range stats {
 		cols := s.Columns()
+		ids = grown(ids, len(cols))
 		t := 0
 		for ci := range cols {
 			col := &cols[ci]

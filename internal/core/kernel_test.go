@@ -121,7 +121,14 @@ func TestKernelMatchesReference(t *testing.T) {
 		sameSelections(t, label("parallel multi-swap"), GenerateParallel(AlgMultiSwap, stats, opts), refMultiSwap(stats, opts))
 		sameSelections(t, label("greedy"), GreedyGlobal(stats, opts), refGreedyGlobal(stats, opts))
 		sameSelections(t, label("top-k"), TopK(stats, opts), refTopK(stats, opts))
-		interest := ContrastInterest(stats)
+		interest, refInterest := ContrastInterest(stats), refContrastInterest(stats)
+		for _, s := range stats {
+			for _, typ := range append(s.AllTypes(), feature.Type{Entity: "absent"}) {
+				if got, want := interest(typ), refInterest(typ); got != want {
+					t.Fatalf("%s: ContrastInterest(%s) = %v, reference %v", label("interest"), typ, got, want)
+				}
+			}
+		}
 		sameSelections(t, label("weighted greedy"), WeightedGreedy(stats, opts, interest), refWeightedGreedy(stats, opts, interest))
 		ao := AnnealOptions{Options: opts, Seed: int64(iter), Steps: 300}
 		sameSelections(t, label("anneal"), Anneal(stats, ao), refAnneal(stats, ao))
@@ -265,4 +272,34 @@ func FuzzTotalDoDMatchesReference(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestDenseKernelTypeUnion: the merged type union is the sorted set of
+// every result's types, each exactly once, and every cell points at its
+// own result's column of that type.
+func TestDenseKernelTypeUnion(t *testing.T) {
+	r := rand.New(rand.NewSource(45))
+	for iter := 0; iter < 100; iter++ {
+		stats := randomStatsSet(r, 1+r.Intn(6), 1+r.Intn(5), 3)
+		if iter%2 == 0 {
+			stats = richStatsSet(r, 1+r.Intn(6))
+		}
+		var want []feature.Type
+		for _, s := range stats {
+			want = append(want, s.AllTypes()...)
+		}
+		slices.SortFunc(want, feature.Type.Compare)
+		want = slices.Compact(want)
+		kn := newKernel(stats, Options{}.normalized())
+		if !slices.Equal(kn.types, want) {
+			t.Fatalf("iter %d: union %v, want %v", iter, kn.types, want)
+		}
+		for i, s := range stats {
+			for ti, typ := range kn.types {
+				if col := kn.cols[i*kn.nt+ti]; col != s.Column(typ) {
+					t.Fatalf("iter %d: result %d type %s: cell %p, column %p", iter, i, typ, col, s.Column(typ))
+				}
+			}
+		}
+	}
 }

@@ -104,9 +104,9 @@ func (d *DFS) Features() []feature.Feature {
 	order, _ := d.Stats.Order()
 	for _, c := range order {
 		col := &cols[c]
-		depth := d.Sel[col.Type]
-		for _, vc := range col.Values()[:min(max(depth, 0), len(col.Values()))] {
-			out = append(out, feature.Feature{Type: col.Type, Value: vc.Value})
+		depth, vals := d.Sel[col.Type], col.Values()
+		for i := 0; i < depth && i < len(vals); i++ {
+			out = append(out, feature.Feature{Type: col.Type, Value: vals[i].Value})
 		}
 	}
 	return out
@@ -188,66 +188,81 @@ func TotalDoD(dfss []*DFS, x float64) int {
 	return total
 }
 
-// selectedCell is one (result, type) cell a DFS selects.
-type selectedCell struct {
-	col   *feature.Column // a zero Column of the type when the result lacks it
-	i     int32           // the result
-	shown int32           // values shown: the depth, capped at the column's length
+// SelectedCell is one (result, type) cell of a DFS set's selections.
+type SelectedCell struct {
+	Col    *feature.Column // a zero Column of the type when the result lacks it
+	Result int32
+	Depth  int32
 }
 
-// forSharedTypes calls fn for every feature type on which some pairs of
-// the DFSs differ, with the number of such pairs. It is the evaluation
-// side of the kernel: the selected cells are sorted by type, then
-// result, so the results selecting a type are contiguous, and a pair
-// differs exactly when either side's first differing value (firstDiffer
-// over its shown values) exists. Only selected cells are visited, and a
-// call allocates nothing for up to 256 of them.
-func forSharedTypes(dfss []*DFS, x float64, fn func(t feature.Type, differing int)) {
-	if x <= 0 {
-		x = DefaultThreshold
-	}
-	var buf [256]selectedCell
-	cells := buf[:0]
+// SelectedCells appends to buf every (result, type) cell the DFSs
+// select, sorted by type and then result, so the cells of one type are
+// contiguous. A caller passing a stack array's slice as buf allocates
+// nothing while the cells fit.
+func SelectedCells(dfss []*DFS, buf []SelectedCell) []SelectedCell {
 	for i, d := range dfss {
 		for t, depth := range d.Sel {
-			if depth < 1 {
-				continue
-			}
 			col := d.Stats.Column(t)
 			if col == nil {
 				col = &feature.Column{Type: t}
 			}
-			cells = append(cells, selectedCell{col: col, i: int32(i), shown: int32(min(depth, len(col.Values())))})
+			buf = append(buf, SelectedCell{Col: col, Result: int32(i), Depth: int32(depth)})
 		}
 	}
-	slices.SortFunc(cells, func(a, b selectedCell) int {
-		if c := a.col.Type.Compare(b.col.Type); c != 0 {
+	slices.SortFunc(buf, func(a, b SelectedCell) int {
+		if c := a.Col.Type.Compare(b.Col.Type); c != 0 {
 			return c
 		}
-		return int(a.i - b.i)
+		return int(a.Result - b.Result)
 	})
+	return buf
+}
+
+// forSharedTypes calls fn for every feature type on which some pairs of
+// the DFSs differ, with the number of such pairs. Only the selected
+// cells are visited: a pair differs exactly when either side's first
+// differing value (firstDiffer over the values it shows) exists.
+func forSharedTypes(dfss []*DFS, x float64, fn func(t feature.Type, differing int)) {
+	if x <= 0 {
+		x = DefaultThreshold
+	}
+	var buf [256]SelectedCell
+	cells := SelectedCells(dfss, buf[:0])
 	for lo := 0; lo < len(cells); {
 		hi := lo + 1
-		for hi < len(cells) && cells[hi].col.Type == cells[lo].col.Type {
+		for hi < len(cells) && cells[hi].Col.Type == cells[lo].Col.Type {
 			hi++
 		}
 		differing := 0
 		for p := lo; p < hi; p++ {
-			a := &cells[p]
-			avals, ga := a.col.Values()[:a.shown], float64(a.col.Group())
 			for q := p + 1; q < hi; q++ {
-				b := &cells[q]
-				if firstDiffer(avals, ga, b.col, x) > 0 ||
-					firstDiffer(b.col.Values()[:b.shown], float64(b.col.Group()), a.col, x) > 0 {
+				if cellsDiffer(&cells[p], &cells[q], x) {
 					differing++
 				}
 			}
 		}
 		if differing > 0 {
-			fn(cells[lo].col.Type, differing)
+			fn(cells[lo].Col.Type, differing)
 		}
 		lo = hi
 	}
+}
+
+// cellsDiffer applies the differentiation rule to two cells of one
+// type. A depth below 1 selects nothing.
+func cellsDiffer(a, b *SelectedCell, x float64) bool {
+	if a.Depth < 1 || b.Depth < 1 {
+		return false
+	}
+	return firstDiffer(a.shown(), float64(a.Col.Group()), b.Col, x) > 0 ||
+		firstDiffer(b.shown(), float64(b.Col.Group()), a.Col, x) > 0
+}
+
+// shown returns the values the cell shows: its depth, capped at the
+// column's length.
+func (c *SelectedCell) shown() []feature.ValueCount {
+	vals := c.Col.Values()
+	return vals[:min(int(c.Depth), len(vals))]
 }
 
 // padScore ranks a grow move for padding purposes: the relative

@@ -751,3 +751,42 @@ func refTopK(stats []*feature.Stats, opts Options) []*DFS {
 	}
 	return dfss
 }
+
+// refContrastInterest is ContrastInterest over the Stats accessors.
+func refContrastInterest(stats []*feature.Stats) Interestingness {
+	weights := make(map[feature.Type]float64)
+	for _, s := range stats {
+		for _, t := range s.AllTypes() {
+			if _, done := weights[t]; done {
+				continue
+			}
+			lo, hi := 1.0, 0.0
+			present := 0
+			for _, o := range stats {
+				if !o.HasType(t) {
+					continue
+				}
+				present++
+				top := o.ValuesOf(t)[0]
+				rel := o.Rel(t, top.Value)
+				if rel < lo {
+					lo = rel
+				}
+				if rel > hi {
+					hi = rel
+				}
+			}
+			if present < 2 {
+				weights[t] = 1
+				continue
+			}
+			weights[t] = 1 + (hi - lo) // spread in [0,1] adds up to +1
+		}
+	}
+	return func(t feature.Type) float64 {
+		if w, ok := weights[t]; ok {
+			return w
+		}
+		return 1
+	}
+}

@@ -17,38 +17,25 @@ func UniformInterest(feature.Type) float64 { return 1 }
 // to show than types that differ only barely past the threshold. The
 // returned function is fixed for the given result set.
 func ContrastInterest(stats []*feature.Stats) Interestingness {
-	weights := make(map[feature.Type]float64)
+	type spread struct {
+		lo, hi  float64
+		present int
+	}
+	spreads := make(map[feature.Type]*spread)
 	for _, s := range stats {
-		for _, t := range s.AllTypes() {
-			if _, done := weights[t]; done {
-				continue
+		for _, c := range s.Columns() {
+			rel := float64(c.Values()[0].Count) / float64(c.Group())
+			sp := spreads[c.Type]
+			if sp == nil {
+				sp = &spread{lo: 1}
+				spreads[c.Type] = sp
 			}
-			lo, hi := 1.0, 0.0
-			present := 0
-			for _, o := range stats {
-				if !o.HasType(t) {
-					continue
-				}
-				present++
-				top := o.ValuesOf(t)[0]
-				rel := o.Rel(t, top.Value)
-				if rel < lo {
-					lo = rel
-				}
-				if rel > hi {
-					hi = rel
-				}
-			}
-			if present < 2 {
-				weights[t] = 1
-				continue
-			}
-			weights[t] = 1 + (hi - lo) // spread in [0,1] adds up to +1
+			sp.lo, sp.hi, sp.present = min(sp.lo, rel), max(sp.hi, rel), sp.present+1
 		}
 	}
 	return func(t feature.Type) float64 {
-		if w, ok := weights[t]; ok {
-			return w
+		if sp := spreads[t]; sp != nil && sp.present >= 2 {
+			return 1 + (sp.hi - sp.lo) // spread in [0,1] adds up to +1
 		}
 		return 1
 	}

@@ -132,9 +132,6 @@ func (id ID) PrefixLCA(other ID) ID {
 // String renders the ID in dotted form, e.g. "0.2.1". The root renders
 // as "/".
 func (id ID) String() string {
-	if len(id) == 0 {
-		return "/"
-	}
 	var buf [32]byte
 	return string(id.AppendTo(buf[:0]))
 }

@@ -3,6 +3,7 @@ package feature
 import (
 	"fmt"
 	"slices"
+	"sort"
 	"strings"
 
 	"repro/internal/xmltree"
@@ -111,21 +112,11 @@ func (c *Column) Count(v string) int {
 		}
 		return 0
 	}
-	lo, hi := 0, len(c.byValue)
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if c.values[c.byValue[m]].Value < v {
-			lo = m + 1
-		} else {
-			hi = m
-		}
+	i, ok := slices.BinarySearchFunc(c.byValue, v, func(i int32, v string) int { return strings.Compare(c.values[i].Value, v) })
+	if !ok {
+		return 0
 	}
-	if lo < len(c.byValue) {
-		if vc := c.values[c.byValue[lo]]; vc.Value == v {
-			return vc.Count
-		}
-	}
-	return 0
+	return c.values[c.byValue[i]].Count
 }
 
 // affirmative reports whether a leaf value is a yes-marker, in which
@@ -255,6 +246,8 @@ func freeze(label string, groups map[string]int, counts map[Feature]int) *Stats 
 	}
 	slices.SortFunc(s.groups, func(a, b entityGroup) int { return strings.Compare(a.entity, b.entity) })
 
+	// Type order, then each type's values in descending-count order,
+	// ties by value: one sort lays out every column.
 	type featureCount struct {
 		f Feature
 		n int
@@ -265,8 +258,6 @@ func freeze(label string, groups map[string]int, counts map[Feature]int) *Stats 
 			fcs = append(fcs, featureCount{f, n})
 		}
 	}
-	// Type order, then each type's values in descending-count order,
-	// ties by value: one sort lays out every column.
 	slices.SortFunc(fcs, func(a, b featureCount) int {
 		if c := a.f.Type.Compare(b.f.Type); c != 0 {
 			return c
@@ -276,42 +267,34 @@ func freeze(label string, groups map[string]int, counts map[Feature]int) *Stats 
 		}
 		return strings.Compare(a.f.Value, b.f.Value)
 	})
+	newType := func(i int) bool { return i == 0 || fcs[i].f.Type != fcs[i-1].f.Type }
+	values := make([]ValueCount, len(fcs))
 	nt := 0
-	for i := range fcs {
-		if i == 0 || fcs[i].f.Type != fcs[i-1].f.Type {
+	for i, fc := range fcs {
+		values[i] = ValueCount{Value: fc.f.Value, Count: fc.n}
+		if newType(i) {
 			nt++
 		}
 	}
 	s.cols = make([]Column, 0, nt)
-	values := make([]ValueCount, len(fcs))
-	long := 0 // values in columns longer than shortColumn
 	for i, fc := range fcs {
-		values[i] = ValueCount{Value: fc.f.Value, Count: fc.n}
-		if i == 0 || fc.f.Type != fcs[i-1].f.Type {
-			s.cols = append(s.cols, Column{Type: fc.f.Type})
+		if newType(i) {
+			s.cols = append(s.cols, Column{Type: fc.f.Type, group: s.GroupCount(fc.f.Type.Entity), values: values[i:i]})
 		}
 		c := &s.cols[len(s.cols)-1]
 		c.total += fc.n
-		c.values = values[i-len(c.values) : i+1 : i+1]
-		if len(c.values) == shortColumn+1 {
-			long += shortColumn + 1
-		} else if len(c.values) > shortColumn {
-			long++
-		}
+		c.values = c.values[:len(c.values)+1]
 	}
-	byValue := make([]int32, 0, long)
 	for ci := range s.cols {
 		c := &s.cols[ci]
-		c.group = s.GroupCount(c.Type.Entity)
-		if len(c.values) <= shortColumn {
-			continue
+		c.values = slices.Clip(c.values)
+		if len(c.values) > shortColumn {
+			c.byValue = make([]int32, len(c.values))
+			for v := range c.byValue {
+				c.byValue[v] = int32(v)
+			}
+			slices.SortFunc(c.byValue, func(a, b int32) int { return strings.Compare(c.values[a].Value, c.values[b].Value) })
 		}
-		lo := len(byValue)
-		for v := range c.values {
-			byValue = append(byValue, int32(v))
-		}
-		c.byValue = byValue[lo:len(byValue):len(byValue)]
-		slices.SortFunc(c.byValue, func(a, b int32) int { return strings.Compare(c.values[a].Value, c.values[b].Value) })
 	}
 
 	// Columns are sorted by entity first, so each entity's columns are
@@ -320,19 +303,19 @@ func freeze(label string, groups map[string]int, counts map[Feature]int) *Stats 
 	// occurrences pile onto fewer values): "subcategory: rain (28)"
 	// summarizes an entity set better than "price" with sixty distinct
 	// values, even when both occur once per instance.
-	s.types = make([]Type, len(s.cols))
 	s.order = make([]int32, len(s.cols))
 	for ci := range s.cols {
+		s.order[ci] = int32(ci)
 		if ci == 0 || s.cols[ci].Type.Entity != s.cols[ci-1].Type.Entity {
 			s.entities = append(s.entities, s.cols[ci].Type.Entity)
 			s.bounds = append(s.bounds, int32(ci))
 		}
-		s.order[ci] = int32(ci)
 	}
 	s.bounds = append(s.bounds, int32(len(s.cols)))
+	s.types = make([]Type, len(s.cols))
 	for e := range s.entities {
-		span := s.order[s.bounds[e]:s.bounds[e+1]]
-		slices.SortFunc(span, func(a, b int32) int {
+		lo, hi := s.bounds[e], s.bounds[e+1]
+		slices.SortFunc(s.order[lo:hi], func(a, b int32) int {
 			ca, cb := &s.cols[a], &s.cols[b]
 			if ca.total != cb.total {
 				return cb.total - ca.total
@@ -342,9 +325,9 @@ func freeze(label string, groups map[string]int, counts map[Feature]int) *Stats 
 			}
 			return int(a - b)
 		})
-	}
-	for k, ci := range s.order {
-		s.types[k] = s.cols[ci].Type
+		for k := lo; k < hi; k++ {
+			s.types[k] = s.cols[s.order[k]].Type
+		}
 	}
 	return s
 }
@@ -380,17 +363,9 @@ func (s *Stats) Order() (order, bounds []int32) { return s.order, s.bounds }
 
 // Column returns the column of type t, or nil when the result lacks t.
 func (s *Stats) Column(t Type) *Column {
-	lo, hi := 0, len(s.cols)
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if s.cols[m].Type.Less(t) {
-			lo = m + 1
-		} else {
-			hi = m
-		}
-	}
-	if lo < len(s.cols) && s.cols[lo].Type == t {
-		return &s.cols[lo]
+	i := sort.Search(len(s.cols), func(i int) bool { return !s.cols[i].Type.Less(t) })
+	if i < len(s.cols) && s.cols[i].Type == t {
+		return &s.cols[i]
 	}
 	return nil
 }

@@ -45,105 +45,70 @@ type Table struct {
 // one backing array, and every cell's values another: a table is built
 // per comparison request.
 func Build(dfss []*core.DFS) *Table {
-	t := &Table{}
-	if len(dfss) > 0 {
-		t.Labels = make([]string, 0, len(dfss))
-	}
-	// Every selected (result, type) cell, sorted by type then result, so
-	// each row's cells are contiguous.
-	var selBuf [256]selected
-	sel := selBuf[:0]
+	t := &Table{Labels: make([]string, 0, len(dfss))}
 	maxValues := 0
-	for ci, d := range dfss {
+	for _, d := range dfss {
 		t.Labels = append(t.Labels, d.Stats.Label)
-		for tp, depth := range d.Sel {
-			col := d.Stats.Column(tp)
-			if col == nil {
-				col = &feature.Column{Type: tp}
-			}
-			sel = append(sel, selected{col: col, ci: int32(ci), depth: int32(depth)})
-			maxValues += depth
-		}
+		maxValues += d.Sel.Size()
 	}
-	slices.SortFunc(sel, func(a, b selected) int {
-		if c := a.col.Type.Compare(b.col.Type); c != 0 {
-			return c
-		}
-		return int(a.ci - b.ci)
-	})
-	// Row r's cells are sel[start[r]:start[r+1]], rows in Type.Less order.
-	var startBuf [129]int32
-	start := startBuf[:0]
+	var selBuf [256]core.SelectedCell
+	sel := core.SelectedCells(dfss, selBuf[:0])
+	// One row per selected type, its cells sel[lo:hi]. Its significance
+	// is the type's largest total in any result, selected or not: one
+	// walk of each result's columns along the rows, which are in
+	// Type.Less order until sorted.
+	type span struct{ lo, hi, sig int }
+	var rowBuf [128]span
+	rows := rowBuf[:0]
 	for i := range sel {
-		if i == 0 || sel[i].col.Type != sel[i-1].col.Type {
-			start = append(start, int32(i))
+		if i == 0 || sel[i].Col.Type != sel[i-1].Col.Type {
+			rows = append(rows, span{lo: i})
 		}
-	}
-	nr := len(start)
-	start = append(start, int32(len(sel)))
-
-	// A row's significance is its type's largest total in any result,
-	// selected or not: one walk of each result's columns along the rows.
-	var sigBuf, permBuf [128]int
-	sig, perm := sigBuf[:0], permBuf[:0]
-	for r := 0; r < nr; r++ {
-		sig, perm = append(sig, 0), append(perm, r)
+		rows[len(rows)-1].hi = i + 1
 	}
 	for _, d := range dfss {
-		cols := d.Stats.Columns()
-		c := 0
-		for r := 0; r < nr; r++ {
-			tp := sel[start[r]].col.Type
+		cols, c := d.Stats.Columns(), 0
+		for r := range rows {
+			tp := sel[rows[r].lo].Col.Type
 			for c < len(cols) && cols[c].Type.Less(tp) {
 				c++
 			}
 			if c < len(cols) && cols[c].Type == tp {
-				sig[r] = max(sig[r], cols[c].Total())
+				rows[r].sig = max(rows[r].sig, cols[c].Total())
 			}
 		}
 	}
-	// Rows are already in (entity, attribute) order, so within each
-	// entity's run only significance reorders them.
-	for lo := 0; lo < nr; {
-		ent := sel[start[lo]].col.Type.Entity
-		hi := lo + 1
-		for hi < nr && sel[start[hi]].col.Type.Entity == ent {
-			hi++
+	// Stable, so attribute order breaks significance ties.
+	slices.SortStableFunc(rows, func(a, b span) int {
+		if c := strings.Compare(sel[a.lo].Col.Type.Entity, sel[b.lo].Col.Type.Entity); c != 0 {
+			return c
 		}
-		slices.SortStableFunc(perm[lo:hi], func(a, b int) int { return sig[b] - sig[a] })
-		lo = hi
-	}
+		return b.sig - a.sig
+	})
 
 	k := len(dfss)
-	t.Rows = make([]Row, nr)
-	cells := make([]Cell, nr*k)
+	t.Rows = make([]Row, len(rows))
+	cells := make([]Cell, len(rows)*k)
 	values := make([]CellValue, 0, maxValues)
-	for ri, r := range perm {
+	for ri, r := range rows {
 		row := cells[ri*k : (ri+1)*k : (ri+1)*k]
-		for _, s := range sel[start[r]:start[r+1]] {
-			row[s.ci].Known = true
-			vals := s.col.Values()
-			depth := min(int(s.depth), len(vals))
+		for _, c := range sel[r.lo:r.hi] {
+			row[c.Result].Known = true
+			vals := c.Col.Values()
+			depth := min(int(c.Depth), len(vals))
 			if depth <= 0 {
 				continue
 			}
-			group := float64(s.col.Group())
+			group := float64(c.Col.Group())
 			lo := len(values)
 			for _, vc := range vals[:depth] {
 				values = append(values, CellValue{Value: vc.Value, Rel: float64(vc.Count) / group, Count: vc.Count})
 			}
-			row[s.ci].Values = values[lo:len(values):len(values)]
+			row[c.Result].Values = values[lo:len(values):len(values)]
 		}
-		t.Rows[ri] = Row{Type: sel[start[r]].col.Type, Cells: row}
+		t.Rows[ri] = Row{Type: sel[r.lo].Col.Type, Cells: row}
 	}
 	return t
-}
-
-// selected is one (result, type) cell a DFS selects.
-type selected struct {
-	col   *feature.Column // a zero Column of the type when the result lacks it
-	ci    int32           // the result
-	depth int32
 }
 
 // cellText renders a cell for the text table.
