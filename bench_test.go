@@ -421,12 +421,8 @@ func BenchmarkShardedSearch(b *testing.B) {
 	sharded := shard.Build(root, 4)
 	b.Run("shards-4-ranked-top10", func(b *testing.B) {
 		run(b, func(q string) error {
-			rs, err := sharded.Search(q)
-			if err != nil {
-				return err
-			}
-			_ = sharded.RankPage(rs, q, top10)
-			return nil
+			_, _, _, err := sharded.SearchRankedPageWAND(q, top10)
+			return err
 		})
 	})
 }

@@ -57,7 +57,10 @@ type searchResponse struct {
 	// Paging envelope: Total counts the full result list, Offset is
 	// the window's start within it, Returned = len(Results). Total is
 	// -1 when the execution strategy stopped before counting every
-	// result (exec=stream mid-list, or rank=1&accuracy=approx).
+	// result (exec=stream mid-list, or rank=1&accuracy=approx on a
+	// single-index or live-updated dataset; the sharded fan-out, which
+	// serves a sharded dataset until its first write and every
+	// coordinator, always counts).
 	Total    int         `json:"total"`
 	Offset   int         `json:"offset"`
 	Returned int         `json:"returned"`
@@ -89,7 +92,10 @@ type searchResponse struct {
 // rather than exec=: "exact" (the default) reports the exact total,
 // "approx" lets an uncached query stop scanning once no later result
 // can enter the page — the page itself is still exact, but total may
-// come back -1. A cached query reports its exact total either way.
+// come back -1. A cached query reports its exact total either way, and
+// so does the sharded fan-out (a sharded dataset before its first
+// write, and every coordinator): its legs always run exact, because a
+// leg cannot bound an entity split across shards.
 func (s *server) apiSearch(w http.ResponseWriter, r *http.Request) {
 	query := r.FormValue("q")
 	if query == "" {

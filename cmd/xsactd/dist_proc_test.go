@@ -33,6 +33,22 @@ func procResultKey(rs []*xseek.Result) string {
 	return strings.Join(parts, ";")
 }
 
+// procSearch drains an executor's doc-order cursor: its search result
+// list.
+func procSearch(stream func(string) (xseek.Cursor, error), query string) ([]*xseek.Result, error) {
+	c, err := stream(query)
+	if err != nil {
+		return nil, err
+	}
+	return xseek.Drain(c)
+}
+
+// procPage is the options' window of ref's full ranking of results.
+func procPage(ref *update.Engine, results []*xseek.Result, query string, opts xseek.SearchOptions) []*xseek.RankedResult {
+	lo, hi := opts.Window(len(results))
+	return ref.RankResults(results, query)[lo:hi]
+}
+
 func procRankedKey(rs []*xseek.RankedResult) string {
 	parts := make([]string, len(rs))
 	for i, r := range rs {
@@ -184,8 +200,8 @@ func TestShardServerProcesses(t *testing.T) {
 
 	check := func(query, ctx string) {
 		t.Helper()
-		want, wantErr := ref.Search(query)
-		got, gotErr := co.Search(query)
+		want, wantErr := procSearch(ref.SearchStream, query)
+		got, gotErr := procSearch(co.SearchStream, query)
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Fatalf("%s query %q: err %v vs %v", ctx, query, gotErr, wantErr)
 		}
@@ -197,7 +213,7 @@ func TestShardServerProcesses(t *testing.T) {
 			return
 		}
 		for _, opts := range []xseek.SearchOptions{{Limit: 1}, {Limit: 5}, {Limit: 3, Offset: 2}} {
-			wantP, wantT := ref.RankPage(want, query, opts), len(want)
+			wantP, wantT := procPage(ref, want, query, opts), len(want)
 			gotP, gotT, _, err := co.SearchRankedPageWAND(query, opts)
 			if err != nil {
 				t.Fatalf("%s query %q page %+v: %v", ctx, query, opts, err)
@@ -289,8 +305,8 @@ func TestShardServerReplicaFailoverProcesses(t *testing.T) {
 
 	check := func(query, ctx string) {
 		t.Helper()
-		want, wantErr := ref.Search(query)
-		got, gotErr := co.Search(query)
+		want, wantErr := procSearch(ref.SearchStream, query)
+		got, gotErr := procSearch(co.SearchStream, query)
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Fatalf("%s query %q: err %v vs %v", ctx, query, gotErr, wantErr)
 		}
@@ -302,7 +318,7 @@ func TestShardServerReplicaFailoverProcesses(t *testing.T) {
 			return
 		}
 		opts := xseek.SearchOptions{Limit: 5}
-		wantP, wantT := ref.RankPage(want, query, opts), len(want)
+		wantP, wantT := procPage(ref, want, query, opts), len(want)
 		gotP, gotT, _, err := co.SearchRankedPageWAND(query, opts)
 		if err != nil {
 			t.Fatalf("%s query %q ranked: %v", ctx, query, err)

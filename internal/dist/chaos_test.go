@@ -123,7 +123,7 @@ func (c *chaosRef) at(t *testing.T, e int) *update.Engine {
 // id@scorebits — the membership set a flagged partial page must be a
 // subset of.
 func fullRankingSet(ref *update.Engine, query string) map[string]bool {
-	rs, err := ref.Search(query)
+	rs, err := searchOf(ref, query)
 	if err != nil {
 		return map[string]bool{}
 	}
@@ -145,10 +145,28 @@ func chaosSeed(t *testing.T) int64 {
 	return time.Now().UnixNano()
 }
 
-// TestChaos is the distributed layer's soak test. Reproduce a failure
-// with XSACT_CHAOS_SEED=<logged seed>.
+// chaosRegressionSeeds are schedules that once failed. Every TestChaos
+// replays each of them beside its drawn seed, so the soak only ever
+// grows stricter.
+var chaosRegressionSeeds = []int64{
+	1792204914419991859, // an approximate fan-out page dropped a spine-rooted top result
+}
+
+// TestChaos is the distributed layer's soak test: one schedule from a
+// drawn seed, then every committed regression seed. Reproduce a
+// failure with XSACT_CHAOS_SEED=<logged seed>; run only the drawn
+// schedule with -run '^TestChaos$/^drawn$'.
 func TestChaos(t *testing.T) {
 	seed := chaosSeed(t)
+	t.Run("drawn", func(t *testing.T) { runChaos(t, seed) })
+	for _, s := range chaosRegressionSeeds {
+		t.Run(fmt.Sprintf("regression-%d", s), func(t *testing.T) { runChaos(t, s) })
+	}
+}
+
+// runChaos runs one seeded chaos schedule and checks every read
+// against the replayed reference.
+func runChaos(t *testing.T, seed int64) {
 	t.Logf("chaos seed %d (rerun: XSACT_CHAOS_SEED=%d go test -run TestChaos ./internal/dist/)", seed, seed)
 	r := rand.New(rand.NewSource(seed))
 
@@ -207,14 +225,16 @@ func TestChaos(t *testing.T) {
 		switch path {
 		case 0: // doc-order search, strict
 			var rs []*xseek.Result
-			rs, err = cl.co.Search(query)
+			rs, err = searchOf(cl.co, query)
 			key = resultKey(rs)
 		case 1: // eager ranked page: doc-order fan-out, then ranking fan-out
 			var rs []*xseek.Result
-			if rs, err = cl.co.Search(query); err == nil {
-				ranked, total = cl.co.RankPage(rs, query, opts), len(rs)
-				if lo, _ := opts.Window(len(rs)); ranked == nil && lo < len(rs) {
+			if rs, err = searchOf(cl.co, query); err == nil {
+				full := cl.co.RankResults(rs, query)
+				if full == nil && len(rs) > 0 {
 					err = errors.New("ranking fan-out unavailable")
+				} else {
+					ranked, total = rankWindow(full, opts), len(rs)
 				}
 			}
 			key = rankedKey(ranked)
@@ -236,7 +256,7 @@ func TestChaos(t *testing.T) {
 			var noMatch *index.NoMatchError
 			if errors.As(err, &noMatch) && path == 0 && e0 == e1 {
 				if refEng := ref.at(t, int(e0)); refEng != nil {
-					if _, rerr := refEng.Search(query); !sameError(err, rerr) {
+					if _, rerr := searchOf(refEng, query); !sameError(err, rerr) {
 						t.Errorf("epoch %d query %q: got %v, reference %v", e0, query, err, rerr)
 					} else {
 						verified.Add(1)
@@ -256,9 +276,8 @@ func TestChaos(t *testing.T) {
 		if refEng == nil {
 			return // epoch published ahead of the writer's log append
 		}
-		if total == xseek.StreamTotalUnknown || path == 3 {
-			// Flagged partial page (or approx WAND, whose totals are
-			// contractually loose): every hit must still be a real
+		if total == xseek.StreamTotalUnknown {
+			// Flagged partial page: every hit must still be a real
 			// (id, score-bits) member of the reference's full ranking.
 			set := fullRankingSet(refEng, query)
 			for _, hit := range ranked {
@@ -275,17 +294,17 @@ func TestChaos(t *testing.T) {
 		wantTotal := -2
 		switch path {
 		case 0:
-			rs, rerr := refEng.Search(query)
+			rs, rerr := searchOf(refEng, query)
 			if rerr != nil {
 				return // e.g. NoMatch raced with a term's last occurrence
 			}
 			wantKey = resultKey(rs)
-		case 1, 2:
-			rs, rerr := refEng.Search(query)
+		case 1, 2, 3: // the fan-out runs approximate pages exact too
+			rs, rerr := searchOf(refEng, query)
 			if rerr != nil {
 				return
 			}
-			wantKey, wantTotal = rankedKey(refEng.RankPage(rs, query, opts)), len(rs)
+			wantKey, wantTotal = rankedKey(rankWindow(refEng.RankResults(rs, query), opts)), len(rs)
 		}
 		if key != wantKey {
 			t.Errorf("epoch %d query %q path %d opts %+v:\n got  %s\n want %s", e0, query, path, opts, key, wantKey)

@@ -310,12 +310,6 @@ func (co *Coordinator) IndexStats() index.Stats {
 	return co.cur.Load().fan.IndexStats()
 }
 
-func (co *Coordinator) Search(query string) ([]*xseek.Result, error) {
-	return retryQuery(co, func(s *coordState) ([]*xseek.Result, error) {
-		return s.fan.Search(query)
-	})
-}
-
 func (co *Coordinator) SearchStream(query string) (xseek.Cursor, error) {
 	return retryQuery(co, func(s *coordState) (xseek.Cursor, error) {
 		return s.fan.SearchStream(query)
@@ -351,22 +345,12 @@ func (co *Coordinator) SearchRankedPageWAND(query string, opts xseek.SearchOptio
 	return p.rs, p.total, p.stats, err
 }
 
-// RankResults and RankPage have no error channel in the executor
-// surface; a fan-out that cannot complete returns nil — observably
-// unavailable, never silently wrong.
+// RankResults has no error channel in the executor surface; a fan-out
+// that cannot complete returns nil — observably unavailable, never
+// silently wrong.
 func (co *Coordinator) RankResults(results []*xseek.Result, query string) []*xseek.RankedResult {
 	out, err := retryQuery(co, func(s *coordState) ([]*xseek.RankedResult, error) {
 		return s.fan.RankResultsErr(results, query)
-	})
-	if err != nil {
-		return nil
-	}
-	return out
-}
-
-func (co *Coordinator) RankPage(results []*xseek.Result, query string, opts xseek.SearchOptions) []*xseek.RankedResult {
-	out, err := retryQuery(co, func(s *coordState) ([]*xseek.RankedResult, error) {
-		return s.fan.RankPageErr(results, query, opts)
 	})
 	if err != nil {
 		return nil

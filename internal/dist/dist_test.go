@@ -172,13 +172,13 @@ var pageOptions = []xseek.SearchOptions{
 
 // checkEquivalence runs one query through both sides and asserts
 // bit-identity across every read path: doc-order search, full
-// ranking, eager ranked pages, and exact + approximate score-bounded
-// pages. The reference's eager Search + RankPage is the oracle for
-// every ranked page.
+// ranking, and exact + approximate score-bounded pages. The window of
+// the reference's full ranking is the oracle for every ranked page,
+// and both accuracies must report the exact total.
 func checkEquivalence(t *testing.T, ref refEngine, co *dist.Coordinator, query, ctx string) {
 	t.Helper()
-	want, wantErr := ref.Search(query)
-	got, gotErr := co.Search(query)
+	want, wantErr := searchOf(ref, query)
+	got, gotErr := searchOf(co, query)
 	if !sameError(wantErr, gotErr) {
 		t.Fatalf("%s query %q: err %v vs %v", ctx, query, gotErr, wantErr)
 	}
@@ -194,13 +194,7 @@ func checkEquivalence(t *testing.T, ref refEngine, co *dist.Coordinator, query, 
 		t.Fatalf("%s query %q ranked:\n got  %s\n want %s", ctx, query, rankedKey(gotRanked), rankedKey(wantRanked))
 	}
 	for _, opts := range pageOptions {
-		wantPage := ref.RankPage(want, query, opts)
-		gotPage := co.RankPage(got, query, opts)
-		if rankedKey(gotPage) != rankedKey(wantPage) {
-			t.Fatalf("%s query %q page %+v:\n got  %s\n want %s",
-				ctx, query, opts, rankedKey(gotPage), rankedKey(wantPage))
-		}
-
+		wantPage := rankWindow(wantRanked, opts)
 		for _, acc := range []xseek.Accuracy{xseek.AccuracyExact, xseek.AccuracyApprox} {
 			wopts := opts
 			wopts.Accuracy = acc
@@ -212,9 +206,9 @@ func checkEquivalence(t *testing.T, ref refEngine, co *dist.Coordinator, query, 
 				t.Fatalf("%s query %q wand %+v acc=%d:\n got  %s\n want %s",
 					ctx, query, opts, acc, rankedKey(gotW), rankedKey(wantPage))
 			}
-			// Exact mode pins the total too; approximate mode's total is
-			// contractually "exact or StreamTotalUnknown".
-			if gotWT != len(want) && (acc == xseek.AccuracyExact || gotWT != xseek.StreamTotalUnknown) {
+			// The fan-out runs every leg exact, so both accuracies pin
+			// the total.
+			if gotWT != len(want) {
 				t.Fatalf("%s query %q wand %+v acc=%d: total %d, want %d", ctx, query, opts, acc, gotWT, len(want))
 			}
 		}
@@ -226,9 +220,28 @@ func parseDewey(s string) (dewey.ID, error) { return dewey.Parse(s) }
 // refEngine is the read surface shared by the in-process references
 // (shard.Engine cold, update.Engine live).
 type refEngine interface {
-	Search(query string) ([]*xseek.Result, error)
+	cursorer
 	RankResults(results []*xseek.Result, query string) []*xseek.RankedResult
-	RankPage(results []*xseek.Result, query string, opts xseek.SearchOptions) []*xseek.RankedResult
+}
+
+// cursorer is any executor's doc-order read path.
+type cursorer interface {
+	SearchStream(query string) (xseek.Cursor, error)
+}
+
+// searchOf drains e's doc-order cursor: its search result list.
+func searchOf(e cursorer, query string) ([]*xseek.Result, error) {
+	c, err := e.SearchStream(query)
+	if err != nil {
+		return nil, err
+	}
+	return xseek.Drain(c)
+}
+
+// rankWindow is the options' window of a full ranking.
+func rankWindow(ranked []*xseek.RankedResult, opts xseek.SearchOptions) []*xseek.RankedResult {
+	lo, hi := opts.Window(len(ranked))
+	return ranked[lo:hi]
 }
 
 // TestCoordinatorEquivalence is the tentpole property test: on random
@@ -420,21 +433,21 @@ func TestCoordinatorBoundaryEntity(t *testing.T) {
 	}
 }
 
-// TestMixedVersionWandField: coordinators that predate the single
-// ranked consumer send KindRanked requests carrying a "wand" flag. Leg
-// request decoding is lenient, so a leg must answer either value with
-// exactly what it answers without the field — the coordinator's page
-// stays bit-identical to the in-process fan-out — and this
-// coordinator's own requests must not carry the field at all.
+// TestMixedVersionWandField: older coordinators send KindRanked
+// requests carrying a "wand" flag or an "approx" early-stop flag. Leg
+// request decoding is lenient, so a leg must answer any such field
+// with exactly what it answers without it — the coordinator's page and
+// total stay bit-identical to the in-process fan-out — and this
+// coordinator's own requests must carry neither field.
 func TestMixedVersionWandField(t *testing.T) {
 	r := rand.New(rand.NewSource(29))
 	vocab := []string{"alpha", "beta", "gamma", "delta"}
 	doc := randomDoc(r, vocab)
 	const k = 2
 	var (
-		inject   atomic.Value // json.RawMessage: the "wand" value spliced into ranked requests
-		ranked   atomic.Int64 // ranked leg requests seen
-		sentWand atomic.Int64 // coordinator requests that carried "wand" themselves
+		inject atomic.Value // [2]string: the retired field and value spliced into ranked requests
+		ranked atomic.Int64 // ranked leg requests seen
+		sent   atomic.Int64 // coordinator requests that carried a retired field themselves
 	)
 	cl := startClusterWrapped(t, k, doc, dist.Config{}, func(g int, h http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
@@ -449,12 +462,15 @@ func TestMixedVersionWandField(t *testing.T) {
 					http.Error(w, err.Error(), http.StatusBadRequest)
 					return
 				}
-				if _, ok := m["wand"]; ok {
-					sentWand.Add(1)
+				for _, f := range []string{"wand", "approx"} {
+					if _, ok := m[f]; ok {
+						sent.Add(1)
+					}
 				}
 				if string(m["kind"]) == `"`+dist.KindRanked+`"` {
 					ranked.Add(1)
-					m["wand"] = inject.Load().(json.RawMessage)
+					field := inject.Load().([2]string)
+					m[field[0]] = json.RawMessage(field[1])
 					if body, err = json.Marshal(m); err != nil {
 						http.Error(w, err.Error(), http.StatusInternalServerError)
 						return
@@ -468,12 +484,12 @@ func TestMixedVersionWandField(t *testing.T) {
 	})
 	ref := shard.Build(xmltree.MustParseString(doc), k)
 	queries := []string{"alpha", "beta", "alpha beta", "gamma delta"}
-	for _, wand := range []string{"true", "false"} {
-		inject.Store(json.RawMessage(wand))
+	for _, field := range [][2]string{{"wand", "true"}, {"wand", "false"}, {"approx", "true"}} {
+		inject.Store(field)
 		for _, query := range queries {
 			for _, opts := range []xseek.SearchOptions{{Limit: 1}, {Limit: 3}, {Limit: 2, Offset: 2}} {
 				for _, acc := range []xseek.Accuracy{xseek.AccuracyExact, xseek.AccuracyApprox} {
-					ctx := fmt.Sprintf("wand=%s query %q page %+v acc=%d", wand, query, opts, acc)
+					ctx := fmt.Sprintf("%s=%s query %q page %+v acc=%d", field[0], field[1], query, opts, acc)
 					opts.Accuracy = acc
 					want, wantTotal, _, wantErr := ref.SearchRankedPageWAND(query, opts)
 					got, gotTotal, _, gotErr := cl.co.SearchRankedPageWAND(query, opts)
@@ -483,9 +499,7 @@ func TestMixedVersionWandField(t *testing.T) {
 					if rankedKey(got) != rankedKey(want) {
 						t.Fatalf("%s:\n got  %s\n want %s", ctx, rankedKey(got), rankedKey(want))
 					}
-					// Approximate totals may legitimately differ in whether
-					// a side stopped early (the cross-leg threshold races).
-					if gotTotal != wantTotal && (acc == xseek.AccuracyExact || (gotTotal >= 0 && wantTotal >= 0)) {
+					if gotTotal != wantTotal {
 						t.Fatalf("%s: total %d vs %d", ctx, gotTotal, wantTotal)
 					}
 				}
@@ -495,7 +509,7 @@ func TestMixedVersionWandField(t *testing.T) {
 	if ranked.Load() == 0 {
 		t.Fatal("no ranked leg request reached the legs")
 	}
-	if n := sentWand.Load(); n != 0 {
-		t.Fatalf("coordinator sent the retired wand field on %d requests", n)
+	if n := sent.Load(); n != 0 {
+		t.Fatalf("coordinator sent a retired field on %d requests", n)
 	}
 }

@@ -38,7 +38,10 @@
 // AllowPartial policy: a dead leg's contribution is dropped and the
 // page is flagged (total = StreamTotalUnknown) — partial and marked,
 // never silently wrong. Doc-order search is always strict, because a
-// missing leg could promote spurious spine SLCAs. A leg restarted
+// missing leg could promote spurious spine SLCAs. A request no replica
+// can serve (an unknown query kind, an unparsable probe ID) answers
+// 400, which the leg client treats as final: no retry, no failover,
+// no replica demotion. A leg restarted
 // from its shipped group snapshot (package persist) resumes at the
 // snapshot's epoch with bit-identical state.
 //
@@ -60,6 +63,6 @@
 // without touching cluster state. Doc-order reads and writes are
 // never shed. The chaos harness in chaos_test.go soaks kills,
 // restarts-from-peer, partitions, slow legs, and shed bursts under a
-// logged seed, checking every settled read bit-identical against a
-// replayed in-process oracle.
+// logged seed plus every committed regression seed, checking every
+// settled read bit-identical against a replayed in-process oracle.
 package dist

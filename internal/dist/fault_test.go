@@ -67,7 +67,7 @@ func TestLegHangTimeoutRetry(t *testing.T) {
 	checkEquivalence(t, ref, cl.co, "alpha", "healthy before hang")
 
 	hang.Store(true)
-	if _, err := cl.co.Search("alpha"); err == nil {
+	if _, err := searchOf(cl.co, "alpha"); err == nil {
 		t.Fatal("doc-order search with a hung leg should fail strictly, got nil error")
 	}
 	if _, _, _, err := cl.co.SearchRankedPageWAND("alpha", xseek.SearchOptions{Limit: 3}); err == nil {
@@ -103,7 +103,7 @@ func TestLegKilledDegradedRanked(t *testing.T) {
 
 	// Reference full ranking: the universe of (result, score) pairs any
 	// degraded page may draw from.
-	results, err := ref.Search("alpha")
+	results, err := searchOf(ref, "alpha")
 	if err != nil {
 		t.Fatalf("reference ranking: %v", err)
 	}
@@ -137,7 +137,7 @@ func TestLegKilledDegradedRanked(t *testing.T) {
 
 	// Doc-order search must not degrade: a missing leg could promote
 	// spurious spine SLCAs, which would be wrong rather than partial.
-	if _, err := cl.co.Search("alpha"); err == nil {
+	if _, err := searchOf(cl.co, "alpha"); err == nil {
 		t.Fatal("doc-order search with a dead leg must fail even under AllowPartial")
 	}
 }
@@ -252,7 +252,7 @@ func TestSnapshotRestart(t *testing.T) {
 	}
 
 	cl.https[1].Close() // the leg process dies
-	if _, err := cl.co.Search("alpha"); err == nil {
+	if _, err := searchOf(cl.co, "alpha"); err == nil {
 		t.Fatal("search with a dead leg should fail before recovery")
 	}
 
@@ -314,7 +314,7 @@ func TestCoordinatorConcurrentQueriesAndWrites(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := cl.co.Search("alpha"); err != nil && !strings.Contains(err.Error(), "epoch") {
+				if _, err := searchOf(cl.co, "alpha"); err != nil && !strings.Contains(err.Error(), "epoch") {
 					select {
 					case errs <- fmt.Errorf("search: %w", err):
 					default:
@@ -359,8 +359,8 @@ func TestCoordinatorConcurrentQueriesAndWrites(t *testing.T) {
 
 	// Settled cluster must equal a cold engine over the final tree.
 	ref := shard.Build(xmltree.MustParseString(xmltree.XMLString(cl.co.Root())), 2)
-	want, _ := ref.Search("alpha")
-	got, err := cl.co.Search("alpha")
+	want, _ := searchOf(ref, "alpha")
+	got, err := searchOf(cl.co, "alpha")
 	if err != nil {
 		t.Fatalf("settled search: %v", err)
 	}

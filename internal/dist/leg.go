@@ -414,7 +414,6 @@ func (l *httpLeg) RankedLeg(q shard.LegQuery, sharedT *xseek.SharedThreshold) (s
 	req := &QueryRequest{
 		Epoch: l.epoch, Kind: KindRanked,
 		Query: q.Query, Terms: q.Terms, Limit: q.Limit,
-		Approx: q.Accuracy == xseek.AccuracyApprox,
 	}
 	if sharedT != nil {
 		// Ship a snapshot of the cross-leg threshold as this leg's
@@ -436,7 +435,6 @@ func (l *httpLeg) RankedLeg(q shard.LegQuery, sharedT *xseek.SharedThreshold) (s
 		Bounded:       env.Stats.Bounded,
 		Pruned:        env.Stats.Pruned,
 		BlocksSkipped: env.Stats.BlocksSkipped,
-		Terminated:    env.Stats.Terminated,
 	}
 	out.SLCAs, err = parseIDs(env.SLCAs)
 	if err != nil {
@@ -452,32 +450,6 @@ func (l *httpLeg) RankedLeg(q shard.LegQuery, sharedT *xseek.SharedThreshold) (s
 			return shard.LegPage{}, err
 		}
 		out.Top[i] = &xseek.RankedResult{Result: r, Score: math.Float64frombits(h.ScoreBits)}
-	}
-	return out, nil
-}
-
-func (l *httpLeg) RankSubsetLeg(q shard.LegQuery, subset []*xseek.Result) ([]*xseek.RankedResult, error) {
-	req := &QueryRequest{
-		Epoch: l.epoch, Kind: KindSubset,
-		Query: q.Query, Terms: q.Terms, Limit: q.Limit,
-		Subset: make([]WireHit, len(subset)),
-	}
-	byID := make(map[string]*xseek.Result, len(subset))
-	for i, r := range subset {
-		req.Subset[i] = wireHit(r, 0)
-		byID[req.Subset[i].ID] = r
-	}
-	env, err := l.cl.query(l.g, req)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*xseek.RankedResult, len(env.Hits))
-	for i, h := range env.Hits {
-		orig, ok := byID[h.ID]
-		if !ok {
-			return nil, fmt.Errorf("dist: leg %d ranked unknown subset entry %s", l.g, h.ID)
-		}
-		out[i] = &xseek.RankedResult{Result: orig, Score: math.Float64frombits(h.ScoreBits)}
 	}
 	return out, nil
 }

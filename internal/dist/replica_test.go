@@ -443,7 +443,7 @@ func TestAdmissionShed(t *testing.T) {
 	// not fail fast. Probe via a goroutine: it blocks until release.
 	docDone := make(chan error, 1)
 	go func() {
-		_, err := cl.co.Search(vocab[0])
+		_, err := searchOf(cl.co, vocab[0])
 		docDone <- err
 	}()
 	select {
@@ -492,7 +492,7 @@ func TestBackoffScheduleInjectable(t *testing.T) {
 	})
 
 	cl.gates[0][0].mode.Store(gateDown)
-	if _, err := cl.co.Search(vocab[0]); err == nil {
+	if _, err := searchOf(cl.co, vocab[0]); err == nil {
 		t.Fatal("Search succeeded with the only replica down")
 	}
 	want := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 40 * time.Millisecond}
@@ -504,7 +504,7 @@ func TestBackoffScheduleInjectable(t *testing.T) {
 	// first backoff proves the retry loop actually re-runs the call
 	// and recovers.
 	cl2 := startReplicatedClusterHealing(t, doc)
-	if _, err := cl2.co.Search(vocab[0]); err != nil {
+	if _, err := searchOf(cl2.co, vocab[0]); err != nil {
 		t.Fatalf("Search did not recover via retry after heal: %v", err)
 	}
 	retries, _, _, _, _, _ := cl2.co.DistCounters()

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -261,7 +262,11 @@ func (sv *Server) handleQuery(w http.ResponseWriter, r *http.Request, c *corpus)
 	}
 	env, err := serveQuery(s, &req)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+		code := http.StatusInternalServerError
+		if errors.Is(err, errBadQuery) {
+			code = http.StatusBadRequest
+		}
+		http.Error(w, err.Error(), code)
 		return
 	}
 	env.Epoch = s.epoch
@@ -271,15 +276,18 @@ func (sv *Server) handleQuery(w http.ResponseWriter, r *http.Request, c *corpus)
 	}
 }
 
+// errBadQuery marks a query request that no replica can serve: an
+// unknown kind (such as an older coordinator's "subset") or an
+// unparsable probe ID. It answers 400, which the leg client treats as
+// final, so a malformed request never retries, demotes the replica or
+// fails over.
+var errBadQuery = errors.New("dist: bad query request")
+
 // serveQuery executes one leg query against an immutable state,
 // through the exact same shard.Leg implementation the in-process
 // fan-out runs.
 func serveQuery(s *legState, req *QueryRequest) (*Envelope, error) {
-	acc := xseek.AccuracyExact
-	if req.Approx {
-		acc = xseek.AccuracyApprox
-	}
-	lq := shard.LegQuery{Query: req.Query, Terms: req.Terms, Limit: req.Limit, Accuracy: acc}
+	lq := shard.LegQuery{Query: req.Query, Terms: req.Terms, Limit: req.Limit}
 	switch req.Kind {
 	case KindSearch:
 		docs, err := s.leg.SearchLeg(lq)
@@ -315,7 +323,6 @@ func serveQuery(s *legState, req *QueryRequest) (*Envelope, error) {
 				Bounded:       page.Stats.Bounded,
 				Pruned:        page.Stats.Pruned,
 				BlocksSkipped: page.Stats.BlocksSkipped,
-				Terminated:    page.Stats.Terminated,
 			},
 			Hits:  make([]WireHit, 0, len(page.Top)),
 			SLCAs: make([]string, 0, len(page.SLCAs)),
@@ -330,36 +337,18 @@ func serveQuery(s *legState, req *QueryRequest) (*Envelope, error) {
 			env.SLCAs = append(env.SLCAs, id.String())
 		}
 		return env, nil
-	case KindSubset:
-		subset := make([]*xseek.Result, len(req.Subset))
-		for i, h := range req.Subset {
-			r, err := resolveHit(s.root, h)
-			if err != nil {
-				return nil, err
-			}
-			subset[i] = r
-		}
-		top, err := s.leg.RankSubsetLeg(lq, subset)
-		if err != nil {
-			return nil, err
-		}
-		env := &Envelope{Total: len(top)}
-		for _, r := range top {
-			env.Hits = append(env.Hits, wireHit(r.Result, math.Float64bits(r.Score)))
-		}
-		return env, nil
 	case KindTF:
 		counts := make([]int, len(req.Probes))
 		for i, p := range req.Probes {
 			id, err := parseID(p.ID)
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("%w: %v", errBadQuery, err)
 			}
 			counts[i] = index.CountUnder(s.idx.Lookup(p.Term), id)
 		}
 		return &Envelope{Counts: counts}, nil
 	default:
-		return nil, fmt.Errorf("dist: unknown query kind %q", req.Kind)
+		return nil, fmt.Errorf("%w: unknown query kind %q", errBadQuery, req.Kind)
 	}
 }
 

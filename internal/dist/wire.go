@@ -87,7 +87,6 @@ func DecodeFrame(r io.Reader, v any) error {
 const (
 	KindSearch = "search" // doc-order leg: SLCAs + entity results
 	KindRanked = "ranked" // score-bounded ranked leg: top page
-	KindSubset = "subset" // heap-select the top of an explicit subset
 	KindTF     = "tf"     // batched postings-under-subtree counts
 )
 
@@ -103,19 +102,15 @@ type QueryRequest struct {
 	// agree without re-tokenizing.
 	Terms []string `json:"terms,omitempty"`
 	Limit int      `json:"limit,omitempty"`
-	// Approx allows the KindRanked consumer's early stop. Requests
-	// from coordinators that predate the single ranked consumer also
-	// carry a "wand" field; decoding ignores it, and every ranked leg
-	// runs the score-bounded consumer.
-	Approx bool `json:"approx,omitempty"`
+	// Requests from older coordinators may also carry "wand" or
+	// "approx"; decoding ignores both, and every ranked leg runs the
+	// score-bounded consumer in exact mode.
 	// FloorBits is a snapshot of the coordinator's shared WAND
 	// threshold (Float64bits), the leg's starting score floor. Any
 	// snapshot is a lower bound on the global k-th best score, so
 	// staleness only costs pruning opportunity, never exactness.
 	FloorBits uint64 `json:"floorBits,omitempty"`
-	// Subset carries the explicit results for KindSubset (scores
-	// unset); Probes the (term, subtree) pairs for KindTF.
-	Subset []WireHit   `json:"subset,omitempty"`
+	// Probes are the (term, subtree) pairs for KindTF.
 	Probes []WireProbe `json:"probes,omitempty"`
 }
 
@@ -140,14 +135,13 @@ type WireStats struct {
 	Bounded       bool  `json:"bounded,omitempty"`
 	Pruned        int64 `json:"pruned,omitempty"`
 	BlocksSkipped int64 `json:"blocksSkipped,omitempty"`
-	Terminated    bool  `json:"terminated,omitempty"`
 }
 
 // Envelope is a leg's framed query response.
 type Envelope struct {
 	Epoch uint64 `json:"epoch"`
 	// Hits are the leg's results (doc order for KindSearch, rank order
-	// for KindRanked/KindSubset).
+	// for KindRanked).
 	Hits []WireHit `json:"hits,omitempty"`
 	// SLCAs are the leg's kept (non-spine) SLCAs, document order.
 	SLCAs []string `json:"slcas,omitempty"`
@@ -156,8 +150,7 @@ type Envelope struct {
 	// split across groups, which the coordinator merges cross-leg and
 	// scores with whole-corpus counts.
 	Boundary []WireHit `json:"boundary,omitempty"`
-	// Total is the leg's full entity-result count, Boundary excluded
-	// (xseek.StreamTotalUnknown after an approximate early stop).
+	// Total is the leg's full entity-result count, Boundary excluded.
 	Total int `json:"total"`
 	// ThresholdBits is the leg's final WAND threshold (Float64bits);
 	// the coordinator folds it back into the shared threshold.

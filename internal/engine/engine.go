@@ -161,19 +161,19 @@ type Metrics struct {
 type executor interface {
 	Root() *xmltree.Node
 	Schema() *xseek.Schema
-	Search(query string) ([]*xseek.Result, error)
 	CleanQuery(query string) []string
 	RankResults(results []*xseek.Result, query string) []*xseek.RankedResult
 	PlannerDecisions() (indexedLookup, scanEager int64)
 	TotalNodes() int
 	DocFreq(term string) int
-	// Streamed read paths: a lazy doc-order cursor, the score-bounded
-	// ranked page, the result-count estimate the stream planner keys
-	// on, and the executor's streamed-decision counter. The ranked page
-	// in exact mode is bit-identical to the same window of Search +
+	// Read paths: a doc-order cursor (drained, it is the search's
+	// result list), the score-bounded ranked page, the result-count
+	// estimate the stream planner keys on, and the executor's
+	// streamed-decision counter. The ranked page in exact mode is
+	// bit-identical to the same window of the drained cursor +
 	// RankResults while skipping provably non-competitive scoring;
 	// approximate mode may additionally stop draining and report
-	// xseek.StreamTotalUnknown.
+	// xseek.StreamTotalUnknown (the sharded fan-out never does).
 	// Executors without bound metadata (legacy snapshots) run the same
 	// consumer unpruned, reported via WANDStats.Bounded.
 	SearchStream(query string) (xseek.Cursor, error)
@@ -679,11 +679,15 @@ func (e *Engine) cached(key string, epoch uint64) *queryOutcome {
 	return nil
 }
 
-// execSearch is a query-cache miss: it runs the executor's search and
-// caches the outcome when it is cacheable.
+// execSearch is a query-cache miss: it drains the executor's cursor
+// and caches the outcome when it is cacheable.
 func (e *Engine) execSearch(box *executorBox, epoch uint64, key, query string) *queryOutcome {
 	e.queryMisses.Add(1)
-	rs, err := box.exec.Search(query)
+	var rs []*xseek.Result
+	c, err := box.exec.SearchStream(query)
+	if err == nil {
+		rs, err = xseek.Drain(c)
+	}
 	out := &queryOutcome{results: rs, err: err, epoch: epoch}
 	var noMatch *index.NoMatchError
 	if err != nil && !errors.As(err, &noMatch) {
@@ -831,8 +835,9 @@ func (e *Engine) SearchCleanedPage(query string, opts xseek.SearchOptions) (*Pag
 // consumer, which runs unpruned by itself when bound metadata is
 // missing — WANDStats.Bounded reports which happened, and feeds the
 // ranked_wand / wand_pruned / blocks_skipped metrics. An approximate
-// streamed page is still exact, but its total may come back
-// xseek.StreamTotalUnknown.
+// streamed page is still exact, but on the monolithic or live executor
+// its total may come back xseek.StreamTotalUnknown; the sharded and
+// distributed fan-out always reports the exact total.
 func (e *Engine) SearchRankedPage(query string, opts xseek.SearchOptions) (*RankedPage, error) {
 	key, terms := queryKeys(query)
 	var page *RankedPage

@@ -40,7 +40,11 @@ func TestConcurrentLazySearch(t *testing.T) {
 					t.Errorf("%q: %v", q, err)
 					return
 				}
-				_ = lazy.RankPage(rs, q, xseek.SearchOptions{Limit: 5})
+				_ = lazy.RankResults(rs, q)
+				if _, _, _, err := lazy.SearchRankedPageWAND(q, xseek.SearchOptions{Limit: 5}); err != nil {
+					t.Errorf("%q ranked: %v", q, err)
+					return
+				}
 			}
 		}(w)
 	}

@@ -39,9 +39,13 @@
 //
 // Ranking reuses the whole-corpus constants: document frequencies are
 // aggregated across shards at build time, so per-shard TF-IDF scores
-// equal monolithic scores bit for bit, and RankPage merges the
-// per-shard ranked streams with a K-way heap — top-k never
-// materializes the full cross-shard ranking.
+// equal monolithic scores bit for bit. SearchRankedPageWAND runs one
+// exact score-bounded leg per shard and merges the per-shard top lists
+// and the spine bucket with a K-way heap — top-k never materializes
+// the full cross-shard ranking. Legs never stop early, even for an
+// approximate request: a shard's block-max bounds cannot bound an
+// entity whose subtree the partition split across shards, so the
+// spine fix-up needs every leg drained.
 //
 // # Laziness and repair
 //

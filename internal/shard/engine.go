@@ -12,9 +12,9 @@ import (
 
 // Engine is a sharded search executor over one corpus. It presents the
 // same query surface as a single xseek.Engine — Search, CleanQuery,
-// RankResults, RankPage, CorpusStats — and guarantees identical
-// output; only the execution strategy (per-shard fan-out and merge)
-// differs. All methods are safe for concurrent use.
+// RankResults, SearchRankedPageWAND, CorpusStats — and guarantees
+// identical output; only the execution strategy (per-shard fan-out and
+// merge) differs. All methods are safe for concurrent use.
 //
 // The query pipeline itself lives in the embedded Fanout, which runs
 // over the abstract Leg interface; Engine supplies in-process legs

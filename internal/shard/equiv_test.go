@@ -70,8 +70,9 @@ func rankedKey(rs []*xseek.RankedResult) string {
 // random corpora and queries, the sharded engine at K ∈ {1, 2, 8} must
 // return byte-identical results to the monolithic xseek engine — same
 // result set, order, labels and match nodes, the same NoMatchError
-// terms, bit-identical ranking scores including tie order, and
-// identical RankPage windows for every tested limit/offset.
+// terms, bit-identical ranking scores including tie order, and ranked
+// pages (SearchRankedPageWAND) identical to the monolithic RankPage
+// window, total included, for every tested limit/offset.
 func TestShardedSearchEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	vocab := []string{"alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta"}
@@ -116,10 +117,13 @@ func TestShardedSearchEquivalence(t *testing.T) {
 					{Limit: 2, Offset: 2}, {Limit: 100}, {Offset: 1},
 				} {
 					wantPage := mono.RankPage(want, query, opts)
-					gotPage := sharded.RankPage(got, query, opts)
-					if rankedKey(gotPage) != rankedKey(wantPage) {
-						t.Fatalf("tree %d K=%d query %q page %+v:\n got  %s\n want %s",
-							ti, k, query, opts, rankedKey(gotPage), rankedKey(wantPage))
+					gotPage, gotTotal, _, err := sharded.SearchRankedPageWAND(query, opts)
+					if err != nil {
+						t.Fatalf("tree %d K=%d query %q page %+v: %v", ti, k, query, opts, err)
+					}
+					if rankedKey(gotPage) != rankedKey(wantPage) || gotTotal != len(want) {
+						t.Fatalf("tree %d K=%d query %q page %+v:\n got  %s (total %d)\n want %s (total %d)",
+							ti, k, query, opts, rankedKey(gotPage), gotTotal, rankedKey(wantPage), len(want))
 					}
 				}
 			}

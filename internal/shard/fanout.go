@@ -188,10 +188,6 @@ func (f *Fanout) TotalNodes() int { return f.totalNodes }
 // selection scores.
 func (f *Fanout) DocFreq(term string) int { return f.df[term] }
 
-// OwnerGroup returns the leg owning the subtree at id, or -1 for
-// spine nodes.
-func (f *Fanout) OwnerGroup(id dewey.ID) int { return f.own.Owner(id) }
-
 // IndexStats returns aggregate index statistics equal to the
 // monolithic index's: distinct terms and total postings fall out of
 // the shared frequency table (a posting is one (term, element) pair,
@@ -217,9 +213,6 @@ func (f *Fanout) TermFrequencies() map[string]int {
 	}
 	return out
 }
-
-// SpineEngine returns the pipeline engine over the spine-only index.
-func (f *Fanout) SpineEngine() *xseek.Engine { return f.spine }
 
 // StreamedDecisions reports how many ranked pages ran the streamed
 // fan-out.

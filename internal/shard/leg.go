@@ -26,18 +26,17 @@ type Leg interface {
 	// SearchLeg runs the doc-order leg: compile → SLCA → spine filter →
 	// entity mapping over the group's index.
 	SearchLeg(q LegQuery) (LegDocs, error)
-	// RankedLeg runs the score-bounded ranked leg, returning the leg's
-	// own top q.Limit in rank order plus its kept SLCAs and full
-	// entity-result count.
+	// RankedLeg runs the score-bounded ranked leg in exact mode,
+	// returning the leg's own top q.Limit in rank order plus its kept
+	// SLCAs, boundary reports and full entity-result count. It stops
+	// scoring at the cutoff but always drains the stream: the spine
+	// fix-up needs every kept SLCA and boundary report, and a leg's
+	// block-max bounds cannot bound a spine-rooted entity whose score
+	// sums across legs.
 	// shared is the fan-out's monotone-max threshold; a remote leg
 	// forwards a snapshot of it as its score floor and raises it with
 	// the leg's final threshold on return.
 	RankedLeg(q LegQuery, shared *xseek.SharedThreshold) (LegPage, error)
-	// RankSubsetLeg heap-selects the top q.Limit of an explicit
-	// leg-owned doc-order result subset — the eager RankPage's
-	// per-group stage. The returned entries must reference the input
-	// Result objects.
-	RankSubsetLeg(q LegQuery, subset []*xseek.Result) ([]*xseek.RankedResult, error)
 	// TFUnderLeg counts the postings of probe.Term inside the subtree
 	// at probe.ID in the group's index, one count per probe.
 	TFUnderLeg(probes []TFProbe) ([]int, error)
@@ -52,8 +51,6 @@ type LegQuery struct {
 	// Limit is the number of ranked entries the leg keeps (the
 	// fan-out's offset+limit); 0 means unbounded.
 	Limit int
-	// Accuracy is forwarded to the ranked leg's consumer.
-	Accuracy xseek.Accuracy
 }
 
 // LegDocs is a doc-order leg's output: the group-internal SLCAs it
@@ -85,8 +82,7 @@ type LegPage struct {
 	// order, unscored); see LegDocs.Boundary. The fan-out merges them
 	// across legs and scores them with whole-corpus counts.
 	Boundary []*xseek.Result
-	// Total is the leg's full entity-result count, Boundary excluded
-	// (xseek.StreamTotalUnknown after an approximate early stop).
+	// Total is the leg's full entity-result count, Boundary excluded.
 	Total int
 	Stats xseek.WANDStats
 }
@@ -178,16 +174,12 @@ func (l *localLeg) RankedLeg(q LegQuery, shared *xseek.SharedThreshold) (LegPage
 	if es == nil {
 		return LegPage{}, err
 	}
-	opts := xseek.SearchOptions{Limit: q.Limit, Accuracy: q.Accuracy}
+	opts := xseek.SearchOptions{Limit: q.Limit}
 	out.Top, out.Total, out.Stats, err = xseek.ConsumeRankedWAND(es, opts, sh.StreamScorer(q.Terms), sh.TermBounds(q.Terms), shared)
 	if err != nil {
 		return LegPage{}, err
 	}
 	return out, nil
-}
-
-func (l *localLeg) RankSubsetLeg(q LegQuery, subset []*xseek.Result) ([]*xseek.RankedResult, error) {
-	return l.sh.get().RankPage(subset, q.Query, xseek.SearchOptions{Limit: q.Limit}), nil
 }
 
 func (l *localLeg) TFUnderLeg(probes []TFProbe) ([]int, error) {

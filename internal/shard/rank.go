@@ -37,75 +37,6 @@ func (f *Fanout) RankResultsErr(results []*xseek.Result, query string) ([]*xseek
 	return out, nil
 }
 
-// RankPage returns one window of the ranking RankResults would
-// produce without materializing the full cross-leg ranking: the
-// merged result list is split back into its per-leg runs, each leg
-// heap-selects only its own top Offset+Limit, and a K-way heap merge
-// streams the winners out in global rank order. A window covering the
-// whole set falls back to the full sort, matching xseek.RankPage.
-// Like RankResults, a transport failure returns nil.
-func (f *Fanout) RankPage(results []*xseek.Result, query string, opts xseek.SearchOptions) []*xseek.RankedResult {
-	out, err := f.RankPageErr(results, query, opts)
-	if err != nil {
-		return nil
-	}
-	return out
-}
-
-// RankPageErr is RankPage with the transport error surfaced.
-func (f *Fanout) RankPageErr(results []*xseek.Result, query string, opts xseek.SearchOptions) ([]*xseek.RankedResult, error) {
-	lo, hi := opts.Window(len(results))
-	if hi >= len(results) {
-		full, err := f.RankResultsErr(results, query)
-		if err != nil {
-			return nil, err
-		}
-		return full[lo:], nil
-	}
-
-	// Split the document-ordered merged list into per-owner runs.
-	// Each run preserves document order, the rank tie-break.
-	runs := make([][]*xseek.Result, len(f.legs)+1) // last bucket: spine-rooted
-	for _, r := range results {
-		g := f.own.Owner(r.Node.ID)
-		if g < 0 {
-			g = len(f.legs)
-		}
-		runs[g] = append(runs[g], r)
-	}
-
-	lq := LegQuery{Query: query, Terms: index.TokenizeQuery(query), Limit: hi}
-	streams := make([][]*xseek.RankedResult, 0, len(runs))
-	for g, run := range runs {
-		if len(run) == 0 {
-			continue
-		}
-		if g < len(f.legs) {
-			// The leg's own bounded-heap top-k, with the shared IDF: no
-			// leg ever contributes more than hi entries to the window,
-			// so deeper ranks are never computed.
-			top, err := f.legs[g].RankSubsetLeg(lq, run)
-			if err != nil {
-				return nil, err
-			}
-			streams = append(streams, top)
-		} else {
-			spine, err := f.scoreResults(run, query)
-			if err != nil {
-				return nil, err
-			}
-			sort.SliceStable(spine, func(i, j int) bool { return spine[i].Score > spine[j].Score })
-			if len(spine) > hi {
-				spine = spine[:hi]
-			}
-			streams = append(streams, spine)
-		}
-	}
-
-	merged := mergeRankedStreams(streams, hi)
-	return merged[lo:], nil
-}
-
 // scoreResults computes TF-IDF scores in input order with the shared
 // whole-corpus constants — the sharded twin of xseek's scoring stage.
 // Frequencies are fetched in one batched probe per leg; accumulation

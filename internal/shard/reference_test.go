@@ -64,12 +64,15 @@ func TestRootSLCATwoShards(t *testing.T) {
 		}
 		wantPage := rankedKey(mono.RankPage(want, q, xseek.SearchOptions{Limit: 10}))
 		for _, acc := range []xseek.Accuracy{xseek.AccuracyExact, xseek.AccuracyApprox} {
-			page, _, _, err := sharded.SearchRankedPageWAND(q, xseek.SearchOptions{Limit: 10, Accuracy: acc})
+			page, total, _, err := sharded.SearchRankedPageWAND(q, xseek.SearchOptions{Limit: 10, Accuracy: acc})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if rankedKey(page) != wantPage {
 				t.Fatalf("%q accuracy %v: WAND page %s, want %s", q, acc, rankedKey(page), wantPage)
+			}
+			if total != len(want) {
+				t.Fatalf("%q accuracy %v: WAND total %d, want %d", q, acc, total, len(want))
 			}
 		}
 	}

@@ -13,7 +13,8 @@ import (
 // for the spine fix-up), and the per-leg top lists merge through the
 // existing K-way rank merge. No leg ever materializes its full result
 // list — only its top Offset+Limit survive per leg — yet the page,
-// scores, and total are bit-identical to Search + RankPage.
+// scores, and total are bit-identical to the same window of Search +
+// RankResults.
 //
 // One shared monotone threshold circulates: each leg publishes its own
 // k-th-best score as its heap fills, so a slow leg can prune with the
@@ -31,11 +32,14 @@ import (
 // correctness.
 
 // SearchRankedPageWAND returns the options' window of the relevance
-// ranking with score-bounded pruning in every leg. Exact mode is
-// bit-identical to Search + RankPage; approximate mode may stop
-// draining legs early, reporting StreamTotalUnknown as the total. An
-// unbounded window (Limit <= 0) has nothing to terminate early and
-// falls back to the eager path.
+// ranking with score-bounded pruning in every leg. Every leg runs in
+// exact mode whatever opts.Accuracy asks for: a leg's block-max bounds
+// cover only its own postings, so they cannot bound a spine-rooted
+// entity whose score sums across legs, and a leg that stopped early
+// would starve the spine fix-up. The page and total are therefore
+// bit-identical to the same window of Search + RankResults, which the
+// approximate contract allows. An unbounded window (Limit <= 0) has
+// nothing to prune and falls back to the eager path.
 func (f *Fanout) SearchRankedPageWAND(query string, opts xseek.SearchOptions) ([]*xseek.RankedResult, int, xseek.WANDStats, error) {
 	var zero xseek.WANDStats
 	lo := opts.Offset
@@ -53,11 +57,12 @@ func (f *Fanout) SearchRankedPageWAND(query string, opts xseek.SearchOptions) ([
 		if err != nil {
 			return nil, 0, zero, err
 		}
-		page, err := f.RankPageErr(results, query, opts)
+		ranked, err := f.RankResultsErr(results, query)
 		if err != nil {
 			return nil, 0, zero, err
 		}
-		return page, len(results), zero, nil
+		wlo, whi := opts.Window(len(ranked))
+		return ranked[wlo:whi], len(results), zero, nil
 	}
 
 	terms := index.TokenizeQuery(query)
@@ -75,7 +80,7 @@ func (f *Fanout) SearchRankedPageWAND(query string, opts xseek.SearchOptions) ([
 	}
 	f.plannerStreamed.Add(1)
 
-	lq := LegQuery{Query: query, Terms: terms, Limit: hi, Accuracy: opts.Accuracy}
+	lq := LegQuery{Query: query, Terms: terms, Limit: hi}
 	shared := &xseek.SharedThreshold{}
 	outs := make([]LegPage, len(f.legs))
 	errs := make([]error, len(f.legs))
@@ -105,9 +110,7 @@ func (f *Fanout) SearchRankedPageWAND(query string, opts xseek.SearchOptions) ([
 			return nil, 0, st, errs[g]
 		}
 		st.Add(o.Stats)
-		if o.Total >= 0 {
-			total += o.Total
-		}
+		total += o.Total
 		segSLCAs = append(segSLCAs, o.SLCAs...)
 		if len(o.Boundary) > 0 {
 			boundary = append(boundary, o.Boundary)
@@ -120,12 +123,11 @@ func (f *Fanout) SearchRankedPageWAND(query string, opts xseek.SearchOptions) ([
 	// Spine fix-up with whole-corpus knowledge, exactly as in Search:
 	// the spine's own SLCAs plus the legs' boundary reports (entities
 	// whose subtrees the partition split across groups) coalesce into
-	// one spine bucket, scored with cross-leg term counts and cut like
-	// the eager RankPage's spine bucket. A degraded or early-terminated
-	// run skips it: the fix-up needs every leg's kept SLCAs, boundary
-	// reports, and witness counts to be sound, and such a run already
-	// reports its total as unknown.
-	if !degraded && !st.Terminated {
+	// one spine bucket, scored with cross-leg term counts and cut to
+	// the window. A degraded run skips it: the fix-up needs every leg's
+	// kept SLCAs, boundary reports, and witness counts to be sound, and
+	// such a run already reports its total as unknown.
+	if !degraded {
 		spineIDs, err := f.spineSLCAs(terms, segSLCAs)
 		if err != nil {
 			return nil, 0, st, err
@@ -138,13 +140,14 @@ func (f *Fanout) SearchRankedPageWAND(query string, opts xseek.SearchOptions) ([
 		}
 		if bucket := coalesceSpineResults(spineRes, boundary); len(bucket) > 0 {
 			total += len(bucket)
-			spine, err := f.RankPageErr(bucket, query, xseek.SearchOptions{Limit: hi})
+			spine, err := f.RankResultsErr(bucket, query)
 			if err != nil {
 				return nil, 0, st, err
 			}
-			if len(spine) > 0 {
-				streams = append(streams, spine)
+			if len(spine) > hi {
+				spine = spine[:hi]
 			}
+			streams = append(streams, spine)
 		}
 	}
 
@@ -152,9 +155,8 @@ func (f *Fanout) SearchRankedPageWAND(query string, opts xseek.SearchOptions) ([
 	if lo > len(merged) {
 		lo = len(merged)
 	}
-	if st.Terminated || degraded {
-		// Some leg abandoned its drain (or was dropped); its count (and
-		// so the sum) is meaningless.
+	if degraded {
+		// A dropped leg's count is missing, so the sum is meaningless.
 		total = xseek.StreamTotalUnknown
 	}
 	return merged[lo:], total, st, nil

@@ -44,11 +44,11 @@ func TestConcurrentReadersDuringWrites(t *testing.T) {
 						default:
 						}
 						q := queries[i%len(queries)]
-						results, err := live.Search(q)
+						results, err := searchOf(live, q)
 						if err != nil {
 							continue
 						}
-						ranked := live.RankPage(results, q, xseek.SearchOptions{Limit: 3})
+						ranked := rankWindow(live.RankResults(results, q), xseek.SearchOptions{Limit: 3})
 						if len(ranked) > len(results) {
 							t.Errorf("page larger than result set: %d > %d", len(ranked), len(results))
 							return
@@ -99,7 +99,7 @@ func TestConcurrentReadersDuringWrites(t *testing.T) {
 			final := live.Root()
 			cold := xseek.NewParallel(rebuildTree(final))
 			for _, q := range []string{"gps", "quality", "welcome"} {
-				lr, lerr := live.Search(q)
+				lr, lerr := searchOf(live, q)
 				cr, cerr := cold.Search(q)
 				if (lerr == nil) != (cerr == nil) {
 					t.Fatalf("final state: query %q errors differ: %v vs %v", q, lerr, cerr)

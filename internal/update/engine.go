@@ -30,8 +30,9 @@ type JournalOp struct {
 }
 
 // Engine is a live, updatable executor over one corpus. It implements
-// the same query surface as xseek.Engine and shard.Engine — Search,
-// CleanQuery, RankResults, RankPage, corpus statistics — and is safe
+// the same query surface as xseek.Engine and shard.Engine —
+// SearchStream, CleanQuery, RankResults, SearchRankedPageWAND, corpus
+// statistics — and is safe
 // for any number of concurrent readers alongside one writer at a time
 // (writers serialize internally).
 type Engine struct {

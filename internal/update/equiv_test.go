@@ -52,11 +52,30 @@ func corpusXML(rng *rand.Rand, n int) string {
 	return b.String()
 }
 
+// cursorer is any executor's doc-order read path.
+type cursorer interface {
+	SearchStream(query string) (xseek.Cursor, error)
+}
+
+// searchOf drains e's doc-order cursor: its search result list.
+func searchOf(e cursorer, query string) ([]*xseek.Result, error) {
+	c, err := e.SearchStream(query)
+	if err != nil {
+		return nil, err
+	}
+	return xseek.Drain(c)
+}
+
+// rankWindow is the options' window of a full ranking.
+func rankWindow(ranked []*xseek.RankedResult, opts xseek.SearchOptions) []*xseek.RankedResult {
+	lo, hi := opts.Window(len(ranked))
+	return ranked[lo:hi]
+}
+
 // coldExecutor is the from-scratch reference build.
 type coldExecutor interface {
-	Search(query string) ([]*xseek.Result, error)
+	cursorer
 	RankResults(results []*xseek.Result, query string) []*xseek.RankedResult
-	RankPage(results []*xseek.Result, query string, opts xseek.SearchOptions) []*xseek.RankedResult
 	CleanQuery(query string) []string
 	TotalNodes() int
 	DocFreq(term string) int
@@ -126,8 +145,8 @@ func assertEquivalent(t *testing.T, step string, live *Engine, cold coldExecutor
 		}
 	}
 	for _, q := range equivQueries {
-		lr, lerr := live.Search(q)
-		cr, cerr := cold.Search(q)
+		lr, lerr := searchOf(live, q)
+		cr, cerr := searchOf(cold, q)
 		if (lerr == nil) != (cerr == nil) || (lerr != nil && lerr.Error() != cerr.Error()) {
 			t.Fatalf("%s: query %q errors differ: live %v, cold %v", step, q, lerr, cerr)
 		}
@@ -140,15 +159,18 @@ func assertEquivalent(t *testing.T, step string, live *Engine, cold coldExecutor
 		if lc, cc := live.CleanQuery(q), cold.CleanQuery(q); strings.Join(lc, " ") != strings.Join(cc, " ") {
 			t.Fatalf("%s: query %q cleaned differ: %v vs %v", step, q, lc, cc)
 		}
-		for _, opts := range equivPages {
-			lp := live.RankPage(lr, q, opts)
-			cp := cold.RankPage(cr, q, opts)
-			if lc, cc := canonicalRanked(lp), canonicalRanked(cp); lc != cc {
-				t.Fatalf("%s: query %q page %+v ranked pages differ:\nlive:\n%s\ncold:\n%s", step, q, opts, lc, cc)
-			}
-		}
 		lrr := live.RankResults(lr, q)
 		crr := cold.RankResults(cr, q)
+		for _, opts := range equivPages {
+			lp, ltotal, _, err := live.SearchRankedPageWAND(q, opts)
+			if err != nil {
+				t.Fatalf("%s: query %q page %+v: %v", step, q, opts, err)
+			}
+			cp := rankWindow(crr, opts)
+			if lc, cc := canonicalRanked(lp), canonicalRanked(cp); lc != cc || ltotal != len(cr) {
+				t.Fatalf("%s: query %q page %+v ranked pages differ (total %d, cold %d):\nlive:\n%s\ncold:\n%s", step, q, opts, ltotal, len(cr), lc, cc)
+			}
+		}
 		if lc, cc := canonicalRanked(lrr), canonicalRanked(crr); lc != cc {
 			t.Fatalf("%s: query %q full rankings differ", step, q)
 		}
@@ -232,7 +254,7 @@ func TestLiveEquivalenceRandomInterleavings(t *testing.T) {
 func TestLiveErrorsMatchCold(t *testing.T) {
 	origin := xmltree.MustParseString(corpusXML(rand.New(rand.NewSource(7)), 4))
 	live := Wrap(xseek.NewParallel(origin))
-	if _, err := live.Search(""); !errors.Is(err, xseek.ErrEmptyQuery) {
+	if _, err := searchOf(live, ""); !errors.Is(err, xseek.ErrEmptyQuery) {
 		t.Fatalf("empty query error = %v", err)
 	}
 	if err := live.RemoveEntity([]int{99}); err == nil {

@@ -37,8 +37,8 @@ func referenceSearch(t testing.TB, live *Engine, query string) (results []*xseek
 
 // TestRootSLCAAfterLiveWrite: after a live add and remove, on a
 // monolithic and a two-shard base, a root SLCA still comes back from
-// Search, the drained cursor and the ranked page in both accuracies,
-// each equal to the reference over the live composite lists.
+// the drained cursor and the ranked page in both accuracies, each
+// equal to the reference over the live composite lists.
 func TestRootSLCAAfterLiveWrite(t *testing.T) {
 	const doc = `<r>catalogtitle <p><name>a</name><v>alpha beta</v></p><p><name>b</name><v>beta gamma</v></p><p><name>c</name><v>beta</v></p></r>`
 	bases := map[string]func(*xmltree.Node) *Engine{
@@ -59,25 +59,14 @@ func TestRootSLCAAfterLiveWrite(t *testing.T) {
 			if !ok || len(want) != 1 || want[0].Node != live.Root() {
 				t.Fatalf("%s: reference returned %d results, want the root", ctx, len(want))
 			}
-			got, err := live.Search(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if canonical(got) != canonical(want) {
-				t.Fatalf("%s: Search\n%s\nwant\n%s", ctx, canonical(got), canonical(want))
-			}
-			sc, err := live.SearchStream(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			streamed, err := xseek.Drain(sc)
+			streamed, err := searchOf(live, q)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if canonical(streamed) != canonical(want) {
 				t.Fatalf("%s: SearchStream\n%s\nwant\n%s", ctx, canonical(streamed), canonical(want))
 			}
-			wantPage := canonicalRanked(live.RankPage(want, q, xseek.SearchOptions{Limit: 10}))
+			wantPage := canonicalRanked(rankWindow(live.RankResults(want, q), xseek.SearchOptions{Limit: 10}))
 			for _, acc := range []xseek.Accuracy{xseek.AccuracyExact, xseek.AccuracyApprox} {
 				page, _, _, err := live.SearchRankedPageWAND(q, xseek.SearchOptions{Limit: 10, Accuracy: acc})
 				if err != nil {

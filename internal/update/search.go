@@ -31,18 +31,6 @@ func (s *state) list(term string) index.PostingList {
 	return index.MergeLists(parts...)
 }
 
-// Search runs a keyword query over the live corpus with exactly the
-// monolithic pipeline semantics: it drains SearchStream, so results
-// come back in document order and globally absent keywords produce the
-// same NoMatchError a cold engine reports.
-func (e *Engine) Search(query string) ([]*xseek.Result, error) {
-	c, err := e.SearchStream(query)
-	if err != nil {
-		return nil, err
-	}
-	return xseek.Drain(c)
-}
-
 // RankResults scores and orders a result set with the exact cold-build
 // TF-IDF: term frequencies counted on the composite lists, inverse
 // document frequencies derived from the live (maintained) corpus
@@ -51,12 +39,6 @@ func (e *Engine) RankResults(results []*xseek.Result, query string) []*xseek.Ran
 	out := e.scoreResults(e.view(), results, query)
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Score > out[j].Score })
 	return out
-}
-
-// RankPage returns the options' window of the RankResults ordering.
-func (e *Engine) RankPage(results []*xseek.Result, query string, opts xseek.SearchOptions) []*xseek.RankedResult {
-	lo, hi := opts.Window(len(results))
-	return e.RankResults(results, query)[lo:hi]
 }
 
 // scoreResults computes TF-IDF scores in input order — the live twin of

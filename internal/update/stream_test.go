@@ -11,16 +11,17 @@ import (
 )
 
 // assertStreamEquivalent verifies the live read paths on one snapshot:
-// the doc-order cursor drained must equal Search, Search must equal the
-// reference over the live composite lists, and the ranked page must be
-// bit-identical (scores, labels, total) to RankPage over those results.
+// two doc-order cursors drained must agree, their results must equal
+// the reference over the live composite lists, and the ranked page must
+// be bit-identical (scores, labels, total) to the same window of
+// RankResults over those results.
 // Called from assertEquivalent, so it runs under every interleaving of
 // adds, removes, and compactions the equivalence suite generates, for
 // monolithic and sharded bases alike.
 func assertStreamEquivalent(t *testing.T, step string, live *Engine) {
 	t.Helper()
 	for _, q := range equivQueries {
-		er, eerr := live.Search(q)
+		er, eerr := searchOf(live, q)
 		sc, serr := live.SearchStream(q)
 		if (eerr == nil) != (serr == nil) || (eerr != nil && eerr.Error() != serr.Error()) {
 			t.Fatalf("%s: query %q stream errors differ: eager %v, stream %v", step, q, eerr, serr)
@@ -46,8 +47,9 @@ func assertStreamEquivalent(t *testing.T, step string, live *Engine) {
 			t.Fatalf("%s: query %q results differ from the reference:\ngot:\n%s\nreference:\n%s",
 				step, q, canonical(er), canonical(ref))
 		}
+		ranked := live.RankResults(er, q)
 		for _, opts := range equivPages {
-			want := live.RankPage(er, q, opts)
+			want := rankWindow(ranked, opts)
 			// The score-bounded path over the live composite (delta ⊕
 			// base, tombstones applied): exact mode must stay
 			// bit-identical under every interleaving, approximate mode
@@ -93,7 +95,7 @@ func assertStreamEquivalent(t *testing.T, step string, live *Engine) {
 func TestStreamSnapshotSurvivesWrites(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	live := Wrap(xseek.NewParallel(xmltree.MustParseString(corpusXML(rng, 12))))
-	before, err := live.Search("quality")
+	before, err := searchOf(live, "quality")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,7 +73,8 @@ func (s *state) termBounds(terms []string) []xseek.TermBound {
 // SearchRankedPageWAND runs the score-bounded ranked pipeline over
 // the live corpus: lazy composite SLCAs, streamed entity mapping, and
 // the bounded-heap consumer with block-max pruning. Exact mode is
-// bit-identical to Search + RankPage over the same snapshot;
+// bit-identical to the same window of a drained SearchStream +
+// RankResults over the same snapshot;
 // approximate mode may stop draining and report StreamTotalUnknown.
 func (e *Engine) SearchRankedPageWAND(query string, opts xseek.SearchOptions) ([]*xseek.RankedResult, int, xseek.WANDStats, error) {
 	s := e.view()

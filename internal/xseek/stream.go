@@ -261,11 +261,10 @@ func (es *EntityStream) Err() error { return es.err }
 // ResultStream here and on the live-update engine, and a materialized
 // fallback (SliceCursor) where a true stream is not available. After
 // Next returns false, Err distinguishes exhaustion from an internal
-// error, and Emitted is the exact result total.
+// error.
 type Cursor interface {
 	Next() (*Result, bool)
 	Err() error
-	Emitted() int
 }
 
 // Drain pulls a cursor to exhaustion: every executor's doc-order
@@ -291,7 +290,6 @@ func Drain(c Cursor) ([]*Result, error) {
 // calls, not one per result.
 type ResultStream struct {
 	es *EntityStream
-	n  int
 }
 
 // NewResultStream wraps an entity stream in the labelling cursor —
@@ -305,16 +303,11 @@ func (rs *ResultStream) Next() (*Result, bool) {
 	if !ok {
 		return nil, false
 	}
-	rs.n++
 	return &Result{Node: h.Node, Match: h.Match, Label: LabelFor(h.Node)}, true
 }
 
 // Err reports a stream-terminating internal error, if any.
 func (rs *ResultStream) Err() error { return rs.es.Err() }
-
-// Emitted returns how many results the stream has produced so far;
-// once Next has returned false with a nil Err, it is the exact total.
-func (rs *ResultStream) Emitted() int { return rs.n }
 
 // SLCAIter returns the lazy SLCA stage of the compiled query: a
 // pull-based iterator equivalent to SLCAs(), honouring the planned (or
@@ -397,8 +390,7 @@ func (c *sliceCursor) Next() (*Result, bool) {
 	return r, true
 }
 
-func (c *sliceCursor) Err() error   { return nil }
-func (c *sliceCursor) Emitted() int { return c.pos }
+func (c *sliceCursor) Err() error { return nil }
 
 // Scorer computes one entity's full relevance score. Each engine
 // flavour supplies its own tf source (cursor counters here, analytic

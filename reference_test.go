@@ -81,7 +81,7 @@ func TestExecutorsMatchReferenceOnCorpus(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	check("update", live.Root(), live.Search)
+	check("update", live.Root(), drained(live.SearchStream))
 
 	for _, k := range []int{1, 2, 8} {
 		root := fresh()
@@ -107,7 +107,19 @@ func TestExecutorsMatchReferenceOnCorpus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	check("dist K=2", root, co.Search)
+	check("dist K=2", root, drained(co.SearchStream))
+}
+
+// drained turns an executor's doc-order cursor into its search: the
+// drained cursor is the result list.
+func drained(stream func(string) (xseek.Cursor, error)) func(string) ([]*xseek.Result, error) {
+	return func(q string) ([]*xseek.Result, error) {
+		c, err := stream(q)
+		if err != nil {
+			return nil, err
+		}
+		return xseek.Drain(c)
+	}
 }
 
 func hitKey(rs []*xseek.Result) string {
