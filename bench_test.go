@@ -194,8 +194,10 @@ func BenchmarkAblationSizeBound(b *testing.B) {
 
 // BenchmarkAblationAnneal compares simulated annealing (the "better
 // algorithms" probe) against multi-swap on QM2: DoD as custom metrics,
-// time as the benchmark measurement. Annealing needs orders of
-// magnitude more work to approach the DP-based fixpoint.
+// time as the benchmark measurement. Annealing beats the multi-swap
+// fixpoint here: at L=10, 10k steps reach 580 DoD against multi-swap's
+// 426 (+36 %), for roughly 10-20x the time (4.65 ms against 0.22 ms
+// at -benchtime 20x on a 2-core Xeon VM).
 func BenchmarkAblationAnneal(b *testing.B) {
 	setupMovies(b)
 	stats := benchSetup.stats[1] // QM2

@@ -3,8 +3,8 @@ package main
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
-	"strconv"
 	"strings"
 
 	"repro/internal/core"
@@ -25,46 +25,13 @@ import (
 // result index obtained from /api/v1/search selects the same result
 // the HTML checkbox with that value does.
 
-// writeJSON writes v as the JSON response body.
+// writeJSON writes v as the JSON response body through encoding/json.
+// The cold endpoints (metrics, documents, compact, memstats) use it;
+// the hot ones append their bodies directly (jsonenc.go).
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
-}
-
-// writeJSONError writes the uniform error envelope.
-func writeJSONError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, map[string]string{"error": msg})
-}
-
-// apiResult is one search result in wire form. Index is the selection
-// handle /api/v1/compare and /api/v1/snippet accept.
-type apiResult struct {
-	Index       int    `json:"index"`
-	ID          string `json:"id"`
-	Label       string `json:"label"`
-	Description string `json:"description"`
-	// Score carries the TF-IDF relevance score on rank=1 responses;
-	// document-order responses omit it.
-	Score *float64 `json:"score,omitempty"`
-}
-
-type searchResponse struct {
-	Dataset string   `json:"dataset"`
-	Query   string   `json:"query"`
-	Cleaned []string `json:"cleaned"`
-	Missing []string `json:"missing,omitempty"`
-	// Paging envelope: Total counts the full result list, Offset is
-	// the window's start within it, Returned = len(Results). Total is
-	// -1 when the execution strategy stopped before counting every
-	// result (exec=stream mid-list, or rank=1&accuracy=approx on a
-	// single-index or live-updated dataset; the sharded fan-out, which
-	// serves a sharded dataset until its first write and every
-	// coordinator, always counts).
-	Total    int         `json:"total"`
-	Offset   int         `json:"offset"`
-	Returned int         `json:"returned"`
-	Results  []apiResult `json:"results"`
 }
 
 // apiSearch serves GET /api/v1/search?dataset=...&q=...[&limit=N&offset=M][&exec=...]
@@ -96,14 +63,28 @@ type searchResponse struct {
 // so does the sharded fan-out (a sharded dataset before its first
 // write, and every coordinator): its legs always run exact, because a
 // leg cannot bound an entity split across shards.
+//
+// The body is
+//
+//	{"dataset", "query", "cleaned", "missing" (omitted when empty),
+//	 "total", "offset", "returned", "results": [{"index", "id", "label",
+//	 "description", "score" (rank=1 only)}]}
+//
+// where index is the selection handle /api/v1/compare and
+// /api/v1/snippet accept, total counts the full result list, offset is
+// the window's start within it and returned = len(results). Total is
+// -1 when the execution strategy stopped before counting every result
+// (exec=stream mid-list, or rank=1&accuracy=approx on a single-index or
+// live-updated dataset; the sharded fan-out, which serves a sharded
+// dataset until its first write and every coordinator, always counts).
 func (s *server) apiSearch(w http.ResponseWriter, r *http.Request) {
-	query := r.FormValue("q")
+	query := formValue(r, "q")
 	if query == "" {
 		writeJSONError(w, http.StatusBadRequest, "missing query parameter q")
 		return
 	}
 	ranked := false
-	switch r.FormValue("rank") {
+	switch formValue(r, "rank") {
 	case "", "0", "false":
 	case "1", "true":
 		ranked = true
@@ -112,7 +93,7 @@ func (s *server) apiSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	acc := xseek.AccuracyExact
-	switch r.FormValue("accuracy") {
+	switch formValue(r, "accuracy") {
 	case "", "exact":
 	case "approx":
 		acc = xseek.AccuracyApprox
@@ -124,61 +105,37 @@ func (s *server) apiSearch(w http.ResponseWriter, r *http.Request) {
 		writeJSONError(w, http.StatusBadRequest, "accuracy applies to ranked search; pass rank=1")
 		return
 	}
-	if ranked && r.FormValue("exec") != "" && r.FormValue("exec") != "auto" {
+	if ranked && formValue(r, "exec") != "" && formValue(r, "exec") != "auto" {
 		writeJSONError(w, http.StatusBadRequest, "ranked search picks its own execution; drop exec or use exec=auto")
 		return
 	}
-	ds, eng, herr := s.resolveEngine(r.FormValue("dataset"), query)
+	ds, eng, herr := s.resolveEngine(formValue(r, "dataset"), query)
 	if herr != nil {
 		writeJSONError(w, herr.status, herr.msg)
 		return
 	}
 	limit, offset := pageParams(r)
-	resp := searchResponse{Dataset: ds, Query: query, Results: []apiResult{}}
-	var err error
+	opts := xseek.SearchOptions{Limit: limit, Offset: offset, Accuracy: acc}
+	var (
+		page    *engine.Page
+		rpage   *engine.RankedPage
+		cleaned []string
+		err     error
+	)
 	if ranked {
-		var page *engine.RankedPage
-		page, resp.Cleaned, err = eng.SearchCleanedRankedPage(query, xseek.SearchOptions{Limit: limit, Offset: offset, Accuracy: acc})
-		if err == nil {
-			resp.Total = page.Total
-			resp.Offset = page.Offset
-			resp.Returned = len(page.Results)
-			for i, res := range page.Results {
-				score := res.Score
-				resp.Results = append(resp.Results, apiResult{
-					Index:       page.Offset + i,
-					ID:          res.Node.ID.String(),
-					Label:       res.Label,
-					Description: xseek.DescribeResult(res.Result, 4),
-					Score:       &score,
-				})
-			}
-		}
+		rpage, cleaned, err = eng.SearchCleanedRankedPage(query, opts)
 	} else {
-		var page *engine.Page
-		switch r.FormValue("exec") {
+		switch formValue(r, "exec") {
 		case "", "auto", "eager":
-			page, resp.Cleaned, err = eng.SearchCleanedPage(query, xseek.SearchOptions{Limit: limit, Offset: offset})
+			page, cleaned, err = eng.SearchCleanedPage(query, opts)
 		case "stream":
-			page, resp.Cleaned, err = eng.SearchCleanedStreamPage(query, xseek.SearchOptions{Limit: limit, Offset: offset})
+			page, cleaned, err = eng.SearchCleanedStreamPage(query, opts)
 		default:
 			writeJSONError(w, http.StatusBadRequest, "bad exec parameter (want auto, eager, or stream)")
 			return
 		}
-		if err == nil {
-			resp.Total = page.Total
-			resp.Offset = page.Offset
-			resp.Returned = len(page.Results)
-			for i, res := range page.Results {
-				resp.Results = append(resp.Results, apiResult{
-					Index:       page.Offset + i,
-					ID:          res.Node.ID.String(),
-					Label:       res.Label,
-					Description: xseek.DescribeResult(res, 4),
-				})
-			}
-		}
 	}
+	var missing []string
 	if err != nil {
 		if errors.Is(err, dist.ErrOverloaded) {
 			// Admission control shed this ranked query: load protection,
@@ -193,41 +150,64 @@ func (s *server) apiSearch(w http.ResponseWriter, r *http.Request) {
 			writeJSONError(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		resp.Missing = noMatch.Terms
+		missing = noMatch.Terms
 	}
-	writeJSON(w, http.StatusOK, resp)
+
+	rb := getResp()
+	rb.str(`{"dataset":`, ds)
+	rb.str(`,"query":`, query)
+	rb.strs(`,"cleaned":`, cleaned)
+	if len(missing) > 0 {
+		rb.strs(`,"missing":`, missing)
+	}
+	var total, off, n int
+	switch {
+	case page != nil:
+		total, off, n = page.Total, page.Offset, len(page.Results)
+	case rpage != nil:
+		total, off, n = rpage.Total, rpage.Offset, len(rpage.Results)
+	}
+	rb.int(`,"total":`, total)
+	rb.int(`,"offset":`, off)
+	rb.int(`,"returned":`, n)
+	rb.raw(`,"results":[`)
+	for i := 0; i < n; i++ {
+		rb.comma(i)
+		if page != nil {
+			rb.result(off+i, page.Results[i])
+		} else {
+			rb.result(off+i, rpage.Results[i].Result)
+			rb.float(`,"score":`, rpage.Results[i].Score)
+		}
+		rb.raw("}")
+	}
+	rb.raw("]}\n")
+	rb.send(w, http.StatusOK)
 }
 
-type apiCellValue struct {
-	Value string  `json:"value"`
-	Rel   float64 `json:"rel"`
-	Count int     `json:"count"`
-}
-
-type apiCell struct {
-	Known  bool           `json:"known"`
-	Values []apiCellValue `json:"values,omitempty"`
-}
-
-type apiRow struct {
-	Entity    string    `json:"entity"`
-	Attribute string    `json:"attribute"`
-	Cells     []apiCell `json:"cells"`
-}
-
-type compareResponse struct {
-	Dataset   string   `json:"dataset"`
-	Query     string   `json:"query"`
-	Algorithm string   `json:"algorithm"`
-	SizeBound int      `json:"size_bound"`
-	DoD       int      `json:"dod"`
-	Labels    []string `json:"labels"`
-	Rows      []apiRow `json:"rows"`
+// result appends one search result's object up to, not including, its
+// closing brace, so a ranked result can add its score.
+func (rb *respBuf) result(index int, res *xseek.Result) {
+	rb.int(`{"index":`, index)
+	// A Dewey ID is written as digits, dots, minus signs or "/": it
+	// needs no escaping.
+	rb.raw(`,"id":"`)
+	rb.b = res.Node.ID.AppendTo(rb.b)
+	rb.str(`","label":`, res.Label)
+	rb.scratch = xseek.AppendDescription(rb.scratch[:0], res, 4)
+	rb.raw(`,"description":`)
+	rb.b = appendJSONString(rb.b, rb.scratch)
 }
 
 // apiCompare serves GET /api/v1/compare with the HTML compare page's
 // parameters (dataset, q, sel indices, L, alg) and returns the
 // comparison table as structured rows.
+//
+// The body is
+//
+//	{"dataset", "query", "algorithm", "size_bound", "dod", "labels",
+//	 "rows": [{"entity", "attribute", "cells": [{"known",
+//	 "values" (omitted when empty): [{"value", "rel", "count"}]}]}]}
 func (s *server) apiCompare(w http.ResponseWriter, r *http.Request) {
 	in, herr := s.resolveCompare(r)
 	if herr != nil {
@@ -240,62 +220,81 @@ func (s *server) apiCompare(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	tbl := table.Build(dfss)
-	resp := compareResponse{
-		Dataset:   in.dataset,
-		Query:     in.query,
-		Algorithm: string(in.alg),
-		SizeBound: in.bound,
-		DoD:       core.TotalDoD(dfss, core.DefaultThreshold),
-		Labels:    tbl.Labels,
-		Rows:      []apiRow{},
-	}
-	for _, row := range tbl.Rows {
-		out := apiRow{Entity: row.Type.Entity, Attribute: row.Type.Attribute}
-		for _, cell := range row.Cells {
-			c := apiCell{Known: cell.Known}
-			for _, v := range cell.Values {
-				c.Values = append(c.Values, apiCellValue{Value: v.Value, Rel: v.Rel, Count: v.Count})
+	rb := getResp()
+	rb.str(`{"dataset":`, in.dataset)
+	rb.str(`,"query":`, in.query)
+	rb.str(`,"algorithm":`, string(in.alg))
+	rb.int(`,"size_bound":`, in.bound)
+	rb.int(`,"dod":`, core.TotalDoD(dfss, core.DefaultThreshold))
+	rb.strs(`,"labels":`, tbl.Labels)
+	rb.raw(`,"rows":[`)
+	for i, row := range tbl.Rows {
+		rb.comma(i)
+		rb.str(`{"entity":`, row.Type.Entity)
+		rb.str(`,"attribute":`, row.Type.Attribute)
+		rb.raw(`,"cells":`)
+		if len(row.Cells) == 0 {
+			rb.raw("null")
+		} else {
+			rb.raw("[")
+			for j, cell := range row.Cells {
+				rb.comma(j)
+				rb.bool(`{"known":`, cell.Known)
+				if len(cell.Values) > 0 {
+					rb.raw(`,"values":[`)
+					for k, v := range cell.Values {
+						rb.comma(k)
+						rb.str(`{"value":`, v.Value)
+						rb.float(`,"rel":`, v.Rel)
+						rb.int(`,"count":`, v.Count)
+						rb.raw("}")
+					}
+					rb.raw("]")
+				}
+				rb.raw("}")
 			}
-			out.Cells = append(out.Cells, c)
+			rb.raw("]")
 		}
-		resp.Rows = append(resp.Rows, out)
+		rb.raw("}")
 	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-type apiFeature struct {
-	Entity    string `json:"entity"`
-	Attribute string `json:"attribute"`
-	Value     string `json:"value"`
-}
-
-type snippetResponse struct {
-	Dataset  string       `json:"dataset"`
-	Query    string       `json:"query"`
-	Index    int          `json:"index"`
-	Label    string       `json:"label"`
-	Features []apiFeature `json:"features"`
+	rb.raw("]}\n")
+	rb.send(w, http.StatusOK)
 }
 
 // apiSnippet serves GET /api/v1/snippet?dataset=...&q=...&idx=N[&size=K]
 // — the eXtract-style frequency snippet of one search result, the
 // baseline XSACT's coordinated tables improve upon.
+//
+// The body is
+//
+//	{"dataset", "query", "index", "label",
+//	 "features": [{"entity", "attribute", "value"}]}
 func (s *server) apiSnippet(w http.ResponseWriter, r *http.Request) {
 	in, herr := s.resolveResult(r)
 	if herr != nil {
 		writeJSONError(w, herr.status, herr.msg)
 		return
 	}
-	size, _ := strconv.Atoi(r.FormValue("size"))
+	size, _ := intParam(r, "size")
 	// Bias with the corrected keywords — the ones the result actually
 	// answers — so a typo query still boosts the matching features.
 	biasQuery := strings.Join(in.cleaned, " ")
 	sn := snippet.Generate(in.eng.Stats(in.res.Node, in.res.Label), snippet.Options{Size: size, Query: biasQuery})
-	resp := snippetResponse{Dataset: in.dataset, Query: in.query, Index: in.idx, Label: sn.Label, Features: []apiFeature{}}
-	for _, f := range sn.Features {
-		resp.Features = append(resp.Features, apiFeature{Entity: f.Entity, Attribute: f.Attribute, Value: f.Value})
+	rb := getResp()
+	rb.str(`{"dataset":`, in.dataset)
+	rb.str(`,"query":`, in.query)
+	rb.int(`,"index":`, in.idx)
+	rb.str(`,"label":`, sn.Label)
+	rb.raw(`,"features":[`)
+	for i, f := range sn.Features {
+		rb.comma(i)
+		rb.str(`{"entity":`, f.Entity)
+		rb.str(`,"attribute":`, f.Attribute)
+		rb.str(`,"value":`, f.Value)
+		rb.raw("}")
 	}
-	writeJSON(w, http.StatusOK, resp)
+	rb.raw("]}\n")
+	rb.send(w, http.StatusOK)
 }
 
 // writeEngine resolves a mutation's target dataset: empty selects the
@@ -317,6 +316,11 @@ func (s *server) writeEngine(ds string) (string, *engine.Engine, *httpError) {
 	}
 	return ds, eng, nil
 }
+
+// maxDocumentBody caps a POST /api/v1/documents body. One entity
+// fragment is a few kilobytes; a larger body is answered 413 before it
+// is read into memory.
+const maxDocumentBody = 1 << 20
 
 // documentRequest is the POST /api/v1/documents body.
 type documentRequest struct {
@@ -345,12 +349,18 @@ type documentResponse struct {
 // entity, immediately searchable; the response's id is the handle
 // DELETE accepts (and matches the id field of /api/v1/search results).
 // With -snapshot-dir set, each accepted write re-persists the engine
-// with its journal of pending writes, so restarts replay it.
+// with its journal of pending writes, so restarts replay it. A POST body
+// over maxDocumentBody is answered 413.
 func (s *server) apiDocuments(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodPost:
 		var req documentRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxDocumentBody)).Decode(&req); err != nil {
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				writeJSONError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", maxDocumentBody))
+				return
+			}
 			writeJSONError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 			return
 		}
@@ -380,12 +390,12 @@ func (s *server) apiDocuments(w http.ResponseWriter, r *http.Request) {
 			Epoch: m.Epoch, PendingDelta: m.PendingDelta, PendingTombstones: m.PendingTombstones,
 		})
 	case http.MethodDelete:
-		ds, eng, herr := s.writeEngine(r.FormValue("dataset"))
+		ds, eng, herr := s.writeEngine(formValue(r, "dataset"))
 		if herr != nil {
 			writeJSONError(w, herr.status, herr.msg)
 			return
 		}
-		idStr := r.FormValue("id")
+		idStr := formValue(r, "id")
 		id, err := dewey.Parse(idStr)
 		if err != nil || len(id) != 1 {
 			// Malformed or non-top-level IDs are bad requests; only a
@@ -425,7 +435,7 @@ func (s *server) apiCompact(w http.ResponseWriter, r *http.Request) {
 		writeJSONError(w, http.StatusMethodNotAllowed, "use POST")
 		return
 	}
-	ds, eng, herr := s.writeEngine(r.FormValue("dataset"))
+	ds, eng, herr := s.writeEngine(formValue(r, "dataset"))
 	if herr != nil {
 		writeJSONError(w, herr.status, herr.msg)
 		return

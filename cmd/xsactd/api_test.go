@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log"
 	"net/http"
@@ -11,12 +12,20 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/dist"
 	"repro/internal/engine"
+	"repro/internal/index"
+	"repro/internal/snippet"
+	"repro/internal/table"
 	"repro/internal/xmltree"
+	"repro/internal/xseek"
 )
 
 // newTestServerFor serves an already-constructed server (testServer
@@ -450,6 +459,36 @@ func TestAPICompareErrors(t *testing.T) {
 	}
 }
 
+// TestCompareCapsSelections is the regression test for unbounded
+// selections: DFS generation costs O(k²) result pairs, so both compare
+// endpoints accept up to maxCompareSelections results and answer 400
+// beyond, before any generation runs.
+func TestCompareCapsSelections(t *testing.T) {
+	srv := testServer(t)
+	params := func(k int) string {
+		v := url.Values{"dataset": {"Movies"}, "q": {"comedy"}, "L": {"4"}, "alg": {"top-k"}}
+		for i := 0; i < k; i++ {
+			v.Add("sel", strconv.Itoa(i))
+		}
+		return v.Encode()
+	}
+	if total := searchTotal(t, srv.URL, "Movies", "comedy"); total <= maxCompareSelections {
+		t.Fatalf("comedy has %d results; the test needs more than %d", total, maxCompareSelections)
+	}
+	for _, path := range []string{"/compare?", "/api/v1/compare?"} {
+		if code, body := get(t, srv.URL+path+params(maxCompareSelections)); code != http.StatusOK {
+			t.Fatalf("%s%d selections: status %d: %.200s", path, maxCompareSelections, code, body)
+		}
+		code, body := get(t, srv.URL+path+params(maxCompareSelections+1))
+		if code != http.StatusBadRequest || !strings.Contains(body, fmt.Sprintf("at most %d", maxCompareSelections)) {
+			t.Fatalf("%s%d selections: status %d: %.200s", path, maxCompareSelections+1, code, body)
+		}
+	}
+	if _, body := get(t, srv.URL+"/api/v1/compare?"+params(10000)); !strings.HasPrefix(body, `{"error":`) {
+		t.Fatalf("JSON compare rejected an oversized selection without the envelope: %.200s", body)
+	}
+}
+
 // TestCompareClampsSizeBound is the regression test for unbounded
 // user-supplied table sizes: absurd L values clamp to maxSizeBound on
 // both the HTML and JSON paths.
@@ -670,4 +709,437 @@ func TestAPISearchHugeLimit(t *testing.T) {
 		t.Fatalf("huge-limit envelope = total %d, offset %d, returned %d over %d results",
 			resp.Total, resp.Offset, resp.Returned, len(resp.Results))
 	}
+}
+
+// --- The encoding/json oracle of the hot endpoints ---
+//
+// These are the wire structs and handlers the hot endpoints used before
+// they appended their bodies directly: the golden tests hold every
+// appended body byte-identical to what encoding/json writes for them,
+// and the API tests decode responses into the structs.
+
+// apiResult is one search result in wire form. Index is the selection
+// handle /api/v1/compare and /api/v1/snippet accept.
+type apiResult struct {
+	Index       int    `json:"index"`
+	ID          string `json:"id"`
+	Label       string `json:"label"`
+	Description string `json:"description"`
+	// Score carries the TF-IDF relevance score on rank=1 responses;
+	// document-order responses omit it.
+	Score *float64 `json:"score,omitempty"`
+}
+
+type searchResponse struct {
+	Dataset string   `json:"dataset"`
+	Query   string   `json:"query"`
+	Cleaned []string `json:"cleaned"`
+	Missing []string `json:"missing,omitempty"`
+	// Paging envelope: Total counts the full result list, Offset is
+	// the window's start within it, Returned = len(Results). Total is
+	// -1 when the execution strategy stopped before counting every
+	// result (exec=stream mid-list, or rank=1&accuracy=approx on a
+	// single-index or live-updated dataset; the sharded fan-out, which
+	// serves a sharded dataset until its first write and every
+	// coordinator, always counts).
+	Total    int         `json:"total"`
+	Offset   int         `json:"offset"`
+	Returned int         `json:"returned"`
+	Results  []apiResult `json:"results"`
+}
+
+type apiCellValue struct {
+	Value string  `json:"value"`
+	Rel   float64 `json:"rel"`
+	Count int     `json:"count"`
+}
+
+type apiCell struct {
+	Known  bool           `json:"known"`
+	Values []apiCellValue `json:"values,omitempty"`
+}
+
+type apiRow struct {
+	Entity    string    `json:"entity"`
+	Attribute string    `json:"attribute"`
+	Cells     []apiCell `json:"cells"`
+}
+
+type compareResponse struct {
+	Dataset   string   `json:"dataset"`
+	Query     string   `json:"query"`
+	Algorithm string   `json:"algorithm"`
+	SizeBound int      `json:"size_bound"`
+	DoD       int      `json:"dod"`
+	Labels    []string `json:"labels"`
+	Rows      []apiRow `json:"rows"`
+}
+
+type apiFeature struct {
+	Entity    string `json:"entity"`
+	Attribute string `json:"attribute"`
+	Value     string `json:"value"`
+}
+
+type snippetResponse struct {
+	Dataset  string       `json:"dataset"`
+	Query    string       `json:"query"`
+	Index    int          `json:"index"`
+	Label    string       `json:"label"`
+	Features []apiFeature `json:"features"`
+}
+
+// oracleJSONError is the error envelope as encoding/json writes it.
+func oracleJSONError(w http.ResponseWriter, status int, msg string) {
+	writeJSON(w, status, map[string]string{"error": msg})
+}
+
+// oracleDescribe is the string-joining result summary
+// xseek.AppendDescription replaced.
+func oracleDescribe(r *xseek.Result, maxParts int) string {
+	parts := []string{r.Label}
+	for _, c := range r.Node.ChildElements() {
+		if len(parts) >= maxParts {
+			break
+		}
+		if c.IsLeafElement() {
+			if v := c.Value(); v != "" && v != r.Label {
+				parts = append(parts, c.Tag+"="+v)
+			}
+		}
+	}
+	return strings.Join(parts, " | ")
+}
+
+func (s *server) oracleSearch(w http.ResponseWriter, r *http.Request) {
+	query := r.FormValue("q")
+	if query == "" {
+		oracleJSONError(w, http.StatusBadRequest, "missing query parameter q")
+		return
+	}
+	ranked := false
+	switch r.FormValue("rank") {
+	case "", "0", "false":
+	case "1", "true":
+		ranked = true
+	default:
+		oracleJSONError(w, http.StatusBadRequest, "bad rank parameter (want 1 or 0)")
+		return
+	}
+	acc := xseek.AccuracyExact
+	switch r.FormValue("accuracy") {
+	case "", "exact":
+	case "approx":
+		acc = xseek.AccuracyApprox
+	default:
+		oracleJSONError(w, http.StatusBadRequest, "bad accuracy parameter (want exact or approx)")
+		return
+	}
+	if !ranked && acc != xseek.AccuracyExact {
+		oracleJSONError(w, http.StatusBadRequest, "accuracy applies to ranked search; pass rank=1")
+		return
+	}
+	if ranked && r.FormValue("exec") != "" && r.FormValue("exec") != "auto" {
+		oracleJSONError(w, http.StatusBadRequest, "ranked search picks its own execution; drop exec or use exec=auto")
+		return
+	}
+	ds, eng, herr := s.resolveEngine(r.FormValue("dataset"), query)
+	if herr != nil {
+		oracleJSONError(w, herr.status, herr.msg)
+		return
+	}
+	limit, offset := pageParams(r)
+	resp := searchResponse{Dataset: ds, Query: query, Results: []apiResult{}}
+	var err error
+	if ranked {
+		var page *engine.RankedPage
+		page, resp.Cleaned, err = eng.SearchCleanedRankedPage(query, xseek.SearchOptions{Limit: limit, Offset: offset, Accuracy: acc})
+		if err == nil {
+			resp.Total = page.Total
+			resp.Offset = page.Offset
+			resp.Returned = len(page.Results)
+			for i, res := range page.Results {
+				score := res.Score
+				resp.Results = append(resp.Results, apiResult{
+					Index:       page.Offset + i,
+					ID:          res.Node.ID.String(),
+					Label:       res.Label,
+					Description: oracleDescribe(res.Result, 4),
+					Score:       &score,
+				})
+			}
+		}
+	} else {
+		var page *engine.Page
+		switch r.FormValue("exec") {
+		case "", "auto", "eager":
+			page, resp.Cleaned, err = eng.SearchCleanedPage(query, xseek.SearchOptions{Limit: limit, Offset: offset})
+		case "stream":
+			page, resp.Cleaned, err = eng.SearchCleanedStreamPage(query, xseek.SearchOptions{Limit: limit, Offset: offset})
+		default:
+			oracleJSONError(w, http.StatusBadRequest, "bad exec parameter (want auto, eager, or stream)")
+			return
+		}
+		if err == nil {
+			resp.Total = page.Total
+			resp.Offset = page.Offset
+			resp.Returned = len(page.Results)
+			for i, res := range page.Results {
+				resp.Results = append(resp.Results, apiResult{
+					Index:       page.Offset + i,
+					ID:          res.Node.ID.String(),
+					Label:       res.Label,
+					Description: oracleDescribe(res, 4),
+				})
+			}
+		}
+	}
+	if err != nil {
+		if errors.Is(err, dist.ErrOverloaded) {
+			// Admission control shed this ranked query: load protection,
+			// not failure — nothing changed; the caller should back off
+			// briefly and retry.
+			w.Header().Set("Retry-After", "1")
+			oracleJSONError(w, http.StatusServiceUnavailable, err.Error())
+			return
+		}
+		var noMatch *index.NoMatchError
+		if !errors.As(err, &noMatch) {
+			oracleJSONError(w, http.StatusBadRequest, err.Error())
+			return
+		}
+		resp.Missing = noMatch.Terms
+	}
+	writeJSON(w, http.StatusOK, resp)
+}
+
+func (s *server) oracleCompare(w http.ResponseWriter, r *http.Request) {
+	in, herr := s.resolveCompare(r)
+	if herr != nil {
+		oracleJSONError(w, herr.status, herr.msg)
+		return
+	}
+	dfss, herr := in.generate()
+	if herr != nil {
+		oracleJSONError(w, herr.status, herr.msg)
+		return
+	}
+	tbl := table.Build(dfss)
+	resp := compareResponse{
+		Dataset:   in.dataset,
+		Query:     in.query,
+		Algorithm: string(in.alg),
+		SizeBound: in.bound,
+		DoD:       core.TotalDoD(dfss, core.DefaultThreshold),
+		Labels:    tbl.Labels,
+		Rows:      []apiRow{},
+	}
+	for _, row := range tbl.Rows {
+		out := apiRow{Entity: row.Type.Entity, Attribute: row.Type.Attribute}
+		for _, cell := range row.Cells {
+			c := apiCell{Known: cell.Known}
+			for _, v := range cell.Values {
+				c.Values = append(c.Values, apiCellValue{Value: v.Value, Rel: v.Rel, Count: v.Count})
+			}
+			out.Cells = append(out.Cells, c)
+		}
+		resp.Rows = append(resp.Rows, out)
+	}
+	writeJSON(w, http.StatusOK, resp)
+}
+
+func (s *server) oracleSnippet(w http.ResponseWriter, r *http.Request) {
+	in, herr := s.resolveResult(r)
+	if herr != nil {
+		oracleJSONError(w, herr.status, herr.msg)
+		return
+	}
+	size, _ := strconv.Atoi(r.FormValue("size"))
+	// Bias with the corrected keywords — the ones the result actually
+	// answers — so a typo query still boosts the matching features.
+	biasQuery := strings.Join(in.cleaned, " ")
+	sn := snippet.Generate(in.eng.Stats(in.res.Node, in.res.Label), snippet.Options{Size: size, Query: biasQuery})
+	resp := snippetResponse{Dataset: in.dataset, Query: in.query, Index: in.idx, Label: sn.Label, Features: []apiFeature{}}
+	for _, f := range sn.Features {
+		resp.Features = append(resp.Features, apiFeature{Entity: f.Entity, Attribute: f.Attribute, Value: f.Value})
+	}
+	writeJSON(w, http.StatusOK, resp)
+}
+
+// goldenCase is one request the golden test sends to a hot endpoint and
+// to its encoding/json oracle.
+type goldenCase struct {
+	path string // the endpoint
+	v    url.Values
+}
+
+// goldenCases is every hot-endpoint request shape: each built-in
+// dataset × its canonical queries in document order (full list, limit
+// and offset windows, a window past the end, the streamed cursor) and
+// ranked (exact, approximate, past the end), compare with every
+// algorithm, snippets of several sizes, no-match queries whose echoed
+// text needs escaping, and every error envelope.
+func goldenCases() []goldenCase {
+	var cases []goldenCase
+	add := func(path string, kv ...string) {
+		v := url.Values{}
+		for i := 0; i < len(kv); i += 2 {
+			v.Add(kv[i], kv[i+1])
+		}
+		cases = append(cases, goldenCase{path, v})
+	}
+	const search, compare, snip = "/api/v1/search", "/api/v1/compare", "/api/v1/snippet"
+	sets := []struct {
+		name    string
+		queries []string
+	}{
+		{"Product Reviews", dataset.ReviewQueries()},
+		{"Outdoor Retailer", dataset.RetailerQueries()},
+		{"Movies", dataset.MovieQueries()},
+	}
+	// Exhaustive enumeration is slow beyond toy sizes, so it only runs
+	// in the small all-algorithm sweep below.
+	algs := []core.Algorithm{core.AlgMultiSwap, core.AlgSingleSwap, core.AlgTopK, core.AlgGreedy}
+	for _, d := range sets {
+		for qi, q := range d.queries {
+			add(search, "dataset", d.name, "q", q)
+			add(search, "dataset", d.name, "q", q, "limit", "10")
+			add(search, "dataset", d.name, "q", q, "limit", "3", "offset", "2")
+			add(search, "dataset", d.name, "q", q, "limit", "5", "offset", "100000")
+			add(search, "dataset", d.name, "q", q, "exec", "stream", "limit", "2")
+			add(search, "dataset", d.name, "q", q, "exec", "stream", "limit", "2", "offset", "100000")
+			add(search, "dataset", d.name, "q", q, "rank", "1")
+			add(search, "dataset", d.name, "q", q, "rank", "1", "limit", "10")
+			add(search, "dataset", d.name, "q", q, "rank", "1", "limit", "3", "offset", "1")
+			add(search, "dataset", d.name, "q", q, "rank", "1", "accuracy", "approx", "limit", "2")
+			add(search, "dataset", d.name, "q", q, "rank", "1", "limit", "5", "offset", "100000")
+			alg := algs[qi%len(algs)]
+			add(compare, "dataset", d.name, "q", q, "L", "10", "alg", string(alg), "sel", "0", "sel", "1")
+			add(compare, "dataset", d.name, "q", q, "L", "4", "alg", string(core.AlgMultiSwap), "sel", "0", "sel", "1", "sel", "2")
+			for _, size := range []string{"", "2", "8"} {
+				add(snip, "dataset", d.name, "q", q, "idx", "0", "size", size)
+			}
+			add(snip, "dataset", d.name, "q", q, "idx", "1")
+		}
+	}
+	for _, alg := range append(algs, core.AlgExhaustive) {
+		add(compare, "dataset", "Product Reviews", "q", "tomtom gps", "L", "3", "alg", string(alg), "sel", "0", "sel", "1")
+	}
+	// Echoed query text that encoding/json escapes: HTML metacharacters,
+	// control bytes, U+2028/U+2029 and invalid UTF-8.
+	for _, q := range []string{"tomtom <b>&amp; \"qux\"", "gps zzqx\u2028\u2029\t\x01", "gps \xff\xfe", "gps\\ café 日本"} {
+		add(search, "dataset", "Product Reviews", "q", q)
+		add(search, "dataset", "Product Reviews", "q", q, "rank", "1", "limit", "3")
+	}
+	// Omitted and auto-selected datasets.
+	add(search, "q", "tomtom gps", "limit", "4")
+	add(search, "dataset", autoDataset, "q", "horror vampire", "rank", "1", "limit", "4")
+	add(compare, "q", "tomtom gps", "sel", "0", "sel", "1")
+	add(snip, "dataset", autoDataset, "q", "hiking boots", "idx", "0")
+	// Error envelopes.
+	add(search)
+	add(search, "q", "gps", "rank", "2")
+	add(search, "q", "gps", "rank", "1", "accuracy", "fuzzy")
+	add(search, "q", "gps", "accuracy", "approx")
+	add(search, "q", "gps", "rank", "1", "exec", "stream")
+	add(search, "q", "gps", "exec", "lazy")
+	add(search, "dataset", "Nope", "q", "gps")
+	add(search, "dataset", autoDataset, "q", "zzqx")
+	add(search, "q", "<&>")
+	add(compare, "dataset", "Nope", "q", "gps", "sel", "0", "sel", "1")
+	add(compare, "q", "tomtom gps", "sel", "0")
+	add(compare, "q", "tomtom gps", "sel", "0", "sel", "9999")
+	add(compare, "q", "tomtom gps", "sel", "0", "sel", "1", "alg", "bogus")
+	add(compare, "q", "zzqx", "sel", "0", "sel", "1")
+	add(snip, "q", "tomtom gps", "idx", "9999")
+	add(snip, "q", "tomtom gps", "idx", "x")
+	add(snip, "dataset", "Nope", "q", "gps", "idx", "0")
+	return cases
+}
+
+// TestGoldenHotEndpoints holds every appended hot-endpoint response
+// byte-identical — status, Content-Type and body — to encoding/json
+// over the wire structs the oracle handlers fill.
+func TestGoldenHotEndpoints(t *testing.T) {
+	s, err := newServer(1, "", 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	handlers := map[string][2]http.HandlerFunc{
+		"/api/v1/search":  {s.apiSearch, s.oracleSearch},
+		"/api/v1/compare": {s.apiCompare, s.oracleCompare},
+		"/api/v1/snippet": {s.apiSnippet, s.oracleSnippet},
+	}
+	cases, served := goldenCases(), 0
+	for _, c := range cases {
+		target := c.path + "?" + c.v.Encode()
+		var rec [2]*httptest.ResponseRecorder
+		for i, h := range handlers[c.path] {
+			rec[i] = httptest.NewRecorder()
+			h(rec[i], httptest.NewRequest(http.MethodGet, target, nil))
+		}
+		got, want := rec[0], rec[1]
+		if got.Code != want.Code {
+			t.Errorf("%s: status %d, oracle %d", target, got.Code, want.Code)
+		}
+		for _, h := range []string{"Content-Type", "Retry-After"} {
+			if got.Header().Get(h) != want.Header().Get(h) {
+				t.Errorf("%s: %s %q, oracle %q", target, h, got.Header().Get(h), want.Header().Get(h))
+			}
+		}
+		if !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+			t.Errorf("%s: body differs\n got %s\nwant %s", target, got.Body, want.Body)
+		}
+		if cl := got.Header().Get("Content-Length"); cl != fmt.Sprint(got.Body.Len()) {
+			t.Errorf("%s: Content-Length %q for a %d-byte body", target, cl, got.Body.Len())
+		}
+		if got.Code == http.StatusOK {
+			served++
+		}
+	}
+	if served < len(cases)*3/4 {
+		t.Fatalf("only %d of %d golden requests succeeded", served, len(cases))
+	}
+}
+
+// TestHotEndpointsConcurrent sends the golden requests from several
+// goroutines at once through the server's mux: bodies built in pooled
+// buffers must never leak into each other.
+func TestHotEndpointsConcurrent(t *testing.T) {
+	s, err := newServer(1, "", 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.routes()
+	// A streamed or approximate page reports total -1 until some request
+	// has counted the results, so its body depends on request order.
+	var cases []goldenCase
+	for _, c := range goldenCases() {
+		if c.v.Get("exec") != "stream" && c.v.Get("accuracy") != "approx" {
+			cases = append(cases, c)
+		}
+	}
+	want := make([]string, len(cases))
+	for i, c := range cases {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, c.path+"?"+c.v.Encode(), nil))
+		want[i] = rec.Body.String()
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for n := range cases {
+				i := (n + g*len(cases)/4) % len(cases)
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, cases[i].path+"?"+cases[i].v.Encode(), nil))
+				if rec.Body.String() != want[i] {
+					t.Errorf("goroutine %d, %s?%s: body differs under concurrency\n got %s\nwant %s", g, cases[i].path, cases[i].v.Encode(), rec.Body, want[i])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -126,6 +126,22 @@ func TestAPIDocumentsValidation(t *testing.T) {
 	}
 }
 
+// TestAPIDocumentsBodyLimit posts a body past maxDocumentBody: the
+// write answers 413 in the JSON envelope and adds nothing.
+func TestAPIDocumentsBodyLimit(t *testing.T) {
+	srv := testServer(t)
+	before := searchTotal(t, srv.URL, "Movies", "horror")
+	body := `{"dataset": "Movies", "xml": "<movie><genre>horror</genre><plot>` +
+		strings.Repeat("x", maxDocumentBody) + `</plot></movie>"}`
+	code, resp := request(t, http.MethodPost, srv.URL+"/api/v1/documents", body)
+	if code != http.StatusRequestEntityTooLarge || !strings.HasPrefix(resp, `{"error":`) {
+		t.Fatalf("oversized body: status %d: %.200s", code, resp)
+	}
+	if after := searchTotal(t, srv.URL, "Movies", "horror"); after != before {
+		t.Fatalf("rejected write changed the corpus: %d results, was %d", after, before)
+	}
+}
+
 // TestServerWritesSurviveRestart proves the journaled snapshot path
 // through the real server: writes accepted by one server are replayed
 // by the next one sharing its snapshot directory.

@@ -248,8 +248,8 @@ const autoDataset = "Any (auto-select)"
 // shared by the HTML and JSON search endpoints. Absent, malformed or
 // negative values mean "no limit" / "no offset".
 func pageParams(r *http.Request) (limit, offset int) {
-	limit, _ = strconv.Atoi(r.FormValue("limit"))
-	offset, _ = strconv.Atoi(r.FormValue("offset"))
+	limit, _ = intParam(r, "limit")
+	offset, _ = intParam(r, "offset")
 	if limit < 0 {
 		limit = 0
 	}
@@ -264,11 +264,11 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		http.NotFound(w, r)
 		return
 	}
-	ds := r.FormValue("dataset")
+	ds := formValue(r, "dataset")
 	if ds == "" {
 		ds = s.order[0]
 	}
-	query := r.FormValue("q")
+	query := formValue(r, "q")
 	limit, offset := pageParams(r)
 
 	fmt.Fprint(w, pageHead)
@@ -415,9 +415,9 @@ type resultInput struct {
 // resolveResult parses and validates the dataset/q/idx parameters,
 // mirroring the search handlers' query resolution exactly.
 func (s *server) resolveResult(r *http.Request) (*resultInput, *httpError) {
-	in := &resultInput{query: r.FormValue("q")}
+	in := &resultInput{query: formValue(r, "q")}
 	var herr *httpError
-	in.dataset, in.eng, herr = s.resolveEngine(r.FormValue("dataset"), in.query)
+	in.dataset, in.eng, herr = s.resolveEngine(formValue(r, "dataset"), in.query)
 	if herr != nil {
 		return nil, herr
 	}
@@ -426,8 +426,9 @@ func (s *server) resolveResult(r *http.Request) (*resultInput, *httpError) {
 		return nil, &httpError{http.StatusBadRequest, err.Error()}
 	}
 	in.cleaned = cleaned
-	in.idx, err = strconv.Atoi(r.FormValue("idx"))
-	if err != nil || in.idx < 0 || in.idx >= len(results) {
+	var ok bool
+	in.idx, ok = intParam(r, "idx")
+	if !ok || in.idx < 0 || in.idx >= len(results) {
 		return nil, &httpError{http.StatusBadRequest, "bad result index"}
 	}
 	in.res = results[in.idx]
@@ -456,6 +457,12 @@ func (s *server) handleResult(w http.ResponseWriter, r *http.Request) {
 // clamped rather than rejected.
 const maxSizeBound = 50
 
+// maxCompareSelections caps how many results one comparison may select.
+// DFS generation and the DoD evaluation cost O(k²) result pairs per
+// feature type, so an unbounded sel list would let a single request pin
+// a core; more selections than this are rejected, not truncated.
+const maxCompareSelections = 20
+
 // httpError carries an HTTP status alongside a message through the
 // request-resolution helpers shared by the HTML and JSON handlers.
 type httpError struct {
@@ -481,9 +488,9 @@ type compareInput struct {
 // parameters. The search must mirror the search handlers' exactly so
 // the selection indices resolve to the same results.
 func (s *server) resolveCompare(r *http.Request) (*compareInput, *httpError) {
-	in := &compareInput{query: r.FormValue("q")}
+	in := &compareInput{query: formValue(r, "q")}
 	var herr *httpError
-	in.dataset, in.eng, herr = s.resolveEngine(r.FormValue("dataset"), in.query)
+	in.dataset, in.eng, herr = s.resolveEngine(formValue(r, "dataset"), in.query)
 	if herr != nil {
 		return nil, herr
 	}
@@ -491,23 +498,33 @@ func (s *server) resolveCompare(r *http.Request) (*compareInput, *httpError) {
 	if err != nil {
 		return nil, &httpError{http.StatusBadRequest, err.Error()}
 	}
-	in.bound, err = strconv.Atoi(strings.TrimSpace(r.FormValue("L")))
+	in.bound, err = strconv.Atoi(strings.TrimSpace(formValue(r, "L")))
 	if err != nil || in.bound < 1 {
 		in.bound = core.DefaultSizeBound
 	}
 	if in.bound > maxSizeBound {
 		in.bound = maxSizeBound
 	}
-	in.alg = core.Algorithm(r.FormValue("alg"))
+	in.alg = core.Algorithm(formValue(r, "alg"))
 	if in.alg == "" {
 		in.alg = core.AlgMultiSwap // same default as the facade's Compare
 	}
-	for _, v := range r.Form["sel"] {
+	k := 0
+	eachFormValue(r, "sel", func(string) bool { k++; return true })
+	if k > maxCompareSelections {
+		return nil, &httpError{http.StatusBadRequest, fmt.Sprintf("select at most %d results to compare", maxCompareSelections)}
+	}
+	in.selected = make([]*xseek.Result, 0, k)
+	valid := true
+	eachFormValue(r, "sel", func(v string) bool {
 		idx, err := strconv.Atoi(v)
-		if err != nil || idx < 0 || idx >= len(results) {
-			return nil, &httpError{http.StatusBadRequest, "bad selection"}
+		if valid = err == nil && idx >= 0 && idx < len(results); valid {
+			in.selected = append(in.selected, results[idx])
 		}
-		in.selected = append(in.selected, results[idx])
+		return valid
+	})
+	if !valid {
+		return nil, &httpError{http.StatusBadRequest, "bad selection"}
 	}
 	if len(in.selected) < 2 {
 		return nil, &httpError{http.StatusBadRequest, "select at least two results to compare"}

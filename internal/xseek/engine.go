@@ -2,7 +2,6 @@ package xseek
 
 import (
 	"fmt"
-	"strings"
 	"sync/atomic"
 
 	"repro/internal/dewey"
@@ -283,16 +282,30 @@ func LabelFor(n *xmltree.Node) string {
 // for listings (product name + first few attribute values), mirroring
 // the result list of the demo UI.
 func DescribeResult(r *Result, maxParts int) string {
-	parts := []string{r.Label}
-	for _, c := range r.Node.ChildElements() {
-		if len(parts) >= maxParts {
+	var buf [128]byte
+	return string(AppendDescription(buf[:0], r, maxParts))
+}
+
+// AppendDescription appends DescribeResult's summary to b and returns
+// the extended slice. It walks the result's children in place, so a
+// caller appending into a reused buffer allocates nothing per result.
+func AppendDescription(b []byte, r *Result, maxParts int) []byte {
+	b = append(b, r.Label...)
+	parts := 1
+	for _, c := range r.Node.Children {
+		if parts >= maxParts {
 			break
 		}
-		if c.IsLeafElement() {
-			if v := c.Value(); v != "" && v != r.Label {
-				parts = append(parts, c.Tag+"="+v)
-			}
+		if !c.IsLeafElement() {
+			continue
+		}
+		if v := c.Value(); v != "" && v != r.Label {
+			b = append(b, " | "...)
+			b = append(b, c.Tag...)
+			b = append(b, '=')
+			b = append(b, v...)
+			parts++
 		}
 	}
-	return strings.Join(parts, " | ")
+	return b
 }

@@ -189,6 +189,44 @@ func TestDescribeResult(t *testing.T) {
 	}
 }
 
+// refDescribe is the string-joining summary AppendDescription
+// replaced: label, then up to maxParts-1 "tag=value" leaf children.
+func refDescribe(r *Result, maxParts int) string {
+	parts := []string{r.Label}
+	for _, c := range r.Node.ChildElements() {
+		if len(parts) >= maxParts {
+			break
+		}
+		if c.IsLeafElement() {
+			if v := c.Value(); v != "" && v != r.Label {
+				parts = append(parts, c.Tag+"="+v)
+			}
+		}
+	}
+	return strings.Join(parts, " | ")
+}
+
+func TestAppendDescriptionMatchesJoin(t *testing.T) {
+	e := New(shopTree(t))
+	for _, q := range []string{"garmin", "gps", "tomtom"} {
+		res, err := e.Search(q)
+		if err != nil {
+			continue
+		}
+		for _, r := range res {
+			for parts := 0; parts <= 6; parts++ {
+				want := refDescribe(r, parts)
+				if got := DescribeResult(r, parts); got != want {
+					t.Fatalf("%q parts=%d: DescribeResult = %q, want %q", q, parts, got, want)
+				}
+				if got := string(AppendDescription([]byte("x:"), r, parts)); got != "x:"+want {
+					t.Fatalf("%q parts=%d: AppendDescription = %q, want %q", q, parts, got, "x:"+want)
+				}
+			}
+		}
+	}
+}
+
 func TestResultID(t *testing.T) {
 	e := New(shopTree(t))
 	res, err := e.Search("garmin")
