@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dewey"
-	"repro/internal/dist"
 	"repro/internal/engine"
 	"repro/internal/index"
 	"repro/internal/snippet"
@@ -137,17 +136,12 @@ func (s *server) apiSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	var missing []string
 	if err != nil {
-		if errors.Is(err, dist.ErrOverloaded) {
-			// Admission control shed this ranked query: load protection,
-			// not failure — nothing changed; the caller should back off
-			// briefly and retry.
-			w.Header().Set("Retry-After", "1")
-			writeJSONError(w, http.StatusServiceUnavailable, err.Error())
-			return
-		}
+		// Unmatched keywords are an answer (an empty list naming them);
+		// every other error is classified.
 		var noMatch *index.NoMatchError
 		if !errors.As(err, &noMatch) {
-			writeJSONError(w, http.StatusBadRequest, err.Error())
+			herr := readError(err)
+			writeJSONError(w, herr.status, herr.msg)
 			return
 		}
 		missing = noMatch.Terms

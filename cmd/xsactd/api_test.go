@@ -895,17 +895,13 @@ func (s *server) oracleSearch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if err != nil {
-		if errors.Is(err, dist.ErrOverloaded) {
-			// Admission control shed this ranked query: load protection,
-			// not failure — nothing changed; the caller should back off
-			// briefly and retry.
-			w.Header().Set("Retry-After", "1")
-			oracleJSONError(w, http.StatusServiceUnavailable, err.Error())
-			return
-		}
 		var noMatch *index.NoMatchError
 		if !errors.As(err, &noMatch) {
-			oracleJSONError(w, http.StatusBadRequest, err.Error())
+			herr := readError(err)
+			if herr.status == http.StatusServiceUnavailable {
+				w.Header().Set("Retry-After", "1")
+			}
+			oracleJSONError(w, herr.status, herr.msg)
 			return
 		}
 		resp.Missing = noMatch.Terms
@@ -1142,4 +1138,57 @@ func TestHotEndpointsConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestCoordinatorDeadLegsAnswer5xx: once a coordinator's shard legs are
+// gone, a read that needs them is the server's failure, not the
+// client's. Search, compare and snippet answer 5xx with the JSON error
+// envelope instead of 400; a query the coordinator can still answer
+// locally (a keyword no leg holds) keeps its 200 with "missing".
+func TestCoordinatorDeadLegsAnswer5xx(t *testing.T) {
+	const name = "Movies"
+	legs := make([]*httptest.Server, 2)
+	endpoints := make([]string, len(legs))
+	for g := range legs {
+		sv, err := dist.NewServer(g, len(legs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sv.AddCorpus(name, dataset.Movies(dataset.MoviesConfig{Seed: 1})); err != nil {
+			t.Fatal(err)
+		}
+		legs[g] = httptest.NewServer(sv)
+		endpoints[g] = legs[g].URL
+	}
+	s, err := newCoordinatorServer(1, endpoints, 1, 0, dist.Config{Retries: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(s.routes())
+	defer front.Close()
+	base := front.URL + "/api/v1/"
+	if code, body := get(t, base+"search?dataset=Movies&q=horror+vampire"); code != http.StatusOK {
+		t.Fatalf("live legs: search %d %s", code, body)
+	}
+	for _, l := range legs {
+		l.Close()
+	}
+
+	for _, path := range []string{
+		"search?dataset=Movies&q=action+revenge",
+		"search?dataset=Movies&q=drama+war&rank=1&limit=5",
+		"compare?dataset=Movies&q=comedy+romance&sel=0&sel=1",
+		"snippet?dataset=Movies&q=thriller+detective&idx=0",
+	} {
+		code, body := get(t, base+path)
+		var env struct {
+			Error string `json:"error"`
+		}
+		if code < 500 || json.Unmarshal([]byte(body), &env) != nil || env.Error == "" {
+			t.Errorf("%s with dead legs: %d %s, want 5xx with an error envelope", path, code, body)
+		}
+	}
+	if code, body := get(t, base+"search?dataset=Movies&q=zzzunknownterm"); code != http.StatusOK || !strings.Contains(body, `"missing":["zzzunknownterm"]`) {
+		t.Errorf("unmatched keyword with dead legs: %d %s, want 200 naming it missing", code, body)
+	}
 }

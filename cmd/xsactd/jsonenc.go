@@ -20,6 +20,9 @@ import (
 // response: assigning it skips Header().Set's per-call slice.
 var jsonContentType = []string{"application/json"}
 
+// retryAfter is the Retry-After value of a shed request.
+var retryAfter = []string{"1"}
+
 // maxPooledBody caps the capacity of a buffer returned to respPool. A
 // rare huge response (an unbounded search page) leaves its buffer to
 // the garbage collector instead of pinning it in the pool.
@@ -116,8 +119,13 @@ func (rb *respBuf) float(pre string, f float64) {
 	rb.nonFinite = rb.nonFinite || !ok
 }
 
-// writeJSONError writes the uniform error envelope {"error": msg}.
+// writeJSONError writes the uniform error envelope {"error": msg}. A
+// 503 is load shedding, not failure: Retry-After asks the client to
+// back off briefly and retry.
 func writeJSONError(w http.ResponseWriter, status int, msg string) {
+	if status == http.StatusServiceUnavailable {
+		w.Header()["Retry-After"] = retryAfter
+	}
 	rb := getResp()
 	rb.str(`{"error":`, msg)
 	rb.raw("}\n")

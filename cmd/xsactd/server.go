@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/dist"
 	"repro/internal/engine"
 	"repro/internal/index"
 	"repro/internal/persist"
@@ -423,7 +424,7 @@ func (s *server) resolveResult(r *http.Request) (*resultInput, *httpError) {
 	}
 	results, cleaned, err := in.eng.SearchCleaned(in.query)
 	if err != nil {
-		return nil, &httpError{http.StatusBadRequest, err.Error()}
+		return nil, readError(err)
 	}
 	in.cleaned = cleaned
 	var ok bool
@@ -472,6 +473,22 @@ type httpError struct {
 
 func (e *httpError) Error() string { return e.msg }
 
+// readError classifies an engine read error. A query the corpus cannot
+// answer — no keywords, or keywords nothing matches — is the client's
+// fault (400). A coordinator shedding load answers 503, which
+// writeJSONError marks retryable. Anything else, a dead shard leg or a
+// failed decode, is the server's fault (500), not a bad request.
+func readError(err error) *httpError {
+	var noMatch *index.NoMatchError
+	switch {
+	case errors.As(err, &noMatch), errors.Is(err, xseek.ErrEmptyQuery):
+		return &httpError{http.StatusBadRequest, err.Error()}
+	case errors.Is(err, dist.ErrOverloaded):
+		return &httpError{http.StatusServiceUnavailable, err.Error()}
+	}
+	return &httpError{http.StatusInternalServerError, err.Error()}
+}
+
 // compareInput is a fully validated comparison request. Both the HTML
 // and the JSON compare handlers resolve through it, so checkbox/index
 // selections bind to exactly the results the search path produced.
@@ -496,7 +513,7 @@ func (s *server) resolveCompare(r *http.Request) (*compareInput, *httpError) {
 	}
 	results, _, err := in.eng.SearchCleaned(in.query)
 	if err != nil {
-		return nil, &httpError{http.StatusBadRequest, err.Error()}
+		return nil, readError(err)
 	}
 	in.bound, err = strconv.Atoi(strings.TrimSpace(formValue(r, "L")))
 	if err != nil || in.bound < 1 {

@@ -5,7 +5,9 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/xmltree"
+	"repro/internal/xseek"
 )
 
 func liveTestCorpus() *xmltree.Node {
@@ -189,5 +191,45 @@ func TestMetricsConsistentUnderRace(t *testing.T) {
 	}
 	if m.Updates == 0 {
 		t.Fatal("writer made no progress")
+	}
+}
+
+// TestLivePlannerCountersCarryOver: the first write swaps the live
+// layer in as the executor, and the planner metrics must count on from
+// the base's tallies instead of starting again at zero.
+func TestLivePlannerCountersCarryOver(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			e := NewWithConfig(dataset.Movies(dataset.MoviesConfig{Seed: 1, Movies: 200}), Config{Shards: shards})
+			queries := dataset.MovieQueries()
+			for i, q := range queries[:6] {
+				var err error
+				if i < 3 {
+					_, err = e.Search(q)
+				} else {
+					_, err = e.SearchRankedPage(q, xseek.SearchOptions{Limit: 1, Accuracy: xseek.AccuracyApprox})
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := e.Metrics()
+			if before.PlannerIndexedLookup+before.PlannerScanEager == 0 || before.PlannerStreamed == 0 {
+				t.Fatalf("six reads left no planner decision to carry: %+v", before)
+			}
+			mustAdd(t, e, "<movie><title>counted</title></movie>")
+			after := e.Metrics()
+			if after.PlannerIndexedLookup < before.PlannerIndexedLookup ||
+				after.PlannerScanEager < before.PlannerScanEager ||
+				after.PlannerStreamed < before.PlannerStreamed {
+				t.Fatalf("planner counters ran backwards across the first write:\nbefore %+v\nafter  %+v", before, after)
+			}
+			if _, err := e.Search(queries[6]); err != nil {
+				t.Fatal(err)
+			}
+			if later := e.Metrics(); later.PlannerIndexedLookup+later.PlannerScanEager <= after.PlannerIndexedLookup+after.PlannerScanEager {
+				t.Fatalf("a live search added no planner decision: %+v", later)
+			}
+		})
 	}
 }

@@ -293,10 +293,19 @@ type PlanStats struct {
 
 // StatsOf computes plan statistics for an already-resolved list set.
 func StatsOf(lists []PostingList) PlanStats {
-	s := PlanStats{Lengths: make([]int, len(lists))}
+	lengths := make([]int, len(lists))
 	for i, l := range lists {
-		n := len(l)
-		s.Lengths[i] = n
+		lengths[i] = len(l)
+	}
+	return LengthStats(lengths)
+}
+
+// LengthStats computes plan statistics from the lists' lengths alone
+// (retained as Lengths) — what a caller holding document frequencies
+// but no materialised lists can plan from.
+func LengthStats(lengths []int) PlanStats {
+	s := PlanStats{Lengths: lengths}
+	for i, n := range lengths {
 		if i == 0 || n < s.Min {
 			s.Min = n
 		}

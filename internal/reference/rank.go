@@ -14,14 +14,11 @@ type Ranked struct {
 	Score float64
 }
 
-// Rank is the eager TF-IDF ranking: each hit's entity scores, per query
-// keyword in query order, (1 + ln tf) · ln((N+1)/(df+1)), where tf
-// counts the keyword's postings in idx at or below the entity, df is
-// the length of its posting list and N is totalNodes. Keywords with
-// tf = 0 add nothing and tf = 1 adds the bare IDF. The hits are then
-// stably sorted by score, highest first, so ties keep their input
-// (document) order. Every term frequency is a count over the whole
-// list, not a cursor.
+// Rank is the eager TF-IDF ranking: each hit scores, per query keyword
+// in query order, (1 + ln tf) · ln((N+1)/(df+1)), with tf the keyword's
+// postings in idx at or below the hit's entity, df its posting count
+// and N totalNodes; tf = 0 adds nothing and tf = 1 the bare IDF. Hits
+// are then stably sorted by score, highest first.
 func Rank(idx *index.Index, totalNodes int, hits []Hit, query string) []Ranked {
 	terms := index.TokenizeQuery(query)
 	out := make([]Ranked, len(hits))

@@ -36,7 +36,7 @@ type Fanout struct {
 	// Whole-corpus ranking constants, aggregated across legs so
 	// per-leg scores are bit-identical to monolithic scores.
 	totalNodes int
-	df         map[string]int
+	df         termFreqs
 	idf        map[string]float64
 	// elements is the aggregate count of distinct indexed elements,
 	// carried alongside df so IndexStats never has to materialize a
@@ -165,6 +165,18 @@ func (f *Fanout) initRanking(df map[string]int) {
 	f.df = df
 	for t, n := range df {
 		f.idf[t] = xseek.IDF(f.totalNodes, n)
+	}
+}
+
+// termFreqs is the aggregated whole-corpus frequency table, the
+// xseek.Vocabulary the keyword check, estimate and query cleaning read.
+type termFreqs map[string]int
+
+func (t termFreqs) DocFreq(term string) int { return t[term] }
+
+func (t termFreqs) EachTerm(f func(term string, df int)) {
+	for term, n := range t {
+		f(term, n)
 	}
 }
 

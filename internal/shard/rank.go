@@ -137,27 +137,4 @@ func mergeRankedStreams(streams [][]*xseek.RankedResult, max int) []*xseek.Ranke
 // CleanQuery spell-corrects each keyword against the union vocabulary
 // of every leg, with the same candidate ranking (distance, then
 // aggregate frequency, then term) a monolithic index uses.
-func (f *Fanout) CleanQuery(query string) []string {
-	terms := index.TokenizeQuery(query)
-	out := make([]string, len(terms))
-	for i, t := range terms {
-		if f.df[t] > 0 {
-			out[i] = t
-			continue
-		}
-		if sugg := index.SuggestIn(f.eachTerm, t, 2); len(sugg) > 0 {
-			out[i] = sugg[0]
-		} else {
-			out[i] = t
-		}
-	}
-	return out
-}
-
-// eachTerm iterates the aggregated (term, document frequency)
-// vocabulary.
-func (f *Fanout) eachTerm(fn func(term string, df int)) {
-	for t, n := range f.df {
-		fn(t, n)
-	}
-}
+func (f *Fanout) CleanQuery(query string) []string { return xseek.CleanQuery(f.df, query) }

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dewey"
-	"repro/internal/index"
 	"repro/internal/xmltree"
 	"repro/internal/xseek"
 )
@@ -26,21 +25,11 @@ import (
 // SLCAs could promote spurious spine SLCAs — a wrong answer, not a
 // partial one.
 func (f *Fanout) Search(query string) ([]*xseek.Result, error) {
-	terms := index.TokenizeQuery(query)
-	if len(terms) == 0 {
-		return nil, xseek.ErrEmptyQuery
-	}
 	// Global keyword check first: a term with zero aggregate frequency
-	// fails the whole query, mirroring the monolithic NoMatchError (in
-	// term order).
-	var missing []string
-	for _, t := range terms {
-		if f.df[t] == 0 {
-			missing = append(missing, t)
-		}
-	}
-	if len(missing) > 0 {
-		return nil, &index.NoMatchError{Terms: missing}
+	// fails the whole query, mirroring the monolithic NoMatchError.
+	terms, err := xseek.Keywords(f.df, query)
+	if err != nil {
+		return nil, err
 	}
 
 	lq := LegQuery{Query: query, Terms: terms}

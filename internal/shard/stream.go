@@ -3,7 +3,6 @@ package shard
 import (
 	"repro/internal/core"
 	"repro/internal/dewey"
-	"repro/internal/index"
 	"repro/internal/xseek"
 )
 
@@ -65,18 +64,9 @@ func (f *Fanout) SearchRankedPageWAND(query string, opts xseek.SearchOptions) ([
 		return ranked[wlo:whi], len(results), zero, nil
 	}
 
-	terms := index.TokenizeQuery(query)
-	if len(terms) == 0 {
-		return nil, 0, zero, xseek.ErrEmptyQuery
-	}
-	var missing []string
-	for _, t := range terms {
-		if f.df[t] == 0 {
-			missing = append(missing, t)
-		}
-	}
-	if len(missing) > 0 {
-		return nil, 0, zero, &index.NoMatchError{Terms: missing}
+	terms, err := xseek.Keywords(f.df, query)
+	if err != nil {
+		return nil, 0, zero, err
 	}
 	f.plannerStreamed.Add(1)
 
@@ -178,20 +168,4 @@ func (f *Fanout) SearchStream(query string) (xseek.Cursor, error) {
 // EstimateResults bounds the query's result count for stream planning:
 // the smallest aggregate document frequency, 0 when the query cannot
 // match anywhere.
-func (f *Fanout) EstimateResults(query string) int {
-	terms := index.TokenizeQuery(query)
-	if len(terms) == 0 {
-		return 0
-	}
-	est := -1
-	for _, t := range terms {
-		df := f.df[t]
-		if df == 0 {
-			return 0
-		}
-		if est == -1 || df < est {
-			est = df
-		}
-	}
-	return est
-}
+func (f *Fanout) EstimateResults(query string) int { return xseek.EstimateResults(f.df, query) }

@@ -44,10 +44,16 @@ type Engine struct {
 	evidence map[*xmltree.Node]*xseek.Evidence
 	rootTag  string
 
-	plannerIndexed, plannerScan atomic.Int64
-	plannerStreamed             atomic.Int64
-	updates, compactions        atomic.Int64
+	// counters tallies the planner decisions of live reads
+	// (PlannerDecisions, StreamedDecisions), counting on from the base
+	// executor's tallies at the time the live layer was installed.
+	*counters
+	updates, compactions atomic.Int64
 }
+
+// counters names the embedded tallies' type: unexported, so the field
+// stays private while its methods are promoted.
+type counters = xseek.Counters
 
 // topEntry locates one live top-level element child by its Dewey
 // ordinal. Ordinals are never reused, so after removals the sequence
@@ -68,7 +74,10 @@ type state struct {
 	baseX    *xseek.Engine
 	baseSh   *shard.Engine
 	baseRoot *xmltree.Node
-	src      source
+	// parts are the base's indexes — the one index of a monolithic
+	// base, the spine and every shard of a sharded one. Their lists
+	// are document-ordered and pairwise disjoint per term.
+	parts []*index.Index
 
 	// root is the live document: a copy-on-write clone of the base root
 	// whose children are exactly the live top-level subtrees (added
@@ -97,54 +106,6 @@ type state struct {
 	journal []JournalOp // pending ops since the last compaction
 }
 
-// source exposes a base executor's posting lists per term: one list for
-// a monolithic base, spine + per-shard lists for a sharded one. Lists
-// are document-ordered and pairwise disjoint.
-type source interface {
-	postings(term string) []index.PostingList
-	// bounds returns each part's block-max score-bound metadata for
-	// term (absent parts report empty bounds), or ok=false when any
-	// part cannot provide it — a legacy compact payload, which makes
-	// the WAND path fall back to unpruned streaming.
-	bounds(term string) ([]*index.ListBounds, bool)
-}
-
-type monoSource struct{ x *xseek.Engine }
-
-func (m monoSource) postings(term string) []index.PostingList {
-	return []index.PostingList{m.x.Index().Lookup(term)}
-}
-
-func (m monoSource) bounds(term string) ([]*index.ListBounds, bool) {
-	lb := m.x.Index().TermBounds(term)
-	if lb == nil {
-		return nil, false
-	}
-	return []*index.ListBounds{lb}, true
-}
-
-type shardSource struct{ idxs []*index.Index }
-
-func (s shardSource) postings(term string) []index.PostingList {
-	out := make([]index.PostingList, 0, len(s.idxs))
-	for _, ix := range s.idxs {
-		out = append(out, ix.Lookup(term))
-	}
-	return out
-}
-
-func (s shardSource) bounds(term string) ([]*index.ListBounds, bool) {
-	out := make([]*index.ListBounds, 0, len(s.idxs))
-	for _, ix := range s.idxs {
-		lb := ix.TermBounds(term)
-		if lb == nil {
-			return nil, false
-		}
-		out = append(out, lb)
-	}
-	return out, true
-}
-
 // Wrap makes a monolithic engine updatable. The wrapped engine must not
 // be mutated by anyone else afterwards.
 func Wrap(x *xseek.Engine) *Engine { return wrap(x, nil) }
@@ -154,6 +115,11 @@ func WrapSharded(sh *shard.Engine) *Engine { return wrap(nil, sh) }
 
 func wrap(x *xseek.Engine, sh *shard.Engine) *Engine {
 	e := &Engine{evidence: make(map[*xmltree.Node]*xseek.Evidence)}
+	if sh != nil {
+		e.counters = xseek.CarryCounters(sh)
+	} else {
+		e.counters = xseek.CarryCounters(x)
+	}
 	s := baseState(x, sh, 0)
 	e.rootTag = s.root.Tag
 	e.cur.Store(s)
@@ -176,15 +142,14 @@ func baseState(x *xseek.Engine, sh *shard.Engine, epoch uint64) *state {
 	if sh != nil {
 		s.baseRoot = sh.Root()
 		s.schema = sh.Schema()
-		idxs := append([]*index.Index{sh.SpineIndex()}, sh.ShardIndexes()...)
-		s.src = shardSource{idxs: idxs}
+		s.parts = append([]*index.Index{sh.SpineIndex()}, sh.ShardIndexes()...)
 		s.df = newFreqs(sh.TermFrequencies())
 		s.totalNodes = sh.TotalNodes()
 		s.elements = sh.IndexStats().IndexedElements
 	} else {
 		s.baseRoot = x.Root()
 		s.schema = x.Schema()
-		s.src = monoSource{x: x}
+		s.parts = []*index.Index{x.Index()}
 		base := make(map[string]int)
 		x.Index().EachTerm(func(t string, df int) { base[t] = df })
 		s.df = newFreqs(base)
@@ -293,7 +258,7 @@ func (e *Engine) AddEntity(n *xmltree.Node) (dewey.ID, error) {
 
 	ns := &state{
 		epoch: s.epoch + 1,
-		baseX: s.baseX, baseSh: s.baseSh, baseRoot: s.baseRoot, src: s.src,
+		baseX: s.baseX, baseSh: s.baseSh, baseRoot: s.baseRoot, parts: s.parts,
 		root:       rootWith(s.root, nil, n),
 		nextOrd:    ord + 1,
 		tombstones: s.tombstones,
@@ -351,7 +316,7 @@ func (e *Engine) RemoveEntity(id dewey.ID) error {
 
 	ns := &state{
 		epoch: s.epoch + 1,
-		baseX: s.baseX, baseSh: s.baseSh, baseRoot: s.baseRoot, src: s.src,
+		baseX: s.baseX, baseSh: s.baseSh, baseRoot: s.baseRoot, parts: s.parts,
 		root:       rootWith(s.root, victim, nil),
 		nextOrd:    s.nextOrd,
 		deltaRoots: s.deltaRoots,

@@ -23,7 +23,7 @@ func referenceSearch(t testing.TB, live *Engine, query string) (results []*xseek
 		if s.df.get(term) == 0 {
 			return nil, false
 		}
-		lists[i] = s.list(term)
+		lists[i] = s.List(term)
 	}
 	hits, err := reference.Entities(s.root, reference.Naive(lists), s.schema.NearestEntity)
 	if err != nil {

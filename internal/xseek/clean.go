@@ -6,21 +6,22 @@ import (
 	"repro/internal/index"
 )
 
-// CleanQuery maps each query keyword to the closest indexed term:
+// CleanQuery maps each query keyword to the closest term of v:
 // keywords already in the vocabulary pass through; unmatched keywords
-// are replaced by their best spelling suggestion (edit distance ≤ 2);
-// keywords with no suggestion are kept as-is (Search will then report
-// them via NoMatchError). The returned slice preserves keyword order.
-// This is the paper's "query cleaning" companion technique.
-func (e *Engine) CleanQuery(query string) []string {
+// are replaced by their best spelling suggestion (edit distance ≤ 2,
+// then frequency, then term); keywords with no suggestion are kept
+// as-is (a search will then report them via NoMatchError). The
+// returned slice preserves keyword order. This is the paper's "query
+// cleaning" companion technique.
+func CleanQuery(v Vocabulary, query string) []string {
 	terms := index.TokenizeQuery(query)
 	out := make([]string, len(terms))
 	for i, t := range terms {
-		if e.idx.DocFreq(t) > 0 {
+		if v.DocFreq(t) > 0 {
 			out[i] = t
 			continue
 		}
-		if sugg := e.idx.Suggest(t, 2); len(sugg) > 0 {
+		if sugg := index.SuggestIn(v.EachTerm, t, 2); len(sugg) > 0 {
 			out[i] = sugg[0]
 		} else {
 			out[i] = t
@@ -28,6 +29,10 @@ func (e *Engine) CleanQuery(query string) []string {
 	}
 	return out
 }
+
+// CleanQuery cleans the query against the engine's index (see the
+// package function).
+func (e *Engine) CleanQuery(query string) []string { return CleanQuery(e.idx, query) }
 
 // SearchCleaned cleans the query first and then searches, returning
 // the corrected keywords alongside the results so a UI can display

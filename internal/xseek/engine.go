@@ -2,7 +2,6 @@ package xseek
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/dewey"
 	"repro/internal/index"
@@ -36,15 +35,23 @@ type Engine struct {
 	// FromPartsRanked) and resolve through that.
 	idfID []float64
 
-	// Cost-planner decision counters for this corpus's compiled
-	// queries, surfaced through the serving layer's metrics.
-	plannerIndexed atomic.Int64
-	plannerScan    atomic.Int64
-	// plannerStreamed counts ranked pages that ran the lazy pipeline
-	// (orthogonal to the algorithm counters above: a streamed query
-	// still picks a seek discipline).
-	plannerStreamed atomic.Int64
+	// counters tallies this corpus's planner and streamed-page
+	// decisions (PlannerDecisions, StreamedDecisions) for the serving
+	// layer's metrics.
+	counters
+	// reader is the query pipeline over the engine's own index; its
+	// methods (Compile, SearchStream, RankResults, RankPage,
+	// SearchRankedPageWAND, StreamScorer, TermBounds) are the
+	// engine's.
+	reader
 }
+
+// The embedded fields' type names: unexported, so the fields stay
+// private while their methods are promoted.
+type (
+	counters = Counters
+	reader   = Reader
+)
 
 // New builds an engine (index + schema summary) over root. The tree
 // must carry Dewey IDs (xmltree.Parse assigns them).
@@ -80,21 +87,12 @@ func (e *Engine) initDerived() {
 			e.idfID[id] = IDF(e.totalNodes, df)
 		}
 	})
+	e.initReader()
 }
 
-// termIDF resolves a term's precomputed IDF: by symbol ID when the
-// engine derived its own table, else through the (possibly shared,
-// late-filled) string-keyed map. 0 means the term contributes no
-// weight — absent terms and terms present in every node alike, exactly
-// as TermWeight treats them.
-func (e *Engine) termIDF(t string) float64 {
-	if e.idfID != nil {
-		if id, ok := e.idx.TermID(t); ok && int(id) < len(e.idfID) {
-			return e.idfID[id]
-		}
-		return 0
-	}
-	return e.idf[t]
+// initReader installs the query pipeline over the engine's own index.
+func (e *Engine) initReader() {
+	e.reader = Reader{root: e.root, schema: e.schema, postings: (*indexView)(e), counters: &e.counters, lists: true}
 }
 
 // Root returns the document the engine searches.
@@ -108,16 +106,6 @@ func (e *Engine) Index() *index.Index { return e.idx }
 
 // TotalNodes returns the corpus node count, cached at construction.
 func (e *Engine) TotalNodes() int { return e.totalNodes }
-
-// PlannerDecisions reports how many compiled queries the SLCA cost
-// planner routed to each seek discipline on this engine.
-func (e *Engine) PlannerDecisions() (indexedLookup, scanEager int64) {
-	return e.plannerIndexed.Load(), e.plannerScan.Load()
-}
-
-// StreamedDecisions reports how many ranked pages ran the streamed
-// (early-terminating) pipeline on this engine.
-func (e *Engine) StreamedDecisions() int64 { return e.plannerStreamed.Load() }
 
 // Result is one search result: the entity subtree that contains an
 // SLCA match, as XSeek's return-node inference dictates.
@@ -178,36 +166,44 @@ func (o SearchOptions) Window(n int) (lo, hi int) {
 type Query struct {
 	// Terms are the tokenized keywords.
 	Terms []string
-	// Lists are the resolved posting lists, in term order.
+	// Lists are the resolved posting lists, in term order; nil on a
+	// live view, which streams its composite postings instead.
 	Lists []index.PostingList
-	// Stats are the plan statistics of Lists.
+	// Stats are the plan statistics of the terms' postings.
 	Stats index.PlanStats
 	// Alg is the planner's algorithm choice for the SLCA stage.
 	Alg slca.Algorithm
 
-	eng *Engine
+	r Reader
 }
 
-// Compile runs the tokenize and plan stages: resolve the query's terms
-// to posting lists and pick an SLCA algorithm from their shape. An
-// empty query or one with unmatched keywords fails here, before any
-// list is touched by the SLCA stage.
-func (e *Engine) Compile(query string) (*Query, error) {
+// Keywords is the pipeline's keyword check: the query's distinct
+// tokens in query order, ErrEmptyQuery when there are none, or an
+// index.NoMatchError naming, in query order, every token v has no
+// postings for.
+func Keywords(v Vocabulary, query string) ([]string, error) {
+	terms, _, err := plan(v, query)
+	return terms, err
+}
+
+// plan runs the keyword check and summarises the terms' document
+// frequencies for the SLCA planner.
+func plan(v Vocabulary, query string) ([]string, index.PlanStats, error) {
 	terms := index.TokenizeQuery(query)
 	if len(terms) == 0 {
-		return nil, ErrEmptyQuery
+		return nil, index.PlanStats{}, ErrEmptyQuery
 	}
-	lists, stats, err := e.idx.QueryLists(terms)
-	if err != nil {
-		return nil, err
+	lengths := make([]int, len(terms))
+	var missing []string
+	for i, t := range terms {
+		if lengths[i] = v.DocFreq(t); lengths[i] == 0 {
+			missing = append(missing, t)
+		}
 	}
-	alg := slca.Plan(stats)
-	if alg == slca.AlgIndexedLookup {
-		e.plannerIndexed.Add(1)
-	} else {
-		e.plannerScan.Add(1)
+	if len(missing) > 0 {
+		return nil, index.PlanStats{}, &index.NoMatchError{Terms: missing}
 	}
-	return &Query{Terms: terms, Lists: lists, Stats: stats, Alg: alg, eng: e}, nil
+	return terms, index.LengthStats(lengths), nil
 }
 
 // SLCAs drains the lazy SLCA stage (SLCAIter) with the query's planned

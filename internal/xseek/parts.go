@@ -44,7 +44,9 @@ func TermWeight(tf int, idf float64) float64 {
 // whole-corpus weights — the combination that makes per-shard ranking
 // bit-identical to monolithic ranking for results the shard owns.
 func FromPartsRanked(root *xmltree.Node, idx *index.Index, schema *Schema, totalNodes int, idf map[string]float64) *Engine {
-	return &Engine{root: root, idx: idx, schema: schema, totalNodes: totalNodes, idf: idf}
+	e := &Engine{root: root, idx: idx, schema: schema, totalNodes: totalNodes, idf: idf}
+	e.initReader()
+	return e
 }
 
 // DocFreq returns the number of corpus nodes containing term — the

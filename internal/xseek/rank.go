@@ -31,11 +31,12 @@ func (e *Engine) SearchRanked(query string) ([]*RankedResult, error) {
 }
 
 // RankResults scores and orders an already-computed result set for a
-// query — the scoring half of SearchRanked, split out so callers that
-// cache search results (the serving engine) can rank without repeating
-// the SLCA search.
-func (e *Engine) RankResults(results []*Result, query string) []*RankedResult {
-	out := e.scoreResults(results, query)
+// query with TF-IDF over the view, the stable sort keeping document
+// order on ties — the scoring half of SearchRanked, split out so
+// callers that cache search results (the serving engine) can rank
+// without repeating the SLCA search.
+func (r Reader) RankResults(results []*Result, query string) []*RankedResult {
+	out := r.scoreResults(results, query)
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Score > out[j].Score })
 	return out
 }
@@ -45,22 +46,20 @@ func (e *Engine) RankResults(results []*Result, query string) []*RankedResult {
 // selected with a bounded min-heap (O(n log k) for k ≪ n), then the
 // window is cut from their sorted order. A window covering the whole
 // set falls back to the full sort.
-func (e *Engine) RankPage(results []*Result, query string, opts SearchOptions) []*RankedResult {
+func (r Reader) RankPage(results []*Result, query string, opts SearchOptions) []*RankedResult {
 	lo, hi := opts.Window(len(results))
 	if hi >= len(results) {
-		return e.RankResults(results, query)[lo:]
+		return r.RankResults(results, query)[lo:]
 	}
-	scored := e.scoreResults(results, query)
-	top := topK(scored, hi)
+	top := topK(r.scoreResults(results, query), hi)
 	return top[lo:]
 }
 
-// scoreResults computes each result's TF-IDF score in input order,
-// using the corpus constants precomputed at engine construction. Each
-// term's IDF and posting list are resolved once per call; weights
+// scoreResults computes each result's TF-IDF score in input order.
+// Each term's IDF and posting list are resolved once per call; weights
 // still accumulate in (result, query-term) order, so every float
 // operation matches a per-pair lookup exactly.
-func (e *Engine) scoreResults(results []*Result, query string) []*RankedResult {
+func (r Reader) scoreResults(results []*Result, query string) []*RankedResult {
 	out := make([]*RankedResult, len(results))
 	if len(results) == 0 {
 		return out
@@ -72,23 +71,23 @@ func (e *Engine) scoreResults(results []*Result, query string) []*RankedResult {
 	idfs := make([]float64, len(terms))
 	lists := make([]index.PostingList, len(terms))
 	for j, t := range terms {
-		if idfs[j] = e.termIDF(t); idfs[j] != 0 {
-			lists[j] = e.idx.Lookup(t)
+		if idfs[j] = r.postings.IDF(t); idfs[j] != 0 {
+			lists[j] = r.postings.List(t)
 		}
 	}
-	for i, r := range results {
+	for i, res := range results {
 		score := 0.0
 		for j, idf := range idfs {
 			if idf == 0 {
 				continue
 			}
-			tf := index.CountUnder(lists[j], r.Node.ID)
+			tf := index.CountUnder(lists[j], res.Node.ID)
 			if tf == 0 {
 				continue
 			}
 			score += TermWeight(tf, idf)
 		}
-		slab[i] = RankedResult{Result: r, Score: score}
+		slab[i] = RankedResult{Result: res, Score: score}
 		out[i] = &slab[i]
 	}
 	return out

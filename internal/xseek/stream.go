@@ -311,8 +311,9 @@ func (rs *ResultStream) Err() error { return rs.es.Err() }
 
 // SLCAIter returns the lazy SLCA stage of the compiled query: a
 // pull-based iterator equivalent to SLCAs(), honouring the planned (or
-// overridden) algorithm's seek discipline. Galloping plans ride the
-// index's skip ladders on long lists.
+// overridden) algorithm's seek discipline. The term with the fewest
+// postings drives; the others answer neighbour probes by galloping
+// (Indexed Lookup) or by linear advance (Scan).
 func (q *Query) SLCAIter() (slca.Iterator, error) {
 	alg := q.Alg
 	if alg == slca.AlgAuto || alg == "" {
@@ -323,29 +324,25 @@ func (q *Query) SLCAIter() (slca.Iterator, error) {
 	default:
 		return nil, fmt.Errorf("xseek: unknown SLCA algorithm %q", q.Alg)
 	}
-	for _, l := range q.Lists {
-		if len(l) == 0 {
+	lengths := q.Stats.Lengths
+	smallest := 0
+	for i, n := range lengths {
+		if n == 0 {
 			return slca.IterOver(nil), nil
 		}
-	}
-	smallest := 0
-	for i, l := range q.Lists {
-		if len(l) < len(q.Lists[smallest]) {
+		if n < lengths[smallest] {
 			smallest = i
 		}
 	}
-	others := make([]index.Iter, 0, len(q.Lists)-1)
-	for i, l := range q.Lists {
-		if i == smallest {
-			continue
-		}
-		if alg == slca.AlgScanEager {
-			others = append(others, index.ListIterLinear(l))
-		} else {
-			others = append(others, q.eng.idx.TermIter(q.Terms[i]))
+	gallop := alg == slca.AlgIndexedLookup
+	p := q.r.postings
+	others := make([]index.Iter, 0, len(q.Terms)-1)
+	for i, t := range q.Terms {
+		if i != smallest {
+			others = append(others, p.Iter(t, false, gallop))
 		}
 	}
-	return slca.StreamIters(index.ListIter(q.Lists[smallest]), others), nil
+	return slca.StreamIters(p.Iter(q.Terms[smallest], true, gallop), others), nil
 }
 
 // Stream runs the lazy pipeline — SLCA, entity mapping, labelling —
@@ -356,18 +353,7 @@ func (q *Query) Stream() (*ResultStream, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &ResultStream{es: NewEntityStream(it, q.eng.root, q.eng.schema)}, nil
-}
-
-// SearchStream compiles the query and returns the lazy doc-order
-// result cursor — the entry point of the serving layer's resumable
-// stream cache.
-func (e *Engine) SearchStream(query string) (Cursor, error) {
-	q, err := e.Compile(query)
-	if err != nil {
-		return nil, err
-	}
-	return q.Stream()
+	return &ResultStream{es: NewEntityStream(it, q.r.root, q.r.schema)}, nil
 }
 
 // sliceCursor adapts a materialized result list to the Cursor shape.
@@ -398,22 +384,24 @@ func (c *sliceCursor) Err() error { return nil }
 // streamed scores stay bit-identical to eager ones.
 type Scorer func(entity dewey.ID) float64
 
-// StreamScorer returns this engine's scorer for the query's terms:
-// per-term monotone counters over the index posting lists, weighted
-// with the engine's precomputed IDF. Entities must be scored in
-// document order (the EntityStream emission order).
-func (e *Engine) StreamScorer(terms []string) Scorer {
+// StreamScorer returns the scorer for the query's terms: per-term
+// monotone counters over the materialised posting lists, weighted with
+// the view's IDF and accumulated in query order exactly as eager
+// scoring does, so streamed scores are bit-identical to eager ones.
+// Entities must be scored in document order (the EntityStream emission
+// order).
+func (r Reader) StreamScorer(terms []string) Scorer {
 	type termCursor struct {
 		idf     float64
 		counter index.Counter
 	}
 	cursors := make([]termCursor, 0, len(terms))
 	for _, t := range terms {
-		idf := e.termIDF(t)
+		idf := r.postings.IDF(t)
 		if idf == 0 {
-			continue // absent term: contributes nothing, as eager skips it
+			continue // no weight: contributes nothing, as eager skips it
 		}
-		cursors = append(cursors, termCursor{idf: idf, counter: index.NewCounter(e.idx.Lookup(t))})
+		cursors = append(cursors, termCursor{idf: idf, counter: index.NewCounter(r.postings.List(t))})
 	}
 	return func(id dewey.ID) float64 {
 		score := 0.0
@@ -452,16 +440,16 @@ func (h *streamHeap) Push(x any)        { *h = append(*h, x.(streamHit)) }
 func (h *streamHeap) Pop() any          { old := *h; n := len(old) - 1; v := old[n]; *h = old[:n]; return v }
 
 // EstimateResults bounds the query's result count for stream planning:
-// the driving (smallest) posting list length, 0 when the query cannot
-// match. It is a cheap upper bound, not an exact count.
-func (e *Engine) EstimateResults(query string) int {
+// the smallest document frequency of its keywords, 0 when the query
+// cannot match. It is a cheap upper bound, not an exact count.
+func EstimateResults(v Vocabulary, query string) int {
 	terms := index.TokenizeQuery(query)
 	if len(terms) == 0 {
 		return 0
 	}
 	est := -1
 	for _, t := range terms {
-		df := e.idx.DocFreq(t)
+		df := v.DocFreq(t)
 		if df == 0 {
 			return 0
 		}
@@ -471,3 +459,7 @@ func (e *Engine) EstimateResults(query string) int {
 	}
 	return est
 }
+
+// EstimateResults bounds the query's result count over the engine's
+// index (see the package function).
+func (e *Engine) EstimateResults(query string) int { return EstimateResults(e.idx, query) }

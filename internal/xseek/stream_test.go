@@ -125,8 +125,8 @@ func rankUnpruned(q *Query, opts SearchOptions) ([]*RankedResult, int, WANDStats
 	if err != nil {
 		return nil, 0, WANDStats{}, err
 	}
-	es := NewEntityStream(it, q.eng.root, q.eng.schema)
-	return ConsumeRankedWAND(es, opts, q.eng.StreamScorer(q.Terms), nil, nil)
+	es := NewEntityStream(it, q.r.root, q.r.schema)
+	return ConsumeRankedWAND(es, opts, q.r.StreamScorer(q.Terms), nil, nil)
 }
 
 // TestRankStreamEqualsEagerRankedPage: the unpruned ranked stream must

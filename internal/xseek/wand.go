@@ -243,18 +243,18 @@ func ConsumeRankedWAND(es *EntityStream, opts SearchOptions, score Scorer, bound
 // with zero IDF contribute no weight and are skipped, matching
 // StreamScorer), or nil when any term's block maxima are unavailable
 // — the signal to run the consumer unpruned.
-func (e *Engine) TermBounds(terms []string) []TermBound {
+func (r Reader) TermBounds(terms []string) []TermBound {
 	out := make([]TermBound, 0, len(terms))
 	for _, t := range terms {
-		idf := e.termIDF(t)
+		idf := r.postings.IDF(t)
 		if idf == 0 {
 			continue
 		}
-		lb := e.idx.TermBounds(t)
-		if lb == nil {
+		cur, ok := r.postings.Bound(t)
+		if !ok {
 			return nil
 		}
-		out = append(out, TermBound{IDF: idf, Cur: lb.Cursor()})
+		out = append(out, TermBound{IDF: idf, Cur: cur})
 	}
 	if len(out) == 0 {
 		return nil
@@ -270,21 +270,6 @@ func (q *Query) RankWAND(opts SearchOptions, shared *SharedThreshold) ([]*Ranked
 	if err != nil {
 		return nil, 0, WANDStats{}, err
 	}
-	es := NewEntityStream(it, q.eng.root, q.eng.schema)
-	return ConsumeRankedWAND(es, opts, q.eng.StreamScorer(q.Terms), q.eng.TermBounds(q.Terms), shared)
-}
-
-// SearchRankedPageWAND compiles the query and returns the options'
-// window of the relevance ranking through the score-bounded consumer:
-// in exact mode the same page bytes and total as Search + RankPage,
-// with pruning stats alongside. It counts toward StreamedDecisions —
-// the counter reports pages that ran the lazy pipeline, however
-// bounded.
-func (e *Engine) SearchRankedPageWAND(query string, opts SearchOptions) ([]*RankedResult, int, WANDStats, error) {
-	q, err := e.Compile(query)
-	if err != nil {
-		return nil, 0, WANDStats{}, err
-	}
-	e.plannerStreamed.Add(1)
-	return q.RankWAND(opts, nil)
+	es := NewEntityStream(it, q.r.root, q.r.schema)
+	return ConsumeRankedWAND(es, opts, q.r.StreamScorer(q.Terms), q.r.TermBounds(q.Terms), shared)
 }
