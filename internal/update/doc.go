@@ -14,11 +14,16 @@
 //     valid) and indexed into a small delta index.
 //   - Removed entities go into a tombstone set of top-level Dewey IDs.
 //   - Every read runs against the composition base ⊕ delta − tombstones
-//     at the posting-list level: per query term, the base lists (one
-//     per shard plus the spine for a sharded base) are merged with the
+//     at the posting level: per query term, the base lists (one per
+//     shard plus the spine for a sharded base) are merged with the
 //     delta list and filtered through the tombstones before SLCA
 //     computation, so deletions can both remove results and surface
 //     the new, shallower SLCAs the monolithic semantics demand.
+//   - The package keeps no query pipeline of its own. Each state is an
+//     xseek.Postings view of that composition — lazy merged iterators
+//     for the SLCA stage, materialised lists for scoring, composed
+//     block-max bounds, exact frequencies — and xseek.Reader runs the
+//     one pipeline the monolithic engine also runs over it.
 //   - Compaction folds the pending writes back into a clean base —
 //     cheaply merging delta posting lists (and reusing untouched shard
 //     indexes) when only adds are pending, or rebuilding from the

@@ -99,9 +99,7 @@ func (s *state) without(l index.PostingList) index.PostingList {
 // skipped during iteration — List's sequence without allocating it.
 // Filtering must happen before the SLCA stage: removing a subtree's
 // witnesses can surface new, shallower SLCAs, not just hide old ones.
-// gallop selects galloping seeks over linear advance, for the driver
-// as for the probes.
-func (s *state) Iter(term string, _, gallop bool) index.Iter {
+func (s *state) Iter(term string, gallop bool) index.Iter {
 	mk := index.ListIterLinear
 	if gallop {
 		mk = index.ListIter

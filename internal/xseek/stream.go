@@ -15,8 +15,9 @@ import (
 // either emitted in document order (ResultStream — drained by Search,
 // or paged with early termination) or fed to the ranked consumer
 // (ConsumeRankedWAND in wand.go — exact top-k with scores bit-identical
-// to ranking the full list). The shard and update engines reuse
-// EntityStream and the consumer with their own tf sources.
+// to ranking the full list). Reader runs it over any posting view; the
+// shard legs reuse EntityStream and the consumer over a filtered SLCA
+// stream.
 
 // StreamTotalUnknown is the Total a streamed page reports when early
 // termination stopped before the result count was known.
@@ -258,7 +259,7 @@ func (es *EntityStream) Err() error { return es.err }
 
 // Cursor is the document-ordered pull interface over labelled search
 // results that every executor's streaming path exposes: the lazy
-// ResultStream here and on the live-update engine, and a materialized
+// ResultStream, and a materialized
 // fallback (SliceCursor) where a true stream is not available. After
 // Next returns false, Err distinguishes exhaustion from an internal
 // error.
@@ -292,9 +293,8 @@ type ResultStream struct {
 	es *EntityStream
 }
 
-// NewResultStream wraps an entity stream in the labelling cursor —
-// the bridge the live-update engine uses to reuse this pipeline stage
-// over its own composite iterators.
+// NewResultStream wraps an entity stream in the labelling cursor — the
+// bridge a shard leg uses to label its filtered stream.
 func NewResultStream(es *EntityStream) *ResultStream { return &ResultStream{es: es} }
 
 // Next returns the next result; after false, check Err.
@@ -339,10 +339,10 @@ func (q *Query) SLCAIter() (slca.Iterator, error) {
 	others := make([]index.Iter, 0, len(q.Terms)-1)
 	for i, t := range q.Terms {
 		if i != smallest {
-			others = append(others, p.Iter(t, false, gallop))
+			others = append(others, p.Iter(t, gallop))
 		}
 	}
-	return slca.StreamIters(p.Iter(q.Terms[smallest], true, gallop), others), nil
+	return slca.StreamIters(p.Iter(q.Terms[smallest], gallop), others), nil
 }
 
 // Stream runs the lazy pipeline — SLCA, entity mapping, labelling —
@@ -378,10 +378,9 @@ func (c *sliceCursor) Next() (*Result, bool) {
 
 func (c *sliceCursor) Err() error { return nil }
 
-// Scorer computes one entity's full relevance score. Each engine
-// flavour supplies its own tf source (cursor counters here, analytic
-// composite counts on the live path); the weight formula is shared so
-// streamed scores stay bit-identical to eager ones.
+// Scorer computes one entity's full relevance score. The weight
+// formula is shared with eager scoring so streamed scores stay
+// bit-identical to eager ones.
 type Scorer func(entity dewey.ID) float64
 
 // StreamScorer returns the scorer for the query's terms: per-term

@@ -38,10 +38,10 @@ type Postings interface {
 	IDF(term string) float64
 	// List returns the term's materialised posting list.
 	List(term string) index.PostingList
-	// Iter returns a lazy cursor over the term's postings for one role
-	// in the SLCA stage: the driver, which is only pulled forward, or
-	// a probe that seeks by galloping (gallop) or linearly.
-	Iter(term string, driver, gallop bool) index.Iter
+	// Iter returns a lazy cursor over the term's postings whose Seek
+	// gallops (gallop) or advances linearly — the SLCA plan's seek
+	// discipline. The SLCA stage's driver is only pulled with Next.
+	Iter(term string, gallop bool) index.Iter
 	// Bound returns a block-max cursor bounding the term's tf under
 	// any node, or ok=false when bound metadata is missing (a legacy
 	// compact payload), which makes the ranked consumer run unpruned.
@@ -169,17 +169,12 @@ func (v *indexView) IDF(term string) float64 {
 	return v.idf[term]
 }
 
-// Iter drives over the materialised list; galloping probes ride the
-// index's skip ladders.
-func (v *indexView) Iter(term string, driver, gallop bool) index.Iter {
-	switch {
-	case driver:
-		return index.ListIter(v.idx.Lookup(term))
-	case gallop:
+// Iter gallops on the index's skip ladders.
+func (v *indexView) Iter(term string, gallop bool) index.Iter {
+	if gallop {
 		return v.idx.TermIter(term)
-	default:
-		return index.ListIterLinear(v.idx.Lookup(term))
 	}
+	return index.ListIterLinear(v.idx.Lookup(term))
 }
 
 func (v *indexView) Bound(term string) (index.BoundCursor, bool) {
