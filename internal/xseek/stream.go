@@ -259,10 +259,9 @@ func (es *EntityStream) Err() error { return es.err }
 
 // Cursor is the document-ordered pull interface over labelled search
 // results that every executor's streaming path exposes: the lazy
-// ResultStream, and a materialized
-// fallback (SliceCursor) where a true stream is not available. After
-// Next returns false, Err distinguishes exhaustion from an internal
-// error.
+// ResultStream, and a materialized fallback (SliceCursor) where a true
+// stream is not available. After Next returns false, Err distinguishes
+// exhaustion from an internal error.
 type Cursor interface {
 	Next() (*Result, bool)
 	Err() error
