@@ -73,9 +73,8 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // /api/v1/snippet accept, total counts the full result list, offset is
 // the window's start within it and returned = len(results). Total is
 // -1 when the execution strategy stopped before counting every result
-// (exec=stream mid-list, or rank=1&accuracy=approx on a single-index or
-// live-updated dataset; the sharded fan-out, which serves a sharded
-// dataset until its first write and every coordinator, always counts).
+// (exec=stream mid-list, or rank=1&accuracy=approx on any in-process
+// dataset, sharded or not; only a coordinator's fan-out always counts).
 func (s *server) apiSearch(w http.ResponseWriter, r *http.Request) {
 	query := formValue(r, "q")
 	if query == "" {

@@ -738,10 +738,9 @@ type searchResponse struct {
 	// Paging envelope: Total counts the full result list, Offset is
 	// the window's start within it, Returned = len(Results). Total is
 	// -1 when the execution strategy stopped before counting every
-	// result (exec=stream mid-list, or rank=1&accuracy=approx on a
-	// single-index or live-updated dataset; the sharded fan-out, which
-	// serves a sharded dataset until its first write and every
-	// coordinator, always counts).
+	// result (exec=stream mid-list, or rank=1&accuracy=approx on any
+	// in-process dataset, sharded or not; only a coordinator's fan-out
+	// always counts).
 	Total    int         `json:"total"`
 	Offset   int         `json:"offset"`
 	Returned int         `json:"returned"`
@@ -1143,8 +1142,9 @@ func TestHotEndpointsConcurrent(t *testing.T) {
 // TestCoordinatorDeadLegsAnswer5xx: once a coordinator's shard legs are
 // gone, a read that needs them is the server's failure, not the
 // client's. Search, compare and snippet answer 5xx with the JSON error
-// envelope instead of 400; a query the coordinator can still answer
-// locally (a keyword no leg holds) keeps its 200 with "missing".
+// envelope instead of 400, and the HTML search page answers 5xx with
+// its error page instead of 200; a query the coordinator can still
+// answer locally (a keyword no leg holds) keeps its 200 with "missing".
 func TestCoordinatorDeadLegsAnswer5xx(t *testing.T) {
 	const name = "Movies"
 	legs := make([]*httptest.Server, 2)
@@ -1190,5 +1190,11 @@ func TestCoordinatorDeadLegsAnswer5xx(t *testing.T) {
 	}
 	if code, body := get(t, base+"search?dataset=Movies&q=zzzunknownterm"); code != http.StatusOK || !strings.Contains(body, `"missing":["zzzunknownterm"]`) {
 		t.Errorf("unmatched keyword with dead legs: %d %s, want 200 naming it missing", code, body)
+	}
+	if code, body := get(t, front.URL+"/?dataset=Movies&q=action+revenge"); code < 500 || !strings.Contains(body, "<p>search error: ") || !strings.HasSuffix(body, "</body></html>") {
+		t.Errorf("HTML search with dead legs: %d %s, want 5xx with the search-error page", code, body)
+	}
+	if code, body := get(t, front.URL+"/?dataset=Movies&q=zzzunknownterm"); code != http.StatusOK || !strings.Contains(body, "<p>search error: ") {
+		t.Errorf("HTML search for an unmatched keyword with dead legs: %d %s, want 200 with the search-error page", code, body)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"html"
+	"io"
 	"io/fs"
 	"log"
 	"net/http"
@@ -121,7 +122,7 @@ func newServer(seed int64, snapshotDir string, shards, compactEvery int) (*serve
 // and valid. Snapshot failures are never fatal — a bad file (a retired
 // v1/v2 layout included) just costs a rebuild, and is replaced by a
 // fresh snapshot afterwards; a sharded snapshot with one corrupt shard
-// section loads anyway and rebuilds only that shard lazily. A snapshot
+// section loads anyway and rebuilds only that shard. A snapshot
 // that embeds its corpus is rewritten at once from the loaded engine,
 // so a file in the retired journaled v3 layout is read only once.
 func (s *server) buildEngine(name string, gen func() *xmltree.Node) *engine.Engine {
@@ -272,6 +273,18 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	query := formValue(r, "q")
 	limit, offset := pageParams(r)
 
+	// The search runs before any byte of the page is written, so a
+	// server fault can still set the status.
+	var res *htmlSearch
+	if query != "" {
+		res = s.searchHTML(ds, query, limit, offset)
+		if res.status == http.StatusServiceUnavailable {
+			w.Header()["Retry-After"] = retryAfter
+		}
+		if res.status != http.StatusOK {
+			w.WriteHeader(res.status)
+		}
+	}
 	fmt.Fprint(w, pageHead)
 	fmt.Fprint(w, `<form method="get" action="/">dataset: <select name="dataset">`)
 	for _, name := range append([]string{autoDataset}, s.order...) {
@@ -288,8 +301,8 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, `</select> keywords: <input name="q" value="%s" size="40"> page size: <input name="limit" value="%s" size="4"> <button>Search</button></form>`,
 		html.EscapeString(query), limitVal)
 
-	if query != "" {
-		s.renderResults(w, ds, query, limit, offset)
+	if res != nil {
+		res.render(w, query, limit)
 	}
 	fmt.Fprint(w, pageFoot)
 }
@@ -320,24 +333,54 @@ func (s *server) resolveDataset(ds, query string) string {
 	}
 }
 
-func (s *server) renderResults(w http.ResponseWriter, ds, query string, limit, offset int) {
+// htmlSearch is the HTML search page's outcome: the dataset that
+// served the query and its page of results, or the notice shown
+// instead of them. A query the corpus cannot answer keeps the page's
+// 200, as the JSON search does; a server fault takes readError's 5xx.
+type htmlSearch struct {
+	ds      string
+	auto    bool   // ds was picked by database selection
+	notice  string // shown instead of results when non-empty
+	status  int
+	page    *engine.Page
+	cleaned []string
+}
+
+// searchHTML resolves the dataset and runs the HTML page's search.
+func (s *server) searchHTML(ds, query string, limit, offset int) *htmlSearch {
+	res := &htmlSearch{ds: ds, status: http.StatusOK}
 	if ds == autoDataset {
-		name := s.resolveDataset(ds, query)
-		if name == "" {
-			fmt.Fprintf(w, "<p>no dataset contains keywords of %s</p>", html.EscapeString(query))
-			return
+		if res.ds = s.resolveDataset(ds, query); res.ds == "" {
+			res.notice = "no dataset contains keywords of " + query
+			return res
 		}
-		ds = name
-		fmt.Fprintf(w, "<p>auto-selected dataset <b>%s</b></p>", html.EscapeString(ds))
+		res.auto = true
 	}
-	eng := s.engineFor(ds)
+	eng := s.engineFor(res.ds)
 	if eng == nil {
-		fmt.Fprintf(w, "<p>unknown dataset %s</p>", html.EscapeString(ds))
-		return
+		res.notice = "unknown dataset " + res.ds
+		return res
 	}
 	page, cleaned, err := eng.SearchCleanedPage(query, xseek.SearchOptions{Limit: limit, Offset: offset})
 	if err != nil {
-		fmt.Fprintf(w, "<p>search error: %s</p>", html.EscapeString(err.Error()))
+		res.notice = "search error: " + err.Error()
+		if herr := readError(err); herr.status != http.StatusBadRequest {
+			res.status = herr.status
+		}
+		return res
+	}
+	res.page, res.cleaned = page, cleaned
+	return res
+}
+
+// render writes the search's part of the HTML page.
+func (res *htmlSearch) render(w io.Writer, query string, limit int) {
+	ds, page, cleaned := res.ds, res.page, res.cleaned
+	if res.auto {
+		fmt.Fprintf(w, "<p>auto-selected dataset <b>%s</b></p>", html.EscapeString(ds))
+	}
+	if res.notice != "" {
+		fmt.Fprintf(w, "<p>%s</p>", html.EscapeString(res.notice))
 		return
 	}
 	if joined := strings.Join(cleaned, " "); !sameKeywords(query, cleaned) {

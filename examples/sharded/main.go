@@ -1,7 +1,8 @@
 // Sharded: the same corpus served monolithic and with 4 index shards,
 // demonstrating that Options.Shards changes execution — parallel
-// per-shard builds, fan-out/merge queries — but never results: both
-// engines return identical result lists, rankings, and pages.
+// per-shard builds, queries over a multi-part posting view — but never
+// results: both engines return identical result lists, rankings, and
+// pages.
 package main
 
 import (

@@ -79,9 +79,9 @@ type RankedPageOptions struct {
 	Offset int
 	// Approx lets the engine stop scanning once no later result can
 	// enter the page. The page itself stays exact — identical results,
-	// scores, and order — but the returned total may be TotalUnknown.
-	// The sharded fan-out (a sharded Document before its first write,
-	// and every distributed Document) always returns the exact total.
+	// scores, and order — but the returned total may be TotalUnknown,
+	// sharded or not. Only a distributed Document's fan-out always
+	// returns the exact total.
 	Approx bool
 }
 

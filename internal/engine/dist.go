@@ -1,28 +1,14 @@
 package engine
 
-import (
-	"repro/internal/dewey"
-	"repro/internal/index"
-	"repro/internal/xmltree"
-)
-
 // DistExecutor is the surface a distributed coordinator serves: the
-// full executor contract (so reads flow through the same caches,
-// routing, and retry loops as every in-process executor) plus the
-// write path, epoch, and transport-health counters. internal/dist's
-// Coordinator satisfies it; the engine package deliberately does not
-// import dist (persist imports engine, dist imports persist), so the
-// dependency points this way.
+// full executor contract — reads, writes, and epoch, so requests flow
+// through the same caches, routing, and retry loops as in process —
+// plus the transport-health counters. internal/dist's Coordinator
+// satisfies it; the engine package deliberately does not import dist
+// (persist imports engine, dist imports persist), so the dependency
+// points this way.
 type DistExecutor interface {
 	executor
-	Epoch() uint64
-	AddEntity(n *xmltree.Node) (dewey.ID, error)
-	RemoveEntity(id dewey.ID) error
-	Compact() error
-	PendingOps() int
-	Updates() int64
-	Compactions() int64
-	IndexStats() index.Stats
 	LegCount() int
 	Replicas() int
 	DistCounters() (retries, hedges, degraded, legErrs, failovers, shed int64)
@@ -33,31 +19,14 @@ type DistExecutor interface {
 // retries) behave exactly as over an in-process executor — cache
 // entries are tagged with the coordinator's epoch, so entries minted
 // before a distributed write self-invalidate. Writes route to the
-// coordinator's broadcast path instead of the local live layer.
+// coordinator's broadcast path instead of a local live layer.
 func FromDist(d DistExecutor, cfg Config) *Engine {
-	e := newServing(cfg)
-	e.cur.Store(&executorBox{exec: d, dist: d})
-	return e
+	return newServing(d, cfg)
 }
 
 // Dist returns the distributed coordinator, or nil for an in-process
 // engine.
-func (e *Engine) Dist() DistExecutor { return e.box().dist }
-
-// maybeAutoCompactDist is maybeAutoCompact for the distributed write
-// path: a background cluster-wide compaction once the coordinator's
-// journal crosses the threshold, single-flight like the local one.
-func (e *Engine) maybeAutoCompactDist(d DistExecutor) {
-	if e.cfg.AutoCompactThreshold <= 0 || d.PendingOps() < e.cfg.AutoCompactThreshold {
-		return
-	}
-	if !e.compacting.CompareAndSwap(false, true) {
-		return
-	}
-	go func() {
-		defer e.compacting.Store(false)
-		if err := d.Compact(); err == nil {
-			e.purgeCaches()
-		}
-	}()
+func (e *Engine) Dist() DistExecutor {
+	d, _ := e.exec.(DistExecutor)
+	return d
 }

@@ -11,21 +11,21 @@
 //	facade (xsact.Document)  ─┐
 //	HTTP server (cmd/xsactd) ─┼→ engine.Engine ─→ executor ─→ index / slca
 //	                          │        │             │
-//	                          │        │             ├ xseek.Engine  (monolithic)
-//	                          │        │             ├ shard.Engine  (K-shard fan-out/merge)
-//	                          │        │             └ update.Engine (live writes over either)
+//	                          │        │             ├ update.Engine   (in process: live writes over
+//	                          │        │             │                  one index or K shard indexes)
+//	                          │        │             └ dist.Coordinator (fan-out/merge over shard legs)
 //	                          │        └→ feature (cached) → core (pooled) → table
 //
-// The executor is chosen by Config.Shards — and transparently wrapped
-// by the live update layer on the first AddEntity/RemoveEntity — and
-// is invisible above this layer: all produce identical results, so the
-// caches, the facade, and the servers never branch on the layout. Once
-// the corpus is live, every cache entry is tagged with the update
-// layer's epoch and self-invalidates across writes and compactions.
-// Construction fans index
-// building out — over the root's subtrees for the monolithic executor
-// (xseek.NewParallel), over per-shard segment groups for the sharded
-// one (shard.Build) — and query serving reuses cached search results
-// and feature stats, so repeated Compare/Snippet calls over the same
-// results never re-extract the same subtree twice.
+// Every in-process engine is live from construction: its executor is
+// the update layer over a base that Config.Shards lays out as one
+// index or K, read as one posting view either way. The executor never
+// changes after construction and is invisible above this layer: both
+// kinds produce identical results, so the caches, the facade, and the
+// servers never branch on the layout. Every cache entry is tagged with
+// the executor's epoch and self-invalidates across writes and
+// compactions. Construction fans index building out — over the root's
+// subtrees for one index (xseek.NewParallel), over per-shard segment
+// groups for K (shard.Build) — and query serving reuses cached search
+// results and feature stats, so repeated Compare/Snippet calls over
+// the same results never re-extract the same subtree twice.
 package engine

@@ -37,11 +37,11 @@ type Config struct {
 	// behind SearchStreamPage (each entry holds a live lazy pipeline
 	// plus its consumed prefix). Default 32.
 	StreamCursorCacheSize int
-	// Shards selects the sharded executor with that many index shards
-	// (clamped to the corpus's top-level entity count). 0 or 1 keeps
-	// the monolithic single-index executor. Results are identical
-	// either way; sharding trades one big index for K that build in
-	// parallel and answer fan-out queries.
+	// Shards builds the base as that many index shards (clamped to the
+	// corpus's top-level entity count), read as one live multi-part
+	// posting view; only a distributed coordinator runs a fan-out. 0 or
+	// 1 keeps one monolithic index. Results are identical either way;
+	// sharding trades one big index for K that build in parallel.
 	Shards int
 	// AutoCompactThreshold triggers a background compaction of the live
 	// write path once that many uncompacted writes (adds + removes) are
@@ -89,9 +89,9 @@ type Metrics struct {
 	StatsCacheLen int `json:"stats_cache_len"`
 	DFSCacheLen   int `json:"dfs_cache_len"`
 	// SLCA planner decisions for compiled (cache-miss) queries: the seek
-	// discipline (galloping vs linear) of the one streamed SLCA, summed
-	// across shards for a sharded engine (each shard plans its own leg
-	// of a fan-out).
+	// discipline (galloping vs linear) of the one streamed SLCA. Every
+	// in-process engine, sharded or not, compiles a query once over its
+	// posting view; a coordinator leaves both at zero.
 	PlannerIndexedLookup int64 `json:"planner_indexed_lookup"`
 	PlannerScanEager     int64 `json:"planner_scan_eager"`
 	// Streamed-execution counters: PlannerStreamed is the executor's
@@ -116,9 +116,10 @@ type Metrics struct {
 	RankedWAND    int64 `json:"ranked_wand"`
 	WANDPruned    int64 `json:"wand_pruned"`
 	BlocksSkipped int64 `json:"blocks_skipped"`
-	// Shards is the executor's shard count (1 = monolithic index);
-	// ShardRebuilds counts shards rebuilt from the tree because their
-	// snapshot section was missing or corrupt.
+	// Shards is the base's shard count (1 = monolithic index; a
+	// coordinator reports its legs); ShardRebuilds counts shards
+	// rebuilt from the tree because their snapshot section was missing
+	// or corrupt.
 	Shards        int   `json:"shards"`
 	ShardRebuilds int64 `json:"shard_rebuilds"`
 	// Index residency: IndexBytes is the compact snapshot payload
@@ -130,8 +131,8 @@ type Metrics struct {
 	ResidentBlocks int64 `json:"resident_blocks"`
 	// Live-update counters: lifetime writes and compactions, the state
 	// epoch (bumped by every write and compaction), and the pending
-	// backlog awaiting compaction. All zero until the first write makes
-	// the engine live.
+	// backlog awaiting compaction. Every in-process engine is live from
+	// construction; all are zero until its first write.
 	Updates           int64  `json:"updates"`
 	Compactions       int64  `json:"compactions"`
 	Epoch             uint64 `json:"epoch"`
@@ -154,10 +155,10 @@ type Metrics struct {
 }
 
 // executor is the search substrate the serving layer plumbs onto: the
-// monolithic xseek.Engine, the fan-out shard.Engine, and the live
-// update.Engine all satisfy it, and are required to produce identical
-// output for the same logical corpus — the engine's caches and the
-// layers above never know which one is running.
+// live update.Engine every in-process engine runs from construction,
+// and a distributed coordinator (DistExecutor). Both are required to
+// produce identical output for the same logical corpus — the engine's
+// caches and the layers above never know which one is running.
 type executor interface {
 	Root() *xmltree.Node
 	Schema() *xseek.Schema
@@ -173,63 +174,35 @@ type executor interface {
 	// bit-identical to the same window of the drained cursor +
 	// RankResults while skipping provably non-competitive scoring;
 	// approximate mode may additionally stop draining and report
-	// xseek.StreamTotalUnknown (the sharded fan-out never does).
+	// xseek.StreamTotalUnknown (the coordinator's fan-out never does).
 	// Executors without bound metadata (legacy snapshots) run the same
 	// consumer unpruned, reported via WANDStats.Bounded.
 	SearchStream(query string) (xseek.Cursor, error)
 	SearchRankedPageWAND(query string, opts xseek.SearchOptions) ([]*xseek.RankedResult, int, xseek.WANDStats, error)
 	EstimateResults(query string) int
 	StreamedDecisions() int64
-}
-
-// executorBox is the engine's current executor with its concrete
-// identity alongside. It is swapped atomically exactly once — when the
-// first write installs the live update layer — so every read path
-// loads one box and sees a consistent (executor, epoch) pair.
-type executorBox struct {
-	exec executor
-	x    *xseek.Engine  // non-nil for the monolithic executor
-	sh   *shard.Engine  // non-nil for the sharded executor
-	live *update.Engine // non-nil once updates are enabled
-	dist DistExecutor   // non-nil for a distributed coordinator
-}
-
-// epoch returns the live state version (0 while the corpus is
-// immutable). Cache entries are tagged with it, so entries minted
-// before a write or compaction self-invalidate.
-func (b *executorBox) epoch() uint64 {
-	if b.dist != nil {
-		return b.dist.Epoch()
-	}
-	if b.live != nil {
-		return b.live.Epoch()
-	}
-	return 0
-}
-
-// xseek returns the current monolithic engine: the wrapped one, or the
-// live layer's current base.
-func (b *executorBox) xseek() *xseek.Engine {
-	if b.live != nil {
-		return b.live.BaseXseek()
-	}
-	return b.x
-}
-
-// sharded returns the current sharded engine, if any.
-func (b *executorBox) sharded() *shard.Engine {
-	if b.live != nil {
-		return b.live.BaseSharded()
-	}
-	return b.sh
+	// Write side: the state epoch (bumped by every write and
+	// compaction; cache entries are tagged with it, so entries minted
+	// before a write self-invalidate), the writes themselves, the
+	// pending backlog and lifetime tallies, and index statistics over
+	// the current logical corpus.
+	Epoch() uint64
+	AddEntity(n *xmltree.Node) (dewey.ID, error)
+	RemoveEntity(id dewey.ID) error
+	Compact() error
+	PendingOps() int
+	Updates() int64
+	Compactions() int64
+	IndexStats() index.Stats
 }
 
 // Engine is a concurrency-safe serving engine over one corpus.
 type Engine struct {
 	cfg Config
 
-	liveMu sync.Mutex // serializes the one-time live-executor install
-	cur    atomic.Pointer[executorBox]
+	// exec is fixed at construction: reads and writes of every kind go
+	// through it.
+	exec executor
 
 	compacting atomic.Bool // auto-compaction single-flight guard
 
@@ -264,9 +237,8 @@ func New(root *xmltree.Node) *Engine {
 	return NewWithConfig(root, Config{})
 }
 
-// NewWithConfig is New with explicit cache bounds and executor layout:
-// Config.Shards > 1 builds the fan-out sharded executor, anything else
-// the monolithic one.
+// NewWithConfig is New with explicit cache bounds and base layout:
+// Config.Shards > 1 builds a sharded base, anything else one index.
 func NewWithConfig(root *xmltree.Node, cfg Config) *Engine {
 	if cfg.Shards > 1 {
 		return FromSharded(shard.Build(root, cfg.Shards), cfg)
@@ -274,20 +246,16 @@ func NewWithConfig(root *xmltree.Node, cfg Config) *Engine {
 	return FromXseek(xseek.NewParallel(root), cfg)
 }
 
-// FromXseek wraps an already-built monolithic search engine (e.g. one
-// whose index was loaded from disk) in the serving layer.
+// FromXseek serves an already-built monolithic search engine (e.g. one
+// whose index was loaded from disk) as the base of a live engine.
 func FromXseek(x *xseek.Engine, cfg Config) *Engine {
-	e := newServing(cfg)
-	e.cur.Store(&executorBox{exec: x, x: x})
-	return e
+	return newServing(update.Wrap(x), cfg)
 }
 
-// FromSharded wraps an already-built sharded executor (fresh-built or
-// snapshot-loaded) in the serving layer.
+// FromSharded serves an already-built sharded engine (fresh-built or
+// snapshot-loaded) as the multi-part base of a live engine.
 func FromSharded(s *shard.Engine, cfg Config) *Engine {
-	e := newServing(cfg)
-	e.cur.Store(&executorBox{exec: s, sh: s})
-	return e
+	return newServing(update.WrapSharded(s), cfg)
 }
 
 // MarkCorpusEmbedded records that the engine's corpus was read out of
@@ -299,11 +267,12 @@ func (e *Engine) MarkCorpusEmbedded() { e.embedded.Store(true) }
 // CorpusEmbedded reports whether MarkCorpusEmbedded was called.
 func (e *Engine) CorpusEmbedded() bool { return e.embedded.Load() }
 
-// newServing allocates the cache layer shared by all executors.
-func newServing(cfg Config) *Engine {
+// newServing allocates the cache layer over exec.
+func newServing(exec executor, cfg Config) *Engine {
 	cfg = cfg.normalized()
 	return &Engine{
 		cfg:     cfg,
+		exec:    exec,
 		stats:   newLRU(cfg.StatsCacheSize),
 		queries: newLRU(cfg.QueryCacheSize),
 		dfs:     newLRU(cfg.DFSCacheSize),
@@ -311,79 +280,77 @@ func newServing(cfg Config) *Engine {
 	}
 }
 
-// box returns the current executor box.
-func (e *Engine) box() *executorBox { return e.cur.Load() }
-
 // Root returns the corpus the engine serves (the live tree once
 // updates have been applied).
-func (e *Engine) Root() *xmltree.Node { return e.box().exec.Root() }
+func (e *Engine) Root() *xmltree.Node { return e.exec.Root() }
 
 // Schema returns the inferred schema summary.
-func (e *Engine) Schema() *xseek.Schema { return e.box().exec.Schema() }
+func (e *Engine) Schema() *xseek.Schema { return e.exec.Schema() }
 
-// Index returns the underlying inverted index, or nil for a sharded
-// engine (whose postings live in per-shard indexes; see IndexStats and
-// Sharded for the aggregate views). For a live engine it is the
-// current base index — pending delta postings live beside it until
-// compaction folds them in.
+// Index returns the live layer's current base index, or nil for a
+// sharded base (whose postings live in per-shard indexes; see
+// IndexStats and Sharded for the aggregate views) and for a
+// coordinator. Pending delta postings live beside it until compaction
+// folds them in.
 func (e *Engine) Index() *index.Index {
-	x := e.box().xseek()
+	x := e.Xseek()
 	if x == nil {
 		return nil
 	}
 	return x.Index()
 }
 
-// Xseek returns the wrapped monolithic search engine, or nil for a
-// sharded engine. Callers that only need corpus statistics should use
-// TotalNodes/DocFreq, which work for every executor.
-func (e *Engine) Xseek() *xseek.Engine { return e.box().xseek() }
+// Xseek returns the live layer's current monolithic base, or nil for a
+// sharded base and for a coordinator. Compaction replaces the base, so
+// do not retain the result. Callers that only need corpus statistics
+// should use TotalNodes/DocFreq, which work for every executor.
+func (e *Engine) Xseek() *xseek.Engine {
+	if live := e.Live(); live != nil {
+		return live.BaseXseek()
+	}
+	return nil
+}
 
-// Sharded returns the sharded executor, or nil for a monolithic
-// engine.
-func (e *Engine) Sharded() *shard.Engine { return e.box().sharded() }
+// Sharded returns the live layer's current sharded base, or nil for a
+// monolithic base and for a coordinator.
+func (e *Engine) Sharded() *shard.Engine {
+	if live := e.Live(); live != nil {
+		return live.BaseSharded()
+	}
+	return nil
+}
 
-// Live returns the live update layer, or nil while the corpus has
-// never been written to.
-func (e *Engine) Live() *update.Engine { return e.box().live }
+// Live returns the live update layer, or nil for a distributed
+// coordinator.
+func (e *Engine) Live() *update.Engine {
+	live, _ := e.exec.(*update.Engine)
+	return live
+}
 
-// Epoch returns the live state version; 0 while the corpus is
-// immutable.
-func (e *Engine) Epoch() uint64 { return e.box().epoch() }
+// Epoch returns the state version; 0 until the first write.
+func (e *Engine) Epoch() uint64 { return e.exec.Epoch() }
 
-// ShardCount returns the executor's number of index shards (1 for the
+// ShardCount returns the base's number of index shards (1 for the
 // monolithic layout).
 func (e *Engine) ShardCount() int {
-	if sh := e.box().sharded(); sh != nil {
+	if sh := e.Sharded(); sh != nil {
 		return sh.ShardCount()
 	}
 	return 1
 }
 
-// IndexStats returns the corpus's index statistics, aggregated across
-// shards — and across base ⊕ delta − tombstones for a live engine (the
-// numbers equal a cold index over the current logical corpus).
-func (e *Engine) IndexStats() index.Stats {
-	box := e.box()
-	switch {
-	case box.dist != nil:
-		return box.dist.IndexStats()
-	case box.live != nil:
-		return box.live.IndexStats()
-	case box.sh != nil:
-		return box.sh.IndexStats()
-	default:
-		return box.x.Index().Stats()
-	}
-}
+// IndexStats returns the corpus's index statistics over base ⊕ delta −
+// tombstones, aggregated across shards (the numbers equal a cold index
+// over the current logical corpus).
+func (e *Engine) IndexStats() index.Stats { return e.exec.IndexStats() }
 
 // TotalNodes returns the corpus node count.
-func (e *Engine) TotalNodes() int { return e.box().exec.TotalNodes() }
+func (e *Engine) TotalNodes() int { return e.exec.TotalNodes() }
 
 // DocFreq returns the number of corpus nodes containing term. With
 // TotalNodes it implements xseek.CorpusStats, so serving engines feed
 // database selection directly.
-func (e *Engine) DocFreq(term string) int { return e.box().exec.DocFreq(term) }
+func (e *Engine) DocFreq(term string) int { return e.exec.DocFreq(term) }
 
 // SelectEngine routes a query to the best-covering corpus among named
 // serving engines (sharded or not), or ("", nil) when no corpus
@@ -397,72 +364,28 @@ func SelectEngine(engines map[string]*Engine, query string) (string, *Engine) {
 	return name, engines[name]
 }
 
-// ensureLive installs the update layer over the current executor on
-// first use. The box swap is the only executor transition the engine
-// ever performs; it happens under liveMu and is published atomically,
-// so concurrent readers either keep the immutable executor (correct:
-// no write has committed yet) or see the live one.
-func (e *Engine) ensureLive() *update.Engine {
-	if live := e.box().live; live != nil {
-		return live
-	}
-	e.liveMu.Lock()
-	defer e.liveMu.Unlock()
-	box := e.box()
-	if box.live != nil {
-		return box.live
-	}
-	var live *update.Engine
-	if box.sh != nil {
-		live = update.WrapSharded(box.sh)
-	} else {
-		live = update.Wrap(box.x)
-	}
-	e.cur.Store(&executorBox{exec: live, live: live})
-	return live
-}
-
 // AddEntity appends an entity subtree as a new top-level child of the
 // live corpus and makes it immediately searchable. The engine takes
 // ownership of n. Returns the entity's Dewey ID — the handle
 // RemoveEntity accepts.
 func (e *Engine) AddEntity(n *xmltree.Node) (dewey.ID, error) {
-	if d := e.box().dist; d != nil {
-		id, err := d.AddEntity(n)
-		if err != nil {
-			return nil, err
-		}
-		e.purgeCaches()
-		e.maybeAutoCompactDist(d)
-		return id, nil
-	}
-	live := e.ensureLive()
-	id, err := live.AddEntity(n)
+	id, err := e.exec.AddEntity(n)
 	if err != nil {
 		return nil, err
 	}
 	e.purgeCaches()
-	e.maybeAutoCompact(live)
+	e.maybeAutoCompact()
 	return id, nil
 }
 
 // RemoveEntity removes the top-level entity with the given Dewey ID
 // from the live corpus.
 func (e *Engine) RemoveEntity(id dewey.ID) error {
-	if d := e.box().dist; d != nil {
-		if err := d.RemoveEntity(id); err != nil {
-			return err
-		}
-		e.purgeCaches()
-		e.maybeAutoCompactDist(d)
-		return nil
-	}
-	live := e.ensureLive()
-	if err := live.RemoveEntity(id); err != nil {
+	if err := e.exec.RemoveEntity(id); err != nil {
 		return err
 	}
 	e.purgeCaches()
-	e.maybeAutoCompact(live)
+	e.maybeAutoCompact()
 	return nil
 }
 
@@ -471,18 +394,7 @@ func (e *Engine) RemoveEntity(id dewey.ID) error {
 // flushed afterwards (entries minted mid-compaction self-invalidate
 // through their epoch tags).
 func (e *Engine) Compact() error {
-	if d := e.box().dist; d != nil {
-		if err := d.Compact(); err != nil {
-			return err
-		}
-		e.purgeCaches()
-		return nil
-	}
-	live := e.box().live
-	if live == nil {
-		return nil // nothing was ever written
-	}
-	if err := live.Compact(); err != nil {
+	if err := e.exec.Compact(); err != nil {
 		return err
 	}
 	e.purgeCaches()
@@ -492,8 +404,8 @@ func (e *Engine) Compact() error {
 // maybeAutoCompact schedules a background compaction when the
 // pending-write backlog crosses the configured threshold. Single-
 // flight: a compaction already in progress absorbs later triggers.
-func (e *Engine) maybeAutoCompact(live *update.Engine) {
-	if e.cfg.AutoCompactThreshold <= 0 || live.PendingOps() < e.cfg.AutoCompactThreshold {
+func (e *Engine) maybeAutoCompact() {
+	if e.cfg.AutoCompactThreshold <= 0 || e.exec.PendingOps() < e.cfg.AutoCompactThreshold {
 		return
 	}
 	if !e.compacting.CompareAndSwap(false, true) {
@@ -501,7 +413,7 @@ func (e *Engine) maybeAutoCompact(live *update.Engine) {
 	}
 	go func() {
 		defer e.compacting.Store(false)
-		if err := live.Compact(); err == nil {
+		if err := e.exec.Compact(); err == nil {
 			e.purgeCaches()
 		}
 	}()
@@ -526,12 +438,12 @@ func (e *Engine) purgeCaches() {
 }
 
 // Metrics returns a snapshot of the cache, planner, and live-update
-// counters. The executor identity, epoch, and pending backlog are read
-// from one atomically loaded state, and cache gauges under the caches'
-// own mutexes, so concurrent writes never produce a torn snapshot.
+// counters. The base, epoch, and pending backlog are read from the
+// executor's atomically published state, and cache gauges under the
+// caches' own mutexes, so concurrent writes never produce a torn
+// snapshot.
 func (e *Engine) Metrics() Metrics {
-	box := e.box()
-	indexed, scan := box.exec.PlannerDecisions()
+	indexed, scan := e.exec.PlannerDecisions()
 	m := Metrics{
 		QueryHits: e.queryHits.Load(), QueryMisses: e.queryMisses.Load(),
 		QueryEvictions: e.queryEvictions.Load(),
@@ -540,7 +452,7 @@ func (e *Engine) Metrics() Metrics {
 		DFSHits:        e.dfsHits.Load(), DFSMisses: e.dfsMisses.Load(),
 		DFSEvictions:         e.dfsEvictions.Load(),
 		PlannerIndexedLookup: indexed, PlannerScanEager: scan,
-		PlannerStreamed: box.exec.StreamedDecisions(),
+		PlannerStreamed: e.exec.StreamedDecisions(),
 		RankedStreamed:  e.rankedStreamed.Load(),
 		RankedEager:     e.rankedEager.Load(),
 		RankedWAND:      e.rankedWAND.Load(),
@@ -549,32 +461,29 @@ func (e *Engine) Metrics() Metrics {
 		StreamHits:      e.streamHits.Load(),
 		StreamMisses:    e.streamMisses.Load(),
 		Shards:          1,
+		Updates:         e.exec.Updates(),
+		Compactions:     e.exec.Compactions(),
+		Epoch:           e.exec.Epoch(),
+		PendingDelta:    e.exec.PendingOps(),
 	}
-	if sh := box.sharded(); sh != nil {
-		m.Shards = sh.ShardCount()
-		m.ShardRebuilds = sh.Rebuilds()
-		ms := sh.MemStats()
-		m.IndexBytes, m.ResidentBlocks = ms.DataBytes, ms.ResidentBlocks
-	} else if x := box.xseek(); x != nil {
-		ms := x.Index().MemStats()
-		m.IndexBytes, m.ResidentBlocks = ms.DataBytes, ms.ResidentBlocks
+	if live := e.Live(); live != nil {
+		m.PendingDelta, m.PendingTombstones = live.Pending()
+		if sh := live.BaseSharded(); sh != nil {
+			m.Shards = sh.ShardCount()
+			m.ShardRebuilds = sh.Rebuilds()
+			ms := sh.MemStats()
+			m.IndexBytes, m.ResidentBlocks = ms.DataBytes, ms.ResidentBlocks
+		} else {
+			ms := live.BaseXseek().Index().MemStats()
+			m.IndexBytes, m.ResidentBlocks = ms.DataBytes, ms.ResidentBlocks
+		}
 	}
-	if box.live != nil {
-		m.Updates = box.live.Updates()
-		m.Compactions = box.live.Compactions()
-		m.Epoch = box.live.Epoch()
-		m.PendingDelta, m.PendingTombstones = box.live.Pending()
-	}
-	if box.dist != nil {
-		m.Shards = box.dist.LegCount()
-		m.DistLegs = box.dist.LegCount()
-		m.DistReplicas = box.dist.Replicas()
-		m.Updates = box.dist.Updates()
-		m.Compactions = box.dist.Compactions()
-		m.Epoch = box.dist.Epoch()
-		m.PendingDelta = box.dist.PendingOps()
+	if d := e.Dist(); d != nil {
+		m.Shards = d.LegCount()
+		m.DistLegs = d.LegCount()
+		m.DistReplicas = d.Replicas()
 		m.DistRetries, m.DistHedges, m.DistDegraded, m.DistLegErrs,
-			m.DistFailovers, m.DistShed = box.dist.DistCounters()
+			m.DistFailovers, m.DistShed = d.DistCounters()
 	}
 	e.queryMu.Lock()
 	m.QueryCacheLen = e.queries.len()
@@ -650,19 +559,18 @@ type cacheEntry struct {
 // before a write or compaction is never served afterwards — even if a
 // racing reader re-inserts it after the post-write purge.
 func (e *Engine) Search(query string) ([]*xseek.Result, error) {
-	box := e.box()
-	out := e.search(box, box.epoch(), queryKey(query), query)
+	out := e.search(e.exec.Epoch(), queryKey(query), query)
 	return out.results, out.err
 }
 
 // search is Search returning the outcome itself, under a caller-pinned
-// executor box and epoch.
-func (e *Engine) search(box *executorBox, epoch uint64, key, query string) *queryOutcome {
+// epoch.
+func (e *Engine) search(epoch uint64, key, query string) *queryOutcome {
 	if out := e.cached(key, epoch); out != nil {
 		e.queryHits.Add(1)
 		return out
 	}
-	return e.execSearch(box, epoch, key, query)
+	return e.execSearch(epoch, key, query)
 }
 
 // cached returns the query LRU's outcome for key when it was computed
@@ -681,10 +589,10 @@ func (e *Engine) cached(key string, epoch uint64) *queryOutcome {
 
 // execSearch is a query-cache miss: it drains the executor's cursor
 // and caches the outcome when it is cacheable.
-func (e *Engine) execSearch(box *executorBox, epoch uint64, key, query string) *queryOutcome {
+func (e *Engine) execSearch(epoch uint64, key, query string) *queryOutcome {
 	e.queryMisses.Add(1)
 	var rs []*xseek.Result
-	c, err := box.exec.SearchStream(query)
+	c, err := e.exec.SearchStream(query)
 	if err == nil {
 		rs, err = xseek.Drain(c)
 	}
@@ -695,7 +603,7 @@ func (e *Engine) execSearch(box *executorBox, epoch uint64, key, query string) *
 	}
 	// Cache only when no write landed mid-search; a stale insert would
 	// still be rejected by the epoch check in cached, this just avoids it.
-	if box.epoch() == epoch {
+	if e.exec.Epoch() == epoch {
 		e.queryMu.Lock()
 		e.queryEvictions.Add(int64(e.queries.put(key, out)))
 		e.queryMu.Unlock()
@@ -711,12 +619,12 @@ func (e *Engine) execSearch(box *executorBox, epoch uint64, key, query string) *
 // its current corpus statistics). A nil ranking is a failed
 // distributed scoring fan-out: it is returned, never memoized. The
 // returned slice is shared and read-only.
-func (e *Engine) rankingOf(box *executorBox, epoch uint64, out *queryOutcome, query, terms string) []*xseek.RankedResult {
+func (e *Engine) rankingOf(epoch uint64, out *queryOutcome, query, terms string) []*xseek.RankedResult {
 	if r := out.ranking.Load(); r != nil && r.terms == terms {
 		return r.ranked
 	}
-	ranked := box.exec.RankResults(out.results, query)
-	if ranked == nil || box.epoch() != epoch {
+	ranked := e.exec.RankResults(out.results, query)
+	if ranked == nil || e.exec.Epoch() != epoch {
 		return ranked
 	}
 	if !out.ranking.CompareAndSwap(nil, &ranking{terms: terms, ranked: ranked}) {
@@ -733,7 +641,7 @@ func (e *Engine) rankingOf(box *executorBox, epoch uint64, out *queryOutcome, qu
 // and then searches through the cache, returning the corrected
 // keywords alongside the results.
 func (e *Engine) SearchCleaned(query string) ([]*xseek.Result, []string, error) {
-	cleaned := e.box().exec.CleanQuery(query)
+	cleaned := e.exec.CleanQuery(query)
 	rs, err := e.Search(strings.Join(cleaned, " "))
 	return rs, cleaned, err
 }
@@ -756,14 +664,13 @@ func (e *Engine) SearchRanked(query string) ([]*xseek.RankedResult, error) {
 	key, terms := queryKeys(query)
 	var ranked []*xseek.RankedResult
 	for i := 0; i < rankedAttempts; i++ {
-		box := e.box()
-		epoch := box.epoch()
-		out := e.search(box, epoch, key, query)
+		epoch := e.exec.Epoch()
+		out := e.search(epoch, key, query)
 		if out.err != nil {
 			return nil, out.err
 		}
-		ranked = e.rankingOf(box, epoch, out, query, terms)
-		if box.epoch() == epoch {
+		ranked = e.rankingOf(epoch, out, query, terms)
+		if e.exec.Epoch() == epoch {
 			break
 		}
 	}
@@ -807,7 +714,7 @@ func (e *Engine) SearchPage(query string, opts xseek.SearchOptions) (*Page, erro
 // SearchCleanedPage is SearchPage over the spell-corrected query,
 // returning the corrected keywords alongside the page.
 func (e *Engine) SearchCleanedPage(query string, opts xseek.SearchOptions) (*Page, []string, error) {
-	cleaned := e.box().exec.CleanQuery(query)
+	cleaned := e.exec.CleanQuery(query)
 	page, err := e.SearchPage(strings.Join(cleaned, " "), opts)
 	return page, cleaned, err
 }
@@ -835,43 +742,42 @@ func (e *Engine) SearchCleanedPage(query string, opts xseek.SearchOptions) (*Pag
 // consumer, which runs unpruned by itself when bound metadata is
 // missing — WANDStats.Bounded reports which happened, and feeds the
 // ranked_wand / wand_pruned / blocks_skipped metrics. An approximate
-// streamed page is still exact, but on the monolithic or live executor
-// its total may come back xseek.StreamTotalUnknown; the sharded and
-// distributed fan-out always reports the exact total.
+// streamed page is still exact, but on any in-process engine, sharded
+// or not, its total may come back xseek.StreamTotalUnknown; only a
+// coordinator's fan-out always reports the exact total.
 func (e *Engine) SearchRankedPage(query string, opts xseek.SearchOptions) (*RankedPage, error) {
 	key, terms := queryKeys(query)
 	var page *RankedPage
 	for i := 0; i < rankedAttempts; i++ {
-		box := e.box()
-		epoch := box.epoch()
+		epoch := e.exec.Epoch()
 		var err error
-		if page, err = e.rankedPage(box, epoch, key, terms, query, opts); err != nil {
+		if page, err = e.rankedPage(epoch, key, terms, query, opts); err != nil {
 			return nil, err
 		}
-		if box.epoch() == epoch {
+		if e.exec.Epoch() == epoch {
 			break
 		}
 	}
 	return page, nil
 }
 
-// rankedPage is one SearchRankedPage attempt under a pinned executor
-// box and epoch, with one query-cache lookup.
-func (e *Engine) rankedPage(box *executorBox, epoch uint64, key, terms, query string, opts xseek.SearchOptions) (*RankedPage, error) {
+// rankedPage is one SearchRankedPage attempt under a pinned epoch, with
+// one query-cache lookup.
+func (e *Engine) rankedPage(epoch uint64, key, terms, query string, opts xseek.SearchOptions) (*RankedPage, error) {
 	out := e.cached(key, epoch)
 	switch {
 	case out != nil:
 		e.queryHits.Add(1)
-	case opts.Accuracy == xseek.AccuracyApprox || routeStreamed(box, query, opts):
-		return e.streamedPage(box, query, opts)
+	case opts.Accuracy == xseek.AccuracyApprox || e.routeStreamed(query, opts):
+		return e.streamedPage(query, opts)
 	default:
-		out = e.execSearch(box, epoch, key, query)
+		out = e.execSearch(epoch, key, query)
 	}
 	if out.err != nil {
 		return nil, out.err
 	}
 	e.rankedEager.Add(1)
-	ranked := e.rankingOf(box, epoch, out, query, terms)
+	ranked := e.rankingOf(epoch, out, query, terms)
 	lo, hi := opts.Window(len(out.results))
 	if ranked != nil {
 		// Full slice expression: cap the window so a caller's append
@@ -884,7 +790,7 @@ func (e *Engine) rankedPage(box *executorBox, epoch uint64, key, terms, query st
 // SearchCleanedRankedPage is SearchRankedPage over the spell-corrected
 // query, returning the corrected keywords alongside the page.
 func (e *Engine) SearchCleanedRankedPage(query string, opts xseek.SearchOptions) (*RankedPage, []string, error) {
-	cleaned := e.box().exec.CleanQuery(query)
+	cleaned := e.exec.CleanQuery(query)
 	page, err := e.SearchRankedPage(strings.Join(cleaned, " "), opts)
 	return page, cleaned, err
 }
@@ -896,8 +802,7 @@ func (e *Engine) SearchCleanedRankedPage(query string, opts xseek.SearchOptions)
 // epoch-tagged because the schema they were extracted under changes
 // with live writes.
 func (e *Engine) Stats(node *xmltree.Node, label string) *feature.Stats {
-	box := e.box()
-	epoch := box.epoch()
+	epoch := e.exec.Epoch()
 	key := statsKey(node, label)
 	e.statsMu.Lock()
 	v, ok := e.stats.get(key)
@@ -909,11 +814,11 @@ func (e *Engine) Stats(node *xmltree.Node, label string) *feature.Stats {
 		}
 	}
 	e.statsMisses.Add(1)
-	s := feature.Extract(node, box.exec.Schema(), label)
+	s := feature.Extract(node, e.exec.Schema(), label)
 	e.statsMu.Lock()
 	if prior, ok := e.stats.get(key); ok && prior.(cacheEntry).epoch == epoch {
 		s = prior.(cacheEntry).val.(*feature.Stats) // another goroutine raced us; keep one canonical copy
-	} else if box.epoch() == epoch {
+	} else if e.exec.Epoch() == epoch {
 		e.statsEvictions.Add(int64(e.stats.put(key, cacheEntry{val: s, epoch: epoch})))
 	}
 	e.statsMu.Unlock()
@@ -972,7 +877,7 @@ func (e *Engine) Generate(alg core.Algorithm, results []*xseek.Result, opts core
 	// Key on the canonical options (the generators normalize anyway) so
 	// e.g. SizeBound 0 and SizeBound 10 share one cache entry.
 	opts = opts.Normalized()
-	epoch := e.box().epoch()
+	epoch := e.exec.Epoch()
 	key := selectionKey(results, alg, opts)
 	e.dfsMu.Lock()
 	v, ok := e.dfs.get(key)
@@ -989,7 +894,7 @@ func (e *Engine) Generate(alg core.Algorithm, results []*xseek.Result, opts core
 	if dfss == nil {
 		return nil
 	}
-	if e.box().epoch() == epoch {
+	if e.exec.Epoch() == epoch {
 		e.dfsMu.Lock()
 		e.dfsEvictions.Add(int64(e.dfs.put(key, cacheEntry{val: dfss, epoch: epoch})))
 		e.dfsMu.Unlock()

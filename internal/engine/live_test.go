@@ -194,41 +194,66 @@ func TestMetricsConsistentUnderRace(t *testing.T) {
 	}
 }
 
-// TestLivePlannerCountersCarryOver: the first write swaps the live
-// layer in as the executor, and the planner metrics must count on from
-// the base's tallies instead of starting again at zero.
-func TestLivePlannerCountersCarryOver(t *testing.T) {
-	for _, shards := range []int{1, 2} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			e := NewWithConfig(dataset.Movies(dataset.MoviesConfig{Seed: 1, Movies: 200}), Config{Shards: shards})
-			queries := dataset.MovieQueries()
-			for i, q := range queries[:6] {
-				var err error
-				if i < 3 {
-					_, err = e.Search(q)
-				} else {
-					_, err = e.SearchRankedPage(q, xseek.SearchOptions{Limit: 1, Accuracy: xseek.AccuracyApprox})
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
+// TestPlannerCountersOnePerRead: every in-process engine runs one
+// query pipeline over its base, so a compiled query counts one planner
+// decision whatever the base's layout, and no counter runs backwards
+// across a write or a compaction.
+func TestPlannerCountersOnePerRead(t *testing.T) {
+	queries := dataset.MovieQueries()
+	sixReads := func(t *testing.T, e *Engine) Metrics {
+		t.Helper()
+		for i, q := range queries[:6] {
+			var err error
+			if i < 3 {
+				_, err = e.Search(q)
+			} else {
+				_, err = e.SearchRankedPage(q, xseek.SearchOptions{Limit: 1, Accuracy: xseek.AccuracyApprox})
 			}
-			before := e.Metrics()
-			if before.PlannerIndexedLookup+before.PlannerScanEager == 0 || before.PlannerStreamed == 0 {
-				t.Fatalf("six reads left no planner decision to carry: %+v", before)
-			}
-			mustAdd(t, e, "<movie><title>counted</title></movie>")
-			after := e.Metrics()
-			if after.PlannerIndexedLookup < before.PlannerIndexedLookup ||
-				after.PlannerScanEager < before.PlannerScanEager ||
-				after.PlannerStreamed < before.PlannerStreamed {
-				t.Fatalf("planner counters ran backwards across the first write:\nbefore %+v\nafter  %+v", before, after)
-			}
-			if _, err := e.Search(queries[6]); err != nil {
+			if err != nil {
 				t.Fatal(err)
 			}
-			if later := e.Metrics(); later.PlannerIndexedLookup+later.PlannerScanEager <= after.PlannerIndexedLookup+after.PlannerScanEager {
-				t.Fatalf("a live search added no planner decision: %+v", later)
+		}
+		return e.Metrics()
+	}
+	planner := func(m Metrics) [3]int64 {
+		return [3]int64{m.PlannerIndexedLookup, m.PlannerScanEager, m.PlannerStreamed}
+	}
+	corpus := func() *xmltree.Node { return dataset.Movies(dataset.MoviesConfig{Seed: 1, Movies: 200}) }
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			e := NewWithConfig(corpus(), Config{Shards: shards})
+			before := sixReads(t, e)
+			if got := before.PlannerIndexedLookup + before.PlannerScanEager; got != 6 || before.PlannerStreamed != 3 {
+				t.Fatalf("six reads counted %d planner decisions and %d streamed pages, want 6 and 3: %+v", got, before.PlannerStreamed, before)
+			}
+			if mono := sixReads(t, New(corpus())); planner(before) != planner(mono) {
+				t.Fatalf("planner counters (indexed, scan, streamed) = %v, monolithic engine %v", planner(before), planner(mono))
+			}
+			last := before
+			step := func(what string, f func() error) {
+				t.Helper()
+				if err := f(); err != nil {
+					t.Fatal(err)
+				}
+				m := e.Metrics()
+				for i, n := range planner(m) {
+					if n < planner(last)[i] {
+						t.Fatalf("planner counters ran backwards across %s:\nbefore %+v\nafter  %+v", what, last, m)
+					}
+				}
+				last = m
+			}
+			step("an add", func() error {
+				_, err := e.AddEntity(xmltree.MustParseString("<movie><title>counted</title></movie>"))
+				return err
+			})
+			step("a compaction", e.Compact)
+			step("a live search", func() error {
+				_, err := e.Search(queries[6])
+				return err
+			})
+			if got, prev := last.PlannerIndexedLookup+last.PlannerScanEager, before.PlannerIndexedLookup+before.PlannerScanEager; got != prev+1 {
+				t.Fatalf("a live search after a write and a compaction left %d planner decisions, want %d", got, prev+1)
 			}
 		})
 	}

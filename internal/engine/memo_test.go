@@ -139,12 +139,10 @@ func (s *rankSpy) RankResults(results []*xseek.Result, query string) []*xseek.Ra
 	return s.executor.RankResults(results, query)
 }
 
-// spyOn installs a rankSpy over e's current executor.
+// spyOn installs a rankSpy over e's executor.
 func spyOn(e *Engine) *rankSpy {
-	box := *e.box()
-	spy := &rankSpy{executor: box.exec}
-	box.exec = spy
-	e.cur.Store(&box)
+	spy := &rankSpy{executor: e.exec}
+	e.exec = spy
 	return spy
 }
 
@@ -255,7 +253,6 @@ func TestRankedMemoConcurrentReaders(t *testing.T) {
 
 	t.Run("WriteDuringFill", func(t *testing.T) {
 		e := pagedCorpus(t, 6)
-		e.ensureLive()
 		spy := spyOn(e)
 		if _, err := e.Search("gps"); err != nil {
 			t.Fatal(err)

@@ -21,7 +21,7 @@ import (
 // window is bounded and the stream planner judges it small against the
 // estimated result count. (A hit never gets here: windowing the cached
 // outcome's ranking is cheaper than any re-execution.)
-func routeStreamed(box *executorBox, query string, opts xseek.SearchOptions) bool {
+func (e *Engine) routeStreamed(query string, opts xseek.SearchOptions) bool {
 	lo := opts.Offset
 	if lo < 0 {
 		lo = 0
@@ -33,14 +33,14 @@ func routeStreamed(box *executorBox, query string, opts xseek.SearchOptions) boo
 	if need <= lo { // overflow
 		return false
 	}
-	est := box.exec.EstimateResults(query)
+	est := e.exec.EstimateResults(query)
 	return slca.PlanStreamed(index.PlanStats{Min: est}, need)
 }
 
 // streamedPage runs one ranked page through the executor's
 // score-bounded streamed pipeline and feeds the WAND metrics.
-func (e *Engine) streamedPage(box *executorBox, query string, opts xseek.SearchOptions) (*RankedPage, error) {
-	page, total, st, err := box.exec.SearchRankedPageWAND(query, opts)
+func (e *Engine) streamedPage(query string, opts xseek.SearchOptions) (*RankedPage, error) {
+	page, total, st, err := e.exec.SearchRankedPageWAND(query, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -66,7 +66,7 @@ func (e *Engine) streamedPage(box *executorBox, query string, opts xseek.SearchO
 // result. For cached, shareable pagination use SearchStreamPage; for
 // a materialized list use Search.
 func (e *Engine) SearchStream(query string) (xseek.Cursor, error) {
-	return e.box().exec.SearchStream(query)
+	return e.exec.SearchStream(query)
 }
 
 // streamCursor is one resumable doc-order stream: the live cursor plus
@@ -92,8 +92,7 @@ type streamCursor struct {
 // results the exact total is reported (and sticks for later pages).
 // An unbounded window (Limit <= 0) drains the cursor.
 func (e *Engine) SearchStreamPage(query string, opts xseek.SearchOptions) (*Page, error) {
-	box := e.box()
-	epoch := box.epoch()
+	epoch := e.exec.Epoch()
 	key := queryKey(query)
 
 	var sc *streamCursor
@@ -108,7 +107,7 @@ func (e *Engine) SearchStreamPage(query string, opts xseek.SearchOptions) (*Page
 		e.streamHits.Add(1)
 	} else {
 		e.streamMisses.Add(1)
-		cur, err := box.exec.SearchStream(query)
+		cur, err := e.exec.SearchStream(query)
 		if err != nil {
 			return nil, err
 		}
@@ -116,7 +115,7 @@ func (e *Engine) SearchStreamPage(query string, opts xseek.SearchOptions) (*Page
 		e.streamMu.Lock()
 		if v, ok := e.streams.get(key); ok && v.(*streamCursor).epoch == epoch {
 			sc = v.(*streamCursor) // another goroutine raced us; share its cursor
-		} else if box.epoch() == epoch {
+		} else if e.exec.Epoch() == epoch {
 			e.streams.put(key, sc)
 		}
 		e.streamMu.Unlock()
@@ -159,7 +158,7 @@ func (e *Engine) SearchStreamPage(query string, opts xseek.SearchOptions) (*Page
 // SearchCleanedStreamPage is SearchStreamPage over the spell-corrected
 // query, returning the corrected keywords alongside the page.
 func (e *Engine) SearchCleanedStreamPage(query string, opts xseek.SearchOptions) (*Page, []string, error) {
-	cleaned := e.box().exec.CleanQuery(query)
+	cleaned := e.exec.CleanQuery(query)
 	page, err := e.SearchStreamPage(strings.Join(cleaned, " "), opts)
 	return page, cleaned, err
 }

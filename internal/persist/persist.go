@@ -12,7 +12,6 @@ import (
 	"strconv"
 
 	"repro/internal/engine"
-	"repro/internal/update"
 	"repro/internal/xmltree"
 )
 
@@ -34,7 +33,7 @@ type Meta struct {
 	RootTag     string
 	NodeCount   int
 	ContentHash uint64
-	// Shards is the sharded executor's group count; 0 for a
+	// Shards is the sharded base's group count; 0 for a
 	// single-index snapshot.
 	Shards int
 }
@@ -93,18 +92,15 @@ func fingerprint(root *xmltree.Node) (count int, hash uint64) {
 // base ('J'). A distributed engine has no local state to store: its
 // shard legs persist through group snapshots (EncodeGroup).
 func Save(w io.Writer, eng *engine.Engine, meta Meta) error {
-	if eng.Dist() != nil {
+	live := eng.Live()
+	if live == nil {
 		return errors.New("persist: a distributed engine has no local snapshot; its shard legs persist through group snapshots")
 	}
-	live := eng.Live()
-	written := live != nil && live.Epoch() > 0
-	if !written && !eng.CorpusEmbedded() {
-		return saveV4(w, eng.Root(), eng.Xseek(), eng.Sharded(), nil, nil, meta)
-	}
-	baseRoot, x, sh := eng.Root(), eng.Xseek(), eng.Sharded()
-	var journal []update.JournalOp
-	if live != nil {
-		baseRoot, x, sh, journal = live.SnapshotParts()
+	// The parts are read before the epoch: epochs only grow, so an
+	// epoch of 0 read afterwards proves the parts predate every write.
+	baseRoot, x, sh, journal := live.SnapshotParts()
+	if live.Epoch() == 0 && !eng.CorpusEmbedded() {
+		return saveV4(w, baseRoot, x, sh, nil, nil, meta)
 	}
 	// The base tree is serialized and immediately re-parsed, so the
 	// recorded fingerprint covers exactly the tree Load reconstructs

@@ -237,6 +237,33 @@ func TestV4LiveCompactedSelfContained(t *testing.T) {
 	}
 }
 
+// TestV4NeverWrittenSavesNoCorpus: every in-process engine has a live
+// layer from construction, but one that was never written serves a
+// regenerable corpus, so its snapshot stores only derived state — no
+// 'X' (base tree) and no 'J' (journal) — monolithic and sharded alike.
+func TestV4NeverWrittenSavesNoCorpus(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			eng := engine.NewWithConfig(testRoot(), engine.Config{Shards: shards})
+			snap := v4SnapshotOf(t, eng, Meta{CorpusName: "reviews", Seed: 11})
+			pos := bytes.IndexByte(snap, '\n') + 1
+			for pos < len(snap) {
+				if k := snap[pos]; k == secXML || k == secJournal {
+					t.Fatalf("never-written engine's snapshot carries section %q", k)
+				}
+				pos += 9 + int(binary.LittleEndian.Uint64(snap[pos+1:pos+9])) + 4
+			}
+			loaded, _, err := Load(bytes.NewReader(snap), testRoot(), engine.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if loaded.CorpusEmbedded() {
+				t.Fatal("reload of a never-written snapshot is marked as embedding its corpus")
+			}
+		})
+	}
+}
+
 // TestV4JournaledRoundTrip: a live engine with pending journaled
 // writes saves as v4 with its base tree ('X') and journal ('J'), and
 // reloads — through Load and the mmap LoadFile path alike — with the

@@ -266,20 +266,6 @@ func (e *Engine) ShardCount() int { return len(e.shards) }
 // their snapshot source was missing or corrupt.
 func (e *Engine) Rebuilds() int64 { return e.rebuilds.Load() }
 
-// PlannerDecisions sums the SLCA cost-planner counters over the
-// materialized shards (a query compiles once per shard, so sharded
-// counts run K× a monolithic engine's).
-func (e *Engine) PlannerDecisions() (indexedLookup, scanEager int64) {
-	for _, sh := range e.shards {
-		if x := sh.peek(); x != nil {
-			i, s := x.PlannerDecisions()
-			indexedLookup += i
-			scanEager += s
-		}
-	}
-	return indexedLookup, scanEager
-}
-
 // ShardIndexes materializes and returns every shard's inverted index
 // in group order — the persistence layer's save hook.
 func (e *Engine) ShardIndexes() []*index.Index {

@@ -45,9 +45,10 @@ type Engine struct {
 	rootTag  string
 
 	// counters tallies the planner decisions of live reads
-	// (PlannerDecisions, StreamedDecisions), counting on from the base
-	// executor's tallies at the time the live layer was installed.
-	*counters
+	// (PlannerDecisions, StreamedDecisions): one per compiled query
+	// whatever the base's layout, since the pipeline runs once over the
+	// multi-part view.
+	counters
 	updates, compactions atomic.Int64
 }
 
@@ -115,11 +116,6 @@ func WrapSharded(sh *shard.Engine) *Engine { return wrap(nil, sh) }
 
 func wrap(x *xseek.Engine, sh *shard.Engine) *Engine {
 	e := &Engine{evidence: make(map[*xmltree.Node]*xseek.Evidence)}
-	if sh != nil {
-		e.counters = xseek.CarryCounters(sh)
-	} else {
-		e.counters = xseek.CarryCounters(x)
-	}
 	s := baseState(x, sh, 0)
 	e.rootTag = s.root.Tag
 	e.cur.Store(s)

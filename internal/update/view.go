@@ -17,7 +17,7 @@ import (
 // reader is the query pipeline over the current snapshot.
 func (e *Engine) reader() xseek.Reader {
 	s := e.view()
-	return xseek.NewReader(s.root, s.schema, s, e.counters)
+	return xseek.NewReader(s.root, s.schema, s, &e.counters)
 }
 
 // SearchStream returns a lazy doc-order result cursor over the live

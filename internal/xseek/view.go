@@ -55,21 +55,6 @@ type Counters struct {
 	indexed, scan, streamed atomic.Int64
 }
 
-// CarryCounters returns counters that start at prev's counts, so an
-// executor that takes over from another (the live layer over its
-// base) keeps the metrics running instead of resetting them.
-func CarryCounters(prev interface {
-	PlannerDecisions() (indexedLookup, scanEager int64)
-	StreamedDecisions() int64
-}) *Counters {
-	c := new(Counters)
-	i, s := prev.PlannerDecisions()
-	c.indexed.Store(i)
-	c.scan.Store(s)
-	c.streamed.Store(prev.StreamedDecisions())
-	return c
-}
-
 // PlannerDecisions reports how many compiled queries the SLCA cost
 // planner routed to each seek discipline.
 func (c *Counters) PlannerDecisions() (indexedLookup, scanEager int64) {

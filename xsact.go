@@ -50,10 +50,11 @@ type Document struct {
 // zero value is the default configuration.
 type Options struct {
 	// Shards splits the corpus into that many index shards, built in
-	// parallel at top-level entity boundaries and searched with a
-	// fan-out/merge executor. Results are identical to the unsharded
-	// engine; 0 or 1 keeps the single monolithic index. The count is
-	// clamped to the number of top-level entities in the corpus.
+	// parallel at top-level entity boundaries and read as one live
+	// multi-part posting view (only a distributed coordinator runs a
+	// fan-out). Results are identical to the unsharded engine; 0 or 1
+	// keeps the single monolithic index. The count is clamped to the
+	// number of top-level entities in the corpus.
 	Shards int
 	// AutoCompactEvery compacts the live write path in the background
 	// once that many uncompacted writes (AddEntity/RemoveEntity calls)
