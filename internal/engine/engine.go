@@ -438,10 +438,10 @@ func (e *Engine) purgeCaches() {
 }
 
 // Metrics returns a snapshot of the cache, planner, and live-update
-// counters. The base, epoch, and pending backlog are read from the
-// executor's atomically published state, and cache gauges under the
-// caches' own mutexes, so concurrent writes never produce a torn
-// snapshot.
+// counters. The base, epoch, and pending backlog are each read from
+// the executor's atomically published state, and cache gauges under
+// the caches' own mutexes, so concurrent writes never produce a torn
+// value.
 func (e *Engine) Metrics() Metrics {
 	indexed, scan := e.exec.PlannerDecisions()
 	m := Metrics{
