@@ -166,7 +166,7 @@ func baseState(x *xseek.Engine, sh *shard.Engine, epoch uint64) *state {
 // a clean base tree child positions equal Dewey ordinals (AssignIDs
 // numbers text children too).
 func topEntries(root *xmltree.Node) []topEntry {
-	var out []topEntry
+	out := make([]topEntry, 0, len(root.Children))
 	for i, c := range root.Children {
 		if c.Kind == xmltree.Element {
 			out = append(out, topEntry{ord: i, node: c})

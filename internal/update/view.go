@@ -13,11 +13,40 @@ import (
 // answers exactly as a cold build of the same corpus would. Snapshots
 // are immutable, so a read — a stream included — stays consistent
 // across concurrent writes: it keeps reading the epoch it started on.
+//
+// A state with no pending writes over a monolithic base is exactly the
+// base's corpus, so it reads the base engine's own index instead: the
+// same pipeline over the skip ladders, precomputed IDFs and
+// materialised lists of the base, with none of the per-term composite
+// cursors a written state needs. An engine therefore reads the same
+// way from construction until its first write, and again after each
+// compaction.
+
+// cleanBase returns the monolithic base when nothing is pending over
+// it, else nil.
+func (s *state) cleanBase() *xseek.Engine {
+	if len(s.journal) == 0 {
+		return s.baseX
+	}
+	return nil
+}
 
 // reader is the query pipeline over the current snapshot.
 func (e *Engine) reader() xseek.Reader {
 	s := e.view()
+	if x := s.cleanBase(); x != nil {
+		return x.ReaderCounting(&e.counters)
+	}
 	return xseek.NewReader(s.root, s.schema, s, &e.counters)
+}
+
+// vocabulary is the current snapshot's document-frequency view.
+func (e *Engine) vocabulary() xseek.Vocabulary {
+	s := e.view()
+	if x := s.cleanBase(); x != nil {
+		return x.Index()
+	}
+	return s
 }
 
 // SearchStream returns a lazy doc-order result cursor over the live
@@ -39,10 +68,12 @@ func (e *Engine) RankResults(results []*xseek.Result, query string) []*xseek.Ran
 }
 
 // EstimateResults bounds the query's live result count.
-func (e *Engine) EstimateResults(query string) int { return xseek.EstimateResults(e.view(), query) }
+func (e *Engine) EstimateResults(query string) int {
+	return xseek.EstimateResults(e.vocabulary(), query)
+}
 
 // CleanQuery spell-corrects each keyword against the live vocabulary.
-func (e *Engine) CleanQuery(query string) []string { return xseek.CleanQuery(e.view(), query) }
+func (e *Engine) CleanQuery(query string) []string { return xseek.CleanQuery(e.vocabulary(), query) }
 
 // Root returns the live document tree. Mutations replace it (the
 // returned tree itself is immutable), so do not retain it across

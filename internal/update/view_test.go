@@ -83,3 +83,49 @@ func checkBoundsAdmissible(t *testing.T, step string, s *state, terms []string) 
 		})
 	}
 }
+
+// TestCleanStateReadsBase pins which posting view a read runs over. A
+// state with nothing pending over a monolithic base reads the base
+// engine's own index: from construction until the first write, and
+// again after each compaction. A written state reads the composite
+// view, so a write is visible at once, and a sharded base always reads
+// the composite view.
+func TestCleanStateReadsBase(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	origin := xmltree.MustParseString(corpusXML(rng, 10))
+	x := xseek.NewParallel(origin)
+	live := Wrap(x)
+	found := func(step string, want int) {
+		t.Helper()
+		rs, err := searchOf(live, "model100")
+		if want == 0 && err == nil || want > 0 && (err != nil || len(rs) != want) {
+			t.Fatalf("%s: model100 gave %d results, %v; want %d", step, len(rs), err, want)
+		}
+	}
+	if live.view().cleanBase() != x {
+		t.Fatal("a never-written engine does not read its base index")
+	}
+	found("construction", 0)
+	id, err := live.AddEntity(xmltree.MustParseString(randomProduct(rng, 100)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if live.view().cleanBase() != nil {
+		t.Fatal("a written engine reads its base index")
+	}
+	found("add", 1)
+	if err := live.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if b := live.view().cleanBase(); b == nil || b == x {
+		t.Fatal("a compacted engine does not read its new base index")
+	}
+	found("compaction", 1)
+	if err := live.RemoveEntity(id); err != nil {
+		t.Fatal(err)
+	}
+	found("remove", 0)
+	if WrapSharded(shard.Build(origin, 2)).view().cleanBase() != nil {
+		t.Fatal("a sharded base reads a monolithic index")
+	}
+}

@@ -84,6 +84,16 @@ func NewReader(root *xmltree.Node, schema *Schema, postings Postings, counters *
 	return Reader{root: root, schema: schema, postings: postings, counters: counters}
 }
 
+// ReaderCounting returns the engine's own query pipeline — over its
+// index, skip ladders and precomputed IDFs — tallying its decisions on
+// c instead of the engine's counters: the live layer reads an
+// unwritten base through it and keeps its counts across compactions.
+func (e *Engine) ReaderCounting(c *Counters) Reader {
+	r := e.reader
+	r.counters = c
+	return r
+}
+
 // Compile runs the tokenize and plan stages: the keyword check, then an
 // SLCA seek discipline picked from the terms' document frequencies. An
 // empty query or one with unmatched keywords fails here, before any
