@@ -1170,6 +1170,12 @@ func TestCoordinatorDeadLegsAnswer5xx(t *testing.T) {
 	if code, body := get(t, base+"search?dataset=Movies&q=horror+vampire"); code != http.StatusOK {
 		t.Fatalf("live legs: search %d %s", code, body)
 	}
+	// A cold ranked page whose limit is near MaxInt: the stream planner
+	// used to overflow need*ratio into a small product, route the page
+	// to the fan-out, and panic sizing the merge for offset+limit slots.
+	if code, body := get(t, base+"search?dataset=Movies&q=scifi+space&rank=1&limit=4611686018427387905"); code != http.StatusOK {
+		t.Fatalf("live legs: huge-limit ranked search %d %s", code, body)
+	}
 	for _, l := range legs {
 		l.Close()
 	}

@@ -193,6 +193,32 @@ func TestSaveDistributedEngineRefused(t *testing.T) {
 	}
 }
 
+// TestCoordinatorHugeLimitPage: a cold ranked page whose limit is near
+// MaxInt answers the full ranking. The stream planner multiplied the
+// window by its ratio, which overflowed into a small product, routed
+// the page to the fan-out, and panicked allocating offset+limit merge
+// slots ("makeslice: cap out of range").
+func TestCoordinatorHugeLimitPage(t *testing.T) {
+	doc := spreadDoc(40)
+	cl := startCluster(t, 2, doc, dist.Config{})
+	eng := engine.FromDist(cl.co, engine.Config{})
+	ref := update.Wrap(xseek.New(xmltree.MustParseString(doc)))
+
+	const query = "alpha gamma"
+	want, err := searchOf(ref, query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRanked := ref.RankResults(want, query)
+	page, err := eng.SearchRankedPage(query, xseek.SearchOptions{Limit: 1<<62 + 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if page.Total != len(want) || rankedKey(page.Results) != rankedKey(wantRanked) {
+		t.Fatalf("total %d:\n got  %s\n want %s", page.Total, rankedKey(page.Results), rankedKey(wantRanked))
+	}
+}
+
 // TestSnapshotRestart ships a leg's group snapshot, kills the leg,
 // restores a brand-new server process-equivalent from the snapshot,
 // repoints the coordinator, and asserts bit-identical recovery — tree,

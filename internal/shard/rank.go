@@ -111,16 +111,20 @@ func (h *mergeHeap) Push(x any)   { *h = append(*h, x.(*rankedStream)) }
 func (h *mergeHeap) Pop() any     { old := *h; n := len(old) - 1; s := old[n]; *h = old[:n]; return s }
 
 // mergeRankedStreams streams the first max entries of the merged
-// ranking out of the per-leg streams.
+// ranking out of the per-leg streams. The output is sized by the
+// entries the streams hold, not by max: a caller's window can be far
+// larger than the result set.
 func mergeRankedStreams(streams [][]*xseek.RankedResult, max int) []*xseek.RankedResult {
 	h := make(mergeHeap, 0, len(streams))
+	held := 0
 	for _, s := range streams {
 		if len(s) > 0 {
 			h = append(h, &rankedStream{entries: s})
+			held += len(s)
 		}
 	}
 	heap.Init(&h)
-	out := make([]*xseek.RankedResult, 0, max)
+	out := make([]*xseek.RankedResult, 0, min(max, held))
 	for len(out) < max && h.Len() > 0 {
 		s := h[0]
 		out = append(out, s.entries[s.pos])

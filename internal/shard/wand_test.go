@@ -2,9 +2,11 @@ package shard
 
 import (
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/xmltree"
 	"repro/internal/xseek"
 )
@@ -95,5 +97,32 @@ func TestShardedWANDEquivalence(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestRankedPageHugeLimitAllocation: a ranked page sizes its merge by
+// the entries the legs returned, not by offset+limit. A limit of 1<<27
+// over a 200-movie corpus used to allocate 1 GiB of result slots to
+// return a few dozen entries.
+func TestRankedPageHugeLimitAllocation(t *testing.T) {
+	root := dataset.Movies(dataset.MoviesConfig{Seed: 1, Movies: 200})
+	sh := Build(root, 2)
+	const query = "action revenge"
+	want, err := xseek.NewParallel(root).Search(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	page, total, _, err := sh.SearchRankedPageWAND(query, xseek.SearchOptions{Limit: 1 << 27})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if total != len(want) || len(page) != len(want) {
+		t.Fatalf("page %d of total %d, want the full ranking of %d", len(page), total, len(want))
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {
+		t.Fatalf("page of %d entries allocated %d MiB", len(page), grew>>20)
 	}
 }

@@ -32,9 +32,11 @@ const DefaultStreamRatio = 4
 // PlanStreamed reports whether a query for the first `need` results
 // (offset+limit) should run the early-terminating ranked pipeline
 // instead of ranking the full result list. need <= 0 means "all
-// results", which streaming cannot shortcut.
+// results", which streaming cannot shortcut. The rule divides the
+// driving list's length rather than multiplying need, so a huge window
+// cannot overflow into a small product and route streamed.
 func PlanStreamed(stats index.PlanStats, need int) bool {
-	return need > 0 && stats.Min >= need*DefaultStreamRatio
+	return need > 0 && stats.Min/DefaultStreamRatio >= need
 }
 
 // streamer drives the shortest posting list through the other lists'

@@ -114,6 +114,9 @@ func TestPlanStreamed(t *testing.T) {
 	if PlanStreamed(index.PlanStats{Min: 8, Max: 8}, 10) {
 		t.Fatal("driver shorter than the window should stay eager")
 	}
+	if PlanStreamed(stats, 1<<62+1) {
+		t.Fatal("a window near MaxInt must not overflow into a streamed route")
+	}
 }
 
 func sameIDs(a, b []dewey.ID) bool {
