@@ -59,9 +59,8 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // "approx" lets an uncached query stop scanning once no later result
 // can enter the page — the page itself is still exact, but total may
 // come back -1. A cached query reports its exact total either way, and
-// so does the sharded fan-out (a sharded dataset before its first
-// write, and every coordinator): its legs always run exact, because a
-// leg cannot bound an entity split across shards.
+// so does every coordinator: its legs always run exact, because a leg
+// cannot bound an entity split across shards.
 //
 // The body is
 //

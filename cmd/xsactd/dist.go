@@ -5,8 +5,8 @@ package main
 // built-in dataset over the versioned wire API; `xsactd
 // -coordinator=url1,url2,...` serves the normal web UI and JSON API,
 // but every query fans out to the legs over HTTP and every write is
-// broadcast under the epoch protocol. Results are bit-identical to a
-// single process running with -shards=K.
+// broadcast under the epoch protocol. Results are bit-identical to the
+// standalone server over the same datasets in one process.
 
 import (
 	"fmt"

@@ -2,8 +2,8 @@ package main
 
 // The multi-process equivalence run: real `xsactd -shard-server`
 // OS processes built from this package, a coordinator dialed over
-// their TCP endpoints, and bit-identity asserted against the
-// in-process sharded engine — queries and a live write.
+// their TCP endpoints, and bit-identity asserted against a live
+// engine over one index in process — queries and a live write.
 
 import (
 	"encoding/json"
@@ -19,7 +19,6 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/dist"
-	"repro/internal/shard"
 	"repro/internal/update"
 	"repro/internal/xmltree"
 	"repro/internal/xseek"
@@ -196,7 +195,7 @@ func TestShardServerProcesses(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
-	ref := update.WrapSharded(shard.Build(dataset.ProductReviews(dataset.ReviewsConfig{Seed: seed}), k))
+	ref := update.Wrap(xseek.New(dataset.ProductReviews(dataset.ReviewsConfig{Seed: seed})))
 
 	check := func(query, ctx string) {
 		t.Helper()
@@ -301,7 +300,7 @@ func TestShardServerReplicaFailoverProcesses(t *testing.T) {
 	if err != nil {
 		t.Fatalf("DialReplicas: %v", err)
 	}
-	ref := update.WrapSharded(shard.Build(dataset.ProductReviews(dataset.ReviewsConfig{Seed: seed}), k))
+	ref := update.Wrap(xseek.New(dataset.ProductReviews(dataset.ReviewsConfig{Seed: seed})))
 
 	check := func(query, ctx string) {
 		t.Helper()

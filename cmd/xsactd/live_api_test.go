@@ -149,7 +149,7 @@ func TestServerWritesSurviveRestart(t *testing.T) {
 	dir := t.TempDir()
 	const ds = "Movies"
 
-	s1, err := newServer(1, dir, 1, 0)
+	s1, err := newServer(1, dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestServerWritesSurviveRestart(t *testing.T) {
 		t.Fatalf("entity not searchable on first server: %d", got)
 	}
 
-	s2, err := newServer(1, dir, 1, 0)
+	s2, err := newServer(1, dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

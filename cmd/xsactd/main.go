@@ -17,13 +17,6 @@
 // retired journaled v3 layout) is rewritten as v4 from the loaded
 // engine straight away; older layouts cost one rebuild.
 //
-// With -shards N each corpus is split into N index shards (at
-// top-level entity boundaries) that build in parallel and serve
-// queries through a fan-out/merge executor; results are identical to
-// the unsharded engine. Snapshots are per-layout: a sharded engine's
-// snapshot carries one postings section per shard, each reloading
-// lazily, so single-shard corruption rebuilds only the bad shard.
-//
 // The corpus is live: POST /api/v1/documents adds a top-level entity
 // (immediately searchable), DELETE /api/v1/documents removes one, and
 // POST /api/v1/compact folds pending writes back into the base index
@@ -36,11 +29,11 @@
 // serves one shard leg of every dataset over the versioned wire API
 // (/shard/v1/*), and -coordinator serves the same web UI and JSON API
 // as the standalone server with every query fanned out to the legs
-// over HTTP — bit-identical to -shards=K in one process.
+// over HTTP — bit-identical to the standalone server in one process.
 //
 // Usage:
 //
-//	xsactd [-addr :8080] [-seed 1] [-snapshot-dir DIR] [-shards N] [-compact-every N] [-pprof :6060]
+//	xsactd [-addr :8080] [-seed 1] [-snapshot-dir DIR] [-compact-every N] [-pprof :6060]
 //	xsactd -shard-server -shard-id I -shard-count K [-addr :9101] [-seed 1] [-snapshot-dir DIR] [-peer URL]
 //	xsactd -coordinator URL1,URL2,... [-addr :8080] [-seed 1] [-replicas N] [-max-inflight N] [-dist-timeout 5s] [-dist-retries 2] [-dist-hedge 0] [-dist-partial]
 package main
@@ -62,7 +55,6 @@ func main() {
 		addr         = flag.String("addr", ":8080", "listen address")
 		seed         = flag.Int64("seed", 1, "dataset seed")
 		snapshotDir  = flag.String("snapshot-dir", "", "directory for engine snapshots (empty = rebuild on every start)")
-		shards       = flag.Int("shards", 1, "index shards per dataset (1 = monolithic index)")
 		compactEvery = flag.Int("compact-every", 64, "auto-compact the live write path after this many pending writes (0 = manual compaction only)")
 		pprofAddr    = flag.String("pprof", "", "profiling listen address for /debug/pprof/ and /debug/memstats (empty = profiling off); keep it off public ingress")
 
@@ -99,7 +91,7 @@ func main() {
 		log.Fatal(http.ListenAndServe(*addr, srv.routes()))
 	}
 
-	srv, err = newServer(*seed, *snapshotDir, *shards, *compactEvery)
+	srv, err = newServer(*seed, *snapshotDir, *compactEvery)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "xsactd:", err)
 		os.Exit(1)
@@ -112,7 +104,7 @@ func main() {
 			log.Printf("xsactd profiling listener stopped: %v", http.ListenAndServe(*pprofAddr, profilingHandler()))
 		}()
 	}
-	log.Printf("xsactd listening on %s (datasets: %v, shards: %d)", *addr, srv.datasetNames(), *shards)
+	log.Printf("xsactd listening on %s (datasets: %v)", *addr, srv.datasetNames())
 	log.Fatal(http.ListenAndServe(*addr, srv.routes()))
 }
 

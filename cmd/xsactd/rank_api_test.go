@@ -173,7 +173,7 @@ func TestProfilingHandler(t *testing.T) {
 	}
 
 	// The main API mux must NOT expose the profiling surface.
-	s, err := newServer(1, "", 1, 0)
+	s, err := newServer(1, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}

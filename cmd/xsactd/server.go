@@ -84,7 +84,6 @@ type server struct {
 	slugs        map[string]string // dataset name → snapshot file slug
 	seed         int64
 	snapshotDir  string
-	shards       int
 	compactEvery int
 	// snapMu serializes snapshot saves: each save captures the
 	// engine's state at save time (under the lock), so rename order
@@ -95,16 +94,13 @@ type server struct {
 
 // newServer assembles the dataset table. When snapshotDir is non-empty
 // each engine build first tries to reload from
-// <snapshotDir>/<slug>-seed<seed>[-sN].snap, and writes that file back
-// after a fresh build, so the second server startup skips index
-// construction and schema inference entirely. shards > 1 builds every
-// engine with that many index shards (and keeps their snapshots in
-// per-layout files, so switching the flag never misreads a snapshot of
-// the other layout).
-func newServer(seed int64, snapshotDir string, shards, compactEvery int) (*server, error) {
+// <snapshotDir>/<slug>-seed<seed>.snap, and writes that file back after
+// a fresh build, so the second server startup skips index construction
+// and schema inference entirely.
+func newServer(seed int64, snapshotDir string, compactEvery int) (*server, error) {
 	s := &server{
 		datasets: make(map[string]*lazyEngine), slugs: make(map[string]string),
-		seed: seed, snapshotDir: snapshotDir, shards: shards, compactEvery: compactEvery,
+		seed: seed, snapshotDir: snapshotDir, compactEvery: compactEvery,
 	}
 	for _, d := range datasetDefs(seed) {
 		d := d
@@ -121,13 +117,13 @@ func newServer(seed int64, snapshotDir string, shards, compactEvery int) (*serve
 // engine, reloading it from the dataset's snapshot when one is present
 // and valid. Snapshot failures are never fatal — a bad file (a retired
 // v1/v2 layout included) just costs a rebuild, and is replaced by a
-// fresh snapshot afterwards; a sharded snapshot with one corrupt shard
-// section loads anyway and rebuilds only that shard. A snapshot
-// that embeds its corpus is rewritten at once from the loaded engine,
-// so a file in the retired journaled v3 layout is read only once.
+// fresh snapshot afterwards. A snapshot that embeds its corpus, or
+// that an older build wrote over a sharded base, is rewritten at once
+// from the loaded engine, so a file in a retired layout is read only
+// once.
 func (s *server) buildEngine(name string, gen func() *xmltree.Node) *engine.Engine {
 	root := gen()
-	cfg := engine.Config{Shards: s.shards, AutoCompactThreshold: s.compactEvery}
+	cfg := engine.Config{AutoCompactThreshold: s.compactEvery}
 	if s.snapshotDir == "" {
 		return engine.NewWithConfig(root, cfg)
 	}
@@ -137,12 +133,12 @@ func (s *server) buildEngine(name string, gen func() *xmltree.Node) *engine.Engi
 	// root, which deterministically encodes dataset and seed. A live
 	// snapshot cannot match the generator's tree — it contains accepted
 	// writes — so it carries its own base tree and is trusted via its
-	// checksums; the per-layout file name (slug, seed, shard count) is
-	// what scopes it to this dataset.
-	eng, _, err := persist.LoadFile(path, root, cfg)
+	// checksums; the file name (slug, seed) is what scopes it to this
+	// dataset.
+	eng, meta, err := persist.LoadFile(path, root, cfg)
 	if err == nil {
 		log.Printf("xsactd: %s: engine loaded from snapshot %s", name, path)
-		if eng.CorpusEmbedded() {
+		if eng.CorpusEmbedded() || meta.Shards > 0 {
 			if err := s.writeSnapshot(name, eng); err != nil {
 				log.Printf("xsactd: %s: rewriting snapshot %s failed: %v", name, path, err)
 			} else {
@@ -165,7 +161,7 @@ func (s *server) buildEngine(name string, gen func() *xmltree.Node) *engine.Engi
 
 // snapshotPath is where a dataset's snapshot lives.
 func (s *server) snapshotPath(name string) string {
-	return filepath.Join(s.snapshotDir, snapshotFile(s.slugs[name], s.seed, s.shards))
+	return filepath.Join(s.snapshotDir, fmt.Sprintf("%s-seed%d.snap", s.slugs[name], s.seed))
 }
 
 // writeSnapshot atomically replaces a dataset's snapshot with eng's
@@ -174,16 +170,6 @@ func (s *server) writeSnapshot(name string, eng *engine.Engine) error {
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
 	return persist.SaveFile(s.snapshotPath(name), eng, persist.Meta{CorpusName: name, Seed: s.seed})
-}
-
-// snapshotFile names a dataset's snapshot. Sharded layouts get their
-// own files so flipping -shards never tries to reuse (and overwrite)
-// the other layout's snapshot.
-func snapshotFile(slug string, seed int64, shards int) string {
-	if shards > 1 {
-		return fmt.Sprintf("%s-seed%d-s%d.snap", slug, seed, shards)
-	}
-	return fmt.Sprintf("%s-seed%d.snap", slug, seed)
 }
 
 // engineFor returns the shared engine of a dataset, building it on

@@ -11,7 +11,7 @@ import (
 
 func testServer(t *testing.T) *httptest.Server {
 	t.Helper()
-	s, err := newServer(1, "", 1, 0)
+	s, err := newServer(1, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestNotFound(t *testing.T) {
 }
 
 func TestDatasetNames(t *testing.T) {
-	s, err := newServer(1, "", 1, 0)
+	s, err := newServer(1, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,8 +12,8 @@ import (
 // Document whose queries fan out over HTTP to a cluster of shard
 // servers (xsactd -shard-server) and whose writes are broadcast under
 // the cluster's epoch protocol. Search results, ranking scores, tie
-// order, and paging envelopes are bit-identical to a single-process
-// Document built with Options.Shards = number of legs.
+// order, and paging envelopes are bit-identical to a Document over the
+// same corpus in one process.
 
 // ClusterOptions configures a distributed Document.
 type ClusterOptions struct {

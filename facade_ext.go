@@ -79,9 +79,9 @@ type RankedPageOptions struct {
 	Offset int
 	// Approx lets the engine stop scanning once no later result can
 	// enter the page. The page itself stays exact — identical results,
-	// scores, and order — but the returned total may be TotalUnknown,
-	// sharded or not. Only a distributed Document's fan-out always
-	// returns the exact total.
+	// scores, and order — but the returned total may be TotalUnknown.
+	// Only a distributed Document's fan-out always returns the exact
+	// total.
 	Approx bool
 }
 
@@ -178,8 +178,8 @@ func (l *Library) Names() []string {
 
 // Search routes the query to the best-covering corpus and searches it,
 // returning the chosen corpus name alongside the results. Selection
-// works over sharded and unsharded documents alike (term statistics
-// are aggregated across shards).
+// works over distributed documents too (a coordinator's term
+// statistics are aggregated across its legs).
 func (l *Library) Search(query string) (string, []*Result, error) {
 	engines := make(map[string]*engine.Engine, len(l.docs))
 	for name, d := range l.docs {

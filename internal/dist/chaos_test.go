@@ -32,7 +32,6 @@ import (
 	"repro/internal/dewey"
 	"repro/internal/dist"
 	"repro/internal/index"
-	"repro/internal/shard"
 	"repro/internal/update"
 	"repro/internal/xmltree"
 	"repro/internal/xseek"
@@ -95,7 +94,7 @@ func (c *chaosRef) at(t *testing.T, e int) *update.Engine {
 	if ref, ok := c.cache[e]; ok {
 		return ref
 	}
-	ref := update.WrapSharded(shard.Build(xmltree.MustParseString(c.doc), c.k))
+	ref := update.Wrap(xseek.New(xmltree.MustParseString(c.doc)))
 	for i := 0; i < e; i++ {
 		var err error
 		switch op := c.ops[i]; op.kind {

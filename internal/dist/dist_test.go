@@ -285,7 +285,7 @@ func TestCoordinatorLiveEquivalence(t *testing.T) {
 	for ti := 0; ti < 3; ti++ {
 		doc := randomDoc(r, vocab)
 		for _, k := range []int{1, 2, 4} {
-			ref := update.WrapSharded(shard.Build(xmltree.MustParseString(doc), k))
+			ref := update.Wrap(xseek.New(xmltree.MustParseString(doc)))
 			cl := startCluster(t, k, doc, dist.Config{})
 			ctx := func(step int, op string) string {
 				return fmt.Sprintf("tree %d K=%d step %d after %s", ti, k, step, op)
@@ -394,7 +394,7 @@ func TestCoordinatorBoundaryEntity(t *testing.T) {
 		"</w></n0><item><leaf>gamma epsilon </leaf></item></root>"
 	queries := []string{"alpha", "gamma", "delta", "alpha gamma", "alpha delta", "beta epsilon"}
 	for _, k := range []int{2, 3, 4} {
-		ref := update.WrapSharded(shard.Build(xmltree.MustParseString(doc), k))
+		ref := update.Wrap(xseek.New(xmltree.MustParseString(doc)))
 		cl := startCluster(t, k, doc, dist.Config{})
 		ctx := func(step string) string { return fmt.Sprintf("K=%d %s", k, step) }
 		for _, q := range queries {

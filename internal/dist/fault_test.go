@@ -228,7 +228,7 @@ func TestSnapshotRestart(t *testing.T) {
 	cl := startCluster(t, 2, doc, dist.Config{
 		Timeout: 300 * time.Millisecond, Retries: -1, Backoff: time.Millisecond,
 	})
-	ref := update.WrapSharded(shard.Build(xmltree.MustParseString(doc), 2))
+	ref := update.Wrap(xseek.New(xmltree.MustParseString(doc)))
 
 	// A write burst the snapshot must carry: two adds and a removal of
 	// the first (leaving an ordinal hole in the journal replay).

@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"repro/internal/dist"
-	"repro/internal/shard"
 	"repro/internal/update"
 	"repro/internal/xmltree"
 	"repro/internal/xseek"
@@ -124,15 +123,15 @@ func noSleep(time.Duration) {}
 // TestReplicaSpreadEquivalence is the replication property test: a
 // coordinator spreading reads over N ∈ {1, 2, 3} replicas per group
 // must stay bit-identical — scores to the Float64bits, paging
-// envelopes, every read path — to the in-process sharded engine,
-// through live writes and compactions.
+// envelopes, every read path — to a live engine over one index in
+// process, through live writes and compactions.
 func TestReplicaSpreadEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(19))
 	vocab := []string{"alpha", "beta", "gamma", "delta", "epsilon", "zeta"}
 	doc := randomDoc(r, vocab)
 	for _, k := range []int{1, 2} {
 		for _, reps := range []int{1, 2, 3} {
-			ref := update.WrapSharded(shard.Build(xmltree.MustParseString(doc), k))
+			ref := update.Wrap(xseek.New(xmltree.MustParseString(doc)))
 			cl := startReplicatedCluster(t, k, reps, doc, dist.Config{})
 			ctx := fmt.Sprintf("K=%d R=%d", k, reps)
 			if got := cl.co.Replicas(); got != reps {
@@ -205,12 +204,11 @@ func TestReplicaFailoverRead(t *testing.T) {
 	vocab := []string{"alpha", "beta", "gamma", "delta"}
 	doc := randomDoc(r, vocab)
 	k := 2
-	ref := shard.Build(xmltree.MustParseString(doc), k)
 	cl := startReplicatedCluster(t, k, 2, doc, dist.Config{Retries: -1, Sleep: noSleep})
 
 	// A write before the failure, so the surviving replicas must prove
 	// they applied it.
-	refLive := update.WrapSharded(ref)
+	refLive := update.Wrap(xseek.New(xmltree.MustParseString(doc)))
 	frag := entityDoc(r, vocab)
 	if _, err := refLive.AddEntity(xmltree.MustParseString(frag)); err != nil {
 		t.Fatalf("ref add: %v", err)
@@ -249,7 +247,7 @@ func TestReplicaWriteRequiresAll(t *testing.T) {
 	r := rand.New(rand.NewSource(29))
 	vocab := []string{"alpha", "beta", "gamma", "delta"}
 	doc := randomDoc(r, vocab)
-	ref := update.WrapSharded(shard.Build(xmltree.MustParseString(doc), 2))
+	ref := update.Wrap(xseek.New(xmltree.MustParseString(doc)))
 	cl := startReplicatedCluster(t, 2, 2, doc, dist.Config{Retries: -1, Sleep: noSleep})
 
 	cl.gates[1][1].mode.Store(gateDown)
@@ -311,7 +309,7 @@ func TestReplicaPendingWriteAutoFlush(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	vocab := []string{"alpha", "beta", "gamma", "delta"}
 	doc := randomDoc(r, vocab)
-	ref := update.WrapSharded(shard.Build(xmltree.MustParseString(doc), 1))
+	ref := update.Wrap(xseek.New(xmltree.MustParseString(doc)))
 	cl := startReplicatedCluster(t, 1, 2, doc, dist.Config{Retries: -1, Sleep: noSleep})
 
 	cl.gates[0][1].mode.Store(gateDown)
@@ -349,7 +347,7 @@ func TestReplicaPeerSnapshotSelfHeal(t *testing.T) {
 	vocab := []string{"alpha", "beta", "gamma", "delta", "epsilon"}
 	doc := randomDoc(r, vocab)
 	k := 2
-	ref := update.WrapSharded(shard.Build(xmltree.MustParseString(doc), k))
+	ref := update.Wrap(xseek.New(xmltree.MustParseString(doc)))
 	cl := startReplicatedCluster(t, k, 2, doc, dist.Config{Retries: -1, Sleep: noSleep})
 
 	// Move the cluster off epoch 0 so the restored replica has a
@@ -404,7 +402,7 @@ func TestAdmissionShed(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	vocab := []string{"alpha", "beta", "gamma", "delta"}
 	doc := randomDoc(r, vocab)
-	ref := update.WrapSharded(shard.Build(xmltree.MustParseString(doc), 1))
+	ref := update.Wrap(xseek.New(xmltree.MustParseString(doc)))
 	cl := startReplicatedCluster(t, 1, 1, doc, dist.Config{MaxInflight: 1, MaxQueue: -1})
 
 	// Hold the leg: the one admitted ranked query will block inside

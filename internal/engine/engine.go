@@ -19,9 +19,9 @@ import (
 	"repro/internal/xseek"
 )
 
-// Config bounds the engine's caches and selects the execution layout.
-// Zero values select defaults; a negative cache capacity disables that
-// cache.
+// Config bounds the engine's caches and sets the auto-compaction
+// threshold. Zero values select defaults; a negative cache capacity
+// disables that cache.
 type Config struct {
 	// QueryCacheSize bounds the query → results LRU. Default 256.
 	QueryCacheSize int
@@ -37,12 +37,6 @@ type Config struct {
 	// behind SearchStreamPage (each entry holds a live lazy pipeline
 	// plus its consumed prefix). Default 32.
 	StreamCursorCacheSize int
-	// Shards builds the base as that many index shards (clamped to the
-	// corpus's top-level entity count), read as one live multi-part
-	// posting view; only a distributed coordinator runs a fan-out. 0 or
-	// 1 keeps one monolithic index. Results are identical either way;
-	// sharding trades one big index for K that build in parallel.
-	Shards int
 	// AutoCompactThreshold triggers a background compaction of the live
 	// write path once that many uncompacted writes (adds + removes) are
 	// pending. 0 disables auto-compaction (Compact must be called
@@ -90,8 +84,8 @@ type Metrics struct {
 	DFSCacheLen   int `json:"dfs_cache_len"`
 	// SLCA planner decisions for compiled (cache-miss) queries: the seek
 	// discipline (galloping vs linear) of the one streamed SLCA. Every
-	// in-process engine, sharded or not, compiles a query once over its
-	// posting view; a coordinator leaves both at zero.
+	// in-process engine compiles a query once over its posting view; a
+	// coordinator leaves both at zero.
 	PlannerIndexedLookup int64 `json:"planner_indexed_lookup"`
 	PlannerScanEager     int64 `json:"planner_scan_eager"`
 	// Streamed-execution counters: PlannerStreamed is the executor's
@@ -116,12 +110,9 @@ type Metrics struct {
 	RankedWAND    int64 `json:"ranked_wand"`
 	WANDPruned    int64 `json:"wand_pruned"`
 	BlocksSkipped int64 `json:"blocks_skipped"`
-	// Shards is the base's shard count (1 = monolithic index; a
-	// coordinator reports its legs); ShardRebuilds counts shards
-	// rebuilt from the tree because their snapshot section was missing
-	// or corrupt.
-	Shards        int   `json:"shards"`
-	ShardRebuilds int64 `json:"shard_rebuilds"`
+	// Shards is 1 for an in-process engine, which serves one index; a
+	// coordinator reports its legs.
+	Shards int `json:"shards"`
 	// Index residency: IndexBytes is the compact snapshot payload
 	// backing the index (0 when fully heap-built), ResidentBlocks the
 	// 64-posting blocks decoded into the heap. A freshly mmap-loaded
@@ -237,12 +228,8 @@ func New(root *xmltree.Node) *Engine {
 	return NewWithConfig(root, Config{})
 }
 
-// NewWithConfig is New with explicit cache bounds and base layout:
-// Config.Shards > 1 builds a sharded base, anything else one index.
+// NewWithConfig is New with explicit cache bounds.
 func NewWithConfig(root *xmltree.Node, cfg Config) *Engine {
-	if cfg.Shards > 1 {
-		return FromSharded(shard.Build(root, cfg.Shards), cfg)
-	}
 	return FromXseek(xseek.NewParallel(root), cfg)
 }
 
@@ -252,10 +239,14 @@ func FromXseek(x *xseek.Engine, cfg Config) *Engine {
 	return newServing(update.Wrap(x), cfg)
 }
 
-// FromSharded serves an already-built sharded engine (fresh-built or
-// snapshot-loaded) as the multi-part base of a live engine.
+// FromSharded serves a sharded engine's spine and shard indexes as the
+// multi-part base of a live engine, read as one posting view until the
+// first compaction folds it into one index. Nothing in serving builds
+// one: it is the in-process reference a distributed cluster is
+// measured against.
 func FromSharded(s *shard.Engine, cfg Config) *Engine {
-	return newServing(update.WrapSharded(s), cfg)
+	parts := append([]*index.Index{s.SpineIndex()}, s.ShardIndexes()...)
+	return newServing(update.WrapParts(s.Root(), s.Schema(), parts), cfg)
 }
 
 // MarkCorpusEmbedded records that the engine's corpus was read out of
@@ -288,10 +279,9 @@ func (e *Engine) Root() *xmltree.Node { return e.exec.Root() }
 func (e *Engine) Schema() *xseek.Schema { return e.exec.Schema() }
 
 // Index returns the live layer's current base index, or nil for a
-// sharded base (whose postings live in per-shard indexes; see
-// IndexStats and Sharded for the aggregate views) and for a
-// coordinator. Pending delta postings live beside it until compaction
-// folds them in.
+// base still held as parts (FromSharded; see IndexStats for the
+// aggregate view) and for a coordinator. Pending delta postings live
+// beside it until compaction folds them in.
 func (e *Engine) Index() *index.Index {
 	x := e.Xseek()
 	if x == nil {
@@ -301,21 +291,12 @@ func (e *Engine) Index() *index.Index {
 }
 
 // Xseek returns the live layer's current monolithic base, or nil for a
-// sharded base and for a coordinator. Compaction replaces the base, so
+// base still held as parts and for a coordinator. Compaction replaces the base, so
 // do not retain the result. Callers that only need corpus statistics
 // should use TotalNodes/DocFreq, which work for every executor.
 func (e *Engine) Xseek() *xseek.Engine {
 	if live := e.Live(); live != nil {
 		return live.BaseXseek()
-	}
-	return nil
-}
-
-// Sharded returns the live layer's current sharded base, or nil for a
-// monolithic base and for a coordinator.
-func (e *Engine) Sharded() *shard.Engine {
-	if live := e.Live(); live != nil {
-		return live.BaseSharded()
 	}
 	return nil
 }
@@ -330,18 +311,9 @@ func (e *Engine) Live() *update.Engine {
 // Epoch returns the state version; 0 until the first write.
 func (e *Engine) Epoch() uint64 { return e.exec.Epoch() }
 
-// ShardCount returns the base's number of index shards (1 for the
-// monolithic layout).
-func (e *Engine) ShardCount() int {
-	if sh := e.Sharded(); sh != nil {
-		return sh.ShardCount()
-	}
-	return 1
-}
-
 // IndexStats returns the corpus's index statistics over base ⊕ delta −
-// tombstones, aggregated across shards (the numbers equal a cold index
-// over the current logical corpus).
+// tombstones (the numbers equal a cold index over the current logical
+// corpus).
 func (e *Engine) IndexStats() index.Stats { return e.exec.IndexStats() }
 
 // TotalNodes returns the corpus node count.
@@ -353,7 +325,7 @@ func (e *Engine) TotalNodes() int { return e.exec.TotalNodes() }
 func (e *Engine) DocFreq(term string) int { return e.exec.DocFreq(term) }
 
 // SelectEngine routes a query to the best-covering corpus among named
-// serving engines (sharded or not), or ("", nil) when no corpus
+// serving engines, or ("", nil) when no corpus
 // contains any query keyword. It is xseek's database selection lifted
 // to the serving layer.
 func SelectEngine(engines map[string]*Engine, query string) (string, *Engine) {
@@ -468,13 +440,8 @@ func (e *Engine) Metrics() Metrics {
 	}
 	if live := e.Live(); live != nil {
 		m.PendingDelta, m.PendingTombstones = live.Pending()
-		if sh := live.BaseSharded(); sh != nil {
-			m.Shards = sh.ShardCount()
-			m.ShardRebuilds = sh.Rebuilds()
-			ms := sh.MemStats()
-			m.IndexBytes, m.ResidentBlocks = ms.DataBytes, ms.ResidentBlocks
-		} else {
-			ms := live.BaseXseek().Index().MemStats()
+		if x := live.BaseXseek(); x != nil {
+			ms := x.Index().MemStats()
 			m.IndexBytes, m.ResidentBlocks = ms.DataBytes, ms.ResidentBlocks
 		}
 	}
@@ -742,9 +709,9 @@ func (e *Engine) SearchCleanedPage(query string, opts xseek.SearchOptions) (*Pag
 // consumer, which runs unpruned by itself when bound metadata is
 // missing — WANDStats.Bounded reports which happened, and feeds the
 // ranked_wand / wand_pruned / blocks_skipped metrics. An approximate
-// streamed page is still exact, but on any in-process engine, sharded
-// or not, its total may come back xseek.StreamTotalUnknown; only a
-// coordinator's fan-out always reports the exact total.
+// streamed page is still exact, but on any in-process engine its
+// total may come back xseek.StreamTotalUnknown; only a coordinator's
+// fan-out always reports the exact total.
 func (e *Engine) SearchRankedPage(query string, opts xseek.SearchOptions) (*RankedPage, error) {
 	key, terms := queryKeys(query)
 	var page *RankedPage

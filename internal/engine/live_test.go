@@ -35,7 +35,7 @@ func mustAdd(t *testing.T, e *Engine, xml string) {
 func TestLiveCacheInvalidationOnEpochBump(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			e := NewWithConfig(liveTestCorpus(), Config{Shards: shards})
+			e := newSharded(liveTestCorpus(), shards, Config{})
 			rs, err := e.Search("gps")
 			if err != nil {
 				t.Fatal(err)
@@ -131,7 +131,7 @@ func TestLiveStatsFollowWrites(t *testing.T) {
 // consistent — while searches, writes, and compactions run
 // concurrently. Run with -race.
 func TestMetricsConsistentUnderRace(t *testing.T) {
-	e := NewWithConfig(liveTestCorpus(), Config{Shards: 2})
+	e := newSharded(liveTestCorpus(), 2, Config{})
 	stop := make(chan struct{})
 	var writer, readers sync.WaitGroup
 
@@ -221,7 +221,7 @@ func TestPlannerCountersOnePerRead(t *testing.T) {
 	corpus := func() *xmltree.Node { return dataset.Movies(dataset.MoviesConfig{Seed: 1, Movies: 200}) }
 	for _, shards := range []int{1, 2} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			e := NewWithConfig(corpus(), Config{Shards: shards})
+			e := newSharded(corpus(), shards, Config{})
 			before := sixReads(t, e)
 			if got := before.PlannerIndexedLookup + before.PlannerScanEager; got != 6 || before.PlannerStreamed != 3 {
 				t.Fatalf("six reads counted %d planner decisions and %d streamed pages, want 6 and 3: %+v", got, before.PlannerStreamed, before)

@@ -4,22 +4,33 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/shard"
+	"repro/internal/xmltree"
 	"repro/internal/xseek"
 )
 
-// TestShardedEngineEquivalence: the serving engine with Config.Shards
-// set must produce identical Search, SearchPage, and SearchRankedPage
-// envelopes (results, totals, offsets, scores, tie order) to the
-// monolithic serving engine, across K ∈ {1, 2, 8} — through the cache
-// on repeat queries too.
+// newSharded serves root over a K-shard partition's indexes
+// (FromSharded) for K > 1, and over one index otherwise.
+func newSharded(root *xmltree.Node, k int, cfg Config) *Engine {
+	if k > 1 {
+		return FromSharded(shard.Build(root, k), cfg)
+	}
+	return NewWithConfig(root, cfg)
+}
+
+// TestShardedEngineEquivalence: a serving engine over a K-shard base
+// (FromSharded) must produce identical Search, SearchPage, and
+// SearchRankedPage envelopes (results, totals, offsets, scores, tie
+// order) to the monolithic serving engine, across K ∈ {1, 2, 8} —
+// through the cache on repeat queries too.
 func TestShardedEngineEquivalence(t *testing.T) {
 	root := dataset.ProductReviews(dataset.ReviewsConfig{Seed: 9, ProductsPerCategory: 6})
 	mono := New(root)
 	queries := append(dataset.ReviewQueries(), "easy", "gps camera", "nosuchword", "")
 	for _, k := range []int{1, 2, 8} {
-		sharded := NewWithConfig(root, Config{Shards: k})
-		if k > 1 && sharded.Sharded() == nil {
-			t.Fatalf("K=%d: expected a sharded executor", k)
+		sharded := newSharded(root, k, Config{})
+		if k > 1 && sharded.Index() != nil {
+			t.Fatalf("K=%d: expected a multi-part base", k)
 		}
 		for pass := 0; pass < 2; pass++ { // second pass = query-cache hits
 			for _, q := range queries {
@@ -72,12 +83,13 @@ func TestShardedEngineEquivalence(t *testing.T) {
 	}
 }
 
-// TestShardedMetrics: the metrics snapshot must report the shard
-// count, aggregate planner decisions across shards, and keep the
+// TestShardedMetrics: over a K-shard base the metrics snapshot must
+// report one shard (an in-process engine serves one posting view),
+// count the planner decision of the one compiled query, and keep the
 // cache counters working.
 func TestShardedMetrics(t *testing.T) {
 	root := dataset.ProductReviews(dataset.ReviewsConfig{Seed: 2, ProductsPerCategory: 4})
-	e := NewWithConfig(root, Config{Shards: 3})
+	e := newSharded(root, 3, Config{})
 	if _, err := e.Search("tomtom gps"); err != nil {
 		t.Fatal(err)
 	}
@@ -85,14 +97,14 @@ func TestShardedMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := e.Metrics()
-	if m.Shards != 3 {
-		t.Fatalf("metrics shards = %d, want 3", m.Shards)
+	if m.Shards != 1 {
+		t.Fatalf("metrics shards = %d, want 1", m.Shards)
 	}
 	if m.QueryHits != 1 || m.QueryMisses != 1 {
 		t.Fatalf("query cache counters = %d hits / %d misses, want 1/1", m.QueryHits, m.QueryMisses)
 	}
-	if m.PlannerIndexedLookup+m.PlannerScanEager == 0 {
-		t.Fatal("planner decisions should aggregate across shards")
+	if n := m.PlannerIndexedLookup + m.PlannerScanEager; n != 1 {
+		t.Fatalf("planner decisions = %d, want 1 for one compiled query", n)
 	}
 	if mono := New(root).Metrics(); mono.Shards != 1 {
 		t.Fatalf("monolithic metrics shards = %d, want 1", mono.Shards)
@@ -104,13 +116,13 @@ func TestShardedMetrics(t *testing.T) {
 func TestShardedIndexStats(t *testing.T) {
 	root := dataset.Movies(dataset.MoviesConfig{Seed: 4})
 	mono := New(root)
-	sharded := NewWithConfig(root, Config{Shards: 4})
+	sharded := newSharded(root, 4, Config{})
 	a, b := mono.IndexStats(), sharded.IndexStats()
 	if a != b {
 		t.Fatalf("index stats diverge: monolithic %+v, sharded %+v", a, b)
 	}
 	if sharded.Index() != nil {
-		t.Fatal("sharded engine should expose no monolithic index")
+		t.Fatal("a multi-part base should expose no monolithic index")
 	}
 	if mono.IndexStats() != mono.Index().Stats() {
 		t.Fatal("monolithic IndexStats should equal Index().Stats()")
@@ -118,14 +130,14 @@ func TestShardedIndexStats(t *testing.T) {
 }
 
 // TestSelectEngine: database selection over serving engines must pick
-// the same corpus regardless of sharding.
+// the same corpus whatever the base's layout.
 func TestSelectEngine(t *testing.T) {
 	reviews := dataset.ProductReviews(dataset.ReviewsConfig{Seed: 1})
 	movies := dataset.Movies(dataset.MoviesConfig{Seed: 1})
 	for _, k := range []int{1, 4} {
 		engines := map[string]*Engine{
-			"reviews": NewWithConfig(reviews, Config{Shards: k}),
-			"movies":  NewWithConfig(movies, Config{Shards: k}),
+			"reviews": newSharded(reviews, k, Config{}),
+			"movies":  newSharded(movies, k, Config{}),
 		}
 		name, eng := SelectEngine(engines, "tomtom gps")
 		if name != "reviews" || eng == nil {

@@ -1,6 +1,6 @@
 // Package persist snapshots a serving engine so a server restart
 // reloads it from disk instead of re-walking the corpus: the inverted
-// index (or its K shards), the inferred schema, corpus metadata, and —
+// index, the inferred schema, corpus metadata, and —
 // for a corpus that has accepted writes — the document itself plus the
 // journal of writes pending since the last compaction.
 //
@@ -17,7 +17,10 @@
 //
 // Load also reads version 3 (live.go), the retired journaled layout,
 // because its journal holds accepted user writes: it rebuilds the base
-// from the embedded XML and replays the journal. Versions 1 and 2
+// from the embedded XML and replays the journal. A v4 file an older
+// build wrote over a sharded base (per-shard postings sections) loads
+// the same way: one index is built over the verified tree and any
+// journal is replayed. Versions 1 and 2
 // held only derived state of a corpus the caller can regenerate, so
 // they fail closed with a "rebuild" error, as does any header, version,
 // checksum or fingerprint mismatch; callers fall back to a rebuild and

@@ -6,8 +6,8 @@ package persist
 // the journal of writes pending over the base. Nothing writes it any
 // more — a journaled v4 snapshot carries the same state — but its
 // journal holds accepted user writes, so it stays readable: the base
-// is rebuilt from the XML with the recorded shard count and the
-// journal is replayed over it. The nested snapshot stays covered by
+// is rebuilt from the XML as one index, whatever shard count it was
+// saved with, and the journal is replayed over it. The nested snapshot stays covered by
 // the envelope checksum but is never decoded.
 //
 // Like a live v4 snapshot, the layout is self-contained: the caller's
@@ -77,7 +77,6 @@ func loadLive(br *bufio.Reader, cfg engine.Config) (*engine.Engine, Meta, error)
 	if err := verifyFingerprint(env.Meta, root); err != nil {
 		return nil, Meta{}, err
 	}
-	cfg.Shards = env.Meta.Shards
 	eng := engine.NewWithConfig(root, cfg)
 	eng.MarkCorpusEmbedded()
 	if err := replayJournal(eng, env.Journal); err != nil {

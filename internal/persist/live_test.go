@@ -63,9 +63,9 @@ func mustWrite(t *testing.T, eng *engine.Engine, addXML string, removeOrd int) {
 func TestLiveSnapshotRoundTrip(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			cfg := engine.Config{Shards: shards}
+			cfg := engine.Config{}
 			root := xmltree.MustParseString(liveCorpusXML(6))
-			eng := engine.NewWithConfig(root, cfg)
+			eng := newSharded(root, shards, cfg)
 
 			mustWrite(t, eng, "<product><name>fresh0</name><kind>gps</kind></product>", -1)
 			mustWrite(t, eng, "<product><name>fresh1</name><kind>solar</kind></product>", 1)

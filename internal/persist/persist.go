@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/xmltree"
+	"repro/internal/xseek"
 )
 
 // LiveFormatVersion identifies the retired journaled layout (live.go):
@@ -25,16 +26,17 @@ const magic = "XSACTSNAP"
 
 // Meta identifies the corpus a snapshot was taken from. CorpusName and
 // Seed are caller-supplied identity (empty/zero when not applicable);
-// RootTag, NodeCount, ContentHash, and Shards are filled in by Save
-// and verified (fingerprint) or honored (shard layout) by Load.
+// RootTag, NodeCount and ContentHash are filled in by Save and
+// verified by Load.
 type Meta struct {
 	CorpusName  string
 	Seed        int64
 	RootTag     string
 	NodeCount   int
 	ContentHash uint64
-	// Shards is the sharded base's group count; 0 for a
-	// single-index snapshot.
+	// Shards is the shard count of a snapshot an older build wrote
+	// over a sharded base (v3, or v4 with per-shard sections); Save
+	// writes 0. Load reads any of them into one index.
 	Shards int
 }
 
@@ -89,8 +91,10 @@ func fingerprint(root *xmltree.Node) (count int, hash uint64) {
 // stores only its derived state. Any other engine stores its base as
 // of the last compaction — the tree itself in the 'X' section, plus
 // its index and schema — and the journal of writes pending over that
-// base ('J'). A distributed engine has no local state to store: its
-// shard legs persist through group snapshots (EncodeGroup).
+// base ('J'). A base still held as parts (engine.FromSharded) is
+// indexed once and stored as one index. A distributed engine has no
+// local state to store: its shard legs persist through group snapshots
+// (EncodeGroup).
 func Save(w io.Writer, eng *engine.Engine, meta Meta) error {
 	live := eng.Live()
 	if live == nil {
@@ -98,9 +102,12 @@ func Save(w io.Writer, eng *engine.Engine, meta Meta) error {
 	}
 	// The parts are read before the epoch: epochs only grow, so an
 	// epoch of 0 read afterwards proves the parts predate every write.
-	baseRoot, x, sh, journal := live.SnapshotParts()
+	baseRoot, x, journal := live.SnapshotParts()
+	if x == nil {
+		x = xseek.NewParallel(baseRoot)
+	}
 	if live.Epoch() == 0 && !eng.CorpusEmbedded() {
-		return saveV4(w, baseRoot, x, sh, nil, nil, meta)
+		return saveV4(w, baseRoot, x, nil, nil, meta)
 	}
 	// The base tree is serialized and immediately re-parsed, so the
 	// recorded fingerprint covers exactly the tree Load reconstructs
@@ -111,21 +118,20 @@ func Save(w io.Writer, eng *engine.Engine, meta Meta) error {
 	if err != nil {
 		return fmt.Errorf("persist: live base does not round-trip: %w", err)
 	}
-	return saveV4(w, reparsed, x, sh, []byte(baseXML), journal, meta)
+	return saveV4(w, reparsed, x, []byte(baseXML), journal, meta)
 }
 
 // Load reads a snapshot and assembles a serving engine with the given
 // cache bounds, skipping index construction and schema inference. A
-// sharded snapshot yields a sharded engine whose shard count comes
-// from the snapshot, overriding cfg.Shards. A snapshot that embeds its
-// corpus (a live one) ignores root and resumes with its pending writes
-// replayed, and the engine is marked (engine.MarkCorpusEmbedded) so
-// that saving it embeds the corpus again; otherwise root must be the
-// corpus the snapshot was taken from. Load fails — and the caller
-// should rebuild — on a bad header, a legacy (v1/v2) layout, a
-// checksum or fingerprint mismatch, or a journal that does not replay;
-// corruption confined to one shard's postings is repaired by
-// rebuilding just that shard on first use.
+// snapshot that embeds its corpus (a live one) ignores root and
+// resumes with its pending writes replayed, and the engine is marked
+// (engine.MarkCorpusEmbedded) so that saving it embeds the corpus
+// again; otherwise root must be the corpus the snapshot was taken
+// from. A snapshot an older build wrote over a sharded base (returned
+// Meta.Shards > 0) costs one index build over the verified tree. Load
+// fails — and the caller should rebuild — on a bad header, a legacy
+// (v1/v2) layout, a checksum or fingerprint mismatch, or a journal
+// that does not replay.
 func Load(r io.Reader, root *xmltree.Node, cfg engine.Config) (*engine.Engine, Meta, error) {
 	br := bufio.NewReader(r)
 	version, err := readHeader(br)

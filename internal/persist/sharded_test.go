@@ -2,58 +2,108 @@ package persist
 
 import (
 	"bytes"
-	"encoding/gob"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/shard"
+	"repro/internal/xmltree"
 )
 
-// shardedSnapshot saves a sharded engine over testRoot and returns the
-// engine and raw snapshot bytes.
-func shardedSnapshot(t *testing.T, shards int) (*engine.Engine, []byte) {
-	t.Helper()
-	root := testRoot()
-	eng := engine.NewWithConfig(root, engine.Config{Shards: shards})
-	return eng, snapshotOf(t, eng, Meta{CorpusName: "reviews", Seed: 11})
+// legacyShardFixture is a v4 snapshot an older build wrote over a
+// sharded base: a 'F' frequency section and one 'P' section per shard
+// (testdata/README.md). Nothing writes the layout any more; Load reads
+// it into one index.
+type legacyShardFixture struct {
+	file   string
+	shards int
+	// written: the fixture embeds its base ('X') and journals the v3
+	// fixtures' add and remove ('J').
+	written bool
 }
 
-// TestShardedRoundTrip: a multi-shard snapshot reloads into a sharded
-// engine whose searches and aggregate statistics match the saved
-// engine exactly, with zero shard rebuilds.
-func TestShardedRoundTrip(t *testing.T) {
-	eng, snap := shardedSnapshot(t, 3)
-	if !bytes.HasPrefix(snap, []byte("XSACTSNAP 4\n")) {
-		t.Fatalf("sharded snapshot header = %q, want version 4", snap[:12])
-	}
+var legacyShardFixtures = []legacyShardFixture{
+	{"v4_k3.snap", 3, false},
+	{"live_v4_k2.snap", 2, true},
+}
 
-	loaded, meta, err := Load(bytes.NewReader(snap), testRoot(), engine.Config{})
+func (fx legacyShardFixture) read(t *testing.T) []byte {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", fx.file))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if meta.Shards != 3 || loaded.ShardCount() != 3 {
-		t.Fatalf("loaded %d shards (meta %d), want 3", loaded.ShardCount(), meta.Shards)
+	if !bytes.HasPrefix(data, []byte("XSACTSNAP 4\n")) || sectionCount(data, secPost) != fx.shards || sectionCount(data, secFreqs) != 1 {
+		t.Fatalf("%s is not a %d-shard v4 snapshot", fx.file, fx.shards)
 	}
-	for _, q := range []string{"tomtom", "tomtom gps", "easy camera"} {
-		want, _ := eng.Search(q)
-		got, err := loaded.Search(q)
+	return data
+}
+
+// reference is a cold one-index engine after the fixture's writes.
+func (fx legacyShardFixture) reference(t *testing.T) *engine.Engine {
+	t.Helper()
+	ref := engine.New(xmltree.MustParseString(liveCorpusXML(4)))
+	if fx.written {
+		mustWrite(t, ref, "<product><name>fresh</name><kind>solar</kind></product>", 1)
+	}
+	return ref
+}
+
+// queries are keywords every entity state of the fixture matches.
+func (fx legacyShardFixture) queries() []string {
+	q := []string{"gps", "radio", "item2", "item0 gps", "product"}
+	if fx.written {
+		q = append(q, "fresh", "solar")
+	}
+	return q
+}
+
+// checkLegacyLoad asserts a loaded legacy snapshot serves one index
+// and answers like the cold reference: ranked pages, totals, scores,
+// index statistics and epoch.
+func checkLegacyLoad(t *testing.T, what string, ref, loaded *engine.Engine, queries ...string) {
+	t.Helper()
+	if got, want := rankedFingerprint(t, loaded, queries...), rankedFingerprint(t, ref, queries...); got != want {
+		t.Fatalf("%s diverges from a cold one-index engine:\n%s\nvs\n%s", what, got, want)
+	}
+	if loaded.Epoch() != ref.Epoch() {
+		t.Fatalf("%s: epoch %d, want %d", what, loaded.Epoch(), ref.Epoch())
+	}
+	if m := loaded.Metrics(); m.Shards != 1 {
+		t.Fatalf("%s: metrics report %d shards, want 1", what, m.Shards)
+	}
+}
+
+// TestShardedRoundTrip: a legacy multi-shard snapshot loads into one
+// index that answers like a cold engine over the same corpus and
+// writes, and its re-save is in the current one-index layout and
+// round-trips again.
+func TestShardedRoundTrip(t *testing.T) {
+	for _, fx := range legacyShardFixtures {
+		ref := fx.reference(t)
+		loaded, meta, err := Load(bytes.NewReader(fx.read(t)), xmltree.MustParseString(liveCorpusXML(4)), engine.Config{})
 		if err != nil {
-			t.Fatalf("%q: %v", q, err)
+			t.Fatal(err)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("%q: %d results, want %d", q, len(got), len(want))
+		if meta.Shards != fx.shards || loaded.Index() == nil {
+			t.Fatalf("%s: meta.Shards = %d, index %v", fx.file, meta.Shards, loaded.Index())
 		}
-		for i := range want {
-			if got[i].Label != want[i].Label || !got[i].Node.ID.Equal(want[i].Node.ID) {
-				t.Fatalf("%q result %d: %s@%s vs %s@%s", q, i,
-					got[i].Label, got[i].Node.ID, want[i].Label, want[i].Node.ID)
-			}
+		if loaded.CorpusEmbedded() != fx.written {
+			t.Fatalf("%s: corpus embedded = %v, want %v", fx.file, loaded.CorpusEmbedded(), fx.written)
 		}
-	}
-	if loaded.IndexStats() != eng.IndexStats() {
-		t.Fatalf("index stats diverge after round trip: %+v vs %+v", loaded.IndexStats(), eng.IndexStats())
-	}
-	if n := loaded.Sharded().Rebuilds(); n != 0 {
-		t.Fatalf("clean snapshot load rebuilt %d shards, want 0", n)
+		checkLegacyLoad(t, fx.file, ref, loaded, fx.queries()...)
+
+		resave := v4SnapshotOf(t, loaded, Meta{CorpusName: "shop", Seed: 7})
+		again, meta, err := Load(bytes.NewReader(resave), xmltree.MustParseString(liveCorpusXML(4)), engine.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if meta.Shards != 0 {
+			t.Fatalf("%s re-saved: meta.Shards = %d, want 0", fx.file, meta.Shards)
+		}
+		checkLegacyLoad(t, fx.file+" re-saved", ref, again, fx.queries()...)
 	}
 }
 
@@ -72,71 +122,85 @@ func withSection(t *testing.T, snap []byte, kind byte, n int, payload []byte) []
 	return out.Bytes()
 }
 
-// TestShardedSingleShardCorruption: flipping bytes in exactly one
-// shard's postings must not fail the load — that one shard is rebuilt
-// from the tree on first use, and searches remain identical.
+// TestShardedSingleShardCorruption: bytes flipped in exactly one
+// shard's postings of a legacy snapshot must not fail the load: the
+// shard sections are never decoded, so the one index built over the
+// verified tree answers exactly, journal replayed.
 func TestShardedSingleShardCorruption(t *testing.T) {
-	eng, snap := shardedSnapshot(t, 3)
-	off, size := v4Span(t, snap, secPost, 1)
-	bad := flipped(flipped(snap, off), off+size/2)
-
-	loaded, _, err := Load(bytes.NewReader(bad), testRoot(), engine.Config{})
-	if err != nil {
-		t.Fatalf("single-shard corruption should not fail the load: %v", err)
-	}
-	for _, q := range []string{"tomtom gps", "easy", "camera zoom"} {
-		want, _ := eng.Search(q)
-		got, err := loaded.Search(q)
+	for _, fx := range legacyShardFixtures {
+		snap := fx.read(t)
+		off, size := v4Span(t, snap, secPost, 1)
+		loaded, _, err := Load(bytes.NewReader(flipped(flipped(snap, off), off+size/2)), xmltree.MustParseString(liveCorpusXML(4)), engine.Config{})
 		if err != nil {
-			t.Fatalf("%q: %v", q, err)
+			t.Fatalf("%s: single-shard corruption failed the load: %v", fx.file, err)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("%q: %d results, want %d", q, len(got), len(want))
-		}
-		for i := range want {
-			if got[i].Label != want[i].Label {
-				t.Fatalf("%q result %d: %q vs %q", q, i, got[i].Label, want[i].Label)
-			}
-		}
-	}
-	if n := loaded.Sharded().Rebuilds(); n != 1 {
-		t.Fatalf("rebuilds = %d, want exactly 1 (the corrupt shard)", n)
+		checkLegacyLoad(t, fx.file, fx.reference(t), loaded, fx.queries()...)
 	}
 }
 
-// TestShardedHeadCorruption: corrupting the eagerly-verified frequency
-// section, or declaring a shard count the postings sections do not
-// match, must fail the whole load (the caller rebuilds).
+// TestShardedHeadCorruption: a legacy snapshot's head is still
+// verified, so a flipped bit there fails the whole load (the caller
+// rebuilds); its frequency section is never decoded, so damage there
+// does not.
 func TestShardedHeadCorruption(t *testing.T) {
-	_, snap := shardedSnapshot(t, 2)
-	off, _ := v4Span(t, snap, secFreqs, 0)
-	if _, _, err := Load(bytes.NewReader(flipped(snap, off)), testRoot(), engine.Config{}); err == nil {
-		t.Fatal("frequency-section corruption must fail the load")
+	fx := legacyShardFixtures[0]
+	snap := fx.read(t)
+	off, _ := v4Span(t, snap, secHead, 0)
+	if _, _, err := Load(bytes.NewReader(flipped(snap, off)), xmltree.MustParseString(liveCorpusXML(4)), engine.Config{}); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+		t.Fatalf("head corruption: err = %v, want checksum mismatch", err)
 	}
+	off, _ = v4Span(t, snap, secFreqs, 0)
+	loaded, _, err := Load(bytes.NewReader(flipped(snap, off)), xmltree.MustParseString(liveCorpusXML(4)), engine.Config{})
+	if err != nil {
+		t.Fatalf("frequency-section corruption: %v", err)
+	}
+	checkLegacyLoad(t, fx.file, fx.reference(t), loaded, fx.queries()...)
+}
 
-	off, size := v4Span(t, snap, secHead, 0)
-	var head v4Head
-	if err := gob.NewDecoder(bytes.NewReader(snap[off : off+size])).Decode(&head); err != nil {
-		t.Fatal(err)
-	}
-	head.Meta.Shards = 5 // declared K no longer matches the sections
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&head); err != nil {
-		t.Fatal(err)
-	}
-	bad := withSection(t, snap, secHead, 0, buf.Bytes())
-	if _, _, err := Load(bytes.NewReader(bad), testRoot(), engine.Config{}); err == nil {
-		t.Fatal("shard-count mismatch must fail the load")
+// TestShardedWrongCorpus: a legacy sharded snapshot of one corpus must
+// be rejected for a different tree.
+func TestShardedWrongCorpus(t *testing.T) {
+	other := xmltree.MustParseString(liveCorpusXML(4))
+	other.Children[0].Tag = "mutated"
+	if _, _, err := Load(bytes.NewReader(legacyShardFixtures[0].read(t)), other, engine.Config{}); err == nil || !strings.Contains(err.Error(), "does not match") {
+		t.Fatalf("err = %v, want fingerprint mismatch", err)
 	}
 }
 
-// TestShardedWrongCorpus: a sharded snapshot of one corpus must be
-// rejected for a different tree.
-func TestShardedWrongCorpus(t *testing.T) {
-	_, snap := shardedSnapshot(t, 2)
-	other := testRoot()
-	other.Children[0].Tag = "mutated"
-	if _, _, err := Load(bytes.NewReader(snap), other, engine.Config{}); err == nil {
-		t.Fatal("fingerprint mismatch must fail the load")
+// TestV4LegacyShardSectionsNeverDecoded: every shard-layout section of
+// a legacy snapshot — each 'P' and the 'F' table — may be damaged at
+// once without touching the load, since the one index is built from
+// the fingerprinted tree, not read back from them.
+func TestV4LegacyShardSectionsNeverDecoded(t *testing.T) {
+	fx := legacyShardFixtures[0]
+	snap := fx.read(t)
+	for g := 0; g < fx.shards; g++ {
+		off, size := v4Span(t, snap, secPost, g)
+		snap = flipped(snap, off+size/2)
+	}
+	off, size := v4Span(t, snap, secFreqs, 0)
+	snap = flipped(snap, off+size/2)
+	loaded, _, err := Load(bytes.NewReader(snap), xmltree.MustParseString(liveCorpusXML(4)), engine.Config{})
+	if err != nil {
+		t.Fatalf("damaged shard sections failed the load: %v", err)
+	}
+	checkLegacyLoad(t, fx.file, fx.reference(t), loaded, fx.queries()...)
+}
+
+// TestV4SaveOfShardedBaseLoadsOneIndex: a base held as shard parts
+// (engine.FromSharded) that was never compacted saves as one index,
+// and the reload answers like an engine built over the tree directly.
+func TestV4SaveOfShardedBaseLoadsOneIndex(t *testing.T) {
+	root := testRoot()
+	snap := v4SnapshotOf(t, engine.FromSharded(shard.Build(root, 3), engine.Config{}), Meta{CorpusName: "reviews", Seed: 11})
+	if p, f := sectionCount(snap, secPost), sectionCount(snap, secFreqs); p != 1 || f != 0 {
+		t.Fatalf("snapshot carries %d postings and %d frequency sections, want 1 and 0", p, f)
+	}
+	loaded, _, err := Load(bytes.NewReader(snap), testRoot(), engine.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := rankedFingerprint(t, loaded, v4Queries...), rankedFingerprint(t, engine.New(root), v4Queries...); got != want {
+		t.Fatalf("reload diverges from a one-index engine:\n%s\nvs\n%s", got, want)
 	}
 }

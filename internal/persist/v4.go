@@ -14,7 +14,7 @@ package persist
 //
 // Section kinds, in file order:
 //
-//	'M'  head: gob(v4Head) — Meta plus the aggregate element count
+//	'M'  head: gob(v4Head) — Meta
 //	'X'  live only: the base document XML (the tree as of the last
 //	     compaction), making the snapshot self-contained — the loading
 //	     caller cannot regenerate a written-to corpus, so Load then
@@ -24,20 +24,21 @@ package persist
 //	     engine's write path at load. Never present without 'X'.
 //	'Y'  symbol table (index.SymbolTable.AppendEncoded)
 //	'S'  schema (xseek.Schema.Save)
-//	'F'  sharded only: gob term→document-frequency table
-//	'P'  postings payload (index.EncodeCompact): one for a monolithic
-//	     engine, K in group order for a sharded one. The payload is
-//	     self-versioning (a magic + version uvarint pair ahead of the
-//	     term count): current payloads carry per-block score-bound
-//	     maxima for WAND pruning, while files written before the bounds
-//	     existed decode fine and simply run ranked pages unpruned —
-//	     no v4 format bump either way.
+//	'P'  postings payload (index.EncodeCompact) of the one index. The
+//	     payload is self-versioning (a magic + version uvarint pair
+//	     ahead of the term count): current payloads carry per-block
+//	     score-bound maxima for WAND pruning, while files written
+//	     before the bounds existed decode fine and simply run ranked
+//	     pages unpruned — no v4 format bump either way.
 //
-// CRC policy: every section except sharded 'P' sections is verified at
-// load — fail closed into a rebuild. Sharded 'P' sections verify
-// lazily on first touch, and a corrupt one rebuilds only that shard
-// (counted in Rebuilds). A journal that fails to replay fails the
-// load.
+// CRC policy: every section a load decodes is verified — fail closed
+// into a rebuild. A journal that fails to replay fails the load.
+//
+// Older builds also wrote sharded snapshots: Meta.Shards set, a 'F'
+// term-frequency section and one 'P' section per shard. Those still
+// load, the way a v3 snapshot does: the corpus fingerprint is checked,
+// one index is built over the tree, and any journal is replayed. Their
+// 'Y', 'S', 'F' and 'P' payloads are never decoded.
 
 import (
 	"bytes"
@@ -50,7 +51,6 @@ import (
 	"repro/internal/dewey"
 	"repro/internal/engine"
 	"repro/internal/index"
-	"repro/internal/shard"
 	"repro/internal/update"
 	"repro/internal/xmltree"
 	"repro/internal/xseek"
@@ -66,14 +66,14 @@ const (
 	secJournal = 'J'
 	secSymbols = 'Y'
 	secSchema  = 'S'
-	secFreqs   = 'F'
+	secFreqs   = 'F' // legacy sharded snapshots only; never written
 	secPost    = 'P'
 )
 
-// v4Head is the gob payload of the 'M' section.
+// v4Head is the gob payload of the 'M' section. Legacy sharded heads
+// also carry an aggregate element count, which decoding skips.
 type v4Head struct {
-	Meta            Meta
-	IndexedElements int
+	Meta Meta
 }
 
 // v4Section is one parsed section. Data aliases the snapshot bytes
@@ -138,29 +138,17 @@ func parseV4Sections(data []byte) ([]v4Section, error) {
 // saveV4 writes the sectioned layout. xml, when non-nil, becomes the
 // self-containing 'X' section, and a non-empty journal the 'J' section
 // replayed over it.
-func saveV4(w io.Writer, root *xmltree.Node, x *xseek.Engine, sh *shard.Engine, xml []byte, journal []update.JournalOp, meta Meta) error {
+func saveV4(w io.Writer, root *xmltree.Node, x *xseek.Engine, xml []byte, journal []update.JournalOp, meta Meta) error {
 	meta.RootTag = root.Tag
 	meta.NodeCount, meta.ContentHash = fingerprint(root)
+	meta.Shards = 0
 
-	// One symbol table for every postings section, interned in sorted
-	// vocabulary order so snapshot bytes are deterministic.
+	// The symbol table is interned in sorted vocabulary order so
+	// snapshot bytes are deterministic.
 	st := index.NewSymbolTable()
 	head := v4Head{Meta: meta}
-	var idxs []*index.Index
-	if sh != nil {
-		head.Meta.Shards = sh.ShardCount()
-		head.IndexedElements = sh.IndexStats().IndexedElements
-		idxs = sh.ShardIndexes()
-		for _, t := range sh.SpineIndex().Vocabulary() {
-			st.Intern(t)
-		}
-	} else {
-		idxs = []*index.Index{x.Index()}
-	}
-	for _, idx := range idxs {
-		for _, t := range idx.Vocabulary() {
-			st.Intern(t)
-		}
+	for _, t := range x.Index().Vocabulary() {
+		st.Intern(t)
 	}
 
 	if _, err := fmt.Fprintf(w, "%s %d\n", magic, CompactFormatVersion); err != nil {
@@ -191,37 +179,17 @@ func saveV4(w io.Writer, root *xmltree.Node, x *xseek.Engine, sh *shard.Engine, 
 		return err
 	}
 	var schBuf bytes.Buffer
-	var schema *xseek.Schema
-	if sh != nil {
-		schema = sh.Schema()
-	} else {
-		schema = x.Schema()
-	}
-	if err := schema.Save(&schBuf); err != nil {
+	if err := x.Schema().Save(&schBuf); err != nil {
 		return fmt.Errorf("persist: %w", err)
 	}
 	if err := writeV4Section(w, secSchema, schBuf.Bytes()); err != nil {
 		return err
 	}
-	if sh != nil {
-		var dfBuf bytes.Buffer
-		if err := gob.NewEncoder(&dfBuf).Encode(sh.TermFrequencies()); err != nil {
-			return fmt.Errorf("persist: encode term frequencies: %w", err)
-		}
-		if err := writeV4Section(w, secFreqs, dfBuf.Bytes()); err != nil {
-			return err
-		}
+	payload, err := index.EncodeCompact(x.Index(), st)
+	if err != nil {
+		return fmt.Errorf("persist: postings: %w", err)
 	}
-	for g, idx := range idxs {
-		payload, err := index.EncodeCompact(idx, st)
-		if err != nil {
-			return fmt.Errorf("persist: postings %d: %w", g, err)
-		}
-		if err := writeV4Section(w, secPost, payload); err != nil {
-			return err
-		}
-	}
-	return nil
+	return writeV4Section(w, secPost, payload)
 }
 
 // loadV4 assembles a serving engine over the section bytes (everything
@@ -235,7 +203,7 @@ func loadV4(data []byte, root *xmltree.Node, cfg engine.Config) (*engine.Engine,
 		return nil, Meta{}, err
 	}
 	var head *v4Head
-	var symSec, schSec, xmlSec, jSec, freqSec *v4Section
+	var symSec, schSec, xmlSec, jSec *v4Section
 	var posts []v4Section
 	for i := range secs {
 		s := &secs[i]
@@ -257,7 +225,7 @@ func loadV4(data []byte, root *xmltree.Node, cfg engine.Config) (*engine.Engine,
 		case secSchema:
 			schSec = s
 		case secFreqs:
-			freqSec = s
+			// A legacy sharded snapshot's frequency table: never read.
 		case secPost:
 			posts = append(posts, *s)
 		default:
@@ -292,6 +260,14 @@ func loadV4(data []byte, root *xmltree.Node, cfg engine.Config) (*engine.Engine,
 	if err := verifyFingerprint(head.Meta, root); err != nil {
 		return nil, Meta{}, err
 	}
+	if head.Meta.Shards > 0 {
+		// A legacy sharded snapshot: its parts are not read back, the
+		// verified tree is indexed once instead.
+		return replayed(engine.NewWithConfig(root, cfg), xmlSec != nil, jSec, head.Meta)
+	}
+	if len(posts) != 1 {
+		return nil, Meta{}, fmt.Errorf("persist: v4: %d postings sections for a monolithic snapshot", len(posts))
+	}
 	if err := symSec.verify(); err != nil {
 		return nil, Meta{}, err
 	}
@@ -307,51 +283,14 @@ func loadV4(data []byte, root *xmltree.Node, cfg engine.Config) (*engine.Engine,
 		return nil, Meta{}, fmt.Errorf("persist: %w", err)
 	}
 
-	if head.Meta.Shards == 0 {
-		if len(posts) != 1 {
-			return nil, Meta{}, fmt.Errorf("persist: v4: %d postings sections for a monolithic snapshot", len(posts))
-		}
-		if err := posts[0].verify(); err != nil {
-			return nil, Meta{}, err
-		}
-		idx, err := index.OpenCompact(root, st, posts[0].Data)
-		if err != nil {
-			return nil, Meta{}, fmt.Errorf("persist: %w", err)
-		}
-		return replayed(engine.FromXseek(xseek.FromParts(root, idx, schema), cfg), xmlSec != nil, jSec, head.Meta)
-	}
-
-	if freqSec == nil {
-		return nil, Meta{}, fmt.Errorf("persist: v4: sharded snapshot missing frequency section")
-	}
-	if err := freqSec.verify(); err != nil {
+	if err := posts[0].verify(); err != nil {
 		return nil, Meta{}, err
 	}
-	var df map[string]int
-	if err := gob.NewDecoder(bytes.NewReader(freqSec.Data)).Decode(&df); err != nil {
-		return nil, Meta{}, fmt.Errorf("persist: decode term frequencies: %w", err)
-	}
-	if head.Meta.Shards != len(posts) {
-		return nil, Meta{}, fmt.Errorf("persist: snapshot declares %d shards but carries %d postings sections", head.Meta.Shards, len(posts))
-	}
-	loaders := make([]func() (*index.Index, error), len(posts))
-	lroot := root
-	for g := range posts {
-		sec := posts[g]
-		loaders[g] = func() (*index.Index, error) {
-			// Lazy per-shard verification: a flipped bit in one shard's
-			// postings rebuilds that shard, not the corpus.
-			if err := sec.verify(); err != nil {
-				return nil, err
-			}
-			return index.OpenCompact(lroot, st, sec.Data)
-		}
-	}
-	sh, err := shard.FromSourcesShared(root, schema, head.Meta.Shards, df, head.IndexedElements, loaders, st)
+	idx, err := index.OpenCompact(root, st, posts[0].Data)
 	if err != nil {
-		return nil, Meta{}, err
+		return nil, Meta{}, fmt.Errorf("persist: %w", err)
 	}
-	return replayed(engine.FromSharded(sh, cfg), xmlSec != nil, jSec, head.Meta)
+	return replayed(engine.FromXseek(xseek.FromParts(root, idx, schema), cfg), xmlSec != nil, jSec, head.Meta)
 }
 
 // replayed finishes a freshly opened base engine: it marks a corpus

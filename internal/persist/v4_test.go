@@ -11,7 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/engine"
-	"repro/internal/index"
+	"repro/internal/shard"
 	"repro/internal/update"
 	"repro/internal/xmltree"
 	"repro/internal/xseek"
@@ -27,17 +27,32 @@ func v4SnapshotOf(t testing.TB, eng *engine.Engine, meta Meta) []byte {
 	return snap
 }
 
+// newSharded serves root over a K-shard partition's indexes
+// (engine.FromSharded) for K > 1, and over one index otherwise.
+func newSharded(root *xmltree.Node, k int, cfg engine.Config) *engine.Engine {
+	if k > 1 {
+		return engine.FromSharded(shard.Build(root, k), cfg)
+	}
+	return engine.NewWithConfig(root, cfg)
+}
+
+// sectionCount counts the sections of one kind in snapshot bytes.
+func sectionCount(snap []byte, kind byte) int {
+	n := 0
+	for pos := bytes.IndexByte(snap, '\n') + 1; pos < len(snap); pos += 9 + int(binary.LittleEndian.Uint64(snap[pos+1:pos+9])) + 4 {
+		if snap[pos] == kind {
+			n++
+		}
+	}
+	return n
+}
+
 // materializeAll decodes every posting list of a loaded engine into
 // the heap: Lookup turns a lazily served compact list resident.
 func materializeAll(eng *engine.Engine) {
-	idxs := []*index.Index{eng.Index()}
-	if sh := eng.Sharded(); sh != nil {
-		idxs = sh.ShardIndexes()
-	}
-	for _, idx := range idxs {
-		for _, term := range idx.Vocabulary() {
-			idx.Lookup(term)
-		}
+	idx := eng.Index()
+	for _, term := range idx.Vocabulary() {
+		idx.Lookup(term)
 	}
 }
 
@@ -74,15 +89,19 @@ var v4Queries = []string{"tomtom gps", "garmin", "canon camera", "easy camera", 
 
 // TestV4RoundTripEquivalence: an engine loaded from a v4 snapshot must
 // be bit-identical to the fresh-built one — same ranked labels, same
-// scores, same paging envelopes — for the monolithic executor and for
-// sharded ones, serving postings lazily out of the snapshot bytes or
-// with every list decoded into the heap first (eager).
+// scores, same paging envelopes — for a monolithic base and for bases
+// held as K shard parts (saved as one index), serving postings lazily
+// out of the snapshot bytes or with every list decoded into the heap
+// first (eager).
 func TestV4RoundTripEquivalence(t *testing.T) {
 	for _, shards := range []int{1, 2, 8} {
 		for _, eager := range []bool{false, true} {
 			t.Run(fmt.Sprintf("shards=%d/eager=%v", shards, eager), func(t *testing.T) {
-				fresh := engine.NewWithConfig(testRoot(), engine.Config{Shards: shards})
+				fresh := newSharded(testRoot(), shards, engine.Config{})
 				snap := v4SnapshotOf(t, fresh, Meta{CorpusName: "reviews", Seed: 11})
+				if n := sectionCount(snap, secPost); n != 1 || sectionCount(snap, secFreqs) != 0 {
+					t.Fatalf("snapshot carries %d postings sections and a frequency section, want one index", n)
+				}
 				loaded, meta, err := Load(bytes.NewReader(snap), testRoot(), engine.Config{})
 				if err != nil {
 					t.Fatal(err)
@@ -93,12 +112,8 @@ func TestV4RoundTripEquivalence(t *testing.T) {
 				if meta.CorpusName != "reviews" || meta.Seed != 11 {
 					t.Fatalf("meta after load = %+v", meta)
 				}
-				wantShards := shards
-				if wantShards < 2 {
-					wantShards = 0
-				}
-				if meta.Shards != wantShards {
-					t.Fatalf("meta.Shards = %d, want %d", meta.Shards, wantShards)
+				if meta.Shards != 0 || loaded.Index() == nil {
+					t.Fatalf("meta.Shards = %d, index %v: want one index", meta.Shards, loaded.Index())
 				}
 
 				want := rankedFingerprint(t, fresh, v4Queries...)
@@ -106,44 +121,31 @@ func TestV4RoundTripEquivalence(t *testing.T) {
 				if got != want {
 					t.Fatalf("ranked results diverge after v4 round trip:\n%s\nvs fresh:\n%s", got, want)
 				}
-				if sh := loaded.Sharded(); sh != nil {
-					if n := sh.Rebuilds(); n != 0 {
-						t.Fatalf("clean v4 load rebuilt %d shards, want 0", n)
-					}
-				}
 			})
 		}
 	}
 }
 
-// TestV4Deterministic: the compact payloads — symbol table and every
+// TestV4Deterministic: the compact payloads — the symbol table and the
 // postings section — are byte-identical across saves of one engine
 // (the table is interned in sorted vocabulary order, so IDs and the
-// delta streams keyed by them cannot drift with map iteration order).
-// The gob-encoded schema and frequency sections are exempt: gob
-// serializes maps in iteration order.
+// delta streams keyed by them cannot drift with map iteration order),
+// also for a base held as shard parts, which each save indexes afresh.
+// The gob-encoded schema section is exempt: gob serializes maps in
+// iteration order.
 func TestV4Deterministic(t *testing.T) {
 	for _, shards := range []int{1, 3} {
-		eng := engine.NewWithConfig(testRoot(), engine.Config{Shards: shards})
+		eng := newSharded(testRoot(), shards, engine.Config{})
 		a := v4SnapshotOf(t, eng, Meta{CorpusName: "reviews", Seed: 11})
 		b := v4SnapshotOf(t, eng, Meta{CorpusName: "reviews", Seed: 11})
 		if len(a) != len(b) {
 			t.Fatalf("shards=%d: two saves of one engine differ in size (%d vs %d bytes)", shards, len(a), len(b))
 		}
-		nPost := 1
-		if shards > 1 {
-			nPost = shards
-		}
-		for _, sec := range []struct {
-			kind byte
-			n    int
-		}{{secSymbols, 1}, {secPost, nPost}} {
-			for i := 0; i < sec.n; i++ {
-				ao, al := v4Span(t, a, sec.kind, i)
-				bo, bl := v4Span(t, b, sec.kind, i)
-				if ao != bo || al != bl || !bytes.Equal(a[ao:ao+al], b[bo:bo+bl]) {
-					t.Fatalf("shards=%d: section %q #%d differs between saves", shards, sec.kind, i)
-				}
+		for _, kind := range []byte{secSymbols, secPost} {
+			ao, al := v4Span(t, a, kind, 0)
+			bo, bl := v4Span(t, b, kind, 0)
+			if ao != bo || al != bl || !bytes.Equal(a[ao:ao+al], b[bo:bo+bl]) {
+				t.Fatalf("shards=%d: section %q differs between saves", shards, kind)
 			}
 		}
 	}
@@ -155,7 +157,7 @@ func TestV4Deterministic(t *testing.T) {
 func TestV4FileMmapRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "snap", "reviews.v4")
-	fresh := engine.NewWithConfig(testRoot(), engine.Config{Shards: 2})
+	fresh := newSharded(testRoot(), 2, engine.Config{})
 	if err := SaveFile(path, fresh, Meta{CorpusName: "reviews", Seed: 11}); err != nil {
 		t.Fatal(err)
 	}
@@ -164,8 +166,8 @@ func TestV4FileMmapRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if meta.Shards != 2 {
-		t.Fatalf("meta.Shards = %d, want 2", meta.Shards)
+	if meta.Shards != 0 {
+		t.Fatalf("meta.Shards = %d, want 0", meta.Shards)
 	}
 	want := rankedFingerprint(t, fresh, v4Queries...)
 	if got := rankedFingerprint(t, loaded, v4Queries...); got != want {
@@ -240,11 +242,12 @@ func TestV4LiveCompactedSelfContained(t *testing.T) {
 // TestV4NeverWrittenSavesNoCorpus: every in-process engine has a live
 // layer from construction, but one that was never written serves a
 // regenerable corpus, so its snapshot stores only derived state — no
-// 'X' (base tree) and no 'J' (journal) — monolithic and sharded alike.
+// 'X' (base tree) and no 'J' (journal) — over one index and over shard
+// parts alike.
 func TestV4NeverWrittenSavesNoCorpus(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			eng := engine.NewWithConfig(testRoot(), engine.Config{Shards: shards})
+			eng := newSharded(testRoot(), shards, engine.Config{})
 			snap := v4SnapshotOf(t, eng, Meta{CorpusName: "reviews", Seed: 11})
 			pos := bytes.IndexByte(snap, '\n') + 1
 			for pos < len(snap) {
@@ -272,8 +275,8 @@ func TestV4NeverWrittenSavesNoCorpus(t *testing.T) {
 func TestV4JournaledRoundTrip(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			cfg := engine.Config{Shards: shards}
-			eng := engine.NewWithConfig(xmltree.MustParseString(liveCorpusXML(4)), cfg)
+			cfg := engine.Config{}
+			eng := newSharded(xmltree.MustParseString(liveCorpusXML(4)), shards, cfg)
 			if err := eng.Compact(); err != nil {
 				t.Fatal(err)
 			}
@@ -441,28 +444,6 @@ func TestV4CorruptionFailsClosed(t *testing.T) {
 	}
 }
 
-// TestV4ShardCorruptionRebuildsOneShard: sharded postings sections are
-// verified lazily; a flipped bit in one shard's payload must not fail
-// the load or poison results — that shard is rebuilt from the tree on
-// first touch, and answers stay exact.
-func TestV4ShardCorruptionRebuildsOneShard(t *testing.T) {
-	fresh := engine.NewWithConfig(testRoot(), engine.Config{Shards: 3})
-	snap := v4SnapshotOf(t, fresh, Meta{CorpusName: "reviews", Seed: 11})
-	postOff, postLen := v4Span(t, snap, secPost, 1)
-
-	loaded, _, err := Load(bytes.NewReader(flipped(snap, postOff+postLen/2)), testRoot(), engine.Config{})
-	if err != nil {
-		t.Fatalf("one corrupt shard section failed the whole load: %v", err)
-	}
-	want := rankedFingerprint(t, fresh, v4Queries...)
-	if got := rankedFingerprint(t, loaded, v4Queries...); got != want {
-		t.Fatalf("results diverge after shard rebuild:\n%s\nvs\n%s", got, want)
-	}
-	if n := loaded.Sharded().Rebuilds(); n != 1 {
-		t.Fatalf("rebuilt %d shards, want exactly the corrupt one", n)
-	}
-}
-
 // TestV4VersionSkewFailsClosed: a v3 live envelope whose base is a v4
 // snapshot is a combination no writer produces; loadLive must refuse
 // it rather than replay a journal over an untested base.
@@ -493,12 +474,13 @@ func TestV4VersionSkewFailsClosed(t *testing.T) {
 
 // TestSnapshotCrossVersion: what each snapshot version does on load.
 // v1/v2 held only regenerable derived state and fail closed with a
-// rebuild error; v3 fixtures written by an older build load equal to
-// a fresh engine after the same writes; v4 — the one layout written —
-// round-trips plain, sharded, journaled and journaled+sharded engines
-// through Load and the mmap LoadFile path, and the reloads stay in
-// step through a compaction and one more write. CI runs this by name
-// as the cross-version compatibility gate.
+// rebuild error; v3 fixtures written by an older build load as one
+// index equal to a fresh engine after the same writes, and so do the
+// v4 fixtures an older build wrote over sharded bases; v4 — the one
+// layout written — round-trips plain, sharded, journaled and
+// journaled+sharded engines through Load and the mmap LoadFile path,
+// and the reloads stay in step through a compaction and one more
+// write. CI runs this by name as the cross-version compatibility gate.
 func TestSnapshotCrossVersion(t *testing.T) {
 	legacy := func(version int) []byte {
 		return []byte(fmt.Sprintf("%s %d\nanything", magic, version))
@@ -523,16 +505,14 @@ func TestSnapshotCrossVersion(t *testing.T) {
 	t.Run("v3 live", func(t *testing.T) {
 		for _, tc := range []struct {
 			fixture   string
-			shards    int
 			compacted bool
 		}{
-			{"live_v3_k1.snap", 1, false},
-			{"live_v3_k2.snap", 2, false},
-			{"live_v3_k1_compacted.snap", 1, true},
+			{"live_v3_k1.snap", false},
+			{"live_v3_k2.snap", false},
+			{"live_v3_k1_compacted.snap", true},
 		} {
 			t.Run(tc.fixture, func(t *testing.T) {
-				cfg := engine.Config{Shards: tc.shards}
-				ref := engine.NewWithConfig(xmltree.MustParseString(liveCorpusXML(4)), cfg)
+				ref := engine.New(xmltree.MustParseString(liveCorpusXML(4)))
 				mustWrite(t, ref, "<product><name>fresh</name><kind>solar</kind></product>", 1)
 				if tc.compacted {
 					if err := ref.Compact(); err != nil {
@@ -552,8 +532,8 @@ func TestSnapshotCrossVersion(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if meta.CorpusName != "shop" || meta.Seed != 7 || viaReader.ShardCount() != tc.shards {
-					t.Fatalf("meta = %+v, %d shards, want shop/7 with %d", meta, viaReader.ShardCount(), tc.shards)
+				if meta.CorpusName != "shop" || meta.Seed != 7 || viaReader.Metrics().Shards != 1 {
+					t.Fatalf("meta = %+v, %d shards, want shop/7 loaded as one index", meta, viaReader.Metrics().Shards)
 				}
 				viaFile, _, err := LoadFile(path, nil, engine.Config{})
 				if err != nil {
@@ -621,9 +601,8 @@ func TestSnapshotCrossVersion(t *testing.T) {
 			{"journaled+sharded", 2, true},
 		} {
 			t.Run(tc.name, func(t *testing.T) {
-				cfg := engine.Config{Shards: tc.shards}
 				root := xmltree.MustParseString(liveCorpusXML(4))
-				ref := engine.NewWithConfig(root, cfg)
+				ref := newSharded(root, tc.shards, engine.Config{})
 				if tc.journal {
 					mustWrite(t, ref, "<product><name>fresh</name><kind>solar</kind></product>", 1)
 				}
@@ -640,10 +619,48 @@ func TestSnapshotCrossVersion(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got := viaReader.ShardCount(); got != tc.shards {
-					t.Fatalf("reloaded with %d shards, want %d", got, tc.shards)
+				if got := viaReader.Metrics().Shards; got != 1 {
+					t.Fatalf("reloaded with %d shards, want 1", got)
 				}
 				checkInStep(t, ref, []*engine.Engine{viaReader, viaFile}, "fresh", "solar", "gps", "radio", "item1", "item2")
+			})
+		}
+	})
+
+	t.Run("v4 legacy sharded", func(t *testing.T) {
+		for _, fx := range legacyShardFixtures {
+			t.Run(fx.file, func(t *testing.T) {
+				ref := fx.reference(t)
+				data := fx.read(t)
+				viaReader, meta, err := Load(bytes.NewReader(data), xmltree.MustParseString(liveCorpusXML(4)), engine.Config{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if meta.CorpusName != "shop" || meta.Seed != 7 || meta.Shards != fx.shards {
+					t.Fatalf("meta = %+v, want shop/7 saved with %d shards", meta, fx.shards)
+				}
+				viaFile, _, err := LoadFile(filepath.Join("testdata", fx.file), xmltree.MustParseString(liveCorpusXML(4)), engine.Config{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				// The per-shard postings are never decoded, so a byte
+				// flipped inside one changes nothing.
+				off, size := v4Span(t, data, secPost, 1)
+				rotted, _, err := Load(bytes.NewReader(flipped(data, off+size/2)), xmltree.MustParseString(liveCorpusXML(4)), engine.Config{})
+				if err != nil {
+					t.Fatalf("flipped byte in a shard's postings: %v", err)
+				}
+				resave := v4SnapshotOf(t, viaReader, Meta{CorpusName: "shop", Seed: 7})
+				if p, f := sectionCount(resave, secPost), sectionCount(resave, secFreqs); p != 1 || f != 0 {
+					t.Fatalf("re-save carries %d postings and %d frequency sections, want 1 and 0", p, f)
+				}
+				resaved, _, err := Load(bytes.NewReader(resave), xmltree.MustParseString(liveCorpusXML(4)), engine.Config{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, e := range []*engine.Engine{viaReader, viaFile, rotted, resaved} {
+					checkLegacyLoad(t, fmt.Sprintf("load %d", i), ref, e, fx.queries()...)
+				}
 			})
 		}
 	})

@@ -4,6 +4,12 @@
 // queries fan out per shard and merge — with results provably
 // identical to a single monolithic index over the same corpus.
 //
+// The distributed coordinator (package dist) runs this fan-out over
+// HTTP legs, one shard server per group. Build assembles the same
+// fan-out over in-process legs: the reference the coordinator is
+// tested and measured against. No serving engine runs it in process;
+// there one index serves a corpus.
+//
 // # Partition model
 //
 // Plan splits the tree into segments and a spine:
@@ -46,11 +52,4 @@
 // approximate request: a shard's block-max bounds cannot bound an
 // entity whose subtree the partition split across shards, so the
 // spine fix-up needs every leg drained.
-//
-// # Laziness and repair
-//
-// Shards built from snapshot sources (package persist) materialize on
-// first use; a shard whose snapshot section is corrupt is rebuilt from
-// its own segment subtrees only, leaving the other shards' lazy loads
-// untouched.
 package shard

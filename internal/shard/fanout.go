@@ -39,8 +39,7 @@ type Fanout struct {
 	df         termFreqs
 	idf        map[string]float64
 	// elements is the aggregate count of distinct indexed elements,
-	// carried alongside df so IndexStats never has to materialize a
-	// lazy shard.
+	// carried alongside df so IndexStats never has to ask a leg.
 	elements int
 
 	// plannerStreamed counts ranked pages that ran the streamed
@@ -106,8 +105,8 @@ func (o Ownership) Spine(id dewey.ID) bool { return o.spineSet[id.String()] }
 // newFanout fills in the partition-derived lookup structures. The IDF
 // table is created empty and populated by initRanking: every leg
 // engine built against it holds a reference to this one shared map,
-// so legs materialized before and after the frequencies are
-// aggregated see the same weights.
+// so legs built before the frequencies are aggregated see the same
+// weights.
 func newFanout(root *xmltree.Node, schema *xseek.Schema, part Partition, spineIdx *index.Index) *Fanout {
 	f := &Fanout{
 		root:            root,
@@ -204,26 +203,14 @@ func (f *Fanout) DocFreq(term string) int { return f.df[term] }
 // monolithic index's: distinct terms and total postings fall out of
 // the shared frequency table (a posting is one (term, element) pair,
 // so postings sum to Σ df), and the element count is carried from
-// build/snapshot time. No leg is touched — a metrics probe never
-// forces a lazy shard to decode.
+// build time. No leg is touched, so a metrics probe never makes a
+// remote call.
 func (f *Fanout) IndexStats() index.Stats {
 	s := index.Stats{Terms: len(f.df), IndexedElements: f.elements}
 	for _, n := range f.df {
 		s.Postings += n
 	}
 	return s
-}
-
-// TermFrequencies returns a copy of the aggregated per-term document
-// frequencies. The persistence layer snapshots them so a lazy loader
-// can install whole-corpus ranking constants before any shard index
-// has been decoded.
-func (f *Fanout) TermFrequencies() map[string]int {
-	out := make(map[string]int, len(f.df))
-	for t, n := range f.df {
-		out[t] = n
-	}
-	return out
 }
 
 // StreamedDecisions reports how many ranked pages ran the streamed

@@ -12,7 +12,7 @@ import (
 
 // A Leg is one fan-out target: the execution engine of one shard
 // group, behind a transport-agnostic call surface. The in-process
-// localLeg wraps a lazily built xseek.Engine; package dist implements
+// localLeg wraps the group's xseek.Engine; package dist implements
 // the same interface over HTTP so the coordinator reuses this
 // package's merge path unchanged. Every Leg must produce exactly what
 // the in-process leg produces for the same group — the merge layer
@@ -99,18 +99,15 @@ type TFProbe struct {
 // the same partition the group index was built under, so server and
 // coordinator agree on which SLCAs are cross-segment artifacts.
 func NewLocalLeg(root *xmltree.Node, schema *xseek.Schema, part Partition, eng *xseek.Engine) Leg {
-	sh := &lazyShard{}
-	sh.eng.Store(eng)
-	return &localLeg{root: root, schema: schema, spineSet: part.Ownership().spineSet, sh: sh}
+	return &localLeg{root: root, schema: schema, spineSet: part.Ownership().spineSet, eng: eng}
 }
 
-// localLeg is the in-process Leg over one lazily materialized shard
-// engine.
+// localLeg is the in-process Leg over one group's engine.
 type localLeg struct {
 	root     *xmltree.Node
 	schema   *xseek.Schema
 	spineSet map[string]bool
-	sh       *lazyShard
+	eng      *xseek.Engine
 }
 
 // stream is the front half both leg calls share: compile → SLCA →
@@ -120,7 +117,7 @@ type localLeg struct {
 // with a nil error means a keyword is missing from this group: no SLCA
 // can fall inside it, while other groups (or the spine) still answer.
 func (l *localLeg) stream(query string, slcas *[]dewey.ID, boundary *[]*xseek.Result) (*xseek.Engine, *xseek.EntityStream, error) {
-	sh := l.sh.get()
+	sh := l.eng
 	cq, err := sh.Compile(query)
 	if err != nil {
 		var noMatch *index.NoMatchError
@@ -183,7 +180,7 @@ func (l *localLeg) RankedLeg(q LegQuery, shared *xseek.SharedThreshold) (LegPage
 }
 
 func (l *localLeg) TFUnderLeg(probes []TFProbe) ([]int, error) {
-	idx := l.sh.get().Index()
+	idx := l.eng.Index()
 	out := make([]int, len(probes))
 	for i, p := range probes {
 		out[i] = index.CountUnder(idx.Lookup(p.Term), p.ID)

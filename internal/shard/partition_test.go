@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/index"
 	"repro/internal/xmltree"
 	"repro/internal/xseek"
 )
@@ -69,8 +68,8 @@ func TestPlanClamping(t *testing.T) {
 	if len(p.Groups) != 1 || p.Groups[0] != [2]int{0, 0} {
 		t.Fatalf("leaf doc: groups = %v, want one empty group", p.Groups)
 	}
-	if e := Build(leaf, 4); e.ShardCount() != 1 {
-		t.Fatalf("leaf doc builds %d shards, want 1", e.ShardCount())
+	if e := Build(leaf, 4); len(e.ShardIndexes()) != 1 {
+		t.Fatalf("leaf doc builds %d shards, want 1", len(e.ShardIndexes()))
 	}
 }
 
@@ -118,8 +117,8 @@ func TestCrossShardRootSLCA(t *testing.T) {
 	root := xmltree.MustParseString(doc)
 	mono := xseek.New(root)
 	sharded := Build(root, 2)
-	if sharded.ShardCount() != 2 {
-		t.Fatalf("want 2 shards, got %d", sharded.ShardCount())
+	if len(sharded.ShardIndexes()) != 2 {
+		t.Fatalf("want 2 shards, got %d", len(sharded.ShardIndexes()))
 	}
 
 	want, _ := mono.Search("alpha beta")
@@ -153,44 +152,5 @@ func TestSpineOnlyTerm(t *testing.T) {
 		if resultKey(got) != resultKey(want) {
 			t.Fatalf("%q: got %s, want %s", q, resultKey(got), resultKey(want))
 		}
-	}
-}
-
-// TestFromSourcesRebuildFallback: a failing shard source must rebuild
-// only that shard — counted in Rebuilds — and searches must stay
-// identical to the monolithic engine.
-func TestFromSourcesRebuildFallback(t *testing.T) {
-	root := dataset.ProductReviews(dataset.ReviewsConfig{Seed: 5, ProductsPerCategory: 4})
-	schema := xseek.InferSchemaParallel(root, 0)
-	fresh := Build(root, 3)
-
-	loaders := make([]func() (*index.Index, error), 3)
-	indexes := fresh.ShardIndexes()
-	for g := range loaders {
-		g := g
-		if g == 1 {
-			loaders[g] = func() (*index.Index, error) { return nil, fmt.Errorf("corrupt section") }
-			continue
-		}
-		loaders[g] = func() (*index.Index, error) { return indexes[g], nil }
-	}
-	loaded, err := FromSourcesShared(root, schema, 3, fresh.TermFrequencies(), fresh.IndexStats().IndexedElements, loaders, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	mono := xseek.New(root)
-	for _, q := range []string{"tomtom", "tomtom gps", "garmin easy"} {
-		want, _ := mono.Search(q)
-		got, err := loaded.Search(q)
-		if err != nil {
-			t.Fatalf("%q: %v", q, err)
-		}
-		if resultKey(got) != resultKey(want) {
-			t.Fatalf("%q: got %s, want %s", q, resultKey(got), resultKey(want))
-		}
-	}
-	if n := loaded.Rebuilds(); n != 1 {
-		t.Fatalf("rebuilds = %d, want exactly 1 (only the failing shard)", n)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/shard"
 	"repro/internal/xmltree"
 	"repro/internal/xseek"
 )
@@ -25,7 +24,7 @@ func TestConcurrentReadersDuringWrites(t *testing.T) {
 			origin := xmltree.MustParseString(corpusXML(rng, 12))
 			var live *Engine
 			if k > 1 {
-				live = WrapSharded(shard.Build(origin, k))
+				live = wrapShards(origin, k)
 			} else {
 				live = Wrap(xseek.NewParallel(origin))
 			}

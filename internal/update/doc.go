@@ -7,16 +7,16 @@
 // The design separates a mutable write side from an immutable read
 // side, LSM-style:
 //
-//   - The base is a finished executor — a monolithic xseek.Engine or a
-//     fan-out shard.Engine — and is never modified in place.
+//   - The base is a finished index — one xseek.Engine, or disjoint
+//     part indexes (a partition's spine and shards, WrapParts) read
+//     as one — and is never modified in place.
 //   - Added entities are appended after the corpus's last top-level
 //     child (fresh Dewey ordinals, so every existing posting stays
 //     valid) and indexed into a small delta index.
 //   - Removed entities go into a tombstone set of top-level Dewey IDs.
 //   - Every read runs against the composition base ⊕ delta − tombstones
 //     at the posting level: per query term, the base lists (one per
-//     shard plus the spine for a sharded base) are merged with the
-//     delta list and filtered through the tombstones before SLCA
+//     base part) are merged with the delta list and filtered through the tombstones before SLCA
 //     computation, so deletions can both remove results and surface
 //     the new, shallower SLCAs the monolithic semantics demand.
 //   - The package keeps no query pipeline of its own. Each state is an
@@ -24,10 +24,10 @@
 //     for the SLCA stage, materialised lists for scoring, composed
 //     block-max bounds, exact frequencies — and xseek.Reader runs the
 //     one pipeline the monolithic engine also runs over it.
-//   - Compaction folds the pending writes back into a clean base —
-//     cheaply merging delta posting lists (and reusing untouched shard
-//     indexes) when only adds are pending, or rebuilding from the
-//     pruned, renumbered tree when tombstones are pending.
+//   - Compaction folds the pending writes back into a clean one-index
+//     base — cheaply merging delta posting lists when only adds are
+//     pending over one index, or rebuilding from the pruned,
+//     renumbered tree otherwise.
 //
 // All reads are lock-free: the entire mutable surface lives in one
 // immutable state value behind an atomic pointer, and every mutation

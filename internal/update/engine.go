@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/dewey"
 	"repro/internal/index"
-	"repro/internal/shard"
 	"repro/internal/xmltree"
 	"repro/internal/xseek"
 )
@@ -30,9 +29,8 @@ type JournalOp struct {
 }
 
 // Engine is a live, updatable executor over one corpus. It implements
-// the same query surface as xseek.Engine and shard.Engine —
-// SearchStream, CleanQuery, RankResults, SearchRankedPageWAND, corpus
-// statistics — and is safe
+// the same query surface as xseek.Engine — SearchStream, CleanQuery,
+// RankResults, SearchRankedPageWAND, corpus statistics — and is safe
 // for any number of concurrent readers alongside one writer at a time
 // (writers serialize internally).
 type Engine struct {
@@ -47,7 +45,7 @@ type Engine struct {
 	// counters tallies the planner decisions of live reads
 	// (PlannerDecisions, StreamedDecisions): one per compiled query
 	// whatever the base's layout, since the pipeline runs once over the
-	// multi-part view.
+	// posting view.
 	counters
 	updates, compactions atomic.Int64
 }
@@ -70,14 +68,13 @@ type topEntry struct {
 type state struct {
 	epoch uint64
 
-	// Exactly one of baseX/baseSh is non-nil: the immutable base
-	// executor the pending writes are layered over.
+	// baseX is the immutable one-index base the pending writes are
+	// layered over; nil for a base held as several parts (WrapParts).
 	baseX    *xseek.Engine
-	baseSh   *shard.Engine
 	baseRoot *xmltree.Node
-	// parts are the base's indexes — the one index of a monolithic
-	// base, the spine and every shard of a sharded one. Their lists
-	// are document-ordered and pairwise disjoint per term.
+	// parts are the base's indexes — baseX's one index, or the parts
+	// WrapParts was given. Their lists are document-ordered and
+	// pairwise disjoint per term.
 	parts []*index.Index
 
 	// root is the live document: a copy-on-write clone of the base root
@@ -109,50 +106,46 @@ type state struct {
 
 // Wrap makes a monolithic engine updatable. The wrapped engine must not
 // be mutated by anyone else afterwards.
-func Wrap(x *xseek.Engine) *Engine { return wrap(x, nil) }
+func Wrap(x *xseek.Engine) *Engine { return wrap(baseState(x, 0)) }
 
-// WrapSharded makes a sharded engine updatable.
-func WrapSharded(sh *shard.Engine) *Engine { return wrap(nil, sh) }
+// WrapParts makes a base held as several indexes updatable: parts must
+// index pairwise disjoint node sets of root whose union is the whole
+// tree, as a partition's spine and shard indexes do, and should share
+// one symbol table. Reads run over the parts as one posting view, with
+// document frequencies and the element count summed across them; the
+// first compaction folds the base into one index.
+func WrapParts(root *xmltree.Node, schema *xseek.Schema, parts []*index.Index) *Engine {
+	return wrap(partsState(root, schema, parts, root.CountNodes()))
+}
 
-func wrap(x *xseek.Engine, sh *shard.Engine) *Engine {
-	e := &Engine{evidence: make(map[*xmltree.Node]*xseek.Evidence)}
-	s := baseState(x, sh, 0)
-	e.rootTag = s.root.Tag
+func wrap(s *state) *Engine {
+	e := &Engine{evidence: make(map[*xmltree.Node]*xseek.Evidence), rootTag: s.root.Tag}
 	e.cur.Store(s)
 	return e
 }
 
 // baseSymbols returns the symbol table delta indexes should intern
 // into: the base's, so merged lists stay ID-aligned.
-func (s *state) baseSymbols() *index.SymbolTable {
-	if s.baseSh != nil {
-		return s.baseSh.Symbols()
-	}
-	return s.baseX.Index().Symbols()
+func (s *state) baseSymbols() *index.SymbolTable { return s.parts[0].Symbols() }
+
+// baseState builds the clean state over a one-index base, fresh or
+// just compacted.
+func baseState(x *xseek.Engine, epoch uint64) *state {
+	s := partsState(x.Root(), x.Schema(), []*index.Index{x.Index()}, x.TotalNodes())
+	s.epoch, s.baseX = epoch, x
+	return s
 }
 
-// baseState builds the clean state over a freshly built (or compacted)
-// base executor: no delta, no tombstones, statistics read off the base.
-func baseState(x *xseek.Engine, sh *shard.Engine, epoch uint64) *state {
-	s := &state{epoch: epoch, baseX: x, baseSh: sh}
-	if sh != nil {
-		s.baseRoot = sh.Root()
-		s.schema = sh.Schema()
-		s.parts = append([]*index.Index{sh.SpineIndex()}, sh.ShardIndexes()...)
-		s.df = newFreqs(sh.TermFrequencies())
-		s.totalNodes = sh.TotalNodes()
-		s.elements = sh.IndexStats().IndexedElements
-	} else {
-		s.baseRoot = x.Root()
-		s.schema = x.Schema()
-		s.parts = []*index.Index{x.Index()}
-		base := make(map[string]int)
-		x.Index().EachTerm(func(t string, df int) { base[t] = df })
-		s.df = newFreqs(base)
-		s.totalNodes = x.TotalNodes()
-		s.elements = x.Index().Stats().IndexedElements
+// partsState builds a clean state over base parts: no delta, no
+// tombstones, statistics summed off the parts.
+func partsState(root *xmltree.Node, schema *xseek.Schema, parts []*index.Index, totalNodes int) *state {
+	s := &state{baseRoot: root, root: root, schema: schema, parts: parts, totalNodes: totalNodes}
+	df := make(map[string]int)
+	for _, p := range parts {
+		p.EachTerm(func(t string, n int) { df[t] += n })
+		s.elements += p.Stats().IndexedElements
 	}
-	s.root = s.baseRoot
+	s.df = newFreqs(df)
 	s.top = topEntries(s.baseRoot)
 	s.tagCounts = make(map[string]int, 4)
 	for _, t := range s.top {
@@ -183,12 +176,10 @@ func (e *Engine) view() *state { return e.cur.Load() }
 // tags cache entries with it.
 func (e *Engine) Epoch() uint64 { return e.view().epoch }
 
-// BaseXseek returns the current monolithic base, or nil for a sharded
-// one. Compaction replaces the base, so do not retain the result.
+// BaseXseek returns the current one-index base, or nil for a base
+// still held as parts. Compaction replaces the base, so do not retain
+// the result.
 func (e *Engine) BaseXseek() *xseek.Engine { return e.view().baseX }
-
-// BaseSharded returns the current sharded base, or nil.
-func (e *Engine) BaseSharded() *shard.Engine { return e.view().baseSh }
 
 // Pending reports the delta and tombstone backlog awaiting compaction.
 func (e *Engine) Pending() (deltaEntities, tombstones int) {
@@ -216,13 +207,13 @@ func (e *Engine) Journal() []JournalOp {
 }
 
 // SnapshotParts returns one consistent view of the persistence
-// surface: the base tree, the base executor (exactly one non-nil), and
-// the journal of pending writes layered over it.
-func (e *Engine) SnapshotParts() (baseRoot *xmltree.Node, x *xseek.Engine, sh *shard.Engine, journal []JournalOp) {
+// surface: the base tree, its one-index base (nil for a base still
+// held as parts), and the journal of pending writes layered over it.
+func (e *Engine) SnapshotParts() (baseRoot *xmltree.Node, x *xseek.Engine, journal []JournalOp) {
 	s := e.view()
 	journal = make([]JournalOp, len(s.journal))
 	copy(journal, s.journal)
-	return s.baseRoot, s.baseX, s.baseSh, journal
+	return s.baseRoot, s.baseX, journal
 }
 
 // IndexStats returns aggregate index statistics for the live corpus,
@@ -254,7 +245,7 @@ func (e *Engine) AddEntity(n *xmltree.Node) (dewey.ID, error) {
 
 	ns := &state{
 		epoch: s.epoch + 1,
-		baseX: s.baseX, baseSh: s.baseSh, baseRoot: s.baseRoot, parts: s.parts,
+		baseX: s.baseX, baseRoot: s.baseRoot, parts: s.parts,
 		root:       rootWith(s.root, nil, n),
 		nextOrd:    ord + 1,
 		tombstones: s.tombstones,
@@ -312,7 +303,7 @@ func (e *Engine) RemoveEntity(id dewey.ID) error {
 
 	ns := &state{
 		epoch: s.epoch + 1,
-		baseX: s.baseX, baseSh: s.baseSh, baseRoot: s.baseRoot, parts: s.parts,
+		baseX: s.baseX, baseRoot: s.baseRoot, parts: s.parts,
 		root:       rootWith(s.root, victim, nil),
 		nextOrd:    s.nextOrd,
 		deltaRoots: s.deltaRoots,
@@ -344,12 +335,11 @@ func (e *Engine) RemoveEntity(id dewey.ID) error {
 
 // Compact folds the pending delta and tombstones back into a clean
 // base under an epoch swap; in-flight readers keep their state and are
-// never blocked. With only adds pending, the delta posting lists are
-// appended onto the base index (and, for a sharded base, only the
-// shards whose partition group changed are re-indexed); with tombstones
-// pending, the live tree is pruned, renumbered, and rebuilt from
-// scratch — the amortized cost that keeps every earlier per-op write
-// cheap. Compacting with nothing pending is a no-op.
+// never blocked. With only adds pending over one index, the delta
+// posting lists are appended onto it; otherwise (tombstones pending,
+// or a base held as parts) the live tree is pruned, renumbered, and
+// rebuilt into one index — the amortized cost that keeps every earlier
+// per-op write cheap. Compacting with nothing pending is a no-op.
 func (e *Engine) Compact() error {
 	e.writeMu.Lock()
 	defer e.writeMu.Unlock()
@@ -360,24 +350,16 @@ func (e *Engine) Compact() error {
 
 	var ns *state
 	switch {
-	case len(s.tombstones) == 0 && s.baseSh == nil:
+	case len(s.tombstones) == 0 && s.baseX != nil:
 		merged := index.Merge(s.root, s.baseX.Index(), s.delta)
 		idf := make(map[string]float64, s.df.terms)
 		s.df.each(func(t string, n int) {
 			idf[t] = xseek.IDF(s.totalNodes, n)
 		})
 		x := xseek.FromPartsRanked(s.root, merged, xseek.InferSchemaParallel(s.root, 0), s.totalNodes, idf)
-		ns = baseState(x, nil, s.epoch+1)
-	case len(s.tombstones) == 0:
-		sh, _ := shard.BuildReusing(s.root, s.baseSh.ShardCount(), s.baseSh)
-		ns = baseState(nil, sh, s.epoch+1)
+		ns = baseState(x, s.epoch+1)
 	default:
-		fresh := rebuildTree(s.root)
-		if s.baseSh != nil {
-			ns = baseState(nil, shard.Build(fresh, s.baseSh.ShardCount()), s.epoch+1)
-		} else {
-			ns = baseState(xseek.NewParallel(fresh), nil, s.epoch+1)
-		}
+		ns = baseState(xseek.NewParallel(rebuildTree(s.root)), s.epoch+1)
 		// The rebuild renumbered every subtree: cached evidence keyed by
 		// the old nodes no longer describes the tree. Recollect lazily.
 		e.evidence = make(map[*xmltree.Node]*xseek.Evidence)

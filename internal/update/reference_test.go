@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/index"
 	"repro/internal/reference"
-	"repro/internal/shard"
 	"repro/internal/xmltree"
 	"repro/internal/xseek"
 )
@@ -43,7 +42,7 @@ func TestRootSLCAAfterLiveWrite(t *testing.T) {
 	const doc = `<r>catalogtitle <p><name>a</name><v>alpha beta</v></p><p><name>b</name><v>beta gamma</v></p><p><name>c</name><v>beta</v></p></r>`
 	bases := map[string]func(*xmltree.Node) *Engine{
 		"mono":    func(root *xmltree.Node) *Engine { return Wrap(xseek.New(root)) },
-		"shards2": func(root *xmltree.Node) *Engine { return WrapSharded(shard.Build(root, 2)) },
+		"shards2": func(root *xmltree.Node) *Engine { return wrapShards(root, 2) },
 	}
 	for name, mk := range bases {
 		live := mk(xmltree.MustParseString(doc))

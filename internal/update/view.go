@@ -103,7 +103,7 @@ func (s *state) IDF(term string) float64 {
 }
 
 // List materializes the live composite posting list for one term:
-// base lists (one per shard plus spine for a sharded base) merged with
+// base lists (one per base part) merged with
 // the delta list, minus every posting under a tombstone. Scoring reads
 // it; the SLCA stage reads Iter instead.
 func (s *state) List(term string) index.PostingList {
@@ -159,9 +159,9 @@ func (s *state) Iter(term string, gallop bool) index.Iter {
 // Bound composes the term's block-max bound over the live corpus in two
 // steps, each matching where a result subtree's postings can live:
 //
-//   - Base parts sum. A monolithic base is one part; a sharded base
-//     splits one logical list into spine + per-shard parts, and a
-//     spine wrapper node's subtree can span several of them, so only
+//   - Base parts sum. A monolithic base is one part; a base held as
+//     parts splits one logical list into spine + per-shard parts, and
+//     a spine wrapper node's subtree can span several of them, so only
 //     the always-admissible sum composition is safe there (tf is
 //     additive over disjoint parts).
 //   - Base ⊕ delta takes the max. Added entities receive fresh

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/dewey"
 	"repro/internal/index"
-	"repro/internal/shard"
 	"repro/internal/xmltree"
 	"repro/internal/xseek"
 )
@@ -38,7 +37,7 @@ func TestLiveBoundsAdmissible(t *testing.T) {
 			origin := xmltree.MustParseString(b.String())
 			live := Wrap(xseek.NewParallel(origin))
 			if k > 1 {
-				live = WrapSharded(shard.Build(origin, k))
+				live = wrapShards(origin, k)
 			}
 			serial := 1000
 			for op := 0; op < 30; op++ {
@@ -125,7 +124,21 @@ func TestCleanStateReadsBase(t *testing.T) {
 		t.Fatal(err)
 	}
 	found("remove", 0)
-	if WrapSharded(shard.Build(origin, 2)).view().cleanBase() != nil {
-		t.Fatal("a sharded base reads a monolithic index")
+
+	// A base held as parts reads through the composed view until its
+	// first compaction folds it into one index; from then on it reads
+	// that index like any monolithic base.
+	parts := wrapShards(origin, 2)
+	if parts.view().cleanBase() != nil || parts.BaseXseek() != nil {
+		t.Fatal("a multi-part base reads a monolithic index")
+	}
+	if _, err := parts.AddEntity(xmltree.MustParseString(randomProduct(rng, 101))); err != nil {
+		t.Fatal(err)
+	}
+	if err := parts.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if b := parts.view().cleanBase(); b == nil || b != parts.BaseXseek() || len(parts.view().parts) != 1 {
+		t.Fatal("a compacted multi-part base does not read one index")
 	}
 }

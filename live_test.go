@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"repro/internal/xmltree"
 )
 
 func liveFacadeXML(n int) string {
@@ -49,17 +51,15 @@ func facadeFingerprint(t *testing.T, d *Document, queries []string) string {
 // TestFacadeLiveEquivalence is the end-to-end version of the update
 // package's property test: after interleaved facade writes (through
 // the caching engine layer), every query answer and the serialized
-// corpus must be byte-identical to a from-scratch ParseWith of the
-// same logical corpus — at K ∈ {1, 2, 8} shards.
+// corpus must be byte-identical to a from-scratch one-index parse of
+// the same logical corpus — for a document over one index and over
+// K ∈ {2, 8} shard parts.
 func TestFacadeLiveEquivalence(t *testing.T) {
 	queries := []string{"gps", "radio unit4", "solar", "unit1", "nothere"}
 	for _, k := range []int{1, 2, 8} {
 		k := k
 		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) {
-			doc, err := ParseStringWith(liveFacadeXML(9), Options{Shards: k})
-			if err != nil {
-				t.Fatal(err)
-			}
+			doc := shardedDoc(xmltree.MustParseString(liveFacadeXML(9)), k, Options{})
 
 			// Mirror the logical corpus as XML fragments.
 			frags := make([]string, 0, 12)
@@ -74,7 +74,7 @@ func TestFacadeLiveEquivalence(t *testing.T) {
 
 			check := func(step string) {
 				t.Helper()
-				cold, err := ParseStringWith("<catalog>"+strings.Join(frags, "")+"</catalog>", Options{Shards: k})
+				cold, err := ParseString("<catalog>" + strings.Join(frags, "") + "</catalog>")
 				if err != nil {
 					t.Fatal(err)
 				}

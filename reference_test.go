@@ -95,8 +95,11 @@ func TestLiveExecutorsMatchReferenceOnAdversarialDocs(t *testing.T) {
 		"beta", "p", "name",
 	}
 	bases := map[string]func(*xmltree.Node) *update.Engine{
-		"mono":   func(root *xmltree.Node) *update.Engine { return update.Wrap(xseek.New(root)) },
-		"shard2": func(root *xmltree.Node) *update.Engine { return update.WrapSharded(shard.Build(root, 2)) },
+		"mono": func(root *xmltree.Node) *update.Engine { return update.Wrap(xseek.New(root)) },
+		"shard2": func(root *xmltree.Node) *update.Engine {
+			sh := shard.Build(root, 2)
+			return update.WrapParts(root, sh.Schema(), append([]*index.Index{sh.SpineIndex()}, sh.ShardIndexes()...))
+		},
 	}
 	for name, mk := range bases {
 		live := mk(xmltree.MustParseString(doc))

@@ -75,10 +75,7 @@ func TestStressLiveUpdatesUnderLoad(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		shards := shards
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			doc, err := BuiltinDatasetWith("reviews", 3, Options{Shards: shards, AutoCompactEvery: 16})
-			if err != nil {
-				t.Fatal(err)
-			}
+			doc := shardedDoc(reviews(3), shards, Options{AutoCompactEvery: 16})
 
 			stop := make(chan struct{})
 			var readers sync.WaitGroup

@@ -49,13 +49,6 @@ type Document struct {
 // Options configures how a Document's serving engine is built. The
 // zero value is the default configuration.
 type Options struct {
-	// Shards splits the corpus into that many index shards, built in
-	// parallel at top-level entity boundaries and read as one live
-	// multi-part posting view (only a distributed coordinator runs a
-	// fan-out). Results are identical to the unsharded engine; 0 or 1
-	// keeps the single monolithic index. The count is clamped to the
-	// number of top-level entities in the corpus.
-	Shards int
 	// AutoCompactEvery compacts the live write path in the background
 	// once that many uncompacted writes (AddEntity/RemoveEntity calls)
 	// are pending. 0 leaves compaction to explicit Compact calls.
@@ -65,7 +58,7 @@ type Options struct {
 // engineConfig translates the facade options to the engine layer's
 // configuration.
 func (o Options) engineConfig() engine.Config {
-	return engine.Config{Shards: o.Shards, AutoCompactThreshold: o.AutoCompactEvery}
+	return engine.Config{AutoCompactThreshold: o.AutoCompactEvery}
 }
 
 // Parse reads an XML document and builds the search engine (inverted
@@ -127,10 +120,6 @@ func BuiltinDatasetWith(name string, seed int64, opts Options) (*Document, error
 		return nil, fmt.Errorf("xsact: unknown builtin dataset %q", name)
 	}
 }
-
-// Shards reports how many index shards the document's engine runs
-// (1 when unsharded).
-func (d *Document) Shards() int { return d.eng.ShardCount() }
 
 // XML serializes the document back to XML. It reflects live updates:
 // added entities appear, removed ones don't.

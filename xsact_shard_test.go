@@ -3,11 +3,31 @@ package xsact
 import (
 	"bytes"
 	"testing"
+
+	"repro/internal/dataset"
+	"repro/internal/engine"
+	"repro/internal/shard"
+	"repro/internal/xmltree"
 )
 
-// TestFacadeShardedEquivalence: documents built with Options.Shards
-// must answer every facade search exactly like the unsharded document
-// — results, ranking scores, and paging envelopes.
+// shardedDoc is a Document whose engine serves a K-shard partition's
+// indexes as one multi-part base (engine.FromSharded) for K > 1, and
+// one index otherwise. The facade never builds that layout itself;
+// these tests hold it to the one-index document.
+func shardedDoc(root *xmltree.Node, k int, opts Options) *Document {
+	if k <= 1 {
+		return FromTreeWith(root, opts)
+	}
+	return &Document{root: root, eng: engine.FromSharded(shard.Build(root, k), opts.engineConfig())}
+}
+
+func reviews(seed int64) *xmltree.Node {
+	return dataset.ProductReviews(dataset.ReviewsConfig{Seed: seed})
+}
+
+// TestFacadeShardedEquivalence: documents over K-shard bases must
+// answer every facade search exactly like the one-index document —
+// results, ranking scores, and paging envelopes.
 func TestFacadeShardedEquivalence(t *testing.T) {
 	mono, err := BuiltinDataset("reviews", 21)
 	if err != nil {
@@ -15,12 +35,9 @@ func TestFacadeShardedEquivalence(t *testing.T) {
 	}
 	queries := []string{"tomtom gps", "easy", "camera zoom", "garmin", "nosuchterm"}
 	for _, k := range []int{1, 2, 8} {
-		sharded, err := BuiltinDatasetWith("reviews", 21, Options{Shards: k})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if k > 1 && sharded.Shards() != k {
-			t.Fatalf("Shards() = %d, want %d", sharded.Shards(), k)
+		sharded := shardedDoc(reviews(21), k, Options{})
+		if k > 1 && sharded.Engine().Index() != nil {
+			t.Fatalf("K=%d: expected a multi-part base", k)
 		}
 		for _, q := range queries {
 			want, errW := mono.Search(q)
@@ -74,12 +91,9 @@ func TestFacadeShardedEquivalence(t *testing.T) {
 }
 
 // TestFacadeShardedCompare: the comparison pipeline (feature stats,
-// DFS generation, tables) runs unchanged on sharded documents.
+// DFS generation, tables) runs unchanged on a K-shard base.
 func TestFacadeShardedCompare(t *testing.T) {
-	doc, err := BuiltinDatasetWith("reviews", 21, Options{Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	doc := shardedDoc(reviews(21), 4, Options{})
 	rs, err := doc.Search("tomtom gps")
 	if err != nil {
 		t.Fatal(err)
@@ -106,16 +120,13 @@ func TestFacadeShardedCompare(t *testing.T) {
 	}
 }
 
-// TestFacadeShardedSnapshot: a sharded document snapshots through the
-// facade and reloads as a sharded document with identical results.
+// TestFacadeShardedSnapshot: a document over a K-shard base snapshots
+// through the facade and reloads as one index with identical results.
 func TestFacadeShardedSnapshot(t *testing.T) {
 	const catalog = `<store><product><name>TomTom</name><pro>easy</pro></product>` +
 		`<product><name>Garmin</name><pro>fast</pro></product>` +
 		`<product><name>Nuvi</name><pro>easy</pro></product></store>`
-	doc, err := ParseStringWith(catalog, Options{Shards: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+	doc := shardedDoc(xmltree.MustParseString(catalog), 3, Options{})
 	var snap bytes.Buffer
 	if err := doc.SaveSnapshot(&snap); err != nil {
 		t.Fatal(err)
@@ -124,8 +135,8 @@ func TestFacadeShardedSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Shards() != 3 {
-		t.Fatalf("reloaded document has %d shards, want 3", back.Shards())
+	if back.Engine().Index() == nil || back.Engine().Metrics().Shards != 1 {
+		t.Fatal("reloaded document does not serve one index")
 	}
 	want, _ := doc.Search("easy")
 	got, err := back.Search("easy")
@@ -143,12 +154,11 @@ func TestFacadeShardedSnapshot(t *testing.T) {
 }
 
 // TestLibraryWithShardedDocs: database selection must route queries
-// over a mixed library of sharded and unsharded documents.
+// over a mixed library of documents over K-shard and one-index bases.
 func TestLibraryWithShardedDocs(t *testing.T) {
 	lib := NewLibrary()
-	reviews, _ := BuiltinDatasetWith("reviews", 1, Options{Shards: 4})
 	movies, _ := BuiltinDataset("movies", 1)
-	lib.Add("reviews", reviews)
+	lib.Add("reviews", shardedDoc(reviews(1), 4, Options{}))
 	lib.Add("movies", movies)
 	name, rs, err := lib.Search("tomtom gps")
 	if err != nil {
