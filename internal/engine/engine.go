@@ -291,9 +291,10 @@ func (e *Engine) Index() *index.Index {
 }
 
 // Xseek returns the live layer's current monolithic base, or nil for a
-// base still held as parts and for a coordinator. Compaction replaces the base, so
-// do not retain the result. Callers that only need corpus statistics
-// should use TotalNodes/DocFreq, which work for every executor.
+// base still held as parts and for a coordinator. Compaction replaces
+// the base, so do not retain the result. Callers that only need corpus
+// statistics should use TotalNodes/DocFreq, which work for every
+// executor.
 func (e *Engine) Xseek() *xseek.Engine {
 	if live := e.Live(); live != nil {
 		return live.BaseXseek()

@@ -7,8 +7,8 @@ package persist
 // more — a journaled v4 snapshot carries the same state — but its
 // journal holds accepted user writes, so it stays readable: the base
 // is rebuilt from the XML as one index, whatever shard count it was
-// saved with, and the journal is replayed over it. The nested snapshot stays covered by
-// the envelope checksum but is never decoded.
+// saved with, and the journal is replayed over it. The nested snapshot
+// stays covered by the envelope checksum but is never decoded.
 //
 // Like a live v4 snapshot, the layout is self-contained: the caller's
 // tree cannot describe a corpus that has accepted writes, so Load

@@ -116,19 +116,18 @@ type localLeg struct {
 // spine fix-up and spine-rooted entities to *boundary. A nil stream
 // with a nil error means a keyword is missing from this group: no SLCA
 // can fall inside it, while other groups (or the spine) still answer.
-func (l *localLeg) stream(query string, slcas *[]dewey.ID, boundary *[]*xseek.Result) (*xseek.Engine, *xseek.EntityStream, error) {
-	sh := l.eng
-	cq, err := sh.Compile(query)
+func (l *localLeg) stream(query string, slcas *[]dewey.ID, boundary *[]*xseek.Result) (*xseek.EntityStream, error) {
+	cq, err := l.eng.Compile(query)
 	if err != nil {
 		var noMatch *index.NoMatchError
 		if errors.As(err, &noMatch) {
-			return nil, nil, nil
+			return nil, nil
 		}
-		return nil, nil, err
+		return nil, err
 	}
 	it, err := cq.SLCAIter()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	// Drop cross-segment artifacts (spine-owned SLCAs) before entity
 	// mapping, collecting the survivors for the spine fix-up.
@@ -150,12 +149,12 @@ func (l *localLeg) stream(query string, slcas *[]dewey.ID, boundary *[]*xseek.Re
 			*boundary = append(*boundary, &xseek.Result{Node: h.Node, Match: h.Match, Label: xseek.LabelFor(h.Node)})
 		},
 	)
-	return sh, es, nil
+	return es, nil
 }
 
 func (l *localLeg) SearchLeg(q LegQuery) (LegDocs, error) {
 	var out LegDocs
-	_, es, err := l.stream(q.Query, &out.SLCAs, &out.Boundary)
+	es, err := l.stream(q.Query, &out.SLCAs, &out.Boundary)
 	if es == nil {
 		return LegDocs{}, err
 	}
@@ -167,12 +166,12 @@ func (l *localLeg) SearchLeg(q LegQuery) (LegDocs, error) {
 
 func (l *localLeg) RankedLeg(q LegQuery, shared *xseek.SharedThreshold) (LegPage, error) {
 	var out LegPage
-	sh, es, err := l.stream(q.Query, &out.SLCAs, &out.Boundary)
+	es, err := l.stream(q.Query, &out.SLCAs, &out.Boundary)
 	if es == nil {
 		return LegPage{}, err
 	}
 	opts := xseek.SearchOptions{Limit: q.Limit}
-	out.Top, out.Total, out.Stats, err = xseek.ConsumeRankedWAND(es, opts, sh.StreamScorer(q.Terms), sh.TermBounds(q.Terms), shared)
+	out.Top, out.Total, out.Stats, err = xseek.ConsumeRankedWAND(es, opts, l.eng.StreamScorer(q.Terms), l.eng.TermBounds(q.Terms), shared)
 	if err != nil {
 		return LegPage{}, err
 	}

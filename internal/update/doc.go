@@ -16,9 +16,10 @@
 //   - Removed entities go into a tombstone set of top-level Dewey IDs.
 //   - Every read runs against the composition base ⊕ delta − tombstones
 //     at the posting level: per query term, the base lists (one per
-//     base part) are merged with the delta list and filtered through the tombstones before SLCA
-//     computation, so deletions can both remove results and surface
-//     the new, shallower SLCAs the monolithic semantics demand.
+//     base part) are merged with the delta list and filtered through
+//     the tombstones before SLCA computation, so deletions can both
+//     remove results and surface the new, shallower SLCAs the
+//     monolithic semantics demand.
 //   - The package keeps no query pipeline of its own. Each state is an
 //     xseek.Postings view of that composition — lazy merged iterators
 //     for the SLCA stage, materialised lists for scoring, composed
