@@ -73,7 +73,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // the window's start within it and returned = len(results). Total is
 // -1 when the execution strategy stopped before counting every result
 // (exec=stream mid-list, or rank=1&accuracy=approx on any in-process
-// dataset, sharded or not; only a coordinator's fan-out always counts).
+// dataset; only a coordinator's fan-out always counts).
 func (s *server) apiSearch(w http.ResponseWriter, r *http.Request) {
 	query := formValue(r, "q")
 	if query == "" {

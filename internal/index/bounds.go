@@ -183,9 +183,9 @@ func (c *maxBoundCursor) BlocksLeft() int {
 
 // sumBoundCursor bounds an arbitrary partition of one corpus's
 // postings: tf is additive over disjoint parts, so the sum of the
-// parts' bounds is always admissible (if loose). The sharded base of
-// a live engine needs it — a spine wrapper node's subtree can span
-// the spine part and several shard parts.
+// parts' bounds is always admissible (if loose). A live base held as
+// a partition's parts needs it — a spine wrapper node's subtree can
+// span the spine part and several shard parts.
 type sumBoundCursor struct{ parts []BoundCursor }
 
 // SumBoundCursor composes part cursors by sum — the always-valid

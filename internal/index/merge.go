@@ -12,9 +12,9 @@ import (
 // tombstone set without rebuilding either.
 
 // MergeLists merges document-ordered posting lists over disjoint node
-// sets into one document-ordered list. The sharded live read path uses
-// it to present per-shard (plus spine, plus delta) lists as the single
-// list a monolithic index would hold.
+// sets into one document-ordered list. The live read path uses it to
+// present per-part (plus delta) lists as the single list a monolithic
+// index would hold.
 func MergeLists(lists ...PostingList) PostingList {
 	// First pass allocates nothing: count the non-empty inputs and
 	// check whether they already chain end-to-start in document order —
