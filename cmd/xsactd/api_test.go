@@ -22,6 +22,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/engine"
 	"repro/internal/index"
+	"repro/internal/persist"
 	"repro/internal/snippet"
 	"repro/internal/table"
 	"repro/internal/xmltree"
@@ -218,6 +219,72 @@ func TestLegacyV3SnapshotConvertedOnLoad(t *testing.T) {
 				m := eng.Metrics()
 				if got := m.PendingDelta != 0 && m.PendingTombstones != 0; got != tc.pending {
 					t.Fatalf("restart %d: writes pending = %v, want %v: %+v", restart, got, tc.pending, m)
+				}
+			}
+		})
+	}
+}
+
+// TestPreBoundsSnapshotConvertedOnLoad: a v4 snapshot whose postings
+// predate block maxima loads as one index built over its tree, and
+// xsactd rewrites it in the current layout on the first start, so
+// every later start opens the file without a rebuild. That holds for a
+// never-written file too, which carries no corpus of its own and is
+// otherwise never rewritten. Every start prunes its ranked pages.
+func TestPreBoundsSnapshotConvertedOnLoad(t *testing.T) {
+	for _, tc := range []struct {
+		fixture string
+		written bool // the fixture's base holds the v3 fixtures' add and remove
+	}{
+		{"v4_prebounds.snap", false},
+		{"v4_prebounds_compacted.snap", true},
+	} {
+		t.Run(tc.fixture, func(t *testing.T) {
+			fixture, err := os.ReadFile(filepath.Join("..", "..", "internal", "persist", "testdata", tc.fixture))
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			path := filepath.Join(dir, "reviews-seed5.snap")
+			if err := os.WriteFile(path, fixture, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			// The never-written fixture is checked against the caller's
+			// tree: the <shop> corpus it was saved from.
+			var shop strings.Builder
+			shop.WriteString("<shop>")
+			for i := 0; i < 4; i++ {
+				fmt.Fprintf(&shop, "<product><name>item%d</name><kind>%s</kind></product>", i, [2]string{"gps", "radio"}[i%2])
+			}
+			shop.WriteString("</shop>")
+			gen := func() *xmltree.Node { return xmltree.MustParseString(shop.String()) }
+
+			for start := 1; start <= 2; start++ {
+				s, err := newServer(5, dir, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var eng *engine.Engine
+				out := captureLog(t, func() { eng = s.buildEngine("Product Reviews", gen) })
+				if !strings.Contains(out, "loaded from snapshot") {
+					t.Fatalf("start %d: snapshot should load, log:\n%s", start, out)
+				}
+				// The first start rewrites the retired file; after that
+				// only a file that embeds its corpus is rewritten.
+				if rewrote := strings.Contains(out, "rewrote snapshot"); rewrote != (start == 1 || tc.written) {
+					t.Fatalf("start %d: rewrote = %v, log:\n%s", start, rewrote, out)
+				}
+				if _, meta, err := persist.LoadFile(path, gen(), engine.Config{}); err != nil || meta.Rebuilt {
+					t.Fatalf("start %d: the file on disk is not in the current layout (rebuilt %v, err %v)", start, meta.Rebuilt, err)
+				}
+				if rs, _ := eng.Search("item1"); (len(rs) == 0) != tc.written {
+					t.Fatalf("start %d: item1 has %d results, written %v", start, len(rs), tc.written)
+				}
+				if _, err := eng.SearchRankedPage("gps", xseek.SearchOptions{Limit: 1, Accuracy: xseek.AccuracyApprox}); err != nil {
+					t.Fatal(err)
+				}
+				if m := eng.Metrics(); m.RankedStreamed != 1 || m.RankedWAND != 1 {
+					t.Fatalf("start %d: ranked_streamed %d / ranked_wand %d, want 1 / 1", start, m.RankedStreamed, m.RankedWAND)
 				}
 			}
 		})

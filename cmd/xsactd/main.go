@@ -14,8 +14,9 @@
 // Snapshots are written in the v4 layout, which is mmap-ed on load and
 // decodes postings lazily as queries touch them (near-zero restart). A
 // snapshot that embeds its corpus (a written-to dataset, or one in the
-// retired journaled v3 layout) is rewritten as v4 from the loaded
-// engine straight away; older layouts cost one rebuild.
+// retired journaled v3 layout), or that persist loaded through an index
+// build because its layout is retired, is rewritten as v4 from the
+// loaded engine straight away; older layouts cost one rebuild.
 //
 // The corpus is live: POST /api/v1/documents adds a top-level entity
 // (immediately searchable), DELETE /api/v1/documents removes one, and

@@ -118,9 +118,10 @@ func newServer(seed int64, snapshotDir string, compactEvery int) (*server, error
 // and valid. Snapshot failures are never fatal — a bad file (a retired
 // v1/v2 layout included) just costs a rebuild, and is replaced by a
 // fresh snapshot afterwards. A snapshot that embeds its corpus, or
-// that an older build wrote over a sharded base, is rewritten at once
-// from the loaded engine, so a file in a retired layout is read only
-// once.
+// one in a retired layout that persist had to rebuild the index for
+// (meta.Rebuilt: v3, sharded v4, or v4 postings without block maxima),
+// is rewritten at once from the loaded engine, so a retired file is
+// read only once.
 func (s *server) buildEngine(name string, gen func() *xmltree.Node) *engine.Engine {
 	root := gen()
 	cfg := engine.Config{AutoCompactThreshold: s.compactEvery}
@@ -138,7 +139,7 @@ func (s *server) buildEngine(name string, gen func() *xmltree.Node) *engine.Engi
 	eng, meta, err := persist.LoadFile(path, root, cfg)
 	if err == nil {
 		log.Printf("xsactd: %s: engine loaded from snapshot %s", name, path)
-		if eng.CorpusEmbedded() || meta.Shards > 0 {
+		if eng.CorpusEmbedded() || meta.Rebuilt {
 			if err := s.writeSnapshot(name, eng); err != nil {
 				log.Printf("xsactd: %s: rewriting snapshot %s failed: %v", name, path, err)
 			} else {

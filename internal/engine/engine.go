@@ -103,8 +103,8 @@ type Metrics struct {
 	StreamMisses    int64 `json:"stream_misses"`
 	StreamCursorLen int   `json:"stream_cursor_len"`
 	// Score-bounded (block-max WAND) execution: RankedWAND counts ranked
-	// pages that ran with bound metadata active (a subset of
-	// RankedStreamed), WANDPruned entities whose exact scoring the bound
+	// pages that pruned with bounds, which takes a weighted term (a
+	// subset of RankedStreamed), WANDPruned entities whose exact scoring the bound
 	// skipped, and BlocksSkipped posting blocks never touched past the
 	// cutoffs.
 	RankedWAND    int64 `json:"ranked_wand"`
@@ -166,8 +166,6 @@ type executor interface {
 	// RankResults while skipping provably non-competitive scoring;
 	// approximate mode may additionally stop draining and report
 	// xseek.StreamTotalUnknown (the coordinator's fan-out never does).
-	// Executors without bound metadata (legacy snapshots) run the same
-	// consumer unpruned, reported via WANDStats.Bounded.
 	SearchStream(query string) (xseek.Cursor, error)
 	SearchRankedPageWAND(query string, opts xseek.SearchOptions) ([]*xseek.RankedResult, int, xseek.WANDStats, error)
 	EstimateResults(query string) int
@@ -707,8 +705,7 @@ func (e *Engine) SearchCleanedPage(query string, opts xseek.SearchOptions) (*Pag
 // cache as usual, after which ranked pages come from its ranking.
 //
 // Routed streamed pages run the score-bounded (block-max WAND)
-// consumer, which runs unpruned by itself when bound metadata is
-// missing — WANDStats.Bounded reports which happened, and feeds the
+// consumer; WANDStats.Bounded reports whether it pruned, and feeds the
 // ranked_wand / wand_pruned / blocks_skipped metrics. An approximate
 // streamed page is still exact, but on any in-process engine its
 // total may come back xseek.StreamTotalUnknown; only a coordinator's

@@ -216,10 +216,8 @@ func (c *sumBoundCursor) BlocksLeft() int {
 // TermBounds returns term's block-max bound metadata, computing it on
 // first use and caching it per symbol: from the heap list when the
 // list is resident, or straight from the compact payload's per-block
-// max-tf directory without materializing the list. A nil return means
-// the backing payload predates block maxima (a legacy v4 snapshot) —
-// the caller's signal to fall back to unpruned streaming. Terms the
-// index does not know return the empty bounds, never nil.
+// max-tf directory without materializing the list. Terms the index
+// does not know return the empty bounds; the result is never nil.
 func (idx *Index) TermBounds(term string) *ListBounds {
 	id, ok := idx.symbols.ID(term)
 	if !ok {
@@ -241,9 +239,6 @@ func (idx *Index) boundsID(id uint32) *ListBounds {
 		lb = BoundsOf(l)
 	} else if idx.compact != nil {
 		lb = idx.compact.bounds(id)
-		if lb == nil {
-			return nil // legacy payload: bounds unavailable, don't cache
-		}
 	} else {
 		lb = emptyBounds
 	}

@@ -2,6 +2,7 @@ package index
 
 import (
 	"encoding/binary"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -131,10 +132,10 @@ func TestBoundCursorMonotone(t *testing.T) {
 	}
 }
 
-// encodeCompactLegacy writes idx's postings in the original (PR 7)
-// compact layout: no magic/version header, no per-block max-tf
-// directory. It is the byte form old v4 snapshots carry, kept here to
-// pin the fallback behaviour.
+// encodeCompactLegacy writes idx's postings in the original compact
+// layout: no magic/version header, no per-block max-tf directory. It
+// is the byte form old v4 snapshots carry, kept here to pin that
+// OpenCompact refuses it.
 func encodeCompactLegacy(t *testing.T, idx *Index, st *SymbolTable) []byte {
 	t.Helper()
 	lists := make(map[uint32]PostingList)
@@ -187,37 +188,32 @@ func encodeCompactLegacy(t *testing.T, idx *Index, st *SymbolTable) []byte {
 	return buf
 }
 
-// TestLegacyCompactPayloadFallsBack: a payload written before block
-// maxima existed must still serve postings bit-identically, while
-// reporting nil TermBounds — the unpruned-streaming fallback signal.
-func TestLegacyCompactPayloadFallsBack(t *testing.T) {
+// TestLegacyCompactPayloadRejected: a payload written before block
+// maxima existed is refused with ErrPreBoundsPayload, the signal for
+// the caller to rebuild the index from the tree, so every served index
+// carries bounds.
+func TestLegacyCompactPayloadRejected(t *testing.T) {
 	root := dataset.Movies(dataset.MoviesConfig{Seed: 4, Movies: 80})
 	idx := Build(root)
 	st := NewSymbolTable()
 	payload := encodeCompactLegacy(t, idx, st)
-	legacy, err := OpenCompact(root, st, payload)
+	if _, err := OpenCompact(root, st, payload); !errors.Is(err, ErrPreBoundsPayload) {
+		t.Fatalf("OpenCompact(legacy) err = %v, want ErrPreBoundsPayload", err)
+	}
+	// The current encoding of the same index opens, and every term it
+	// knows reports bounds.
+	current, err := EncodeCompact(idx, st)
 	if err != nil {
-		t.Fatalf("OpenCompact(legacy): %v", err)
+		t.Fatal(err)
+	}
+	opened, err := OpenCompact(root, st, current)
+	if err != nil {
+		t.Fatal(err)
 	}
 	for _, term := range idx.Vocabulary() {
-		want := idx.Lookup(term)
-		got := legacy.Lookup(term)
-		if len(got) != len(want) {
-			t.Fatalf("legacy Lookup(%q): %d postings, want %d", term, len(got), len(want))
+		if lb := opened.TermBounds(term); lb.Blocks() == 0 {
+			t.Fatalf("TermBounds(%q) reports no blocks on a current payload", term)
 		}
-		for i := range want {
-			if !got[i].Equal(want[i]) {
-				t.Fatalf("legacy Lookup(%q)[%d] = %v, want %v", term, i, got[i], want[i])
-			}
-		}
-	}
-	if lb := legacy.TermBounds("movie"); lb != nil {
-		t.Fatalf("legacy TermBounds = %v, want nil (fallback signal)", lb)
-	}
-	// Unknown terms stay empty-not-nil even on legacy payloads: there is
-	// nothing to bound, so no fallback is needed.
-	if lb := legacy.TermBounds("no-such-term"); lb == nil || lb.Blocks() != 0 {
-		t.Fatalf("legacy unknown-term bounds = %v, want empty", lb)
 	}
 }
 

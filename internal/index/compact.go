@@ -2,6 +2,7 @@ package index
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -19,8 +20,7 @@ import (
 //
 // Payload form (all integers uvarint unless noted):
 //
-//	magic version             // versioned header (see compactMagic);
-//	                          // legacy payloads start at terms directly
+//	magic version             // versioned header (see compactMagic)
 //	terms elements nLists
 //	nLists × regionLen        // 0 = term has no postings here
 //	                          // region bytes follow each nonzero len
@@ -30,8 +30,7 @@ import (
 //	count nBlocks
 //	nBlocks × blockLen        // bytes of each block
 //	nBlocks × lastID          // last posting of each block, absolute
-//	nBlocks × blockMaxTF      // per-block entity tf bound (versioned
-//	                          // payloads only; see bounds.go)
+//	nBlocks × blockMaxTF      // per-block entity tf bound (bounds.go)
 //	block bytes, concatenated
 //
 // Block form (up to compactBlock postings):
@@ -48,18 +47,23 @@ import (
 // ListBounds.
 const compactBlock = skipInterval
 
-// compactMagic is the first uvarint of a versioned compact payload.
-// The original (PR 7) layout began with the terms count instead; no
-// plausible corpus reaches ~7.2e16 term occurrences, so the sentinel
-// can never be mistaken for one, and a payload that does not start
-// with it is parsed as the legacy layout — served fine, but with no
-// block maxima, which makes WAND fall back to unpruned streaming.
+// compactMagic is the first uvarint of a compact payload. The
+// original layout, written before block maxima existed, began with the
+// terms count instead; no plausible corpus reaches ~7.2e16 term
+// occurrences, so the sentinel can never be mistaken for one, and a
+// payload that does not start with it is refused with
+// ErrPreBoundsPayload.
 const compactMagic = uint64(1)<<56 | 0x78ac
 
-// compactVersion is the layout revision a versioned payload declares.
-// Version 2 added the per-block max-tf directory. Unknown versions
-// are rejected at open (the caller rebuilds from the tree).
+// compactVersion is the layout revision a payload declares. Version 2
+// added the per-block max-tf directory. Unknown versions are rejected
+// at open (the caller rebuilds from the tree).
 const compactVersion = 2
+
+// ErrPreBoundsPayload reports a compact payload written before block
+// maxima existed: it carries no score bounds, so it is not served. The
+// caller rebuilds the index from the corpus tree instead.
+var ErrPreBoundsPayload = errors.New("index: compact: payload predates block maxima")
 
 // EncodeCompact serializes idx's postings in the compact layout, keyed
 // by st's IDs. Terms idx knows that st does not yet are interned into
@@ -180,10 +184,6 @@ type compactPostings struct {
 	data   []byte
 	counts []int32 // postings per ID; 0 = absent
 	offs   []int64 // region offset in data; -1 = absent
-	// hasBounds marks a versioned payload whose regions carry the
-	// per-block max-tf directory; legacy payloads serve identically
-	// but report no score bounds.
-	hasBounds bool
 
 	mu             sync.RWMutex
 	views          map[uint32]*listView   // parsed region directories
@@ -201,7 +201,7 @@ type listView struct {
 	lens   []int // block byte lengths
 	lasts  PostingList
 	// maxTF and suffix are the decoded per-block tf bounds and their
-	// suffix maxima (bounds.go); nil on legacy payloads.
+	// suffix maxima (bounds.go).
 	maxTF  []int32
 	suffix []int32
 }
@@ -209,26 +209,26 @@ type listView struct {
 // OpenCompact attaches a compact payload (EncodeCompact's output) to
 // root as a servable index sharing st. The payload must outlive the
 // index and is never written to — an mmap-ed file section qualifies.
-// Blocks decode lazily as queries touch them.
+// Blocks decode lazily as queries touch them. A payload without the
+// versioned header fails with ErrPreBoundsPayload.
 func OpenCompact(root *xmltree.Node, st *SymbolTable, payload []byte) (*Index, error) {
-	terms, pos, err := uvarintAt(payload, 0)
+	head, pos, err := uvarintAt(payload, 0)
 	if err != nil {
 		return nil, err
 	}
-	hasBounds := false
-	if terms == compactMagic {
-		ver, p, err := uvarintAt(payload, pos)
-		if err != nil {
-			return nil, err
-		}
-		if ver != compactVersion {
-			return nil, fmt.Errorf("index: compact: payload version %d, want %d", ver, compactVersion)
-		}
-		hasBounds = true
-		terms, pos, err = uvarintAt(payload, p)
-		if err != nil {
-			return nil, err
-		}
+	if head != compactMagic {
+		return nil, ErrPreBoundsPayload
+	}
+	ver, pos, err := uvarintAt(payload, pos)
+	if err != nil {
+		return nil, err
+	}
+	if ver != compactVersion {
+		return nil, fmt.Errorf("index: compact: payload version %d, want %d", ver, compactVersion)
+	}
+	terms, pos, err := uvarintAt(payload, pos)
+	if err != nil {
+		return nil, err
 	}
 	elements, pos, err := uvarintAt(payload, pos)
 	if err != nil {
@@ -243,13 +243,12 @@ func OpenCompact(root *xmltree.Node, st *SymbolTable, payload []byte) (*Index, e
 	}
 	n := int(n64)
 	cp := &compactPostings{
-		data:      payload,
-		counts:    make([]int32, n),
-		offs:      make([]int64, n),
-		hasBounds: hasBounds,
-		views:     make(map[uint32]*listView),
-		resident:  make(map[uint32]PostingList),
-		skips:     make(map[uint32]PostingList),
+		data:     payload,
+		counts:   make([]int32, n),
+		offs:     make([]int64, n),
+		views:    make(map[uint32]*listView),
+		resident: make(map[uint32]PostingList),
+		skips:    make(map[uint32]PostingList),
 	}
 	for id := 0; id < n; id++ {
 		rl64, p, err := uvarintAt(payload, pos)
@@ -376,17 +375,15 @@ func (cp *compactPostings) parseView(pos int) (*listView, error) {
 		}
 		v.lasts[bi] = dewey.ID(arena[start:len(arena):len(arena)])
 	}
-	if cp.hasBounds {
-		v.maxTF = make([]int32, nb)
-		for bi := 0; bi < nb; bi++ {
-			m, p, err := uvarintAt(cp.data, pos)
-			if err != nil {
-				return nil, err
-			}
-			v.maxTF[bi], pos = int32(m), p
+	v.maxTF = make([]int32, nb)
+	for bi := 0; bi < nb; bi++ {
+		m, p, err := uvarintAt(cp.data, pos)
+		if err != nil {
+			return nil, err
 		}
-		v.suffix = suffixMax(append([]int32(nil), v.maxTF...))
+		v.maxTF[bi], pos = int32(m), p
 	}
+	v.suffix = suffixMax(append([]int32(nil), v.maxTF...))
 	for bi := 0; bi < nb; bi++ {
 		v.starts[bi] = pos
 		pos += v.lens[bi]
@@ -507,12 +504,9 @@ func (cp *compactPostings) iter(id uint32) Iter {
 }
 
 // bounds returns id's score-bound metadata straight from the payload
-// directory — no block is decoded. nil means the payload predates
-// block maxima (legacy layout); an absent list reports empty bounds.
+// directory — no block is decoded. An absent list reports empty
+// bounds.
 func (cp *compactPostings) bounds(id uint32) *ListBounds {
-	if !cp.hasBounds {
-		return nil
-	}
 	v := cp.view(id)
 	if v == nil {
 		return emptyBounds
@@ -634,11 +628,10 @@ func (it *blockIter) curBlock() int {
 // BlockMaxTF returns the encoded tf bound of the cursor's current
 // block: no single non-root result subtree intersecting the block (or
 // any later one, after taking the running suffix max) holds more than
-// this many of the list's postings. 0 when the payload predates block
-// maxima or the cursor is exhausted.
+// this many of the list's postings. 0 when the cursor is exhausted.
 func (it *blockIter) BlockMaxTF() int {
 	cur := it.curBlock()
-	if it.v.maxTF == nil || cur >= len(it.v.maxTF) {
+	if cur >= len(it.v.maxTF) {
 		return 0
 	}
 	return int(it.v.maxTF[cur])

@@ -17,10 +17,14 @@
 //
 // Load also reads version 3 (live.go), the retired journaled layout,
 // because its journal holds accepted user writes: it rebuilds the base
-// from the embedded XML and replays the journal. A v4 file an older
-// build wrote over a sharded base (per-shard postings sections) loads
-// the same way: one index is built over the verified tree and any
-// journal is replayed. Versions 1 and 2
+// from the embedded XML and replays the journal. Two v4 variants older
+// builds wrote load the same way — one index is built over the
+// verified tree and any journal is replayed: a file over a sharded
+// base (per-shard postings sections), and a file whose postings
+// predate block maxima (index.ErrPreBoundsPayload), so every served
+// index carries score bounds. Load reports such a build in
+// Meta.Rebuilt; rewriting the file makes the next load open it.
+// Versions 1 and 2
 // held only derived state of a corpus the caller can regenerate, so
 // they fail closed with a "rebuild" error, as does any header, version,
 // checksum or fingerprint mismatch; callers fall back to a rebuild and

@@ -77,10 +77,5 @@ func loadLive(br *bufio.Reader, cfg engine.Config) (*engine.Engine, Meta, error)
 	if err := verifyFingerprint(env.Meta, root); err != nil {
 		return nil, Meta{}, err
 	}
-	eng := engine.NewWithConfig(root, cfg)
-	eng.MarkCorpusEmbedded()
-	if err := replayJournal(eng, env.Journal); err != nil {
-		return nil, Meta{}, err
-	}
-	return eng, env.Meta, nil
+	return rebuilt(root, cfg, true, env.Journal, env.Meta)
 }

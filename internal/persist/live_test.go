@@ -42,7 +42,7 @@ func searchFingerprint(t *testing.T, eng *engine.Engine, queries ...string) stri
 	return b.String()
 }
 
-func mustWrite(t *testing.T, eng *engine.Engine, addXML string, removeOrd int) {
+func mustWrite(t testing.TB, eng *engine.Engine, addXML string, removeOrd int) {
 	t.Helper()
 	if addXML != "" {
 		n, err := xmltree.ParseString(addXML)

@@ -34,10 +34,13 @@ type Meta struct {
 	RootTag     string
 	NodeCount   int
 	ContentHash uint64
-	// Shards is the shard count of a snapshot an older build wrote
-	// over a sharded base (v3, or v4 with per-shard sections); Save
-	// writes 0. Load reads any of them into one index.
-	Shards int
+	// Rebuilt reports that Load built the index from the corpus tree
+	// instead of opening it from the file, because the file is in a
+	// retired layout: v3, a v4 file with per-shard sections, or a v4
+	// file whose postings predate block maxima. Rewriting such a file
+	// in the current layout makes the next load open it. Save never
+	// records it.
+	Rebuilt bool
 }
 
 // fingerprint summarizes the live tree: node count plus an FNV-1a hash
@@ -127,11 +130,10 @@ func Save(w io.Writer, eng *engine.Engine, meta Meta) error {
 // resumes with its pending writes replayed, and the engine is marked
 // (engine.MarkCorpusEmbedded) so that saving it embeds the corpus
 // again; otherwise root must be the corpus the snapshot was taken
-// from. A snapshot an older build wrote over a sharded base (returned
-// Meta.Shards > 0) costs one index build over the verified tree. Load
-// fails — and the caller should rebuild — on a bad header, a legacy
-// (v1/v2) layout, a checksum or fingerprint mismatch, or a journal
-// that does not replay.
+// from. A snapshot in a retired layout (returned Meta.Rebuilt) costs
+// one index build over the verified tree. Load fails — and the caller
+// should rebuild — on a bad header, a legacy (v1/v2) layout, a checksum
+// or fingerprint mismatch, or a journal that does not replay.
 func Load(r io.Reader, root *xmltree.Node, cfg engine.Config) (*engine.Engine, Meta, error) {
 	br := bufio.NewReader(r)
 	version, err := readHeader(br)

@@ -87,8 +87,8 @@ func TestShardedRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if meta.Shards != fx.shards || loaded.Index() == nil {
-			t.Fatalf("%s: meta.Shards = %d, index %v", fx.file, meta.Shards, loaded.Index())
+		if !meta.Rebuilt || loaded.Index() == nil {
+			t.Fatalf("%s: meta.Rebuilt = %v, index %v", fx.file, meta.Rebuilt, loaded.Index())
 		}
 		if loaded.CorpusEmbedded() != fx.written {
 			t.Fatalf("%s: corpus embedded = %v, want %v", fx.file, loaded.CorpusEmbedded(), fx.written)
@@ -100,8 +100,8 @@ func TestShardedRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if meta.Shards != 0 {
-			t.Fatalf("%s re-saved: meta.Shards = %d, want 0", fx.file, meta.Shards)
+		if meta.Rebuilt {
+			t.Fatalf("%s re-saved: rebuilt instead of opened", fx.file)
 		}
 		checkLegacyLoad(t, fx.file+" re-saved", ref, again, fx.queries()...)
 	}

@@ -26,24 +26,26 @@ package persist
 //	'S'  schema (xseek.Schema.Save)
 //	'P'  postings payload (index.EncodeCompact) of the one index. The
 //	     payload is self-versioning (a magic + version uvarint pair
-//	     ahead of the term count): current payloads carry per-block
-//	     score-bound maxima for WAND pruning, while files written
-//	     before the bounds existed decode fine and simply run ranked
-//	     pages unpruned — no v4 format bump either way.
+//	     ahead of the term count) and carries per-block score-bound
+//	     maxima for WAND pruning.
 //
 // CRC policy: every section a load decodes is verified — fail closed
 // into a rebuild. A journal that fails to replay fails the load.
 //
-// Older builds also wrote sharded snapshots: Meta.Shards set, a 'F'
-// term-frequency section and one 'P' section per shard. Those still
-// load, the way a v3 snapshot does: the corpus fingerprint is checked,
-// one index is built over the tree, and any journal is replayed. Their
-// 'Y', 'S', 'F' and 'P' payloads are never decoded.
+// Older builds wrote two v4 variants that are no longer opened: sharded
+// snapshots (a 'F' term-frequency section and one 'P' section per
+// shard), and 'P' payloads from before block maxima existed, which
+// index.OpenCompact refuses with index.ErrPreBoundsPayload. Both load
+// the way a v3 snapshot does: the corpus fingerprint is checked, one
+// index is built over the tree, and any journal is replayed (returned
+// Meta.Rebuilt). A sharded file's 'Y', 'S', 'F' and 'P' payloads are
+// never decoded.
 
 import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -71,7 +73,8 @@ const (
 )
 
 // v4Head is the gob payload of the 'M' section. Legacy sharded heads
-// also carry an aggregate element count, which decoding skips.
+// also carry an aggregate element count and Meta a shard count, which
+// decoding skips.
 type v4Head struct {
 	Meta Meta
 }
@@ -141,7 +144,7 @@ func parseV4Sections(data []byte) ([]v4Section, error) {
 func saveV4(w io.Writer, root *xmltree.Node, x *xseek.Engine, xml []byte, journal []update.JournalOp, meta Meta) error {
 	meta.RootTag = root.Tag
 	meta.NodeCount, meta.ContentHash = fingerprint(root)
-	meta.Shards = 0
+	meta.Rebuilt = false
 
 	// The symbol table is interned in sorted vocabulary order so
 	// snapshot bytes are deterministic.
@@ -205,6 +208,7 @@ func loadV4(data []byte, root *xmltree.Node, cfg engine.Config) (*engine.Engine,
 	var head *v4Head
 	var symSec, schSec, xmlSec, jSec *v4Section
 	var posts []v4Section
+	sharded := false
 	for i := range secs {
 		s := &secs[i]
 		switch s.Kind {
@@ -226,6 +230,7 @@ func loadV4(data []byte, root *xmltree.Node, cfg engine.Config) (*engine.Engine,
 			schSec = s
 		case secFreqs:
 			// A legacy sharded snapshot's frequency table: never read.
+			sharded = true
 		case secPost:
 			posts = append(posts, *s)
 		default:
@@ -235,6 +240,7 @@ func loadV4(data []byte, root *xmltree.Node, cfg engine.Config) (*engine.Engine,
 	if head == nil || symSec == nil || schSec == nil || len(posts) == 0 {
 		return nil, Meta{}, fmt.Errorf("persist: v4: missing required sections")
 	}
+	var journal []byte
 	if jSec != nil {
 		// A journal replays over the embedded base only; over the
 		// caller's tree its ordinals would address the wrong entities.
@@ -244,6 +250,7 @@ func loadV4(data []byte, root *xmltree.Node, cfg engine.Config) (*engine.Engine,
 		if err := jSec.verify(); err != nil {
 			return nil, Meta{}, err
 		}
+		journal = jSec.Data
 	}
 	if xmlSec != nil {
 		// Self-contained snapshot: the tree travels with it, and the
@@ -260,10 +267,11 @@ func loadV4(data []byte, root *xmltree.Node, cfg engine.Config) (*engine.Engine,
 	if err := verifyFingerprint(head.Meta, root); err != nil {
 		return nil, Meta{}, err
 	}
-	if head.Meta.Shards > 0 {
+	embedded := xmlSec != nil
+	if sharded {
 		// A legacy sharded snapshot: its parts are not read back, the
 		// verified tree is indexed once instead.
-		return replayed(engine.NewWithConfig(root, cfg), xmlSec != nil, jSec, head.Meta)
+		return rebuilt(root, cfg, embedded, journal, head.Meta)
 	}
 	if len(posts) != 1 {
 		return nil, Meta{}, fmt.Errorf("persist: v4: %d postings sections for a monolithic snapshot", len(posts))
@@ -287,21 +295,34 @@ func loadV4(data []byte, root *xmltree.Node, cfg engine.Config) (*engine.Engine,
 		return nil, Meta{}, err
 	}
 	idx, err := index.OpenCompact(root, st, posts[0].Data)
+	if errors.Is(err, index.ErrPreBoundsPayload) {
+		// Postings written before block maxima: the verified tree is
+		// indexed once instead, so every served index carries bounds.
+		return rebuilt(root, cfg, embedded, journal, head.Meta)
+	}
 	if err != nil {
 		return nil, Meta{}, fmt.Errorf("persist: %w", err)
 	}
-	return replayed(engine.FromXseek(xseek.FromParts(root, idx, schema), cfg), xmlSec != nil, jSec, head.Meta)
+	return replayed(engine.FromXseek(xseek.FromParts(root, idx, schema), cfg), embedded, journal, head.Meta)
 }
 
-// replayed finishes a freshly opened base engine: it marks a corpus
-// read from the 'X' section as embedded, so the engine's next snapshot
-// carries it again, and replays the verified 'J' section, if any.
-func replayed(eng *engine.Engine, embedded bool, jSec *v4Section, meta Meta) (*engine.Engine, Meta, error) {
+// rebuilt serves a snapshot in a retired layout: one index is built
+// over its verified tree, and the result is finished like an opened
+// one, with Meta.Rebuilt set.
+func rebuilt(root *xmltree.Node, cfg engine.Config, embedded bool, journal []byte, meta Meta) (*engine.Engine, Meta, error) {
+	meta.Rebuilt = true
+	return replayed(engine.NewWithConfig(root, cfg), embedded, journal, meta)
+}
+
+// replayed finishes a freshly assembled base engine: it marks a corpus
+// read from the snapshot as embedded, so the engine's next snapshot
+// carries it again, and replays the verified journal, if any.
+func replayed(eng *engine.Engine, embedded bool, journal []byte, meta Meta) (*engine.Engine, Meta, error) {
 	if embedded {
 		eng.MarkCorpusEmbedded()
 	}
-	if jSec != nil {
-		if err := replayJournal(eng, jSec.Data); err != nil {
+	if journal != nil {
+		if err := replayJournal(eng, journal); err != nil {
 			return nil, Meta{}, err
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/index"
 	"repro/internal/shard"
 	"repro/internal/update"
 	"repro/internal/xmltree"
@@ -112,8 +114,8 @@ func TestV4RoundTripEquivalence(t *testing.T) {
 				if meta.CorpusName != "reviews" || meta.Seed != 11 {
 					t.Fatalf("meta after load = %+v", meta)
 				}
-				if meta.Shards != 0 || loaded.Index() == nil {
-					t.Fatalf("meta.Shards = %d, index %v: want one index", meta.Shards, loaded.Index())
+				if meta.Rebuilt || loaded.Index() == nil {
+					t.Fatalf("meta.Rebuilt = %v, index %v: want one index opened from the file", meta.Rebuilt, loaded.Index())
 				}
 
 				want := rankedFingerprint(t, fresh, v4Queries...)
@@ -166,8 +168,8 @@ func TestV4FileMmapRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if meta.Shards != 0 {
-		t.Fatalf("meta.Shards = %d, want 0", meta.Shards)
+	if meta.Rebuilt {
+		t.Fatal("a current snapshot was rebuilt instead of opened")
 	}
 	want := rankedFingerprint(t, fresh, v4Queries...)
 	if got := rankedFingerprint(t, loaded, v4Queries...); got != want {
@@ -532,8 +534,8 @@ func TestSnapshotCrossVersion(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if meta.CorpusName != "shop" || meta.Seed != 7 || viaReader.Metrics().Shards != 1 {
-					t.Fatalf("meta = %+v, %d shards, want shop/7 loaded as one index", meta, viaReader.Metrics().Shards)
+				if meta.CorpusName != "shop" || meta.Seed != 7 || !meta.Rebuilt || viaReader.Metrics().Shards != 1 {
+					t.Fatalf("meta = %+v, %d shards, want shop/7 rebuilt as one index", meta, viaReader.Metrics().Shards)
 				}
 				viaFile, _, err := LoadFile(path, nil, engine.Config{})
 				if err != nil {
@@ -636,8 +638,8 @@ func TestSnapshotCrossVersion(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if meta.CorpusName != "shop" || meta.Seed != 7 || meta.Shards != fx.shards {
-					t.Fatalf("meta = %+v, want shop/7 saved with %d shards", meta, fx.shards)
+				if meta.CorpusName != "shop" || meta.Seed != 7 || !meta.Rebuilt {
+					t.Fatalf("meta = %+v, want shop/7 rebuilt from the tree", meta)
 				}
 				viaFile, _, err := LoadFile(filepath.Join("testdata", fx.file), xmltree.MustParseString(liveCorpusXML(4)), engine.Config{})
 				if err != nil {
@@ -661,6 +663,72 @@ func TestSnapshotCrossVersion(t *testing.T) {
 				for i, e := range []*engine.Engine{viaReader, viaFile, rotted, resaved} {
 					checkLegacyLoad(t, fmt.Sprintf("load %d", i), ref, e, fx.queries()...)
 				}
+			})
+		}
+	})
+	t.Run("v4 pre-bounds", func(t *testing.T) {
+		for _, tc := range []struct {
+			fixture   string
+			compacted bool
+		}{
+			{"v4_prebounds.snap", false},
+			{"v4_prebounds_compacted.snap", true},
+		} {
+			t.Run(tc.fixture, func(t *testing.T) {
+				ref := engine.New(xmltree.MustParseString(liveCorpusXML(4)))
+				if tc.compacted {
+					mustWrite(t, ref, "<product><name>fresh</name><kind>solar</kind></product>", 1)
+					if err := ref.Compact(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				path := filepath.Join("testdata", tc.fixture)
+				data, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if x := sectionCount(data, secXML) == 1; !bytes.HasPrefix(data, []byte("XSACTSNAP 4\n")) || x != tc.compacted || sectionCount(data, secJournal) != 0 {
+					t.Fatalf("%s is not a v4 snapshot with 'X' = %v and no 'J'", tc.fixture, tc.compacted)
+				}
+				off, size := v4Span(t, data, secPost, 0)
+				if _, err := index.OpenCompact(nil, index.NewSymbolTable(), data[off:off+size]); !errors.Is(err, index.ErrPreBoundsPayload) {
+					t.Fatalf("%s postings open with %v, want ErrPreBoundsPayload", tc.fixture, err)
+				}
+				viaReader, meta, err := Load(bytes.NewReader(data), xmltree.MustParseString(liveCorpusXML(4)), engine.Config{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if meta.CorpusName != "shop" || meta.Seed != 7 || !meta.Rebuilt {
+					t.Fatalf("meta = %+v, want shop/7 rebuilt from the tree", meta)
+				}
+				if viaReader.CorpusEmbedded() != tc.compacted {
+					t.Fatalf("corpus embedded = %v, want %v", viaReader.CorpusEmbedded(), tc.compacted)
+				}
+				viaFile, _, err := LoadFile(path, xmltree.MustParseString(liveCorpusXML(4)), engine.Config{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Re-saved, the file is in the current layout and opens
+				// without a rebuild.
+				resaved, rmeta, err := Load(bytes.NewReader(v4SnapshotOf(t, viaReader, meta)), xmltree.MustParseString(liveCorpusXML(4)), engine.Config{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rmeta.Rebuilt {
+					t.Fatal("the re-save was rebuilt instead of opened")
+				}
+				reloads := []*engine.Engine{viaReader, viaFile, resaved}
+				// A cold approximate page takes the streamed route, which
+				// prunes with block maxima on every reload.
+				for i, e := range reloads {
+					if _, err := e.SearchRankedPage("gps", xseek.SearchOptions{Limit: 1, Accuracy: xseek.AccuracyApprox}); err != nil {
+						t.Fatal(err)
+					}
+					if m := e.Metrics(); m.RankedStreamed != 1 || m.RankedWAND == 0 {
+						t.Fatalf("reload %d: ranked_streamed %d / ranked_wand %d, want 1 / > 0", i, m.RankedStreamed, m.RankedWAND)
+					}
+				}
+				checkInStep(t, ref, reloads, "fresh", "solar", "gps", "radio", "item1", "item2")
 			})
 		}
 	})

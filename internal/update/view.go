@@ -171,16 +171,11 @@ func (s *state) Iter(term string, gallop bool) index.Iter {
 //     sides bounds both.
 //
 // Tombstones only remove postings; ignoring them keeps every bound
-// admissible and never raises one. ok is false when any part lacks
-// bound metadata (a legacy compact payload).
-func (s *state) Bound(term string) (index.BoundCursor, bool) {
+// admissible and never raises one.
+func (s *state) Bound(term string) index.BoundCursor {
 	base := make([]index.BoundCursor, 0, len(s.parts))
 	for _, ix := range s.parts {
-		lb := ix.TermBounds(term)
-		if lb == nil {
-			return nil, false
-		}
-		if lb.Blocks() > 0 {
+		if lb := ix.TermBounds(term); lb.Blocks() > 0 {
 			base = append(base, lb.Cursor())
 		}
 	}
@@ -189,7 +184,7 @@ func (s *state) Bound(term string) (index.BoundCursor, bool) {
 		sides = append(sides, index.SumBoundCursor(base...))
 	}
 	if s.delta != nil {
-		if lb := s.delta.TermBounds(term); lb != nil && lb.Blocks() > 0 {
+		if lb := s.delta.TermBounds(term); lb.Blocks() > 0 {
 			sides = append(sides, lb.Cursor())
 		}
 	}
@@ -198,5 +193,5 @@ func (s *state) Bound(term string) (index.BoundCursor, bool) {
 		// guard anyway with a zero bound.
 		sides = append(sides, index.BoundsOf(nil).Cursor())
 	}
-	return index.MaxBoundCursor(sides...), true
+	return index.MaxBoundCursor(sides...)
 }

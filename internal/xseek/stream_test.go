@@ -118,8 +118,8 @@ func TestStreamPrefixInvariance(t *testing.T) {
 }
 
 // rankUnpruned runs the compiled query through the ranked consumer
-// without bound metadata — the path a legacy snapshot (no block
-// maxima) takes.
+// with nil bounds — the path a query with no weighted term takes
+// (TermBounds returns no cursor for a zero-IDF term).
 func rankUnpruned(q *Query, opts SearchOptions) ([]*RankedResult, int, WANDStats, error) {
 	it, err := q.SLCAIter()
 	if err != nil {

@@ -43,9 +43,8 @@ type Postings interface {
 	// discipline. The SLCA stage's driver is only pulled with Next.
 	Iter(term string, gallop bool) index.Iter
 	// Bound returns a block-max cursor bounding the term's tf under
-	// any node, or ok=false when bound metadata is missing (a legacy
-	// compact payload), which makes the ranked consumer run unpruned.
-	Bound(term string) (cur index.BoundCursor, ok bool)
+	// any non-root node.
+	Bound(term string) index.BoundCursor
 }
 
 // Counters tallies one executor's read-path decisions for the serving
@@ -172,10 +171,4 @@ func (v *indexView) Iter(term string, gallop bool) index.Iter {
 	return index.ListIterLinear(v.idx.Lookup(term))
 }
 
-func (v *indexView) Bound(term string) (index.BoundCursor, bool) {
-	lb := v.idx.TermBounds(term)
-	if lb == nil {
-		return nil, false
-	}
-	return lb.Cursor(), true
-}
+func (v *indexView) Bound(term string) index.BoundCursor { return v.idx.TermBounds(term).Cursor() }

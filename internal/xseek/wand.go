@@ -43,9 +43,9 @@ const (
 // WANDStats reports what the score-bounded consumer did with one
 // page, for the serving layer's metrics.
 type WANDStats struct {
-	// Bounded reports whether bound metadata was available; false
-	// means the consumer ran unpruned (e.g. a legacy v4 snapshot
-	// without block maxima, or an unbounded window).
+	// Bounded reports whether the consumer pruned with bounds; false
+	// means it ran unpruned (an unbounded window, or a query with no
+	// weighted term).
 	Bounded bool
 	// Pruned counts entities whose exact scoring was skipped.
 	Pruned int64
@@ -137,9 +137,9 @@ func boundBelow(bounds []TermBound, id dewey.ID, tau float64, shared *SharedThre
 // RankPage/RankResults; the total is exact except after an
 // approximate-mode early stop, which reports StreamTotalUnknown. It is
 // every executor's ranked consumer; each supplies its own tf source
-// through the Scorer and its own bounds. A nil bounds slice (e.g. a
-// legacy snapshot without block maxima) or an unbounded window never
-// prunes, and Bounded stays false. shared may be nil; when set, the
+// through the Scorer and its own bounds. An empty bounds slice (a
+// query with no weighted term) or an unbounded window never prunes,
+// and Bounded stays false. shared may be nil; when set, the
 // consumer raises it with its own k-th score and prunes against it
 // strictly.
 func ConsumeRankedWAND(es *EntityStream, opts SearchOptions, score Scorer, bounds []TermBound, shared *SharedThreshold) ([]*RankedResult, int, WANDStats, error) {
@@ -153,8 +153,8 @@ func ConsumeRankedWAND(es *EntityStream, opts SearchOptions, score Scorer, bound
 			want = c
 		}
 	}
-	// Unbounded windows need every exact score; without bound metadata
-	// there is nothing to prune with.
+	// Unbounded windows need every exact score; without a weighted
+	// term there is nothing to prune with.
 	prune := want != math.MaxInt && len(bounds) > 0
 	st := WANDStats{Bounded: prune}
 	var h streamHeap
@@ -239,25 +239,15 @@ func ConsumeRankedWAND(es *EntityStream, opts SearchOptions, score Scorer, bound
 	return out, total, st, nil
 }
 
-// TermBounds builds one score-bound cursor per scoring term (terms
+// TermBounds builds one score-bound cursor per scoring term. Terms
 // with zero IDF contribute no weight and are skipped, matching
-// StreamScorer), or nil when any term's block maxima are unavailable
-// — the signal to run the consumer unpruned.
+// StreamScorer, so a query with no weighted term gets none.
 func (r Reader) TermBounds(terms []string) []TermBound {
 	out := make([]TermBound, 0, len(terms))
 	for _, t := range terms {
-		idf := r.postings.IDF(t)
-		if idf == 0 {
-			continue
+		if idf := r.postings.IDF(t); idf != 0 {
+			out = append(out, TermBound{IDF: idf, Cur: r.postings.Bound(t)})
 		}
-		cur, ok := r.postings.Bound(t)
-		if !ok {
-			return nil
-		}
-		out = append(out, TermBound{IDF: idf, Cur: cur})
-	}
-	if len(out) == 0 {
-		return nil
 	}
 	return out
 }

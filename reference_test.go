@@ -81,18 +81,56 @@ func TestExecutorsMatchReferenceOnCorpus(t *testing.T) {
 // the document classes the movie corpus lacks: a root with text of its
 // own, a term only on the spine (the root and the <sec> wrapper), a
 // duplicated query keyword, a term whose only posting sits in a removed
-// entity, and multi-byte tokens. Each base takes an add and a remove
-// before the queries run, and again after a compaction.
+// entity, multi-byte tokens, a document of one node, terms that occur
+// only in attribute values, and empty elements. Each base is checked
+// cold, after an add and a remove, and again after a compaction.
 func TestLiveExecutorsMatchReferenceOnAdversarialDocs(t *testing.T) {
-	const doc = `<r>catalogtitle <sec>shelfnote <p><name>a</name><v>alpha beta café</v></p><p><name>b</name><v>beta gamma</v></p></sec>` +
-		`<p><name>c</name><v>beta onlyhere</v></p><p><name>d</name><v>café beta beta</v></p><p><name>e</name><v>gamma 東京</v></p></r>`
-	queries := []string{
-		"catalogtitle", "r", "r beta", "catalogtitle beta",
-		"shelfnote", "shelfnote gamma", "sec beta",
-		"beta beta gamma", "gamma GAMMA",
-		"onlyhere", "onlyhere beta",
-		"café", "café beta", "東京", "東京 gamma", "delta 東京",
-		"beta", "p", "name",
+	docs := []struct {
+		name    string
+		doc     string
+		queries []string
+		add     string // entity appended before the live check
+		remove  int    // top-level ordinal removed after the add
+	}{
+		{
+			name: "spine",
+			doc: `<r>catalogtitle <sec>shelfnote <p><name>a</name><v>alpha beta café</v></p><p><name>b</name><v>beta gamma</v></p></sec>` +
+				`<p><name>c</name><v>beta onlyhere</v></p><p><name>d</name><v>café beta beta</v></p><p><name>e</name><v>gamma 東京</v></p></r>`,
+			queries: []string{
+				"catalogtitle", "r", "r beta", "catalogtitle beta",
+				"shelfnote", "shelfnote gamma", "sec beta",
+				"beta beta gamma", "gamma GAMMA",
+				"onlyhere", "onlyhere beta",
+				"café", "café beta", "東京", "東京 gamma", "delta 東京",
+				"beta", "p", "name",
+			},
+			add:    `<p><name>f</name><v>beta delta 東京</v></p>`,
+			remove: 2, // <p> c, the only "onlyhere"
+		},
+		{
+			// The root is the whole corpus; the added entity is removed
+			// again, so the live state is one node plus a tombstone.
+			name:    "single node",
+			doc:     `<solo/>`,
+			queries: []string{"solo", "solo solo", "added", "solo added", "other"},
+			add:     `<p>solo added</p>`,
+			remove:  0,
+		},
+		{
+			name: "attributes only",
+			doc: `<r><p id="x1" kind="gps"><name>a</name></p><p kind="radio"><name>b</name></p>` +
+				`<q kind="gps" note="alpha beta"/><p><name>c</name><v note="beta"/></p></r>`,
+			queries: []string{"gps", "radio", "x1", "alpha", "beta", "gps alpha", "x1 a", "gps radio", "beta c", "delta gps"},
+			add:     `<q kind="gps" note="delta"/>`,
+			remove:  1, // the only "radio"
+		},
+		{
+			name:    "empty elements",
+			doc:     `<r><p/><p><name/><v></v></p><p><name>a</name><v/></p><e></e></r>`,
+			queries: []string{"p", "name", "v", "e", "a", "name a", "v a", "p e", "e name", "v name"},
+			add:     `<p><v/><e/></p>`,
+			remove:  0,
+		},
 	}
 	bases := map[string]func(*xmltree.Node) *update.Engine{
 		"mono": func(root *xmltree.Node) *update.Engine { return update.Wrap(xseek.New(root)) },
@@ -101,19 +139,23 @@ func TestLiveExecutorsMatchReferenceOnAdversarialDocs(t *testing.T) {
 			return update.WrapParts(root, sh.Schema(), append([]*index.Index{sh.SpineIndex()}, sh.ShardIndexes()...))
 		},
 	}
-	for name, mk := range bases {
-		live := mk(xmltree.MustParseString(doc))
-		if _, err := live.AddEntity(xmltree.MustParseString(`<p><name>f</name><v>beta delta 東京</v></p>`)); err != nil {
-			t.Fatal(err)
+	for _, d := range docs {
+		for base, mk := range bases {
+			name := d.name + " " + base
+			live := mk(xmltree.MustParseString(d.doc))
+			checkExecutor(t, name+" cold", live, drained(live.SearchStream), d.queries, true)
+			if _, err := live.AddEntity(xmltree.MustParseString(d.add)); err != nil {
+				t.Fatal(err)
+			}
+			if err := live.RemoveEntity(dewey.New(d.remove)); err != nil {
+				t.Fatal(err)
+			}
+			checkExecutor(t, name+" live", live, drained(live.SearchStream), d.queries, true)
+			if err := live.Compact(); err != nil {
+				t.Fatal(err)
+			}
+			checkExecutor(t, name+" compacted", live, drained(live.SearchStream), d.queries, true)
 		}
-		if err := live.RemoveEntity(dewey.New(2)); err != nil { // <p> c, the only "onlyhere"
-			t.Fatal(err)
-		}
-		checkExecutor(t, name+" live", live, drained(live.SearchStream), queries, false)
-		if err := live.Compact(); err != nil {
-			t.Fatal(err)
-		}
-		checkExecutor(t, name+" compacted", live, drained(live.SearchStream), queries, false)
 	}
 }
 
