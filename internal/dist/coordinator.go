@@ -13,6 +13,7 @@ import (
 	"repro/internal/dewey"
 	"repro/internal/index"
 	"repro/internal/shard"
+	"repro/internal/update"
 	"repro/internal/xmltree"
 	"repro/internal/xseek"
 )
@@ -55,12 +56,13 @@ type pendingWrite struct {
 // coordState is one immutable epoch of the coordinator's view.
 type coordState struct {
 	epoch uint64
-	// root is the live tree replica; part the effective partition —
-	// the plan from the last compaction with live adds appended to the
-	// last group and removed segments dropped, mirroring how every leg
-	// resolves ownership.
-	root     *xmltree.Node
-	schema   *xseek.Schema
+	// doc is the live document replica: tree, ordinals, schema and the
+	// journal since the last compaction, moved by the same writes every
+	// leg applies. part is the effective partition — the plan from the
+	// last compaction with live adds appended to the last group and
+	// removed segments dropped, mirroring how every leg resolves
+	// ownership.
+	doc      update.Doc
 	part     shard.Partition
 	own      shard.Ownership
 	spineIdx *index.Index
@@ -70,10 +72,6 @@ type coordState struct {
 	df         map[string]int
 	totalNodes int
 	elements   int
-
-	nextOrd    int
-	hasRemove  bool // a removal is pending since the last compaction
-	journalLen int
 
 	fan *shard.Fanout
 }
@@ -163,15 +161,13 @@ func DialReplicas(groups [][]string, corpus string, root *xmltree.Node, cfg Conf
 	}
 
 	st := &coordState{
-		root:       root,
-		schema:     schema,
+		doc:        update.NewDoc(root, schema),
 		part:       part,
 		own:        part.Ownership(),
 		spineIdx:   spineIdx,
 		df:         df,
 		totalNodes: part.NodeCount,
 		elements:   elements,
-		nextOrd:    len(root.Children),
 	}
 	co.install(st, nil)
 	return co, nil
@@ -182,9 +178,9 @@ func DialReplicas(groups [][]string, corpus string, root *xmltree.Node, cfg Conf
 func (co *Coordinator) install(st *coordState, prev *coordState) {
 	legs := make([]shard.Leg, len(st.part.Groups))
 	for g := range legs {
-		legs[g] = &httpLeg{cl: co.cl, g: g, epoch: st.epoch, root: st.root}
+		legs[g] = &httpLeg{cl: co.cl, g: g, epoch: st.epoch, root: st.doc.Root()}
 	}
-	fan := shard.NewFanout(st.root, st.schema, st.part, st.spineIdx, legs, st.df, st.elements)
+	fan := shard.NewFanout(st.doc.Root(), st.doc.Schema(), st.part, st.spineIdx, legs, st.df, st.elements)
 	if prev != nil {
 		fan.AdoptCounters(prev.fan)
 	}
@@ -290,8 +286,8 @@ func retryQuery[T any](co *Coordinator, f func(*coordState) (T, error)) (T, erro
 
 // ---- executor surface (the same one internal/engine serves) ----
 
-func (co *Coordinator) Root() *xmltree.Node   { return co.cur.Load().root }
-func (co *Coordinator) Schema() *xseek.Schema { return co.cur.Load().schema }
+func (co *Coordinator) Root() *xmltree.Node   { return co.cur.Load().doc.Root() }
+func (co *Coordinator) Schema() *xseek.Schema { return co.cur.Load().doc.Schema() }
 func (co *Coordinator) TotalNodes() int       { return co.cur.Load().totalNodes }
 func (co *Coordinator) DocFreq(term string) int {
 	return co.cur.Load().df[term]
@@ -361,7 +357,7 @@ func (co *Coordinator) RankResults(results []*xseek.Result, query string) []*xse
 // ---- write path ----
 
 // PendingOps returns the number of writes since the last compaction.
-func (co *Coordinator) PendingOps() int { return co.cur.Load().journalLen }
+func (co *Coordinator) PendingOps() int { return len(co.cur.Load().doc.Journal()) }
 
 // Updates returns the lifetime add+remove count.
 func (co *Coordinator) Updates() int64 { return co.updates.Load() }
@@ -374,50 +370,39 @@ func (co *Coordinator) Compactions() int64 { return co.compactions.Load() }
 // computed once here and installed everywhere. The coordinator takes
 // ownership of n.
 func (co *Coordinator) AddEntity(n *xmltree.Node) (dewey.ID, error) {
-	if n == nil || n.Kind != xmltree.Element {
-		return nil, fmt.Errorf("dist: AddEntity requires an element subtree")
-	}
 	co.writeMu.Lock()
 	defer co.writeMu.Unlock()
 	if err := co.flushPendingLocked(); err != nil {
 		return nil, err
 	}
 	s := co.cur.Load()
+	doc, err := s.doc.Add(n)
+	if err != nil {
+		return nil, err
+	}
 
-	ord := s.nextOrd
-	id := dewey.New(ord)
-	n.AssignIDs(id)
-	// Serialize before wiring in, so the fragment round-trips
-	// standalone on every replica.
-	fragment := xmltree.XMLString(n)
-	newRoot := rootWith(s.root, nil, n)
-	n.Parent = newRoot
-
-	ent := index.BuildForest(newRoot, []*xmltree.Node{n})
-	df := adjustedDF(s.df, termContrib(ent), +1)
+	ent := index.BuildForest(doc.Root(), []*xmltree.Node{n})
+	df := adjustedDF(s.df, ent, +1)
 	totalNodes := s.totalNodes + n.CountNodes()
 
-	op := &WriteOp{Epoch: s.epoch, Ord: ord, XML: fragment,
+	journal := doc.Journal()
+	op := &WriteOp{Epoch: s.epoch, Ord: n.ID[0], XML: journal[len(journal)-1].XML,
 		Ranking: Ranking{TotalNodes: totalNodes, DF: df}}
 
 	ns := &coordState{
 		epoch:      s.epoch + 1,
-		root:       newRoot,
-		schema:     xseek.InferSchemaParallel(newRoot, 0),
+		doc:        doc,
 		part:       appendSegment(s.part, n, totalNodes),
 		spineIdx:   s.spineIdx,
 		df:         df,
 		totalNodes: totalNodes,
 		elements:   s.elements + ent.Stats().IndexedElements,
-		nextOrd:    ord + 1,
-		hasRemove:  s.hasRemove,
-		journalLen: s.journalLen + 1,
 	}
 	ns.own = ns.part.Ownership()
 	if err := co.commitLocked("/shard/v1/write", op, s, ns, co.updates.Add); err != nil {
 		return nil, err
 	}
-	return id, nil
+	return n.ID, nil
 }
 
 // RemoveEntity removes a top-level entity across the cluster. Spine-
@@ -433,35 +418,29 @@ func (co *Coordinator) RemoveEntity(id dewey.ID) error {
 		return err
 	}
 	s := co.cur.Load()
-
-	victim := childByOrdinal(s.root, id[0])
-	if victim == nil || victim.Kind != xmltree.Element {
-		return fmt.Errorf("dist: no live top-level entity %v", id)
-	}
-	if s.own.Spine(victim.ID) {
+	if victim := s.doc.Entity(id[0]); victim != nil && s.own.Spine(victim.ID) {
 		return fmt.Errorf("dist: %v is spine-rooted; spine removals are not distributable", id)
 	}
+	doc, victim, err := s.doc.Remove(id[0])
+	if err != nil {
+		return err
+	}
 
-	vic := index.BuildForest(s.root, []*xmltree.Node{victim})
-	df := adjustedDF(s.df, termContrib(vic), -1)
+	vic := index.BuildForest(s.doc.Root(), []*xmltree.Node{victim})
+	df := adjustedDF(s.df, vic, -1)
 	totalNodes := s.totalNodes - victim.CountNodes()
 
 	op := &WriteOp{Epoch: s.epoch, Remove: true, Ord: id[0],
 		Ranking: Ranking{TotalNodes: totalNodes, DF: df}}
 
-	newRoot := rootWith(s.root, victim, nil)
 	ns := &coordState{
 		epoch:      s.epoch + 1,
-		root:       newRoot,
-		schema:     xseek.InferSchemaParallel(newRoot, 0),
+		doc:        doc,
 		part:       removeSegment(s.part, victim, totalNodes),
 		spineIdx:   s.spineIdx,
 		df:         df,
 		totalNodes: totalNodes,
 		elements:   s.elements - vic.Stats().IndexedElements,
-		nextOrd:    s.nextOrd,
-		hasRemove:  true,
-		journalLen: s.journalLen + 1,
 	}
 	ns.own = ns.part.Ownership()
 	return co.commitLocked("/shard/v1/write", op, s, ns, co.updates.Add)
@@ -469,9 +448,9 @@ func (co *Coordinator) RemoveEntity(id dewey.ID) error {
 
 // Compact re-bases the cluster: every leg (and the coordinator)
 // re-plans and rebuilds from the live tree, renumbering exactly when
-// a removal is pending — the same decision rule the in-process
-// compaction applies, so the compacted corpora stay bit-identical.
-// With nothing pending it is a no-op.
+// a removal is pending — the rule update.Doc.CompactRoot applies in
+// process too, so the compacted corpora stay bit-identical. With
+// nothing pending it is a no-op.
 func (co *Coordinator) Compact() error {
 	co.writeMu.Lock()
 	defer co.writeMu.Unlock()
@@ -479,28 +458,23 @@ func (co *Coordinator) Compact() error {
 		return err
 	}
 	s := co.cur.Load()
-	if s.journalLen == 0 {
+	if len(s.doc.Journal()) == 0 {
 		return nil
 	}
-	op := &CompactOp{Epoch: s.epoch, Renumber: s.hasRemove}
+	op := &CompactOp{Epoch: s.epoch, Renumber: s.doc.HasRemove()}
 
-	root := s.root
-	if s.hasRemove {
-		root = rebuildTree(s.root)
-	}
+	root := s.doc.CompactRoot()
 	schema := xseek.InferSchemaParallel(root, 0)
 	part := shard.Plan(root, schema, co.shards)
 	ns := &coordState{
 		epoch:      s.epoch + 1,
-		root:       root,
-		schema:     schema,
+		doc:        s.doc.Rebase(root, schema),
 		part:       part,
 		own:        part.Ownership(),
 		spineIdx:   index.BuildNodes(root, part.Spine),
 		df:         s.df,
 		totalNodes: s.totalNodes,
 		elements:   s.elements,
-		nextOrd:    len(root.Children),
 	}
 	return co.commitLocked("/shard/v1/compact", op, s, ns, func(int64) int64 {
 		return co.compactions.Add(1)
@@ -628,27 +602,19 @@ func removeSegment(p shard.Partition, victim *xmltree.Node, nodeCount int) shard
 	return np
 }
 
-// termContrib collects an entity index's per-term document counts.
-func termContrib(idx *index.Index) map[string]int {
-	out := make(map[string]int)
-	idx.EachTerm(func(t string, df int) { out[t] = df })
-	return out
-}
-
-// adjustedDF returns a fresh frequency table with delta applied at
-// sign — the same integer bookkeeping the in-process live engine's
-// freqs.adjusted performs, with exhausted terms dropped so the
-// vocabulary size matches a cold index's.
-func adjustedDF(base, delta map[string]int, sign int) map[string]int {
-	out := make(map[string]int, len(base)+len(delta))
+// adjustedDF returns a fresh frequency table with idx's per-term
+// document counts applied at sign — the same integer bookkeeping the
+// in-process live engine's freqs.adjusted performs, with exhausted
+// terms dropped so the vocabulary size matches a cold index's.
+func adjustedDF(base map[string]int, idx *index.Index, sign int) map[string]int {
+	out := make(map[string]int, len(base))
 	for t, n := range base {
 		out[t] = n
 	}
-	for t, n := range delta {
-		out[t] += sign * n
-		if out[t] <= 0 {
+	idx.EachTerm(func(t string, n int) {
+		if out[t] += sign * n; out[t] <= 0 {
 			delete(out, t)
 		}
-	}
+	})
 	return out
 }

@@ -276,12 +276,16 @@ func TestCoordinatorEquivalence(t *testing.T) {
 
 // TestCoordinatorLiveEquivalence interleaves adds, removes, and
 // compactions through the coordinator and an in-process live engine
-// over the same corpus, checking bit-identity after every step —
-// including the epoch bumps, ordinal holes after removals, and the
-// renumbering compaction.
+// over the same corpus, checking bit-identity and the schema after
+// every step — including the epoch bumps, ordinal holes after
+// removals, and the renumbering compaction. Removals pick any live
+// top-level entity, base or live-added; one the coordinator refuses as
+// spine-rooted must leave its epoch where it was, and the reference
+// skips it.
 func TestCoordinatorLiveEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	vocab := []string{"alpha", "beta", "gamma", "delta", "epsilon", "zeta"}
+	refused, removed := 0, 0
 	for ti := 0; ti < 3; ti++ {
 		doc := randomDoc(r, vocab)
 		for _, k := range []int{1, 2, 4} {
@@ -290,9 +294,9 @@ func TestCoordinatorLiveEquivalence(t *testing.T) {
 			ctx := func(step int, op string) string {
 				return fmt.Sprintf("tree %d K=%d step %d after %s", ti, k, step, op)
 			}
-			var ids []string // live entity IDs added through both sides
 			for step := 0; step < 12; step++ {
 				var op string
+				live := ref.Root().ChildElements()
 				switch choice := r.Intn(6); {
 				case choice <= 2: // add
 					frag := entityDoc(r, vocab)
@@ -307,19 +311,23 @@ func TestCoordinatorLiveEquivalence(t *testing.T) {
 					if gotID.String() != wantID.String() {
 						t.Fatalf("%s: add ID %s vs %s", ctx(step, "add"), gotID, wantID)
 					}
-					ids = append(ids, gotID.String())
 					op = "add " + gotID.String()
-				case choice <= 4 && len(ids) > 0: // remove a live-added entity
-					i := r.Intn(len(ids))
-					id := ids[i]
-					ids = append(ids[:i], ids[i+1:]...)
-					did, _ := parseDewey(id)
-					wantErr := ref.RemoveEntity(did)
-					gotErr := cl.co.RemoveEntity(did)
-					if !sameError(wantErr, gotErr) {
-						t.Fatalf("%s: remove %s: %v vs %v", ctx(step, "remove"), id, gotErr, wantErr)
+				case choice <= 4 && len(live) > 0: // remove a live entity, base or added
+					id := live[r.Intn(len(live))].ID
+					op = "remove " + id.String()
+					epoch := cl.co.Epoch()
+					gotErr := cl.co.RemoveEntity(id)
+					if gotErr != nil && strings.Contains(gotErr.Error(), "spine-rooted") {
+						if got := cl.co.Epoch(); got != epoch {
+							t.Fatalf("%s: a refused spine removal moved the epoch %d -> %d", ctx(step, op), epoch, got)
+						}
+						refused++
+						continue
 					}
-					op = "remove " + id
+					if wantErr := ref.RemoveEntity(id); !sameError(wantErr, gotErr) {
+						t.Fatalf("%s: %v vs %v", ctx(step, op), gotErr, wantErr)
+					}
+					removed++
 				default: // compact
 					if err := ref.Compact(); err != nil {
 						t.Fatalf("%s: ref compact: %v", ctx(step, "compact"), err)
@@ -327,12 +335,12 @@ func TestCoordinatorLiveEquivalence(t *testing.T) {
 					if err := cl.co.Compact(); err != nil {
 						t.Fatalf("%s: dist compact: %v", ctx(step, "compact"), err)
 					}
-					ids = nil // compaction may renumber; stale handles invalid
 					op = "compact"
 				}
 				if got, want := cl.co.Epoch(), ref.Epoch(); got != want {
 					t.Fatalf("%s: epoch %d vs %d", ctx(step, op), got, want)
 				}
+				checkSchema(t, ref.Schema(), cl.co.Schema(), ctx(step, op))
 				for qi := 0; qi < 3; qi++ {
 					terms := make([]string, r.Intn(2)+1)
 					for i := range terms {
@@ -341,6 +349,28 @@ func TestCoordinatorLiveEquivalence(t *testing.T) {
 					checkEquivalence(t, ref, cl.co, strings.Join(terms, " "), ctx(step, op))
 				}
 			}
+		}
+	}
+	if refused == 0 || removed == 0 {
+		t.Fatalf("%d removals applied, %d refused as spine-rooted: the schedule must exercise both", removed, refused)
+	}
+}
+
+// checkSchema asserts the coordinator's schema equals the reference's:
+// the same node-type paths, each with the same category and instance
+// count.
+func checkSchema(t *testing.T, want, got *xseek.Schema, ctx string) {
+	t.Helper()
+	wp, gp := want.Paths(), got.Paths()
+	if fmt.Sprint(gp) != fmt.Sprint(wp) {
+		t.Fatalf("%s: schema paths\n got  %v\n want %v", ctx, gp, wp)
+	}
+	for _, p := range wp {
+		if g, w := got.CategoryOf(p), want.CategoryOf(p); g != w {
+			t.Fatalf("%s: schema %s category %v, want %v", ctx, p, g, w)
+		}
+		if g, w := got.Instances(p), want.Instances(p); g != w {
+			t.Fatalf("%s: schema %s instances %d, want %d", ctx, p, g, w)
 		}
 	}
 }

@@ -31,6 +31,20 @@
 // element is rejected: the spine is the one structure both sides
 // treat as write-invariant between compactions.
 //
+// The coordinator and every leg move their document replica through
+// update.Doc, the type the in-process engine writes through: the
+// copy-on-write root, the top-level ordinals, the schema folded from
+// per-child evidence (recomposed from cached evidence on a removal)
+// and the journal. Only bootstrap and compaction infer a schema over
+// the whole tree. A leg applies an add only at the ordinal its own
+// document assigns next and answers 422 otherwise, so replicas cannot
+// drift apart silently. What stays here is the partition: ownership,
+// the spine index, the owning group's index upkeep (a merge on add, a
+// rebuild of the victim's group on remove) and the coordinator's df
+// map, which a leg cannot compute without indexing the whole tree.
+// Every request body a leg decodes is capped (maxWireBody); a larger
+// one answers 413 and changes nothing.
+//
 // # Failure semantics
 //
 // Per-request timeouts, bounded retries with backoff, and hedged
@@ -39,11 +53,11 @@
 // page is flagged (total = StreamTotalUnknown) — partial and marked,
 // never silently wrong. Doc-order search is always strict, because a
 // missing leg could promote spurious spine SLCAs. A request no replica
-// can serve (an unknown query kind, an unparsable probe ID) answers
-// 400, which the leg client treats as final: no retry, no failover,
-// no replica demotion. A leg restarted
-// from its shipped group snapshot (package persist) resumes at the
-// snapshot's epoch with bit-identical state.
+// can serve (an unknown query kind, an unparsable probe ID, a body over
+// the cap) answers 400 or 413, which the leg client treats as final:
+// no retry, no failover, no replica demotion. A leg restarted from its
+// shipped group snapshot (package persist) resumes at the snapshot's
+// epoch with bit-identical state.
 //
 // # Replication and admission control
 //

@@ -105,12 +105,17 @@ func newLegClient(cfg Config, corpus string, reps *replicaTable, counters *Count
 	return &legClient{cfg: cfg, hc: &http.Client{}, corpus: corpus, reps: reps, counters: counters}
 }
 
-// terminal reports an error no retry can fix.
+// terminal reports an error no retry can fix: an epoch conflict, or a
+// request-shaped rejection (400, 404, 413, 422) that every replica
+// would answer alike.
 func terminal(err error) bool {
 	var se *statusError
 	if errors.As(err, &se) {
-		return se.code == http.StatusConflict || se.code == http.StatusUnprocessableEntity ||
-			se.code == http.StatusNotFound || se.code == http.StatusBadRequest
+		switch se.code {
+		case http.StatusConflict, http.StatusUnprocessableEntity, http.StatusNotFound,
+			http.StatusBadRequest, http.StatusRequestEntityTooLarge:
+			return true
+		}
 	}
 	return false
 }
@@ -146,7 +151,7 @@ func (e *statusError) Error() string { return fmt.Sprintf("dist: leg status %d: 
 // hedging, decoding the framed envelope. One "attempt" walks group
 // g's replicas in rotation order and fails over to the next replica
 // on any per-replica error before the retry loop (and its backoff)
-// ever engages; a request-shaped rejection (400/404/422) aborts the
+// ever engages; a request-shaped rejection (400/404/413/422) aborts the
 // walk because every replica would reject it identically.
 func (c *legClient) query(g int, req *QueryRequest) (*Envelope, error) {
 	attempt := func() (*Envelope, error) { return c.spreadQuery(g, req) }

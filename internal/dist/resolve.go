@@ -5,50 +5,27 @@ import (
 
 	"repro/internal/dewey"
 	"repro/internal/xmltree"
+	"repro/internal/xseek"
 )
 
-// resolveNode walks root's replica to the node carrying id. Positional
-// indexing answers directly on cold trees; live roots have ordinal
-// holes after removals, so a binary search over the (ordinal-sorted)
-// children backs it up — the same discipline xseek's path walker uses.
-// Resolution fails closed: a wire ID that does not name a live node is
-// an error, never a misattributed result.
-func resolveNode(root *xmltree.Node, id dewey.ID) (*xmltree.Node, error) {
-	cur := root
-	for _, ord := range id {
-		next := childByOrdinal(cur, ord)
-		if next == nil {
-			return nil, fmt.Errorf("dist: no node at %v in tree replica", id)
-		}
-		cur = next
+// resolveHit reconstructs a Result from its wire form against a
+// tree replica.
+func resolveHit(root *xmltree.Node, h WireHit) (*xseek.Result, error) {
+	id, err := parseID(h.ID)
+	if err != nil {
+		return nil, err
 	}
-	return cur, nil
-}
-
-// childByOrdinal finds the child carrying Dewey ordinal ord, or nil.
-func childByOrdinal(parent *xmltree.Node, ord int) *xmltree.Node {
-	cs := parent.Children
-	if ord >= 0 && ord < len(cs) {
-		if cid := cs[ord].ID; len(cid) > 0 && cid[len(cid)-1] == ord {
-			return cs[ord]
-		}
+	mid, err := parseID(h.Match)
+	if err != nil {
+		return nil, err
 	}
-	lo, hi := 0, len(cs)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		cid := cs[mid].ID
-		if len(cid) > 0 && cid[len(cid)-1] >= ord {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
+	// Resolution fails closed: a wire ID that does not name a live node
+	// is an error, never a misattributed result.
+	node, match := root.NodeAt(id), root.NodeAt(mid)
+	if node == nil || match == nil {
+		return nil, fmt.Errorf("dist: hit %s/%s names no node in the tree replica", h.ID, h.Match)
 	}
-	if lo < len(cs) {
-		if cid := cs[lo].ID; len(cid) > 0 && cid[len(cid)-1] == ord {
-			return cs[lo]
-		}
-	}
-	return nil
+	return &xseek.Result{Node: node, Match: match, Label: h.Label}, nil
 }
 
 // parseID parses a canonical Dewey string off the wire.

@@ -6,11 +6,9 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"sort"
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/dewey"
 	"repro/internal/index"
 	"repro/internal/persist"
 	"repro/internal/shard"
@@ -42,11 +40,10 @@ type corpus struct {
 // a torn view.
 type legState struct {
 	epoch uint64
-	// baseRoot is the tree at the last compaction (contiguous
-	// ordinals); root is the live tree layered over it by the journal.
-	baseRoot *xmltree.Node
-	root     *xmltree.Node
-	schema   *xseek.Schema
+	// doc is the live document replica — tree, ordinals, schema and the
+	// journal since the last compaction — moved by the coordinator's
+	// broadcast writes.
+	doc update.Doc
 	// part/own are the partition planned at the last compaction; live
 	// adds resolve to the last group, exactly as the coordinator
 	// resolves them.
@@ -61,7 +58,6 @@ type legState struct {
 	ranking *Ranking
 	eng     *xseek.Engine
 	leg     shard.Leg
-	journal []update.JournalOp
 }
 
 func (s *legState) ready() bool { return s.ranking != nil }
@@ -79,8 +75,9 @@ func (s *legState) finish() {
 	for t, n := range s.ranking.DF {
 		idf[t] = xseek.IDF(s.ranking.TotalNodes, n)
 	}
-	s.eng = xseek.FromPartsRanked(s.root, s.idx, s.schema, s.ranking.TotalNodes, idf)
-	s.leg = shard.NewLocalLeg(s.root, s.schema, s.part, s.eng)
+	root, schema := s.doc.Root(), s.doc.Schema()
+	s.eng = xseek.FromPartsRanked(root, s.idx, schema, s.ranking.TotalNodes, idf)
+	s.leg = shard.NewLocalLeg(root, schema, s.part, s.eng)
 }
 
 // NewServer creates a shard server for group shardID of a
@@ -100,7 +97,7 @@ func (sv *Server) ShardID() int { return sv.shardID }
 // from an identical tree — typically the same deterministic dataset
 // seed — so the planned partitions agree.
 func (sv *Server) AddCorpus(name string, root *xmltree.Node) error {
-	st := bootstrapState(root, sv.shardID, sv.shards)
+	st := bootstrapState(update.NewDoc(root, xseek.InferSchemaParallel(root, 0)), sv.shardID, sv.shards)
 	c := &corpus{}
 	c.cur.Store(st)
 	sv.mu.Lock()
@@ -113,12 +110,12 @@ func (sv *Server) AddCorpus(name string, root *xmltree.Node) error {
 }
 
 // bootstrapState plans the partition and builds the group index for a
-// clean tree. A group beyond the partition's clamp (fewer segments
+// clean document. A group beyond the partition's clamp (fewer segments
 // than shards) serves an empty index: it silences every query, which
 // is exactly what the in-process engine's clamped fan-out computes.
-func bootstrapState(root *xmltree.Node, shardID, shards int) *legState {
-	schema := xseek.InferSchemaParallel(root, 0)
-	part := shard.Plan(root, schema, shards)
+func bootstrapState(doc update.Doc, shardID, shards int) *legState {
+	root := doc.Root()
+	part := shard.Plan(root, doc.Schema(), shards)
 	syms := index.NewSymbolTable()
 	var segs []*xmltree.Node
 	if shardID < len(part.Groups) {
@@ -126,14 +123,12 @@ func bootstrapState(root *xmltree.Node, shardID, shards int) *legState {
 		segs = part.Segments[r[0]:r[1]]
 	}
 	return &legState{
-		baseRoot: root,
-		root:     root,
-		schema:   schema,
-		part:     part,
-		own:      part.Ownership(),
-		segs:     segs,
-		syms:     syms,
-		idx:      index.BuildForestShared(root, segs, syms),
+		doc:  doc,
+		part: part,
+		own:  part.Ownership(),
+		segs: segs,
+		syms: syms,
+		idx:  index.BuildForestShared(root, segs, syms),
 	}
 }
 
@@ -151,7 +146,7 @@ func (sv *Server) RestoreCorpus(name string, snap *persist.GroupSnapshot) error 
 	if err != nil {
 		return fmt.Errorf("dist: parse snapshot base: %w", err)
 	}
-	st := bootstrapState(root, sv.shardID, sv.shards)
+	st := bootstrapState(update.NewDoc(root, xseek.InferSchemaParallel(root, 0)), sv.shardID, sv.shards)
 	st.epoch = snap.Epoch - uint64(len(snap.Journal))
 	ranking := Ranking{TotalNodes: snap.TotalNodes, DF: snap.DF}
 	for i, jop := range snap.Journal {
@@ -231,8 +226,7 @@ func (sv *Server) handleStats(w http.ResponseWriter, c *corpus) {
 
 func (sv *Server) handleRanking(w http.ResponseWriter, r *http.Request, c *corpus) {
 	var rk Ranking
-	if err := json.NewDecoder(r.Body).Decode(&rk); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if !decodeBody(w, r, &rk) {
 		return
 	}
 	c.writeMu.Lock()
@@ -247,8 +241,7 @@ func (sv *Server) handleRanking(w http.ResponseWriter, r *http.Request, c *corpu
 
 func (sv *Server) handleQuery(w http.ResponseWriter, r *http.Request, c *corpus) {
 	var req QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	s := c.cur.Load()
@@ -361,32 +354,9 @@ func wireHit(r *xseek.Result, scoreBits uint64) WireHit {
 	}
 }
 
-// resolveHit reconstructs a Result from its wire form against this
-// replica's tree.
-func resolveHit(root *xmltree.Node, h WireHit) (*xseek.Result, error) {
-	id, err := parseID(h.ID)
-	if err != nil {
-		return nil, err
-	}
-	node, err := resolveNode(root, id)
-	if err != nil {
-		return nil, err
-	}
-	mid, err := parseID(h.Match)
-	if err != nil {
-		return nil, err
-	}
-	match, err := resolveNode(root, mid)
-	if err != nil {
-		return nil, err
-	}
-	return &xseek.Result{Node: node, Match: match, Label: h.Label}, nil
-}
-
 func (sv *Server) handleWrite(w http.ResponseWriter, r *http.Request, c *corpus) {
 	var op WriteOp
-	if err := json.NewDecoder(r.Body).Decode(&op); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if !decodeBody(w, r, &op) {
 		return
 	}
 	c.writeMu.Lock()
@@ -414,32 +384,31 @@ func (sv *Server) handleWrite(w http.ResponseWriter, r *http.Request, c *corpus)
 
 // applyWrite produces the successor state for one write op. It is
 // shared by the live write handler and snapshot replay; the caller
-// installs the ranking and publishes. Tree mutation mirrors the
-// in-process live engine exactly (copy-on-write root, appended or
-// dropped child, ordinals never reused); only the owning group's
-// index changes — adds merge the new entity's postings onto the last
-// group, removes rebuild the victim's group over its surviving
+// installs the ranking and publishes. The document moves through
+// update.Doc, as the coordinator's and the in-process engine's do, so
+// the live tree, ordinals and schema agree on every replica. An add
+// must carry the ordinal this replica assigns next. Only the owning
+// group's index changes: adds merge the new entity's postings onto the
+// last group, removes rebuild the victim's group over its surviving
 // segments.
 func applyWrite(s *legState, op *WriteOp, shardID int) (*legState, error) {
 	ns := &legState{
-		epoch:    s.epoch + 1,
-		baseRoot: s.baseRoot,
-		schema:   s.schema,
-		part:     s.part,
-		own:      s.own,
-		segs:     s.segs,
-		syms:     s.syms,
-		idx:      s.idx,
+		epoch: s.epoch + 1,
+		part:  s.part,
+		own:   s.own,
+		segs:  s.segs,
+		syms:  s.syms,
+		idx:   s.idx,
 	}
 	if op.Remove {
-		victim := childByOrdinal(s.root, op.Ord)
-		if victim == nil || victim.Kind != xmltree.Element {
-			return nil, fmt.Errorf("dist: no live top-level entity %d", op.Ord)
-		}
-		if s.own.Spine(victim.ID) {
+		if victim := s.doc.Entity(op.Ord); victim != nil && s.own.Spine(victim.ID) {
 			return nil, fmt.Errorf("dist: entity %d is spine-rooted; spine removals are not distributable", op.Ord)
 		}
-		ns.root = rootWith(s.root, victim, nil)
+		doc, victim, err := s.doc.Remove(op.Ord)
+		if err != nil {
+			return nil, err
+		}
+		ns.doc = doc
 		if owner := s.own.Owner(victim.ID); owner == shardID {
 			segs := make([]*xmltree.Node, 0, len(s.segs))
 			for _, sg := range s.segs {
@@ -448,34 +417,33 @@ func applyWrite(s *legState, op *WriteOp, shardID int) (*legState, error) {
 				}
 			}
 			ns.segs = segs
-			ns.idx = index.BuildForestShared(ns.root, segs, s.syms)
+			ns.idx = index.BuildForestShared(doc.Root(), segs, s.syms)
 		}
-	} else {
-		n, err := xmltree.ParseString(op.XML)
-		if err != nil {
-			return nil, fmt.Errorf("dist: parse write fragment: %w", err)
-		}
-		n.AssignIDs(dewey.New(op.Ord))
-		ns.root = rootWith(s.root, nil, n)
-		n.Parent = ns.root
-		// Added entities belong to the last planned group, the same
-		// rule Ownership resolves their ordinals with.
-		if shardID == len(s.part.Groups)-1 {
-			ent := index.BuildForestShared(ns.root, []*xmltree.Node{n}, s.syms)
-			ns.idx = index.Merge(ns.root, s.idx, ent)
-			ns.segs = append(s.segs[:len(s.segs):len(s.segs)], n)
-		}
+		return ns, nil
 	}
-	ns.schema = xseek.InferSchemaParallel(ns.root, 0)
-	ns.journal = append(s.journal[:len(s.journal):len(s.journal)],
-		update.JournalOp{Remove: op.Remove, Ord: op.Ord, XML: op.XML})
+	if next := s.doc.NextOrd(); op.Ord != next {
+		return nil, fmt.Errorf("dist: write ordinal %d, this replica assigns %d", op.Ord, next)
+	}
+	n, err := xmltree.ParseString(op.XML)
+	if err != nil {
+		return nil, fmt.Errorf("dist: parse write fragment: %w", err)
+	}
+	if ns.doc, err = s.doc.Add(n); err != nil {
+		return nil, err
+	}
+	// Added entities belong to the last planned group, the same rule
+	// Ownership resolves their ordinals with.
+	if shardID == len(s.part.Groups)-1 {
+		ent := index.BuildForestShared(ns.doc.Root(), []*xmltree.Node{n}, s.syms)
+		ns.idx = index.Merge(ns.doc.Root(), s.idx, ent)
+		ns.segs = append(s.segs[:len(s.segs):len(s.segs)], n)
+	}
 	return ns, nil
 }
 
 func (sv *Server) handleCompact(w http.ResponseWriter, r *http.Request, c *corpus) {
 	var op CompactOp
-	if err := json.NewDecoder(r.Body).Decode(&op); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if !decodeBody(w, r, &op) {
 		return
 	}
 	c.writeMu.Lock()
@@ -489,13 +457,13 @@ func (sv *Server) handleCompact(w http.ResponseWriter, r *http.Request, c *corpu
 		http.Error(w, fmt.Sprintf("dist: epoch mismatch: op %d, leg %d", op.Epoch, s.epoch), http.StatusConflict)
 		return
 	}
-	root := s.root
-	if op.Renumber {
-		// A removal is pending: prune and renumber, exactly as the
-		// in-process compaction does.
-		root = rebuildTree(s.root)
+	if op.Renumber != s.doc.HasRemove() {
+		http.Error(w, fmt.Sprintf("dist: compaction renumbers = %v, this replica's journal says %v", op.Renumber, s.doc.HasRemove()),
+			http.StatusUnprocessableEntity)
+		return
 	}
-	ns := bootstrapState(root, sv.shardID, sv.shards)
+	root := s.doc.CompactRoot()
+	ns := bootstrapState(s.doc.Rebase(root, xseek.InferSchemaParallel(root, 0)), sv.shardID, sv.shards)
 	ns.epoch = s.epoch + 1
 	ns.ranking = s.ranking
 	ns.finish()
@@ -513,8 +481,8 @@ func (sv *Server) handleSnapshot(w http.ResponseWriter, c *corpus) {
 		Epoch:      s.epoch,
 		ShardID:    sv.shardID,
 		Shards:     sv.shards,
-		BaseXML:    xmltree.XMLString(s.baseRoot),
-		Journal:    s.journal,
+		BaseXML:    xmltree.XMLString(s.doc.BaseRoot()),
+		Journal:    s.doc.Journal(),
 		TotalNodes: s.ranking.TotalNodes,
 		DF:         s.ranking.DF,
 	}
@@ -524,19 +492,34 @@ func (sv *Server) handleSnapshot(w http.ResponseWriter, c *corpus) {
 	}
 }
 
+// maxWireBody caps every request body a leg decodes: a ranking push,
+// a query, a write op and a compaction op. The largest is a write op
+// or a ranking push, whose whole-corpus df map costs about 13 bytes a
+// term in JSON (3.4 KB for the 248-term vocabulary of a 100000-movie
+// corpus), and a write adds one fragment that xsactd already caps at
+// 1 MiB. 16 MiB leaves room for a vocabulary of over a million terms
+// while bounding what one request can make a leg buffer.
+const maxWireBody = 16 << 20
+
+// decodeBody decodes a JSON request body of at most maxWireBody bytes
+// into v. It answers 413 for a body over the cap and 400 for one that
+// does not decode, before any state is touched, and reports whether v
+// holds the request.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxWireBody)).Decode(v)
+	if err == nil {
+		return true
+	}
+	code := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	http.Error(w, err.Error(), code)
+	return false
+}
+
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(v)
-}
-
-// sortedCorpora lists the server's corpora (for diagnostics).
-func (sv *Server) sortedCorpora() []string {
-	sv.mu.RLock()
-	defer sv.mu.RUnlock()
-	out := make([]string, 0, len(sv.corpora))
-	for name := range sv.corpora {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }

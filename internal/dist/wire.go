@@ -175,8 +175,11 @@ type WriteOp struct {
 	// Epoch+1 treats the op as an idempotent retry.
 	Epoch  uint64 `json:"epoch"`
 	Remove bool   `json:"remove,omitempty"`
-	Ord    int    `json:"ord"`
-	XML    string `json:"xml,omitempty"`
+	// Ord is the entity's top-level ordinal: the victim of a removal,
+	// or the ordinal the coordinator assigned an add, which a leg
+	// accepts only if its own document assigns the same.
+	Ord int    `json:"ord"`
+	XML string `json:"xml,omitempty"`
 	// Ranking is the post-write whole-corpus statistics, computed once
 	// at the coordinator and installed by every leg.
 	Ranking Ranking `json:"ranking"`
@@ -184,7 +187,8 @@ type WriteOp struct {
 
 // CompactOp is the body of POST /shard/v1/compact. Renumber mirrors
 // the in-process compaction decision: true exactly when a removal is
-// pending, so both sides rebuild (and renumber) identically.
+// pending, so both sides rebuild (and renumber) identically. A leg
+// whose own journal disagrees answers 422.
 type CompactOp struct {
 	Epoch    uint64 `json:"epoch"`
 	Renumber bool   `json:"renumber"`

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync/atomic"
 
@@ -73,13 +74,17 @@ func (p Partition) Ownership() Ownership {
 	for _, n := range p.Spine {
 		o.spineSet[n.ID.String()] = true
 	}
+	// An empty group (a live removal took its last segment) owns
+	// nothing: it takes the start of the next non-empty group, or one
+	// past every ordinal, so the starts stay sorted and Owner's search
+	// resolves past it.
 	o.groupStart = make([]dewey.ID, len(p.Groups))
-	for g, r := range p.Groups {
-		if r[0] < r[1] {
-			o.groupStart[g] = p.Segments[r[0]].ID
-		} else {
-			o.groupStart[g] = dewey.Root() // empty group: owns nothing
+	next := dewey.New(math.MaxInt)
+	for g := len(p.Groups) - 1; g >= 0; g-- {
+		if r := p.Groups[g]; r[0] < r[1] {
+			next = p.Segments[r[0]].ID
 		}
+		o.groupStart[g] = next
 	}
 	return o
 }

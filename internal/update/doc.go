@@ -41,7 +41,17 @@
 // schema summary) are maintained exactly — not approximately — across
 // every mutation, so TF-IDF scores, planner decisions, spell
 // correction, and entity inference all match a from-scratch build of
-// the same logical corpus bit for bit. The schema is recomposed from
-// cached per-subtree evidence (xseek.CollectEvidence/ComposeSchema)
-// instead of re-walking the corpus.
+// the same logical corpus bit for bit.
+//
+// The document side of a write lives in one type, Doc: the
+// copy-on-write root over the base tree, the top-level entities by
+// ordinal, the schema and the journal. An add folds the new child's
+// evidence into the schema (xseek.WithChildEvidence); a removal
+// recomposes it from cached per-child evidence (xseek.ComposeSchema)
+// instead of re-walking the corpus; a compaction with a removal
+// pending renumbers the tree (Doc.CompactRoot). The Engine embeds a
+// Doc in each state under its index side (base, delta, tombstones,
+// frequencies). The distributed coordinator and every shard leg
+// (package dist) apply their writes through the same Doc, so every
+// process agrees on the tree, the ordinals and the schema.
 package update

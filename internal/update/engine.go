@@ -37,11 +37,6 @@ type Engine struct {
 	writeMu sync.Mutex // serializes AddEntity / RemoveEntity / Compact
 	cur     atomic.Pointer[state]
 
-	// evidence caches each top-level child's schema contribution.
-	// Writer-only (guarded by writeMu).
-	evidence map[*xmltree.Node]*xseek.Evidence
-	rootTag  string
-
 	// counters tallies the planner decisions of live reads
 	// (PlannerDecisions, StreamedDecisions): one per compiled query
 	// whatever the base's layout, since the pipeline runs once over the
@@ -54,14 +49,6 @@ type Engine struct {
 // stays private while its methods are promoted.
 type counters = xseek.Counters
 
-// topEntry locates one live top-level element child by its Dewey
-// ordinal. Ordinals are never reused, so after removals the sequence
-// may have holes; lookups binary-search it.
-type topEntry struct {
-	ord  int
-	node *xmltree.Node
-}
-
 // state is one immutable snapshot of the live corpus. Every mutation
 // installs a fresh state; readers load it once per operation and never
 // see a torn view.
@@ -70,24 +57,15 @@ type state struct {
 
 	// baseX is the immutable one-index base the pending writes are
 	// layered over; nil for a base held as several parts (WrapParts).
-	baseX    *xseek.Engine
-	baseRoot *xmltree.Node
+	baseX *xseek.Engine
 	// parts are the base's indexes — baseX's one index, or the parts
 	// WrapParts was given. Their lists are document-ordered and
 	// pairwise disjoint per term.
 	parts []*index.Index
 
-	// root is the live document: a copy-on-write clone of the base root
-	// whose children are exactly the live top-level subtrees (added
-	// entities appended, removed ones absent). Subtrees below the root
-	// are shared with the base and immutable.
-	root   *xmltree.Node
-	schema *xseek.Schema
-	top    []topEntry
-	// nextOrd is the Dewey ordinal the next added entity receives.
-	// Ordinals of removed entities are never reused, so existing
-	// postings stay unambiguous until compaction renumbers.
-	nextOrd int
+	// Doc is the document side: the live tree over the base tree, the
+	// top-level ordinals, the schema and the journal.
+	Doc
 
 	tombstones []dewey.ID // sorted, top-level IDs of removed entities
 	deltaRoots []*xmltree.Node
@@ -97,16 +75,13 @@ type state struct {
 	df         freqs
 	totalNodes int
 	elements   int
-	// tagCounts tallies the live element children per tag — the root's
-	// sibling-count evidence for the incremental schema fold.
-	tagCounts map[string]int
-
-	journal []JournalOp // pending ops since the last compaction
 }
 
 // Wrap makes a monolithic engine updatable. The wrapped engine must not
 // be mutated by anyone else afterwards.
-func Wrap(x *xseek.Engine) *Engine { return wrap(baseState(x, 0)) }
+func Wrap(x *xseek.Engine) *Engine {
+	return wrap(baseState(x, NewDoc(x.Root(), x.Schema()), 0))
+}
 
 // WrapParts makes a base held as several indexes updatable: parts must
 // index pairwise disjoint node sets of root whose union is the whole
@@ -115,11 +90,11 @@ func Wrap(x *xseek.Engine) *Engine { return wrap(baseState(x, 0)) }
 // document frequencies and the element count summed across them; the
 // first compaction folds the base into one index.
 func WrapParts(root *xmltree.Node, schema *xseek.Schema, parts []*index.Index) *Engine {
-	return wrap(partsState(root, schema, parts, root.CountNodes()))
+	return wrap(partsState(NewDoc(root, schema), parts, root.CountNodes()))
 }
 
 func wrap(s *state) *Engine {
-	e := &Engine{evidence: make(map[*xmltree.Node]*xseek.Evidence), rootTag: s.root.Tag}
+	e := &Engine{}
 	e.cur.Store(s)
 	return e
 }
@@ -129,43 +104,24 @@ func wrap(s *state) *Engine {
 func (s *state) baseSymbols() *index.SymbolTable { return s.parts[0].Symbols() }
 
 // baseState builds the clean state over a one-index base, fresh or
-// just compacted.
-func baseState(x *xseek.Engine, epoch uint64) *state {
-	s := partsState(x.Root(), x.Schema(), []*index.Index{x.Index()}, x.TotalNodes())
+// just compacted, and its clean document.
+func baseState(x *xseek.Engine, doc Doc, epoch uint64) *state {
+	s := partsState(doc, []*index.Index{x.Index()}, x.TotalNodes())
 	s.epoch, s.baseX = epoch, x
 	return s
 }
 
 // partsState builds a clean state over base parts: no delta, no
 // tombstones, statistics summed off the parts.
-func partsState(root *xmltree.Node, schema *xseek.Schema, parts []*index.Index, totalNodes int) *state {
-	s := &state{baseRoot: root, root: root, schema: schema, parts: parts, totalNodes: totalNodes}
+func partsState(doc Doc, parts []*index.Index, totalNodes int) *state {
+	s := &state{Doc: doc, parts: parts, totalNodes: totalNodes}
 	df := make(map[string]int)
 	for _, p := range parts {
 		p.EachTerm(func(t string, n int) { df[t] += n })
 		s.elements += p.Stats().IndexedElements
 	}
 	s.df = newFreqs(df)
-	s.top = topEntries(s.baseRoot)
-	s.tagCounts = make(map[string]int, 4)
-	for _, t := range s.top {
-		s.tagCounts[t.node.Tag]++
-	}
-	s.nextOrd = len(s.baseRoot.Children)
 	return s
-}
-
-// topEntries lists the root's element children with their ordinals. On
-// a clean base tree child positions equal Dewey ordinals (AssignIDs
-// numbers text children too).
-func topEntries(root *xmltree.Node) []topEntry {
-	out := make([]topEntry, 0, len(root.Children))
-	for i, c := range root.Children {
-		if c.Kind == xmltree.Element {
-			out = append(out, topEntry{ord: i, node: c})
-		}
-	}
-	return out
 }
 
 // view returns the current immutable state.
@@ -197,15 +153,6 @@ func (e *Engine) Updates() int64 { return e.updates.Load() }
 // Compactions returns the lifetime compaction count.
 func (e *Engine) Compactions() int64 { return e.compactions.Load() }
 
-// Journal returns a copy of the pending ops since the last compaction,
-// in application order.
-func (e *Engine) Journal() []JournalOp {
-	s := e.view()
-	out := make([]JournalOp, len(s.journal))
-	copy(out, s.journal)
-	return out
-}
-
 // SnapshotParts returns one consistent view of the persistence
 // surface: the base tree, its one-index base (nil for a base still
 // held as parts), and the journal of pending writes layered over it.
@@ -229,30 +176,21 @@ func (e *Engine) IndexStats() index.Stats {
 // n (callers must not retain or mutate it). It returns the new entity's
 // Dewey ID — the handle RemoveEntity accepts.
 func (e *Engine) AddEntity(n *xmltree.Node) (dewey.ID, error) {
-	if n == nil || n.Kind != xmltree.Element {
-		return nil, fmt.Errorf("update: AddEntity requires an element subtree")
-	}
 	e.writeMu.Lock()
 	defer e.writeMu.Unlock()
 	s := e.view()
-
-	ord := s.nextOrd
-	id := dewey.New(ord)
-	n.AssignIDs(id)
-	// Serialize for the journal before wiring the node in, so the
-	// fragment round-trips standalone.
-	fragment := xmltree.XMLString(n)
+	doc, err := s.Doc.Add(n)
+	if err != nil {
+		return nil, err
+	}
 
 	ns := &state{
 		epoch: s.epoch + 1,
-		baseX: s.baseX, baseRoot: s.baseRoot, parts: s.parts,
-		root:       rootWith(s.root, nil, n),
-		nextOrd:    ord + 1,
+		baseX: s.baseX, parts: s.parts,
+		Doc:        doc,
 		tombstones: s.tombstones,
 		totalNodes: s.totalNodes + n.CountNodes(),
 	}
-	n.Parent = ns.root
-	ns.top = append(s.top[:len(s.top):len(s.top)], topEntry{ord: ord, node: n})
 	ns.deltaRoots = append(s.deltaRoots[:len(s.deltaRoots):len(s.deltaRoots)], n)
 
 	// Index only the new entity and append its lists onto the existing
@@ -271,16 +209,9 @@ func (e *Engine) AddEntity(n *xmltree.Node) (dewey.ID, error) {
 	ns.df = s.df.adjusted(termContrib(ent), +1)
 	ns.elements = s.elements + ent.Stats().IndexedElements
 
-	ev := xseek.CollectEvidence(n, e.rootTag)
-	e.evidence[n] = ev
-	ns.tagCounts = copyCounts(s.tagCounts)
-	ns.tagCounts[n.Tag]++
-	ns.schema = s.schema.WithChildEvidence(ev, e.rootTag, n.Tag, ns.tagCounts[n.Tag])
-	ns.journal = append(s.journal[:len(s.journal):len(s.journal)], JournalOp{XML: fragment, Ord: ord})
-
 	e.updates.Add(1)
 	e.cur.Store(ns)
-	return id, nil
+	return n.ID, nil
 }
 
 // RemoveEntity removes the top-level entity with the given Dewey ID
@@ -294,39 +225,23 @@ func (e *Engine) RemoveEntity(id dewey.ID) error {
 	e.writeMu.Lock()
 	defer e.writeMu.Unlock()
 	s := e.view()
-
-	i := sort.Search(len(s.top), func(k int) bool { return s.top[k].ord >= id[0] })
-	if i == len(s.top) || s.top[i].ord != id[0] {
-		return fmt.Errorf("update: no live top-level entity %v", id)
+	doc, victim, err := s.Doc.Remove(id[0])
+	if err != nil {
+		return err
 	}
-	victim := s.top[i].node
 
 	ns := &state{
 		epoch: s.epoch + 1,
-		baseX: s.baseX, baseRoot: s.baseRoot, parts: s.parts,
-		root:       rootWith(s.root, victim, nil),
-		nextOrd:    s.nextOrd,
+		baseX: s.baseX, parts: s.parts,
+		Doc:        doc,
 		deltaRoots: s.deltaRoots,
 		delta:      s.delta,
+		tombstones: insertSorted(s.tombstones, id),
 		totalNodes: s.totalNodes - victim.CountNodes(),
 	}
-	ns.top = make([]topEntry, 0, len(s.top)-1)
-	ns.top = append(append(ns.top, s.top[:i]...), s.top[i+1:]...)
-	ns.tombstones = insertSorted(s.tombstones, id)
-
 	vic := index.BuildForest(s.root, []*xmltree.Node{victim})
 	ns.df = s.df.adjusted(termContrib(vic), -1)
 	ns.elements = s.elements - vic.Stats().IndexedElements
-
-	delete(e.evidence, victim)
-	ns.tagCounts = copyCounts(s.tagCounts)
-	if ns.tagCounts[victim.Tag]--; ns.tagCounts[victim.Tag] == 0 {
-		delete(ns.tagCounts, victim.Tag)
-	}
-	// Removal can lower sibling maxima and instance tallies in ways a
-	// fold cannot express; recompose from the cached evidence.
-	ns.schema = e.composeSchema(ns)
-	ns.journal = append(s.journal[:len(s.journal):len(s.journal)], JournalOp{Remove: true, Ord: id[0]})
 
 	e.updates.Add(1)
 	e.cur.Store(ns)
@@ -337,112 +252,40 @@ func (e *Engine) RemoveEntity(id dewey.ID) error {
 // base under an epoch swap; in-flight readers keep their state and are
 // never blocked. With only adds pending over one index, the delta
 // posting lists are appended onto it; otherwise (tombstones pending,
-// or a base held as parts) the live tree is pruned, renumbered, and
-// rebuilt into one index — the amortized cost that keeps every earlier
-// per-op write cheap. Compacting with nothing pending is a no-op.
+// or a base held as parts) the live tree — renumbered when a removal
+// left holes — is rebuilt into one index: the amortized cost that
+// keeps every earlier per-op write cheap. Compacting with nothing
+// pending is a no-op.
 func (e *Engine) Compact() error {
 	e.writeMu.Lock()
 	defer e.writeMu.Unlock()
 	s := e.view()
-	if len(s.tombstones) == 0 && len(s.deltaRoots) == 0 {
+	if len(s.journal) == 0 {
 		return nil
 	}
 
-	var ns *state
-	switch {
-	case len(s.tombstones) == 0 && s.baseX != nil:
-		merged := index.Merge(s.root, s.baseX.Index(), s.delta)
+	root := s.CompactRoot()
+	var x *xseek.Engine
+	if root == s.root && s.baseX != nil {
+		merged := index.Merge(root, s.baseX.Index(), s.delta)
 		idf := make(map[string]float64, s.df.terms)
 		s.df.each(func(t string, n int) {
 			idf[t] = xseek.IDF(s.totalNodes, n)
 		})
-		x := xseek.FromPartsRanked(s.root, merged, xseek.InferSchemaParallel(s.root, 0), s.totalNodes, idf)
-		ns = baseState(x, s.epoch+1)
-	default:
-		ns = baseState(xseek.NewParallel(rebuildTree(s.root)), s.epoch+1)
-		// The rebuild renumbered every subtree: cached evidence keyed by
-		// the old nodes no longer describes the tree. Recollect lazily.
-		e.evidence = make(map[*xmltree.Node]*xseek.Evidence)
+		x = xseek.FromPartsRanked(root, merged, xseek.InferSchemaParallel(root, 0), s.totalNodes, idf)
+	} else {
+		x = xseek.NewParallel(root)
 	}
 
 	e.compactions.Add(1)
-	e.cur.Store(ns)
+	e.cur.Store(baseState(x, s.Rebase(root, x.Schema()), s.epoch+1))
 	return nil
-}
-
-// composeSchema recomposes the exact whole-corpus schema from the
-// cached per-child evidence. Called with writeMu held.
-func (e *Engine) composeSchema(s *state) *xseek.Schema {
-	children := make([]*xmltree.Node, len(s.top))
-	for i, t := range s.top {
-		children[i] = t.node
-	}
-	return xseek.ComposeSchema(s.root, children, e.childEvidence)
-}
-
-func (e *Engine) childEvidence(c *xmltree.Node) *xseek.Evidence {
-	if ev := e.evidence[c]; ev != nil {
-		return ev
-	}
-	ev := xseek.CollectEvidence(c, e.rootTag)
-	e.evidence[c] = ev
-	return ev
-}
-
-// rootWith returns a copy-on-write clone of root whose children are
-// root's minus `without` (when non-nil) plus `extra` appended (when
-// non-nil). The clone is what makes reads lock-free: concurrent readers
-// keep walking the old root while the new state exposes the new one,
-// and the shared child subtrees are immutable either way.
-func rootWith(root *xmltree.Node, without, extra *xmltree.Node) *xmltree.Node {
-	nr := &xmltree.Node{Kind: root.Kind, Tag: root.Tag, Text: root.Text, ID: root.ID}
-	if len(root.Attrs) > 0 {
-		nr.Attrs = make([]xmltree.Attr, len(root.Attrs))
-		copy(nr.Attrs, root.Attrs)
-	}
-	n := len(root.Children)
-	if extra != nil {
-		n++
-	}
-	nr.Children = make([]*xmltree.Node, 0, n)
-	for _, c := range root.Children {
-		if c != without {
-			nr.Children = append(nr.Children, c)
-		}
-	}
-	if extra != nil {
-		nr.Children = append(nr.Children, extra)
-	}
-	return nr
-}
-
-// rebuildTree deep-clones the live document into a fresh, compactly
-// renumbered tree, leaving the old one untouched for in-flight readers.
-func rebuildTree(root *xmltree.Node) *xmltree.Node {
-	fresh := &xmltree.Node{Kind: root.Kind, Tag: root.Tag, Text: root.Text}
-	if len(root.Attrs) > 0 {
-		fresh.Attrs = make([]xmltree.Attr, len(root.Attrs))
-		copy(fresh.Attrs, root.Attrs)
-	}
-	for _, c := range root.Children {
-		fresh.AppendChild(c.Clone())
-	}
-	fresh.AssignIDs(nil)
-	return fresh
 }
 
 // termContrib collects an entity index's per-term document counts.
 func termContrib(idx *index.Index) map[string]int {
 	out := make(map[string]int)
 	idx.EachTerm(func(t string, df int) { out[t] = df })
-	return out
-}
-
-func copyCounts(m map[string]int) map[string]int {
-	out := make(map[string]int, len(m))
-	for t, n := range m {
-		out[t] = n
-	}
 	return out
 }
 

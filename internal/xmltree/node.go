@@ -258,24 +258,23 @@ func (n *Node) AssignIDs(base dewey.ID) {
 func (n *Node) NodeAt(id dewey.ID) *Node {
 	cur := n
 	for _, ord := range id {
-		if cur == nil || ord < 0 {
+		if cur = cur.ChildAt(ord); cur == nil {
 			return nil
 		}
-		cur = childAt(cur, ord)
 	}
 	return cur
 }
 
-// childAt finds the child carrying ordinal ord: positional fast path,
-// with a binary search fallback for trees with ordinal holes. A
-// positional candidate without an assigned ID is trusted as-is (ID-less
-// trees have no holes to account for).
-func childAt(parent *Node, ord int) *Node {
-	cs := parent.Children
-	if ord < len(cs) {
-		cid := cs[ord].ID
-		if len(cid) == 0 || cid[len(cid)-1] == ord {
-			return cs[ord]
+// ChildAt returns the child carrying Dewey ordinal ord, or nil: the
+// positional candidate when its ID agrees, with a binary search over
+// the ordinal-sorted children for trees with ordinal holes. A
+// positional candidate without an assigned ID is trusted as-is
+// (ID-less trees have no holes to account for).
+func (n *Node) ChildAt(ord int) *Node {
+	cs := n.Children
+	if uint(ord) < uint(len(cs)) {
+		if c := cs[ord]; len(c.ID) == 0 || c.ID[len(c.ID)-1] == ord {
+			return c
 		}
 	}
 	k := sort.Search(len(cs), func(i int) bool {

@@ -59,7 +59,7 @@ func (w *pathWalker) descend(id dewey.ID) *xmltree.Node {
 	w.infos = w.infos[:keep+1]
 	for level := keep; level < len(id); level++ {
 		parent := w.nodes[level]
-		child := childByOrdinal(parent, id[level])
+		child := parent.ChildAt(id[level])
 		if child == nil {
 			return nil
 		}
@@ -77,29 +77,6 @@ func (w *pathWalker) descend(id dewey.ID) *xmltree.Node {
 	}
 	w.cur = append(w.cur[:0], id...)
 	return w.nodes[len(w.nodes)-1]
-}
-
-// childByOrdinal finds the child carrying Dewey ordinal ord. Positional
-// indexing answers directly on cold trees; live roots have ordinal
-// holes after removals, so a binary search over the (ordinal-sorted)
-// children backs it up.
-func childByOrdinal(parent *xmltree.Node, ord int) *xmltree.Node {
-	cs := parent.Children
-	if ord >= 0 && ord < len(cs) {
-		if cid := cs[ord].ID; len(cid) > 0 && cid[len(cid)-1] == ord {
-			return cs[ord]
-		}
-	}
-	k := sort.Search(len(cs), func(i int) bool {
-		cid := cs[i].ID
-		return len(cid) > 0 && cid[len(cid)-1] >= ord
-	})
-	if k < len(cs) {
-		if cid := cs[k].ID; len(cid) > 0 && cid[len(cid)-1] == ord {
-			return cs[k]
-		}
-	}
-	return nil
 }
 
 // nearestEntity returns the deepest stack entry that is an entity

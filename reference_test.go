@@ -82,8 +82,10 @@ func TestExecutorsMatchReferenceOnCorpus(t *testing.T) {
 // own, a term only on the spine (the root and the <sec> wrapper), a
 // duplicated query keyword, a term whose only posting sits in a removed
 // entity, multi-byte tokens, a document of one node, terms that occur
-// only in attribute values, and empty elements. Each base is checked
-// cold, after an add and a remove, and again after a compaction.
+// only in attribute values, empty elements, and a wrapper tag that a
+// write makes repeated, so the schema turns it into an entity. Each
+// base is checked cold, after an add and a remove, and again after a
+// compaction.
 func TestLiveExecutorsMatchReferenceOnAdversarialDocs(t *testing.T) {
 	docs := []struct {
 		name    string
@@ -123,6 +125,19 @@ func TestLiveExecutorsMatchReferenceOnAdversarialDocs(t *testing.T) {
 			queries: []string{"gps", "radio", "x1", "alpha", "beta", "gps alpha", "x1 a", "gps radio", "beta c", "delta gps"},
 			add:     `<q kind="gps" note="delta"/>`,
 			remove:  1, // the only "radio"
+		},
+		{
+			// <n0> is a singleton wrapper until the add repeats it: the
+			// schema fold then turns it into an entity whose subtree
+			// holds the whole original corpus, so matches inside lift to
+			// it. Removing the trailing <item> keeps n0 repeated.
+			name: "tag repeated by a write",
+			doc: `<root><n0><w><item><leaf>alpha beta</leaf><leaf>gamma</leaf></item><misc>alpha gamma</misc>` +
+				`<item><leaf>beta delta</leaf><leaf>delta</leaf></item><misc2>alpha delta</misc2></w></n0>` +
+				`<item><leaf>gamma epsilon</leaf></item></root>`,
+			queries: []string{"alpha", "gamma", "delta", "epsilon", "alpha gamma", "alpha delta", "beta epsilon", "n0", "item", "misc alpha"},
+			add:     `<n0><leaf>epsilon</leaf></n0>`,
+			remove:  1,
 		},
 		{
 			name:    "empty elements",
