@@ -448,9 +448,10 @@ func (co *Coordinator) RemoveEntity(id dewey.ID) error {
 
 // Compact re-bases the cluster: every leg (and the coordinator)
 // re-plans and rebuilds from the live tree, renumbering exactly when
-// a removal is pending — the rule update.Doc.CompactRoot applies in
-// process too, so the compacted corpora stay bit-identical. With
-// nothing pending it is a no-op.
+// a removal is pending — the rule update.Doc.Compact applies in
+// process too, so the compacted corpora stay bit-identical. The schema
+// carries over from the live document. With nothing pending it is a
+// no-op.
 func (co *Coordinator) Compact() error {
 	co.writeMu.Lock()
 	defer co.writeMu.Unlock()
@@ -463,12 +464,12 @@ func (co *Coordinator) Compact() error {
 	}
 	op := &CompactOp{Epoch: s.epoch, Renumber: s.doc.HasRemove()}
 
-	root := s.doc.CompactRoot()
-	schema := xseek.InferSchemaParallel(root, 0)
-	part := shard.Plan(root, schema, co.shards)
+	doc := s.doc.Compact()
+	root := doc.Root()
+	part := shard.Plan(root, doc.Schema(), co.shards)
 	ns := &coordState{
 		epoch:      s.epoch + 1,
-		doc:        s.doc.Rebase(root, schema),
+		doc:        doc,
 		part:       part,
 		own:        part.Ownership(),
 		spineIdx:   index.BuildNodes(root, part.Spine),

@@ -278,10 +278,11 @@ func TestCoordinatorEquivalence(t *testing.T) {
 // compactions through the coordinator and an in-process live engine
 // over the same corpus, checking bit-identity and the schema after
 // every step — including the epoch bumps, ordinal holes after
-// removals, and the renumbering compaction. Removals pick any live
-// top-level entity, base or live-added; one the coordinator refuses as
-// spine-rooted must leave its epoch where it was, and the reference
-// skips it.
+// removals, and the renumbering compaction; after each compaction the
+// coordinator's schema must also equal a cold inference over its tree.
+// Removals pick any live top-level entity, base or live-added; one the
+// coordinator refuses as spine-rooted must leave its epoch where it
+// was, and the reference skips it.
 func TestCoordinatorLiveEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	vocab := []string{"alpha", "beta", "gamma", "delta", "epsilon", "zeta"}
@@ -336,6 +337,9 @@ func TestCoordinatorLiveEquivalence(t *testing.T) {
 						t.Fatalf("%s: dist compact: %v", ctx(step, "compact"), err)
 					}
 					op = "compact"
+					// Compaction carries the live schema over on both
+					// sides; hold it to a cold inference.
+					checkSchema(t, xseek.InferSchema(cl.co.Root()), cl.co.Schema(), ctx(step, op))
 				}
 				if got, want := cl.co.Epoch(), ref.Epoch(); got != want {
 					t.Fatalf("%s: epoch %d vs %d", ctx(step, op), got, want)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -409,15 +410,13 @@ func applyWrite(s *legState, op *WriteOp, shardID int) (*legState, error) {
 			return nil, err
 		}
 		ns.doc = doc
-		if owner := s.own.Owner(victim.ID); owner == shardID {
-			segs := make([]*xmltree.Node, 0, len(s.segs))
-			for _, sg := range s.segs {
-				if sg != victim {
-					segs = append(segs, sg)
-				}
-			}
-			ns.segs = segs
-			ns.idx = index.BuildForestShared(doc.Root(), segs, s.syms)
+		// The group that indexed the victim rebuilds without it. Its
+		// segments say so even where the planned ownership cannot: a
+		// partition planned with no segments has an empty last group,
+		// which owns no ordinal yet indexes every later add.
+		if i := slices.Index(s.segs, victim); i >= 0 {
+			ns.segs = append(s.segs[:i:i], s.segs[i+1:]...)
+			ns.idx = index.BuildForestShared(doc.Root(), ns.segs, s.syms)
 		}
 		return ns, nil
 	}
@@ -462,8 +461,7 @@ func (sv *Server) handleCompact(w http.ResponseWriter, r *http.Request, c *corpu
 			http.StatusUnprocessableEntity)
 		return
 	}
-	root := s.doc.CompactRoot()
-	ns := bootstrapState(s.doc.Rebase(root, xseek.InferSchemaParallel(root, 0)), sv.shardID, sv.shards)
+	ns := bootstrapState(s.doc.Compact(), sv.shardID, sv.shards)
 	ns.epoch = s.epoch + 1
 	ns.ranking = s.ranking
 	ns.finish()

@@ -16,10 +16,9 @@
 //	                          │        └→ feature (cached) → core (pooled) → table
 //
 // Every in-process engine is live from construction: its executor is
-// the update layer over one index. (FromSharded lays a base out as a
-// shard partition's indexes, read as one posting view until the first
-// compaction; only the distributed benchmarks and tests use it.) The
-// executor never changes after construction and is invisible above
+// the update layer over one index, whichever constructor built it
+// (FromSharded too, which serves a shard engine's corpus as one index
+// for the benchmark's dist-tax baseline). The executor never changes after construction and is invisible above
 // this layer: the coordinator produces identical results, so the
 // caches, the facade, and the servers never branch on it. Every cache
 // entry is tagged with the executor's epoch and self-invalidates

@@ -237,14 +237,12 @@ func FromXseek(x *xseek.Engine, cfg Config) *Engine {
 	return newServing(update.Wrap(x), cfg)
 }
 
-// FromSharded serves a sharded engine's spine and shard indexes as the
-// multi-part base of a live engine, read as one posting view until the
-// first compaction folds it into one index. Nothing in serving builds
-// one: it is the in-process reference a distributed cluster is
-// measured against.
+// FromSharded serves a sharded engine's corpus as one index, like
+// NewWithConfig over the same tree. It exists only for the benchmark's
+// in-process baseline of the distributed tax (bench/trace_cluster.go)
+// until ROADMAP item 23a retires that call.
 func FromSharded(s *shard.Engine, cfg Config) *Engine {
-	parts := append([]*index.Index{s.SpineIndex()}, s.ShardIndexes()...)
-	return newServing(update.WrapParts(s.Root(), s.Schema(), parts), cfg)
+	return NewWithConfig(s.Root(), cfg)
 }
 
 // MarkCorpusEmbedded records that the engine's corpus was read out of
@@ -277,9 +275,8 @@ func (e *Engine) Root() *xmltree.Node { return e.exec.Root() }
 func (e *Engine) Schema() *xseek.Schema { return e.exec.Schema() }
 
 // Index returns the live layer's current base index, or nil for a
-// base still held as parts (FromSharded; see IndexStats for the
-// aggregate view) and for a coordinator. Pending delta postings live
-// beside it until compaction folds them in.
+// coordinator (see IndexStats for the aggregate view). Pending delta
+// postings live beside it until compaction folds them in.
 func (e *Engine) Index() *index.Index {
 	x := e.Xseek()
 	if x == nil {
@@ -289,10 +286,9 @@ func (e *Engine) Index() *index.Index {
 }
 
 // Xseek returns the live layer's current monolithic base, or nil for a
-// base still held as parts and for a coordinator. Compaction replaces
-// the base, so do not retain the result. Callers that only need corpus
-// statistics should use TotalNodes/DocFreq, which work for every
-// executor.
+// coordinator. Compaction replaces the base, so do not retain the
+// result. Callers that only need corpus statistics should use
+// TotalNodes/DocFreq, which work for every executor.
 func (e *Engine) Xseek() *xseek.Engine {
 	if live := e.Live(); live != nil {
 		return live.BaseXseek()
@@ -439,10 +435,8 @@ func (e *Engine) Metrics() Metrics {
 	}
 	if live := e.Live(); live != nil {
 		m.PendingDelta, m.PendingTombstones = live.Pending()
-		if x := live.BaseXseek(); x != nil {
-			ms := x.Index().MemStats()
-			m.IndexBytes, m.ResidentBlocks = ms.DataBytes, ms.ResidentBlocks
-		}
+		ms := live.BaseXseek().Index().MemStats()
+		m.IndexBytes, m.ResidentBlocks = ms.DataBytes, ms.ResidentBlocks
 	}
 	if d := e.Dist(); d != nil {
 		m.Shards = d.LegCount()

@@ -154,8 +154,7 @@ func (c *listBoundCursor) BlocksLeft() int { return len(c.lb.suffix) - c.cur }
 type maxBoundCursor struct{ parts []BoundCursor }
 
 // MaxBoundCursor composes part cursors by max. Use only when every
-// result subtree's postings are known to live in exactly one part;
-// otherwise compose with SumBoundCursor.
+// result subtree's postings are known to live in exactly one part.
 func MaxBoundCursor(parts ...BoundCursor) BoundCursor {
 	if len(parts) == 1 {
 		return parts[0]
@@ -174,38 +173,6 @@ func (c *maxBoundCursor) MaxTFFrom(id dewey.ID) int {
 }
 
 func (c *maxBoundCursor) BlocksLeft() int {
-	n := 0
-	for _, p := range c.parts {
-		n += p.BlocksLeft()
-	}
-	return n
-}
-
-// sumBoundCursor bounds an arbitrary partition of one corpus's
-// postings: tf is additive over disjoint parts, so the sum of the
-// parts' bounds is always admissible (if loose). A live base held as
-// a partition's parts needs it — a spine wrapper node's subtree can
-// span the spine part and several shard parts.
-type sumBoundCursor struct{ parts []BoundCursor }
-
-// SumBoundCursor composes part cursors by sum — the always-valid
-// composition for parts that partition one logical posting list.
-func SumBoundCursor(parts ...BoundCursor) BoundCursor {
-	if len(parts) == 1 {
-		return parts[0]
-	}
-	return &sumBoundCursor{parts: parts}
-}
-
-func (c *sumBoundCursor) MaxTFFrom(id dewey.ID) int {
-	ub := 0
-	for _, p := range c.parts {
-		ub += p.MaxTFFrom(id)
-	}
-	return ub
-}
-
-func (c *sumBoundCursor) BlocksLeft() int {
 	n := 0
 	for _, p := range c.parts {
 		n += p.BlocksLeft()

@@ -121,14 +121,10 @@ func TestBoundCursorMonotone(t *testing.T) {
 		t.Fatalf("exhausted BlocksLeft = %d, want 0", got)
 	}
 
-	// Composition: max picks the larger side, sum adds.
+	// Composition: max picks the larger side.
 	a, b := BoundsOf(list).Cursor(), BoundsOf(list[:4]).Cursor()
 	if got := MaxBoundCursor(a, b).MaxTFFrom(dewey.ID{0}); got != 3 {
 		t.Fatalf("max composition = %d, want 3", got)
-	}
-	a, b = BoundsOf(list).Cursor(), BoundsOf(list[:4]).Cursor()
-	if got := SumBoundCursor(a, b).MaxTFFrom(dewey.ID{0}); got != 6 {
-		t.Fatalf("sum composition = %d, want 6", got)
 	}
 }
 

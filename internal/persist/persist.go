@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/xmltree"
-	"repro/internal/xseek"
 )
 
 // LiveFormatVersion identifies the retired journaled layout (live.go):
@@ -94,10 +93,8 @@ func fingerprint(root *xmltree.Node) (count int, hash uint64) {
 // stores only its derived state. Any other engine stores its base as
 // of the last compaction — the tree itself in the 'X' section, plus
 // its index and schema — and the journal of writes pending over that
-// base ('J'). A base still held as parts (engine.FromSharded) is
-// indexed once and stored as one index. A distributed engine has no
-// local state to store: its shard legs persist through group snapshots
-// (EncodeGroup).
+// base ('J'). A distributed engine has no local state to store: its
+// shard legs persist through group snapshots (EncodeGroup).
 func Save(w io.Writer, eng *engine.Engine, meta Meta) error {
 	live := eng.Live()
 	if live == nil {
@@ -106,9 +103,6 @@ func Save(w io.Writer, eng *engine.Engine, meta Meta) error {
 	// The parts are read before the epoch: epochs only grow, so an
 	// epoch of 0 read afterwards proves the parts predate every write.
 	baseRoot, x, journal := live.SnapshotParts()
-	if x == nil {
-		x = xseek.NewParallel(baseRoot)
-	}
 	if live.Epoch() == 0 && !eng.CorpusEmbedded() {
 		return saveV4(w, baseRoot, x, nil, nil, meta)
 	}

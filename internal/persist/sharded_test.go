@@ -187,9 +187,10 @@ func TestV4LegacyShardSectionsNeverDecoded(t *testing.T) {
 	checkLegacyLoad(t, fx.file, fx.reference(t), loaded, fx.queries()...)
 }
 
-// TestV4SaveOfShardedBaseLoadsOneIndex: a base held as shard parts
-// (engine.FromSharded) that was never compacted saves as one index,
-// and the reload answers like an engine built over the tree directly.
+// TestV4SaveOfShardedBaseLoadsOneIndex: an engine served through
+// engine.FromSharded holds one index from construction, so Save stores
+// that index as is, and the reload answers like an engine built over
+// the tree directly.
 func TestV4SaveOfShardedBaseLoadsOneIndex(t *testing.T) {
 	root := testRoot()
 	snap := v4SnapshotOf(t, engine.FromSharded(shard.Build(root, 3), engine.Config{}), Meta{CorpusName: "reviews", Seed: 11})

@@ -29,8 +29,9 @@ func v4SnapshotOf(t testing.TB, eng *engine.Engine, meta Meta) []byte {
 	return snap
 }
 
-// newSharded serves root over a K-shard partition's indexes
-// (engine.FromSharded) for K > 1, and over one index otherwise.
+// newSharded serves root through engine.FromSharded over a K-shard
+// engine for K > 1, and through engine.NewWithConfig otherwise: one
+// index either way.
 func newSharded(root *xmltree.Node, k int, cfg engine.Config) *engine.Engine {
 	if k > 1 {
 		return engine.FromSharded(shard.Build(root, k), cfg)
@@ -91,10 +92,9 @@ var v4Queries = []string{"tomtom gps", "garmin", "canon camera", "easy camera", 
 
 // TestV4RoundTripEquivalence: an engine loaded from a v4 snapshot must
 // be bit-identical to the fresh-built one — same ranked labels, same
-// scores, same paging envelopes — for a monolithic base and for bases
-// held as K shard parts (saved as one index), serving postings lazily
-// out of the snapshot bytes or with every list decoded into the heap
-// first (eager).
+// scores, same paging envelopes — whichever constructor built it,
+// serving postings lazily out of the snapshot bytes or with every list
+// decoded into the heap first (eager).
 func TestV4RoundTripEquivalence(t *testing.T) {
 	for _, shards := range []int{1, 2, 8} {
 		for _, eager := range []bool{false, true} {
@@ -131,8 +131,7 @@ func TestV4RoundTripEquivalence(t *testing.T) {
 // TestV4Deterministic: the compact payloads — the symbol table and the
 // postings section — are byte-identical across saves of one engine
 // (the table is interned in sorted vocabulary order, so IDs and the
-// delta streams keyed by them cannot drift with map iteration order),
-// also for a base held as shard parts, which each save indexes afresh.
+// delta streams keyed by them cannot drift with map iteration order).
 // The gob-encoded schema section is exempt: gob serializes maps in
 // iteration order.
 func TestV4Deterministic(t *testing.T) {
@@ -244,8 +243,8 @@ func TestV4LiveCompactedSelfContained(t *testing.T) {
 // TestV4NeverWrittenSavesNoCorpus: every in-process engine has a live
 // layer from construction, but one that was never written serves a
 // regenerable corpus, so its snapshot stores only derived state — no
-// 'X' (base tree) and no 'J' (journal) — over one index and over shard
-// parts alike.
+// 'X' (base tree) and no 'J' (journal) — whichever constructor built
+// it.
 func TestV4NeverWrittenSavesNoCorpus(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {

@@ -58,20 +58,6 @@ func Build(root *xmltree.Node, k int) *Engine {
 	return e
 }
 
-// SpineIndex returns the index over the spine nodes (document root and
-// wrapper elements above the topmost entities). Together with
-// ShardIndexes it holds every posting of the corpus, in disjoint parts.
-func (e *Engine) SpineIndex() *index.Index { return e.spine.Index() }
-
-// ShardIndexes returns every shard's inverted index in group order.
-func (e *Engine) ShardIndexes() []*index.Index {
-	out := make([]*index.Index, len(e.shards))
-	for g, sh := range e.shards {
-		out[g] = sh.Index()
-	}
-	return out
-}
-
 // aggregateDF sums document frequencies over every shard index plus
 // the spine index. Shard node sets are disjoint, so the sums equal the
 // monolithic index's frequencies exactly.

@@ -68,8 +68,8 @@ func TestPlanClamping(t *testing.T) {
 	if len(p.Groups) != 1 || p.Groups[0] != [2]int{0, 0} {
 		t.Fatalf("leaf doc: groups = %v, want one empty group", p.Groups)
 	}
-	if e := Build(leaf, 4); len(e.ShardIndexes()) != 1 {
-		t.Fatalf("leaf doc builds %d shards, want 1", len(e.ShardIndexes()))
+	if e := Build(leaf, 4); e.LegCount() != 1 {
+		t.Fatalf("leaf doc builds %d shards, want 1", e.LegCount())
 	}
 }
 
@@ -117,8 +117,8 @@ func TestCrossShardRootSLCA(t *testing.T) {
 	root := xmltree.MustParseString(doc)
 	mono := xseek.New(root)
 	sharded := Build(root, 2)
-	if len(sharded.ShardIndexes()) != 2 {
-		t.Fatalf("want 2 shards, got %d", len(sharded.ShardIndexes()))
+	if sharded.LegCount() != 2 {
+		t.Fatalf("want 2 shards, got %d", sharded.LegCount())
 	}
 
 	want, _ := mono.Search("alpha beta")

@@ -35,8 +35,8 @@ func referenceSearch(t testing.TB, root *xmltree.Node, idx *index.Index, schema 
 func TestRootSLCATwoShards(t *testing.T) {
 	root := xmltree.MustParseString(`<r>catalogtitle <p><name>a</name><v>alpha beta</v></p><p><name>b</name><v>beta gamma</v></p></r>`)
 	sharded := Build(root, 2)
-	if len(sharded.ShardIndexes()) != 2 {
-		t.Fatalf("want 2 shards, got %d", len(sharded.ShardIndexes()))
+	if sharded.LegCount() != 2 {
+		t.Fatalf("want 2 shards, got %d", sharded.LegCount())
 	}
 	mono := xseek.New(root)
 	for _, q := range []string{"catalogtitle", "r", "r beta"} {

@@ -7,16 +7,15 @@
 // The design separates a mutable write side from an immutable read
 // side, LSM-style:
 //
-//   - The base is a finished index — one xseek.Engine, or disjoint
-//     part indexes (a partition's spine and shards, WrapParts) read
-//     as one — and is never modified in place.
+//   - The base is a finished index, one xseek.Engine, and is never
+//     modified in place.
 //   - Added entities are appended after the corpus's last top-level
 //     child (fresh Dewey ordinals, so every existing posting stays
 //     valid) and indexed into a small delta index.
 //   - Removed entities go into a tombstone set of top-level Dewey IDs.
 //   - Every read runs against the composition base ⊕ delta − tombstones
-//     at the posting level: per query term, the base lists (one per
-//     base part) are merged with the delta list and filtered through
+//     at the posting level: per query term, the base list is merged
+//     with the delta list and filtered through
 //     the tombstones before SLCA computation, so deletions can both
 //     remove results and surface the new, shallower SLCAs the
 //     monolithic semantics demand.
@@ -27,8 +26,9 @@
 //     one pipeline the monolithic engine also runs over it.
 //   - Compaction folds the pending writes back into a clean one-index
 //     base — cheaply merging delta posting lists when only adds are
-//     pending over one index, or rebuilding from the pruned,
-//     renumbered tree otherwise.
+//     pending, or rebuilding the index from the pruned, renumbered
+//     tree otherwise. Either way the base keeps the schema the
+//     document already holds; nothing re-infers it.
 //
 // All reads are lock-free: the entire mutable surface lives in one
 // immutable state value behind an atomic pointer, and every mutation
@@ -48,10 +48,10 @@
 // ordinal, the schema and the journal. An add folds the new child's
 // evidence into the schema (xseek.WithChildEvidence); a removal
 // recomposes it from cached per-child evidence (xseek.ComposeSchema)
-// instead of re-walking the corpus; a compaction with a removal
-// pending renumbers the tree (Doc.CompactRoot). The Engine embeds a
-// Doc in each state under its index side (base, delta, tombstones,
-// frequencies). The distributed coordinator and every shard leg
-// (package dist) apply their writes through the same Doc, so every
-// process agrees on the tree, the ordinals and the schema.
+// instead of re-walking the corpus; a compaction (Doc.Compact) keeps
+// that schema and, with a removal pending, renumbers the tree. The
+// Engine embeds a Doc in each state under its index side (base, delta,
+// tombstones, frequencies). The distributed coordinator and every
+// shard leg (package dist) apply their writes through the same Doc, so
+// every process agrees on the tree, the ordinals and the schema.
 package update

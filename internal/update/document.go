@@ -183,26 +183,19 @@ func (d *Doc) childEvidence(c *xmltree.Node) *xseek.Evidence {
 	return ev
 }
 
-// CompactRoot returns the tree a compaction re-bases onto: the live
-// tree itself when only adds are pending, or a fresh, compactly
-// renumbered deep copy of it when a removal left ordinal holes. The old
-// tree stays untouched for in-flight readers.
-func (d *Doc) CompactRoot() *xmltree.Node {
+// Compact returns the clean document a compaction installs: over the
+// live tree itself when only adds are pending, or over a fresh,
+// compactly renumbered deep copy of it when a removal left ordinal
+// holes. The old tree stays untouched for in-flight readers. The schema
+// carries over as is: it is a summary of tag paths, which renumbering
+// leaves alone. So does the evidence cache, unless the tree was
+// renumbered: cached evidence keyed by the old nodes no longer
+// describes a renumbered tree.
+func (d *Doc) Compact() Doc {
 	if !d.HasRemove() {
-		return d.root
+		return newDoc(d.root, d.schema, d.evidence)
 	}
-	return rebuildTree(d.root)
-}
-
-// Rebase returns the clean document a compaction installs over root
-// (CompactRoot's result) and its schema. The evidence cache carries
-// over unless root was renumbered: cached evidence keyed by the old
-// nodes no longer describes a renumbered tree.
-func (d *Doc) Rebase(root *xmltree.Node, schema *xseek.Schema) Doc {
-	if root == d.root {
-		return newDoc(root, schema, d.evidence)
-	}
-	return NewDoc(root, schema)
+	return NewDoc(rebuildTree(d.root), d.schema)
 }
 
 // rootWith returns a copy-on-write clone of root whose children are

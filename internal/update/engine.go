@@ -56,12 +56,8 @@ type state struct {
 	epoch uint64
 
 	// baseX is the immutable one-index base the pending writes are
-	// layered over; nil for a base held as several parts (WrapParts).
+	// layered over.
 	baseX *xseek.Engine
-	// parts are the base's indexes — baseX's one index, or the parts
-	// WrapParts was given. Their lists are document-ordered and
-	// pairwise disjoint per term.
-	parts []*index.Index
 
 	// Doc is the document side: the live tree over the base tree, the
 	// top-level ordinals, the schema and the journal.
@@ -83,45 +79,27 @@ func Wrap(x *xseek.Engine) *Engine {
 	return wrap(baseState(x, NewDoc(x.Root(), x.Schema()), 0))
 }
 
-// WrapParts makes a base held as several indexes updatable: parts must
-// index pairwise disjoint node sets of root whose union is the whole
-// tree, as a partition's spine and shard indexes do, and should share
-// one symbol table. Reads run over the parts as one posting view, with
-// document frequencies and the element count summed across them; the
-// first compaction folds the base into one index.
-func WrapParts(root *xmltree.Node, schema *xseek.Schema, parts []*index.Index) *Engine {
-	return wrap(partsState(NewDoc(root, schema), parts, root.CountNodes()))
-}
-
 func wrap(s *state) *Engine {
 	e := &Engine{}
 	e.cur.Store(s)
 	return e
 }
 
-// baseSymbols returns the symbol table delta indexes should intern
-// into: the base's, so merged lists stay ID-aligned.
-func (s *state) baseSymbols() *index.SymbolTable { return s.parts[0].Symbols() }
-
 // baseState builds the clean state over a one-index base, fresh or
-// just compacted, and its clean document.
+// just compacted, and its clean document: no delta, no tombstones,
+// statistics read off the base index.
 func baseState(x *xseek.Engine, doc Doc, epoch uint64) *state {
-	s := partsState(doc, []*index.Index{x.Index()}, x.TotalNodes())
-	s.epoch, s.baseX = epoch, x
-	return s
-}
-
-// partsState builds a clean state over base parts: no delta, no
-// tombstones, statistics summed off the parts.
-func partsState(doc Doc, parts []*index.Index, totalNodes int) *state {
-	s := &state{Doc: doc, parts: parts, totalNodes: totalNodes}
+	idx := x.Index()
 	df := make(map[string]int)
-	for _, p := range parts {
-		p.EachTerm(func(t string, n int) { df[t] += n })
-		s.elements += p.Stats().IndexedElements
+	idx.EachTerm(func(t string, n int) { df[t] = n })
+	return &state{
+		epoch:      epoch,
+		baseX:      x,
+		Doc:        doc,
+		df:         newFreqs(df),
+		totalNodes: x.TotalNodes(),
+		elements:   idx.Stats().IndexedElements,
 	}
-	s.df = newFreqs(df)
-	return s
 }
 
 // view returns the current immutable state.
@@ -132,9 +110,8 @@ func (e *Engine) view() *state { return e.cur.Load() }
 // tags cache entries with it.
 func (e *Engine) Epoch() uint64 { return e.view().epoch }
 
-// BaseXseek returns the current one-index base, or nil for a base
-// still held as parts. Compaction replaces the base, so do not retain
-// the result.
+// BaseXseek returns the current one-index base. Compaction replaces
+// the base, so do not retain the result.
 func (e *Engine) BaseXseek() *xseek.Engine { return e.view().baseX }
 
 // Pending reports the delta and tombstone backlog awaiting compaction.
@@ -154,8 +131,8 @@ func (e *Engine) Updates() int64 { return e.updates.Load() }
 func (e *Engine) Compactions() int64 { return e.compactions.Load() }
 
 // SnapshotParts returns one consistent view of the persistence
-// surface: the base tree, its one-index base (nil for a base still
-// held as parts), and the journal of pending writes layered over it.
+// surface: the base tree, its one-index base, and the journal of
+// pending writes layered over it.
 func (e *Engine) SnapshotParts() (baseRoot *xmltree.Node, x *xseek.Engine, journal []JournalOp) {
 	s := e.view()
 	journal = make([]JournalOp, len(s.journal))
@@ -185,8 +162,8 @@ func (e *Engine) AddEntity(n *xmltree.Node) (dewey.ID, error) {
 	}
 
 	ns := &state{
-		epoch: s.epoch + 1,
-		baseX: s.baseX, parts: s.parts,
+		epoch:      s.epoch + 1,
+		baseX:      s.baseX,
 		Doc:        doc,
 		tombstones: s.tombstones,
 		totalNodes: s.totalNodes + n.CountNodes(),
@@ -200,7 +177,7 @@ func (e *Engine) AddEntity(n *xmltree.Node) (dewey.ID, error) {
 	// The delta interns into the base's symbol table so base and delta
 	// lists agree on symbol IDs — Merge's ID-direct fast path, and one
 	// shared symbol section if this state gets snapshotted as v4.
-	ent := index.BuildForestShared(ns.root, []*xmltree.Node{n}, s.baseSymbols())
+	ent := index.BuildForestShared(ns.root, []*xmltree.Node{n}, s.baseX.Index().Symbols())
 	if s.delta != nil {
 		ns.delta = index.Merge(ns.root, s.delta, ent)
 	} else {
@@ -231,8 +208,8 @@ func (e *Engine) RemoveEntity(id dewey.ID) error {
 	}
 
 	ns := &state{
-		epoch: s.epoch + 1,
-		baseX: s.baseX, parts: s.parts,
+		epoch:      s.epoch + 1,
+		baseX:      s.baseX,
 		Doc:        doc,
 		deltaRoots: s.deltaRoots,
 		delta:      s.delta,
@@ -250,12 +227,12 @@ func (e *Engine) RemoveEntity(id dewey.ID) error {
 
 // Compact folds the pending delta and tombstones back into a clean
 // base under an epoch swap; in-flight readers keep their state and are
-// never blocked. With only adds pending over one index, the delta
-// posting lists are appended onto it; otherwise (tombstones pending,
-// or a base held as parts) the live tree — renumbered when a removal
-// left holes — is rebuilt into one index: the amortized cost that
-// keeps every earlier per-op write cheap. Compacting with nothing
-// pending is a no-op.
+// never blocked. With only adds pending, the delta posting lists are
+// appended onto the base index; with a removal pending, the renumbered
+// live tree is rebuilt into one index: the amortized cost that keeps
+// every earlier per-op write cheap. Either way the new base keeps the
+// schema the document already holds. Compacting with nothing pending
+// is a no-op.
 func (e *Engine) Compact() error {
 	e.writeMu.Lock()
 	defer e.writeMu.Unlock()
@@ -264,21 +241,22 @@ func (e *Engine) Compact() error {
 		return nil
 	}
 
-	root := s.CompactRoot()
+	doc := s.Doc.Compact()
+	root := doc.Root()
 	var x *xseek.Engine
-	if root == s.root && s.baseX != nil {
+	if root == s.root {
 		merged := index.Merge(root, s.baseX.Index(), s.delta)
 		idf := make(map[string]float64, s.df.terms)
 		s.df.each(func(t string, n int) {
 			idf[t] = xseek.IDF(s.totalNodes, n)
 		})
-		x = xseek.FromPartsRanked(root, merged, xseek.InferSchemaParallel(root, 0), s.totalNodes, idf)
+		x = xseek.FromPartsRanked(root, merged, doc.Schema(), s.totalNodes, idf)
 	} else {
-		x = xseek.NewParallel(root)
+		x = xseek.FromParts(root, index.BuildParallel(root, 0), doc.Schema())
 	}
 
 	e.compactions.Add(1)
-	e.cur.Store(baseState(x, s.Rebase(root, x.Schema()), s.epoch+1))
+	e.cur.Store(baseState(x, doc, s.epoch+1))
 	return nil
 }
 

@@ -16,8 +16,7 @@ import (
 // be bit-identical (scores, labels, total) to the same window of
 // RankResults over those results.
 // Called from assertEquivalent, so it runs under every interleaving of
-// adds, removes, and compactions the equivalence suite generates, for
-// monolithic and sharded bases alike.
+// adds, removes, and compactions the equivalence suite generates.
 func assertStreamEquivalent(t *testing.T, step string, live *Engine) {
 	t.Helper()
 	for _, q := range equivQueries {

@@ -14,16 +14,15 @@ import (
 // are immutable, so a read — a stream included — stays consistent
 // across concurrent writes: it keeps reading the epoch it started on.
 //
-// A state with no pending writes over a monolithic base is exactly the
-// base's corpus, so it reads the base engine's own index instead: the
-// same pipeline over the skip ladders, precomputed IDFs and
-// materialised lists of the base, with none of the per-term composite
-// cursors a written state needs. An engine therefore reads the same
+// A state with no pending writes is exactly the base's corpus, so it
+// reads the base engine's own index instead: the same pipeline over the
+// skip ladders, precomputed IDFs and materialised lists of the base,
+// with none of the per-term composite cursors a written state needs. An engine therefore reads the same
 // way from construction until its first write, and again after each
 // compaction.
 
-// cleanBase returns the monolithic base when nothing is pending over
-// it, else nil.
+// cleanBase returns the base when nothing is pending over it, else
+// nil.
 func (s *state) cleanBase() *xseek.Engine {
 	if len(s.journal) == 0 {
 		return s.baseX
@@ -102,19 +101,15 @@ func (s *state) IDF(term string) float64 {
 	return 0
 }
 
-// List materializes the live composite posting list for one term:
-// base lists (one per base part) merged with
-// the delta list, minus every posting under a tombstone. Scoring reads
-// it; the SLCA stage reads Iter instead.
+// List materializes the live composite posting list for one term: the
+// base list merged with the delta list, minus every posting under a
+// tombstone. Scoring reads it; the SLCA stage reads Iter instead.
 func (s *state) List(term string) index.PostingList {
-	lists := make([]index.PostingList, 0, len(s.parts)+1)
-	for _, ix := range s.parts {
-		lists = append(lists, s.without(ix.Lookup(term)))
+	base := s.without(s.baseX.Index().Lookup(term))
+	if s.delta == nil {
+		return base
 	}
-	if s.delta != nil {
-		lists = append(lists, s.without(s.delta.Lookup(term)))
-	}
-	return index.MergeLists(lists...)
+	return index.MergeLists(base, s.without(s.delta.Lookup(term)))
 }
 
 // without drops the postings under tombstones.
@@ -125,21 +120,19 @@ func (s *state) without(l index.PostingList) index.PostingList {
 	return index.Without(l, s.tombstones)
 }
 
-// Iter returns the lazy composite iterator for one term: the base
-// parts and the delta list merged on the fly, tombstoned subtrees
-// skipped during iteration — List's sequence without allocating it.
-// Filtering must happen before the SLCA stage: removing a subtree's
-// witnesses can surface new, shallower SLCAs, not just hide old ones.
+// Iter returns the lazy composite iterator for one term: the base and
+// delta lists merged on the fly, tombstoned subtrees skipped during
+// iteration — List's sequence without allocating it. Filtering must
+// happen before the SLCA stage: removing a subtree's witnesses can
+// surface new, shallower SLCAs, not just hide old ones.
 func (s *state) Iter(term string, gallop bool) index.Iter {
 	mk := index.ListIterLinear
 	if gallop {
 		mk = index.ListIter
 	}
-	iters := make([]index.Iter, 0, len(s.parts)+1)
-	for _, ix := range s.parts {
-		if l := ix.Lookup(term); len(l) > 0 {
-			iters = append(iters, mk(l))
-		}
+	iters := make([]index.Iter, 0, 2)
+	if l := s.baseX.Index().Lookup(term); len(l) > 0 {
+		iters = append(iters, mk(l))
 	}
 	if s.delta != nil {
 		if l := s.delta.Lookup(term); len(l) > 0 {
@@ -156,42 +149,21 @@ func (s *state) Iter(term string, gallop bool) index.Iter {
 	return it
 }
 
-// Bound composes the term's block-max bound over the live corpus in two
-// steps, each matching where a result subtree's postings can live:
-//
-//   - Base parts sum. A monolithic base is one part; a base held as
-//     parts splits one logical list into spine + per-shard parts, and
-//     a spine wrapper node's subtree can span several of them, so only
-//     the always-admissible sum composition is safe there (tf is
-//     additive over disjoint parts).
-//   - Base ⊕ delta takes the max. Added entities receive fresh
-//     top-level ordinals the base never used, so any non-root node's
-//     postings live entirely on one side — the delta for added
-//     subtrees, the base for original ones — and the max of the two
-//     sides bounds both.
-//
+// Bound composes the term's block-max bound over the live corpus as
+// the max of the base's and the delta's. Added entities receive fresh
+// top-level ordinals the base never used, so any non-root node's
+// postings live entirely on one side — the delta for added subtrees,
+// the base for original ones — and the max of the two sides bounds
+// both; a term the delta lacks reads the base cursor alone.
 // Tombstones only remove postings; ignoring them keeps every bound
 // admissible and never raises one.
 func (s *state) Bound(term string) index.BoundCursor {
-	base := make([]index.BoundCursor, 0, len(s.parts))
-	for _, ix := range s.parts {
-		if lb := ix.TermBounds(term); lb.Blocks() > 0 {
-			base = append(base, lb.Cursor())
-		}
+	base := s.baseX.Index().TermBounds(term).Cursor()
+	if s.delta == nil {
+		return base
 	}
-	sides := make([]index.BoundCursor, 0, 2)
-	if len(base) > 0 {
-		sides = append(sides, index.SumBoundCursor(base...))
+	if lb := s.delta.TermBounds(term); lb.Blocks() > 0 {
+		return index.MaxBoundCursor(base, lb.Cursor())
 	}
-	if s.delta != nil {
-		if lb := s.delta.TermBounds(term); lb.Blocks() > 0 {
-			sides = append(sides, lb.Cursor())
-		}
-	}
-	if len(sides) == 0 {
-		// A term with weight yet no part holding postings cannot happen;
-		// guard anyway with a zero bound.
-		sides = append(sides, index.BoundsOf(nil).Cursor())
-	}
-	return index.MaxBoundCursor(sides...)
+	return base
 }

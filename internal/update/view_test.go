@@ -14,47 +14,41 @@ import (
 
 // TestLiveBoundsAdmissible checks the composed block-max bounds
 // directly, the way the index's own bounds test checks one list: after
-// random adds and removes on a monolithic base and on sharded bases at
-// K ∈ {2, 8}, the live view's bound cursor, queried at every live node
-// in document order, must dominate the term's true tf on the composite
-// list. Page equality catches a bad bound only when it changes a page;
-// the ranked consumer's pruning rests on this invariant everywhere.
-// The root is exempt by contract. The base corpus nests its products
-// in one <shelf> wrapper, so on a sharded base the spine holds a
-// non-root node whose subtree spans every base part; removals take
-// added entities (top-level entries past the banner and the shelf).
+// random adds and removes, the live view's bound cursor (base ⊕ delta,
+// composed by max), queried at every live node in document order, must
+// dominate the term's true tf on the composite list. Page equality
+// catches a bad bound only when it changes a page; the ranked
+// consumer's pruning rests on this invariant everywhere. The root is
+// exempt by contract. The base corpus nests its products in one
+// <shelf> wrapper, a non-root node whose subtree holds base postings
+// only; removals take added entities (top-level entries past the
+// banner and the shelf). K=1 names the base's one index.
 func TestLiveBoundsAdmissible(t *testing.T) {
 	terms := append([]string{"quality", "product", "review", "name", "title", "model3"}, equivVocab...)
-	for _, k := range []int{1, 2, 8} {
-		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(int64(40 + k)))
-			var b strings.Builder
-			b.WriteString("<catalog><banner><name>welcome</name></banner><shelf>")
-			for i := 0; i < 12; i++ {
-				b.WriteString(randomProduct(rng, i))
-			}
-			b.WriteString("</shelf></catalog>")
-			origin := xmltree.MustParseString(b.String())
-			live := Wrap(xseek.NewParallel(origin))
-			if k > 1 {
-				live = wrapShards(origin, k)
-			}
-			serial := 1000
-			for op := 0; op < 30; op++ {
-				if top := live.view().top; rng.Intn(3) > 0 || len(top) < 4 {
-					if _, err := live.AddEntity(xmltree.MustParseString(randomProduct(rng, serial))); err != nil {
-						t.Fatal(err)
-					}
-					serial++
-				} else if err := live.RemoveEntity(dewey.New(top[2+rng.Intn(len(top)-2)].ord)); err != nil {
+	t.Run("K=1", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(41))
+		var b strings.Builder
+		b.WriteString("<catalog><banner><name>welcome</name></banner><shelf>")
+		for i := 0; i < 12; i++ {
+			b.WriteString(randomProduct(rng, i))
+		}
+		b.WriteString("</shelf></catalog>")
+		live := Wrap(xseek.NewParallel(xmltree.MustParseString(b.String())))
+		serial := 1000
+		for op := 0; op < 30; op++ {
+			if top := live.view().top; rng.Intn(3) > 0 || len(top) < 4 {
+				if _, err := live.AddEntity(xmltree.MustParseString(randomProduct(rng, serial))); err != nil {
 					t.Fatal(err)
 				}
-				if op%5 == 4 {
-					checkBoundsAdmissible(t, fmt.Sprintf("op %d", op), live.view(), terms)
-				}
+				serial++
+			} else if err := live.RemoveEntity(dewey.New(top[2+rng.Intn(len(top)-2)].ord)); err != nil {
+				t.Fatal(err)
 			}
-		})
-	}
+			if op%5 == 4 {
+				checkBoundsAdmissible(t, fmt.Sprintf("op %d", op), live.view(), terms)
+			}
+		}
+	})
 }
 
 func checkBoundsAdmissible(t *testing.T, step string, s *state, terms []string) {
@@ -84,8 +78,7 @@ func checkBoundsAdmissible(t *testing.T, step string, s *state, terms []string) 
 // state with nothing pending over a monolithic base reads the base
 // engine's own index: from construction until the first write, and
 // again after each compaction. A written state reads the composite
-// view, so a write is visible at once, and a sharded base always reads
-// the composite view.
+// view, so a write is visible at once.
 func TestCleanStateReadsBase(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	origin := xmltree.MustParseString(corpusXML(rng, 10))
@@ -122,20 +115,4 @@ func TestCleanStateReadsBase(t *testing.T) {
 	}
 	found("remove", 0)
 
-	// A base held as parts reads through the composed view until its
-	// first compaction folds it into one index; from then on it reads
-	// that index like any monolithic base.
-	parts := wrapShards(origin, 2)
-	if parts.view().cleanBase() != nil || parts.BaseXseek() != nil {
-		t.Fatal("a multi-part base reads a monolithic index")
-	}
-	if _, err := parts.AddEntity(xmltree.MustParseString(randomProduct(rng, 101))); err != nil {
-		t.Fatal(err)
-	}
-	if err := parts.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if b := parts.view().cleanBase(); b == nil || b != parts.BaseXseek() || len(parts.view().parts) != 1 {
-		t.Fatal("a compacted multi-part base does not read one index")
-	}
 }

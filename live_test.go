@@ -59,7 +59,7 @@ func TestFacadeLiveEquivalence(t *testing.T) {
 	for _, k := range []int{1, 2, 8} {
 		k := k
 		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) {
-			doc := shardedDoc(xmltree.MustParseString(liveFacadeXML(9)), k, Options{})
+			doc := liveDoc(t, func() *xmltree.Node { return xmltree.MustParseString(liveFacadeXML(9)) }, k, 0)
 
 			// Mirror the logical corpus as XML fragments.
 			frags := make([]string, 0, 12)
@@ -108,7 +108,7 @@ func TestFacadeLiveEquivalence(t *testing.T) {
 			add(`<product><name>fresh11</name><kind>radio</kind></product>`)
 			remove(0)
 			check("after mixed batch")
-			if delta, tombs := doc.PendingUpdates(); delta == 0 && tombs == 0 {
+			if backlog(doc) == 0 {
 				t.Fatal("no pending backlog before compaction")
 			}
 			if err := doc.Compact(); err != nil {
@@ -119,8 +119,8 @@ func TestFacadeLiveEquivalence(t *testing.T) {
 				ids[i] = fmt.Sprint(i)
 			}
 			check("after compact")
-			if delta, tombs := doc.PendingUpdates(); delta != 0 || tombs != 0 {
-				t.Fatalf("backlog after compaction: %d/%d", delta, tombs)
+			if n := backlog(doc); n != 0 {
+				t.Fatalf("backlog of %d after compaction", n)
 			}
 			remove(len(ids) - 1)
 			check("after post-compaction remove")

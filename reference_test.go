@@ -55,37 +55,57 @@ func TestExecutorsMatchReferenceOnCorpus(t *testing.T) {
 		checkExecutor(t, fmt.Sprintf("shard K=%d", k), sh, sh.Search, queries, true)
 	}
 
-	const corpus = "movies"
-	endpoints := make([]string, 2)
+	co := dialLegs(t, fresh, 2)
+	checkExecutor(t, "dist K=2", co, drained(co.SearchStream), queries, true)
+}
+
+// legCorpus is the corpus name test legs serve.
+const legCorpus = "corpus"
+
+// startLegs serves the tree fresh builds from k shard servers on
+// httptest listeners, each bootstrapped as legCorpus, and returns their
+// URLs in shard order.
+func startLegs(t *testing.T, fresh func() *xmltree.Node, k int) []string {
+	t.Helper()
+	endpoints := make([]string, k)
 	for g := range endpoints {
-		sv, err := dist.NewServer(g, len(endpoints))
+		sv, err := dist.NewServer(g, k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sv.AddCorpus(corpus, fresh()); err != nil {
+		if err := sv.AddCorpus(legCorpus, fresh()); err != nil {
 			t.Fatal(err)
 		}
 		hs := httptest.NewServer(sv)
 		t.Cleanup(hs.Close)
 		endpoints[g] = hs.URL
 	}
-	co, err := dist.Dial(endpoints, corpus, fresh(), dist.Config{})
+	return endpoints
+}
+
+// dialLegs returns a coordinator over k fresh httptest legs.
+func dialLegs(t *testing.T, fresh func() *xmltree.Node, k int) *dist.Coordinator {
+	t.Helper()
+	co, err := dist.Dial(startLegs(t, fresh, k), legCorpus, fresh(), dist.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkExecutor(t, "dist K=2", co, drained(co.SearchStream), queries, true)
+	return co
 }
 
 // TestLiveExecutorsMatchReferenceOnAdversarialDocs holds the live
-// engine, over a monolithic and a two-shard base, to the reference on
-// the document classes the movie corpus lacks: a root with text of its
-// own, a term only on the spine (the root and the <sec> wrapper), a
-// duplicated query keyword, a term whose only posting sits in a removed
-// entity, multi-byte tokens, a document of one node, terms that occur
-// only in attribute values, empty elements, and a wrapper tag that a
-// write makes repeated, so the schema turns it into an entity. Each
-// base is checked cold, after an add and a remove, and again after a
-// compaction.
+// engine over one index, and a coordinator over two httptest legs, to
+// the reference on the document classes the movie corpus lacks: a root
+// with text of its own, a term only on the spine (the root and the
+// <sec> wrapper), a duplicated query keyword, a term whose only posting
+// sits in a removed entity, multi-byte tokens, a document of one node,
+// terms that occur only in attribute values, empty elements, a wrapper
+// tag that a write makes repeated, so the schema turns it into an
+// entity, and a spine-rooted top result (seed33Doc, whose top "gamma
+// alpha" result spans legs). Each executor is checked cold, after an
+// add and a remove, and again after a compaction. A removal the
+// coordinator refuses as spine-rooted is skipped there, and must leave
+// its epoch unchanged.
 func TestLiveExecutorsMatchReferenceOnAdversarialDocs(t *testing.T) {
 	docs := []struct {
 		name    string
@@ -146,32 +166,56 @@ func TestLiveExecutorsMatchReferenceOnAdversarialDocs(t *testing.T) {
 			add:     `<p><v/><e/></p>`,
 			remove:  0,
 		},
-	}
-	bases := map[string]func(*xmltree.Node) *update.Engine{
-		"mono": func(root *xmltree.Node) *update.Engine { return update.Wrap(xseek.New(root)) },
-		"shard2": func(root *xmltree.Node) *update.Engine {
-			sh := shard.Build(root, 2)
-			return update.WrapParts(root, sh.Schema(), append([]*index.Index{sh.SpineIndex()}, sh.ShardIndexes()...))
+		{
+			// The copy of internal/shard's seed33Doc: "gamma alpha" ranks
+			// 1.2.0 first, an entity whose subtree the partition splits
+			// across legs.
+			name:    "spine-rooted top result",
+			doc:     `<root>beta <n2><leaf>alpha gamma delta </leaf><n2><n0><leaf>beta beta gamma </leaf><leaf>beta </leaf></n0><n2><leaf>beta </leaf><leaf>alpha beta </leaf><leaf>gamma </leaf><leaf>gamma alpha beta </leaf></n2><n2><leaf>alpha </leaf><leaf>gamma delta </leaf><leaf>gamma </leaf></n2></n2><n0><n2><leaf>delta alpha alpha </leaf><leaf>delta alpha delta </leaf><leaf>gamma </leaf><leaf>beta beta beta </leaf></n2><n0><leaf>beta </leaf><leaf>gamma beta delta </leaf></n0></n0><leaf>gamma alpha </leaf></n2><leaf>gamma alpha </leaf></root>`,
+			queries: []string{"gamma alpha", "alpha gamma", "beta", "delta alpha", "n2 gamma", "leaf beta delta", "root beta"},
+			add:     `<leaf>gamma alpha alpha</leaf>`,
+			remove:  2, // the trailing top-level <leaf>
 		},
+	}
+	bases := map[string]func(fresh func() *xmltree.Node) liveExecutor{
+		"mono":        func(fresh func() *xmltree.Node) liveExecutor { return update.Wrap(xseek.New(fresh())) },
+		"coordinator": func(fresh func() *xmltree.Node) liveExecutor { return dialLegs(t, fresh, 2) },
 	}
 	for _, d := range docs {
 		for base, mk := range bases {
 			name := d.name + " " + base
-			live := mk(xmltree.MustParseString(d.doc))
+			live := mk(func() *xmltree.Node { return xmltree.MustParseString(d.doc) })
 			checkExecutor(t, name+" cold", live, drained(live.SearchStream), d.queries, true)
 			if _, err := live.AddEntity(xmltree.MustParseString(d.add)); err != nil {
-				t.Fatal(err)
+				t.Fatalf("%s: add: %v", name, err)
 			}
+			epoch := live.Epoch()
 			if err := live.RemoveEntity(dewey.New(d.remove)); err != nil {
-				t.Fatal(err)
+				if base != "coordinator" || !strings.Contains(err.Error(), "spine-rooted") {
+					t.Fatalf("%s: remove: %v", name, err)
+				}
+				if got := live.Epoch(); got != epoch {
+					t.Fatalf("%s: a refused spine removal moved the epoch %d -> %d", name, epoch, got)
+				}
 			}
 			checkExecutor(t, name+" live", live, drained(live.SearchStream), d.queries, true)
 			if err := live.Compact(); err != nil {
-				t.Fatal(err)
+				t.Fatalf("%s: compact: %v", name, err)
 			}
 			checkExecutor(t, name+" compacted", live, drained(live.SearchStream), d.queries, true)
 		}
 	}
+}
+
+// liveExecutor is the write surface the in-process live engine and the
+// coordinator share, beside their ranked one.
+type liveExecutor interface {
+	rankedExecutor
+	SearchStream(query string) (xseek.Cursor, error)
+	AddEntity(n *xmltree.Node) (dewey.ID, error)
+	RemoveEntity(id dewey.ID) error
+	Compact() error
+	Epoch() uint64
 }
 
 // rankedExecutor is the ranked surface every executor shares.

@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/feature"
+	"repro/internal/xmltree"
 	"repro/internal/xseek"
 )
 
@@ -62,9 +63,10 @@ func TestStressHundredsOfReviews(t *testing.T) {
 	t.Logf("extract=%v generate=%v over %d results", extractTime, genTime, len(results))
 }
 
-// TestStressLiveUpdatesUnderLoad hammers a live document with
-// concurrent searchers, rankers, and snippet readers while a writer
-// streams adds, removes, and compactions through the facade. Run with
+// TestStressLiveUpdatesUnderLoad hammers a live document — over one
+// index, and over a cluster of four legs — with concurrent searchers,
+// rankers, and snippet readers while a writer streams adds, removes,
+// and compactions through the facade. Run with
 // -race this exercises the full serving stack's epoch-swap coherence:
 // cached outcomes must never leak across writes, and every observed
 // answer must be well-formed. Skipped with -short.
@@ -75,7 +77,7 @@ func TestStressLiveUpdatesUnderLoad(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		shards := shards
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			doc := shardedDoc(reviews(3), shards, Options{AutoCompactEvery: 16})
+			doc := liveDoc(t, func() *xmltree.Node { return reviews(3) }, shards, 16)
 
 			stop := make(chan struct{})
 			var readers sync.WaitGroup
@@ -146,8 +148,8 @@ func TestStressLiveUpdatesUnderLoad(t *testing.T) {
 			if err := doc.Compact(); err != nil {
 				t.Fatal(err)
 			}
-			if delta, tombs := doc.PendingUpdates(); delta != 0 || tombs != 0 {
-				t.Fatalf("backlog after final compaction: %d/%d", delta, tombs)
+			if n := backlog(doc); n != 0 {
+				t.Fatalf("backlog of %d after final compaction", n)
 			}
 			results, err := doc.Search("stressterm")
 			if err != nil {

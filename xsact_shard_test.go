@@ -5,27 +5,44 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/engine"
-	"repro/internal/shard"
 	"repro/internal/xmltree"
 )
 
-// shardedDoc is a Document whose engine serves a K-shard partition's
-// indexes as one multi-part base (engine.FromSharded) for K > 1, and
-// one index otherwise. The facade never builds that layout itself;
-// these tests hold it to the one-index document.
-func shardedDoc(root *xmltree.Node, k int, opts Options) *Document {
-	if k <= 1 {
-		return FromTreeWith(root, opts)
+// clusterDoc is a Document served through FromCluster by a coordinator
+// over k shard servers on httptest listeners, each bootstrapped from
+// the tree fresh builds.
+func clusterDoc(t *testing.T, fresh func() *xmltree.Node, k int, opts ClusterOptions) *Document {
+	t.Helper()
+	doc, err := FromCluster(fresh(), startLegs(t, fresh, k), legCorpus, opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return &Document{root: root, eng: engine.FromSharded(shard.Build(root, k), opts.engineConfig())}
+	return doc
+}
+
+// liveDoc is a one-index Document for k ≤ 1 and a k-leg cluster
+// Document otherwise, compacting itself every autoCompact writes.
+func liveDoc(t *testing.T, fresh func() *xmltree.Node, k, autoCompact int) *Document {
+	t.Helper()
+	if k <= 1 {
+		return FromTreeWith(fresh(), Options{AutoCompactEvery: autoCompact})
+	}
+	return clusterDoc(t, fresh, k, ClusterOptions{AutoCompactEvery: autoCompact})
+}
+
+// backlog is a document's count of writes awaiting compaction.
+func backlog(d *Document) int {
+	m := d.Engine().Metrics()
+	return m.PendingDelta + m.PendingTombstones
 }
 
 func reviews(seed int64) *xmltree.Node {
 	return dataset.ProductReviews(dataset.ReviewsConfig{Seed: seed})
 }
 
-// TestFacadeShardedEquivalence: documents over K-shard bases must
+func reviews21() *xmltree.Node { return reviews(21) }
+
+// TestFacadeShardedEquivalence: a document over a two-leg cluster must
 // answer every facade search exactly like the one-index document —
 // results, ranking scores, and paging envelopes.
 func TestFacadeShardedEquivalence(t *testing.T) {
@@ -34,66 +51,64 @@ func TestFacadeShardedEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	queries := []string{"tomtom gps", "easy", "camera zoom", "garmin", "nosuchterm"}
-	for _, k := range []int{1, 2, 8} {
-		sharded := shardedDoc(reviews(21), k, Options{})
-		if k > 1 && sharded.Engine().Index() != nil {
-			t.Fatalf("K=%d: expected a multi-part base", k)
+	sharded := clusterDoc(t, reviews21, 2, ClusterOptions{})
+	if sharded.Engine().Index() != nil {
+		t.Fatal("a cluster document exposes a local index")
+	}
+	for _, q := range queries {
+		want, errW := mono.Search(q)
+		got, errG := sharded.Search(q)
+		if (errW == nil) != (errG == nil) {
+			t.Fatalf("%q: err %v vs %v", q, errG, errW)
 		}
-		for _, q := range queries {
-			want, errW := mono.Search(q)
-			got, errG := sharded.Search(q)
-			if (errW == nil) != (errG == nil) {
-				t.Fatalf("K=%d %q: err %v vs %v", k, q, errG, errW)
+		if len(got) != len(want) {
+			t.Fatalf("%q: %d results vs %d", q, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].Label != want[i].Label {
+				t.Fatalf("%q result %d: %q vs %q", q, i, got[i].Label, want[i].Label)
 			}
-			if len(got) != len(want) {
-				t.Fatalf("K=%d %q: %d results vs %d", k, q, len(got), len(want))
-			}
-			for i := range want {
-				if got[i].Label != want[i].Label {
-					t.Fatalf("K=%d %q result %d: %q vs %q", k, q, i, got[i].Label, want[i].Label)
-				}
-			}
-			if errW != nil {
-				continue
-			}
+		}
+		if errW != nil {
+			continue
+		}
 
-			// Ranked paging: equality of every window plus the
-			// concatenation invariant.
-			fullR, fullScores, errW := mono.SearchRanked(q)
-			if errW != nil {
-				t.Fatal(errW)
+		// Ranked paging: equality of every window plus the
+		// concatenation invariant.
+		fullR, fullScores, errW := mono.SearchRanked(q)
+		if errW != nil {
+			t.Fatal(errW)
+		}
+		var concat []string
+		for off := 0; ; off += 3 {
+			rs, scores, total, err := sharded.SearchRankedPage(q, 3, off)
+			if err != nil {
+				t.Fatalf("%q: %v", q, err)
 			}
-			var concat []string
-			for off := 0; ; off += 3 {
-				rs, scores, total, err := sharded.SearchRankedPage(q, 3, off)
-				if err != nil {
-					t.Fatalf("K=%d %q: %v", k, q, err)
-				}
-				if total != len(fullR) {
-					t.Fatalf("K=%d %q: total %d, want %d", k, q, total, len(fullR))
-				}
-				for i, r := range rs {
-					if r.Label != fullR[off+i].Label || scores[i] != fullScores[off+i] {
-						t.Fatalf("K=%d %q page offset %d entry %d: %q@%v vs %q@%v",
-							k, q, off, i, r.Label, scores[i], fullR[off+i].Label, fullScores[off+i])
-					}
-					concat = append(concat, r.Label)
-				}
-				if off+len(rs) >= total {
-					break
-				}
+			if total != len(fullR) {
+				t.Fatalf("%q: total %d, want %d", q, total, len(fullR))
 			}
-			if len(concat) != len(fullR) {
-				t.Fatalf("K=%d %q: concatenated pages cover %d of %d results", k, q, len(concat), len(fullR))
+			for i, r := range rs {
+				if r.Label != fullR[off+i].Label || scores[i] != fullScores[off+i] {
+					t.Fatalf("%q page offset %d entry %d: %q@%v vs %q@%v",
+						q, off, i, r.Label, scores[i], fullR[off+i].Label, fullScores[off+i])
+				}
+				concat = append(concat, r.Label)
 			}
+			if off+len(rs) >= total {
+				break
+			}
+		}
+		if len(concat) != len(fullR) {
+			t.Fatalf("%q: concatenated pages cover %d of %d results", q, len(concat), len(fullR))
 		}
 	}
 }
 
 // TestFacadeShardedCompare: the comparison pipeline (feature stats,
-// DFS generation, tables) runs unchanged on a K-shard base.
+// DFS generation, tables) runs unchanged on a cluster document.
 func TestFacadeShardedCompare(t *testing.T) {
-	doc := shardedDoc(reviews(21), 4, Options{})
+	doc := clusterDoc(t, reviews21, 2, ClusterOptions{})
 	rs, err := doc.Search("tomtom gps")
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +121,7 @@ func TestFacadeShardedCompare(t *testing.T) {
 		t.Fatal(err)
 	}
 	if cmp.DoD <= 0 || cmp.Text() == "" {
-		t.Fatalf("comparison broken on sharded doc: DoD=%d", cmp.DoD)
+		t.Fatalf("comparison broken on cluster doc: DoD=%d", cmp.DoD)
 	}
 
 	mono, _ := BuiltinDataset("reviews", 21)
@@ -116,49 +131,30 @@ func TestFacadeShardedCompare(t *testing.T) {
 		t.Fatal(err)
 	}
 	if cmp.Text() != monoCmp.Text() {
-		t.Fatal("comparison table differs between sharded and monolithic documents")
+		t.Fatal("comparison table differs between cluster and monolithic documents")
 	}
 }
 
-// TestFacadeShardedSnapshot: a document over a K-shard base snapshots
-// through the facade and reloads as one index with identical results.
+// TestFacadeShardedSnapshot: a cluster document has no local state to
+// snapshot — its legs persist through group snapshots — so
+// SaveSnapshot fails closed and writes nothing.
 func TestFacadeShardedSnapshot(t *testing.T) {
 	const catalog = `<store><product><name>TomTom</name><pro>easy</pro></product>` +
 		`<product><name>Garmin</name><pro>fast</pro></product>` +
 		`<product><name>Nuvi</name><pro>easy</pro></product></store>`
-	doc := shardedDoc(xmltree.MustParseString(catalog), 3, Options{})
+	doc := clusterDoc(t, func() *xmltree.Node { return xmltree.MustParseString(catalog) }, 2, ClusterOptions{})
 	var snap bytes.Buffer
-	if err := doc.SaveSnapshot(&snap); err != nil {
-		t.Fatal(err)
-	}
-	back, err := LoadSnapshotString(catalog, &snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Engine().Index() == nil || back.Engine().Metrics().Shards != 1 {
-		t.Fatal("reloaded document does not serve one index")
-	}
-	want, _ := doc.Search("easy")
-	got, err := back.Search("easy")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("%d results after reload, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i].Label != want[i].Label {
-			t.Fatalf("result %d: %q vs %q", i, got[i].Label, want[i].Label)
-		}
+	if err := doc.SaveSnapshot(&snap); err == nil || snap.Len() != 0 {
+		t.Fatalf("cluster snapshot: err %v, %d bytes written; want an error and nothing written", err, snap.Len())
 	}
 }
 
 // TestLibraryWithShardedDocs: database selection must route queries
-// over a mixed library of documents over K-shard and one-index bases.
+// over a mixed library of cluster and one-index documents.
 func TestLibraryWithShardedDocs(t *testing.T) {
 	lib := NewLibrary()
 	movies, _ := BuiltinDataset("movies", 1)
-	lib.Add("reviews", shardedDoc(reviews(1), 4, Options{}))
+	lib.Add("reviews", clusterDoc(t, func() *xmltree.Node { return reviews(1) }, 2, ClusterOptions{}))
 	lib.Add("movies", movies)
 	name, rs, err := lib.Search("tomtom gps")
 	if err != nil {
